@@ -98,52 +98,6 @@ void PrintTables() {
       " iteration depth — the paper's motivation for Algorithm 3)\n");
 }
 
-// Index caching: the seed engine rebuilt every RelationIndex per joining
-// step; the IndexCache reuses an index until its relation mutates, so EDB
-// indexes are built once per run instead of once per disjunct-evaluation.
-void PrintIndexCachingTable() {
-  Banner("index caching (EngineOptions::cache_indexes)",
-         "engine bugfix: indexes cached per (relation, position-set)");
-  struct Row {
-    const char* name;
-    uint64_t builds_off;
-    uint64_t builds_on;
-    uint64_t hits_on;
-    bool agree;
-  };
-  std::vector<Row> rows;
-  auto measure = [&](const char* name, int n, int m, bool semi) {
-    Domain dom;
-    auto prog = ApspProgram(&dom).value();
-    Graph g = RandomGraph(n, m, /*seed=*/5);
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog);
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.FindPredicate("E")));
-    Engine<TropS> off(prog, edb, EngineOptions{.cache_indexes = false});
-    Engine<TropS> on(prog, edb, EngineOptions{.cache_indexes = true});
-    auto r_off = semi ? off.SemiNaive(1 << 20) : off.Naive(1 << 20);
-    auto r_on = semi ? on.SemiNaive(1 << 20) : on.Naive(1 << 20);
-    rows.push_back(Row{name, off.index_builds(), on.index_builds(),
-                       on.index_hits(), r_off.idb.Equals(r_on.idb)});
-  };
-  measure("APSP naive random-60", 60, 180, /*semi=*/false);
-  measure("APSP semi random-60", 60, 180, /*semi=*/true);
-  measure("APSP semi random-120", 120, 360, /*semi=*/true);
-  std::printf("%-22s %-13s %-13s %-11s %-6s\n", "workload", "builds(off)",
-              "builds(on)", "hits(on)", "agree");
-  for (const Row& r : rows) {
-    std::printf("%-22s %-13llu %-13llu %-11llu %-6s\n", r.name,
-                static_cast<unsigned long long>(r.builds_off),
-                static_cast<unsigned long long>(r.builds_on),
-                static_cast<unsigned long long>(r.hits_on),
-                r.agree ? "yes" : "NO");
-  }
-  std::printf(
-      "(builds(on) ≪ builds(off): the EDB index is built once per run and\n"
-      " every further lookup is a hit; results are identical either way)\n");
-}
-
 // Parallel ICO step: wall time per thread count on the APSP workload,
 // with a determinism cross-check against the sequential engine. On a
 // single hardware core this table measures the prepare/reduce overhead
@@ -402,69 +356,6 @@ constexpr const char* kParityPaths = R"(
   T(X,Y) :- Even(X,Y) ; Odd(X,Y) ; T(X,Z) * T(Z,Y).
 )";
 
-// Triggered-rule scheduling: sweep re-evaluates every rule per global
-// iteration; ordered runs one local fixpoint per reliance group and only
-// re-evaluates triggered rules. Identical fixpoints; on multi-group
-// programs ordered skips drained rules, and its join work differs from
-// the sweep's (usually less; quadratic closures over a different delta
-// schedule can tip slightly the other way).
-void PrintSchedulerTable() {
-  Banner("triggered-rule scheduling (EngineOptions::scheduler)",
-         "reliance-graph SCC condensation with per-group local fixpoints");
-  struct Row {
-    std::string name;
-    uint64_t sweep_work, ordered_work;
-    int sweep_steps, ordered_steps;
-    uint64_t groups, group_iters, skipped;
-    bool agree;
-  };
-  std::vector<Row> rows;
-  auto measure = [&](const std::string& name, const char* text, int n,
-                     int m, int seed) {
-    Domain dom;
-    auto prog = ParseProgram(text, &dom).value();
-    Graph g = RandomGraph(n, m, seed);
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog);
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.FindPredicate("E")));
-    Engine<TropS> sweep(prog, edb);
-    Engine<TropS> ordered(prog, edb,
-                          EngineOptions{.scheduler = Scheduler::kOrdered});
-    auto rs = sweep.SemiNaive(1 << 20);
-    auto ro = ordered.SemiNaive(1 << 20);
-    rows.push_back(Row{
-        name, rs.work, ro.work, rs.steps, ro.steps,
-        static_cast<uint64_t>(ordered.reliance().num_groups()),
-        ordered.group_iterations(), ordered.rules_skipped(),
-        rs.idb.Equals(ro.idb)});
-  };
-  const int n = BenchSmokeMode() ? 48 : 128;
-  measure("APSP/Trop random-" + std::to_string(n), R"(
-      edb E/2. idb T/2. T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).)",
-          n, 3 * n, /*seed=*/9);
-  measure("parity/Trop random-" + std::to_string(n), kParityPaths, n, 3 * n,
-          /*seed=*/9);
-  std::printf("%-24s %-12s %-12s %-11s %-7s %-7s %-8s %-6s\n", "workload",
-              "sweep-work", "ord-work", "steps(s/o)", "groups", "iters",
-              "skipped", "agree");
-  for (const Row& r : rows) {
-    std::printf("%-24s %-12llu %-12llu %3d/%-7d %-7llu %-7llu %-8llu %-6s\n",
-                r.name.c_str(),
-                static_cast<unsigned long long>(r.sweep_work),
-                static_cast<unsigned long long>(r.ordered_work),
-                r.sweep_steps, r.ordered_steps,
-                static_cast<unsigned long long>(r.groups),
-                static_cast<unsigned long long>(r.group_iters),
-                static_cast<unsigned long long>(r.skipped),
-                r.agree ? "yes" : "NO");
-  }
-  std::printf(
-      "(single-group APSP: ordered replays the sweep trace bit for bit;\n"
-      " the multi-SCC parity program converges to the same fixpoint with\n"
-      " a nonzero triggered-set skip count)\n");
-}
-
 template <bool kSemi>
 void BM_Apsp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -499,10 +390,9 @@ void BM_QuadraticTc(benchmark::State& state) {
   }
 }
 
-/// Same semi-naive APSP workload with index caching on/off; the counters
-/// report how many indexes each engine actually constructed.
-template <bool kCache>
-void BM_ApspIndexCache(benchmark::State& state) {
+/// Semi-naive APSP; the counters report how many indexes the engine
+/// built and how many lookups the index cache served.
+void BM_ApspCached(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Domain dom;
   auto prog = ApspProgram(&dom).value();
@@ -511,14 +401,13 @@ void BM_ApspIndexCache(benchmark::State& state) {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb,
-                       EngineOptions{.cache_indexes = kCache});
+  Engine<TropS> engine(prog, edb);
   for (auto _ : state) {
     auto r = engine.SemiNaive(1 << 20);
     benchmark::DoNotOptimize(r.idb.TotalSupport());
   }
   // Per-iteration averages: totals accumulate across however many
-  // iterations the framework chose, which differs between variants.
+  // iterations the framework chose.
   state.counters["index_builds"] =
       benchmark::Counter(static_cast<double>(engine.index_builds()),
                          benchmark::Counter::kAvgIterations);
@@ -560,24 +449,18 @@ BENCHMARK(BM_ApspMt<true>)
     ->Args({128, 2})
     ->Args({128, 4})
     ->Args({128, 8});
-/// APSP / parity semi-naive under each scheduler: range(0) = n,
-/// range(1) = 1 for ordered, 0 for sweep.
-template <bool kParity>
-void BM_SchedArg(benchmark::State& state) {
+/// Multi-group parity semi-naive: range(0) = n; rules_skipped reports
+/// the triggered-set savings of the reliance-group schedule.
+void BM_ParitySemiNaive(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const bool ordered = state.range(1) != 0;
   Domain dom;
-  auto prog = kParity ? ParseProgram(kParityPaths, &dom).value()
-                      : ApspProgram(&dom).value();
+  auto prog = ParseProgram(kParityPaths, &dom).value();
   Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
   std::vector<ConstId> ids = InternVertices(n, &dom);
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(
-      prog, edb,
-      EngineOptions{.scheduler = ordered ? Scheduler::kOrdered
-                                         : Scheduler::kSweep});
+  Engine<TropS> engine(prog, edb);
   for (auto _ : state) {
     auto r = engine.SemiNaive(1 << 20);
     benchmark::DoNotOptimize(r.idb.TotalSupport());
@@ -587,21 +470,10 @@ void BM_SchedArg(benchmark::State& state) {
                          benchmark::Counter::kAvgIterations);
 }
 
-BENCHMARK(BM_SchedArg<false>)
-    ->Name("apsp_seminaive_sched")
-    ->Args({128, 0})
-    ->Args({128, 1});
-BENCHMARK(BM_SchedArg<true>)
-    ->Name("parity_seminaive_sched")
-    ->Args({128, 0})
-    ->Args({128, 1});
+BENCHMARK(BM_ParitySemiNaive)->Name("parity_seminaive")->Arg(128);
 BENCHMARK(BM_QuadraticTc<false>)->Name("quad_tc_naive")->Arg(32)->Arg(64);
 BENCHMARK(BM_QuadraticTc<true>)->Name("quad_tc_seminaive")->Arg(32)->Arg(64);
-BENCHMARK(BM_ApspIndexCache<false>)
-    ->Name("apsp_uncached")
-    ->Arg(64)
-    ->Arg(128);
-BENCHMARK(BM_ApspIndexCache<true>)->Name("apsp_cached")->Arg(64)->Arg(128);
+BENCHMARK(BM_ApspCached)->Name("apsp_cached")->Arg(64)->Arg(128);
 
 /// APSP semi-naive per index tier and scan kernel: range(0) = n,
 /// range(1) = IndexKind, range(2) = ScanKernel — each piece of the
@@ -657,7 +529,7 @@ void WriteJson() {
                          [](int n) { return RandomGraph(n, 3 * n, /*seed=*/9); },
                          [](const Edge& e) { return e.weight; },
                          {smoke ? 32 : 64, smoke ? 64 : 128});
-  // Multi-SCC stratified workload: the ordered rows journal nonzero
+  // Multi-SCC stratified workload: the seminaive rows journal nonzero
   // rules_skipped (the Odd/Even deltas drain in alternation).
   WriteEngineJson<TropS>("seminaive_parity",
                          "parity-split APSP/Trop random graph (seed 9, m = 3n)",
@@ -674,9 +546,7 @@ void WriteJson() {
 
 int main(int argc, char** argv) {
   datalogo::PrintTables();
-  datalogo::PrintIndexCachingTable();
   datalogo::PrintParallelTable();
-  datalogo::PrintSchedulerTable();
   datalogo::PrintIndexTierTable();
   datalogo::PrintJoinKernelTable();
   datalogo::PrintValueKernelTable();

@@ -235,71 +235,66 @@ void WriteEngineJson(const std::string& bench_name,
     LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
     for (bool semi : {false, true}) {
       if (semi && !CompleteDistributiveDioid<P>) continue;
-      for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-        for (int threads : thread_counts) {
-          double best_ms = -1.0;
-          EvalResult<P> best{IdbInstance<P>(prog)};
-          uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
-          uint64_t groups = 0, group_iters = 0, skipped = 0;
-          uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
-          uint64_t join_batched = 0, values_batched = 0;
-          const EngineOptions opts{.num_threads = threads,
-                                   .scheduler = sched};
-          for (int rep = 0; rep < reps; ++rep) {
-            Engine<P> engine(prog, edb, opts);
-            EvalResult<P> r{IdbInstance<P>(prog)};
-            double ms = WallMs([&] {
-              if constexpr (CompleteDistributiveDioid<P>) {
-                r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
-              } else {
-                r = engine.Naive(1 << 20);
-              }
-            });
-            if (best_ms < 0 || ms < best_ms) {
-              best_ms = ms;
-              best = std::move(r);
-              builds = engine.index_builds();
-              hits = engine.index_hits();
-              idb_builds = engine.idb_index_builds();
-              idb_hits = engine.idb_index_hits();
-              groups = static_cast<uint64_t>(engine.reliance().num_groups());
-              group_iters = engine.group_iterations();
-              skipped = engine.rules_skipped();
-              incr_appends = engine.idx_incremental_appends();
-              hash_probes = engine.hash_probes();
-              direct_probes = engine.direct_probes();
-              join_batched = engine.join_batched_rows();
-              values_batched = engine.values_batched();
+      for (int threads : thread_counts) {
+        double best_ms = -1.0;
+        EvalResult<P> best{IdbInstance<P>(prog)};
+        uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
+        uint64_t groups = 0, group_iters = 0, skipped = 0;
+        uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
+        uint64_t join_batched = 0, values_batched = 0;
+        const EngineOptions opts{.num_threads = threads};
+        for (int rep = 0; rep < reps; ++rep) {
+          Engine<P> engine(prog, edb, opts);
+          EvalResult<P> r{IdbInstance<P>(prog)};
+          double ms = WallMs([&] {
+            if constexpr (CompleteDistributiveDioid<P>) {
+              r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
+            } else {
+              r = engine.Naive(1 << 20);
             }
+          });
+          if (best_ms < 0 || ms < best_ms) {
+            best_ms = ms;
+            best = std::move(r);
+            builds = engine.index_builds();
+            hits = engine.index_hits();
+            idb_builds = engine.idb_index_builds();
+            idb_hits = engine.idb_index_hits();
+            groups = static_cast<uint64_t>(engine.reliance().num_groups());
+            group_iters = engine.group_iterations();
+            skipped = engine.rules_skipped();
+            incr_appends = engine.idx_incremental_appends();
+            hash_probes = engine.hash_probes();
+            direct_probes = engine.direct_probes();
+            join_batched = engine.join_batched_rows();
+            values_batched = engine.values_batched();
           }
-          json.BeginRow()
-              .Str("engine", semi ? "seminaive" : "naive")
-              .Str("scheduler",
-                   sched == Scheduler::kOrdered ? "ordered" : "sweep")
-              .Int("n", static_cast<uint64_t>(n))
-              .Int("threads", static_cast<uint64_t>(threads))
-              .Num("wall_ms", best_ms)
-              .Int("iterations", static_cast<uint64_t>(best.steps))
-              .Int("work", best.work)
-              .Int("index_builds", builds)
-              .Int("index_hits", hits)
-              .Int("idb_index_builds", idb_builds)
-              .Int("idb_index_hits", idb_hits)
-              .Int("groups", groups)
-              .Int("group_iterations", group_iters)
-              .Int("rules_skipped", skipped)
-              .Str("index_kind", IndexKindName(opts.index_kind))
-              .Str("scan_kernel", ScanKernelName(opts.scan_kernel))
-              .Str("join_kernel", JoinKernelName(opts.scan_kernel))
-              .Int("join_batched_rows", join_batched)
-              .Str("value_kernel",
-                   ValueKernelName<P>(opts.scan_kernel, opts.value_kernel))
-              .Int("values_batched", values_batched)
-              .Int("idx_incremental_appends", incr_appends)
-              .Int("hash_probes", hash_probes)
-              .Int("direct_probes", direct_probes)
-              .EndRow();
         }
+        json.BeginRow()
+            .Str("engine", semi ? "seminaive" : "naive")
+            .Int("n", static_cast<uint64_t>(n))
+            .Int("threads", static_cast<uint64_t>(threads))
+            .Num("wall_ms", best_ms)
+            .Int("iterations", static_cast<uint64_t>(best.steps))
+            .Int("work", best.work)
+            .Int("index_builds", builds)
+            .Int("index_hits", hits)
+            .Int("idb_index_builds", idb_builds)
+            .Int("idb_index_hits", idb_hits)
+            .Int("groups", groups)
+            .Int("group_iterations", group_iters)
+            .Int("rules_skipped", skipped)
+            .Str("index_kind", IndexKindName(opts.index_kind))
+            .Str("scan_kernel", ScanKernelName(opts.scan_kernel))
+            .Str("join_kernel", JoinKernelName(opts.scan_kernel))
+            .Int("join_batched_rows", join_batched)
+            .Str("value_kernel",
+                 ValueKernelName<P>(opts.scan_kernel, opts.value_kernel))
+            .Int("values_batched", values_batched)
+            .Int("idx_incremental_appends", incr_appends)
+            .Int("hash_probes", hash_probes)
+            .Int("direct_probes", direct_probes)
+            .EndRow();
       }
     }
   }

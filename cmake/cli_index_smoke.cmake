@@ -1,5 +1,5 @@
 # Index-tier / scan-kernel equivalence smoke at the CLI surface,
-# mirroring cli_scheduler_smoke.cmake: every --index=hash|direct|auto ×
+# mirroring cli_threads_smoke.cmake: every --index=hash|direct|auto ×
 # --scan=scalar|simd combination must be byte-identical to the default
 # run — fixpoint rows AND the stability-index comment line. The index
 # tier changes how lookups are served and the scan kernel changes how

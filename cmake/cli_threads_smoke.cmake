@@ -1,43 +1,68 @@
-# Determinism smoke for the parallel engine at the CLI surface: run the
-# same program serially and with --threads=4 and require byte-identical
-# output (the TSV dump is sorted and the '# converged' stability index is
-# part of the determinism contract).
+# Determinism smoke for the engine at the CLI surface, over a single-group
+# program (PROGRAM) and a multi-group one (MULTI_PROGRAM):
+#   1. Each program run with --seminaive serially and with --threads=4
+#      must be byte-identical (the TSV dump is sorted and the '# converged'
+#      stability index is part of the determinism contract).
+#   2. After stripping '#' comment lines, each program's --seminaive rows
+#      must equal its naive rows — naive (the global Algorithm-1 loop) is
+#      the reference; the stability index legitimately differs, since
+#      semi-naive sums group-local rounds.
 #
 # Invoked by CTest as:
-#   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
-#         -DOUT_DIR=<dir> -P cli_threads_smoke.cmake
-foreach(var CLI PROGRAM EDGES OUT_DIR)
+#   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DMULTI_PROGRAM=<.dl>
+#         -DEDGES=<.tsv> -DOUT_DIR=<dir> -P cli_threads_smoke.cmake
+foreach(var CLI PROGRAM MULTI_PROGRAM EDGES OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_threads_smoke: missing -D${var}=...")
   endif()
 endforeach()
 
-set(serial_out "${OUT_DIR}/cli_smoke_serial.out")
-set(threads_out "${OUT_DIR}/cli_smoke_threads4.out")
+function(run_cli out_file)
+  execute_process(
+    COMMAND ${CLI} ${ARGN}
+    OUTPUT_FILE ${out_file}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "datalogo_cli ${ARGN} failed (exit ${rc})")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND ${CLI} ${PROGRAM} --semiring=trop --edb E=${EDGES} --seminaive
-  OUTPUT_FILE ${serial_out}
-  RESULT_VARIABLE serial_rc)
-if(NOT serial_rc EQUAL 0)
-  message(FATAL_ERROR "serial run failed (exit ${serial_rc})")
-endif()
+# Drops '#'-prefixed comment lines, keeping only the TSV fixpoint rows.
+function(strip_comments in_file out_file)
+  file(STRINGS ${in_file} lines)
+  set(kept "")
+  foreach(line IN LISTS lines)
+    if(NOT line MATCHES "^#")
+      string(APPEND kept "${line}\n")
+    endif()
+  endforeach()
+  file(WRITE ${out_file} "${kept}")
+endfunction()
 
-execute_process(
-  COMMAND ${CLI} ${PROGRAM} --semiring=trop --edb E=${EDGES} --seminaive
-          --threads=4
-  OUTPUT_FILE ${threads_out}
-  RESULT_VARIABLE threads_rc)
-if(NOT threads_rc EQUAL 0)
-  message(FATAL_ERROR "--threads=4 run failed (exit ${threads_rc})")
-endif()
+function(require_identical a b what)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
+    RESULT_VARIABLE diff_rc)
+  if(NOT diff_rc EQUAL 0)
+    message(FATAL_ERROR "${what} differ: ${a} vs ${b}")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${serial_out} ${threads_out}
-  RESULT_VARIABLE diff_rc)
-if(NOT diff_rc EQUAL 0)
-  message(FATAL_ERROR
-          "serial and --threads=4 output differ: ${serial_out} vs "
-          "${threads_out}")
-endif()
-message(STATUS "serial and --threads=4 CLI output identical")
+set(base_args --semiring=trop --edb E=${EDGES})
+foreach(tag_program "single;${PROGRAM}" "multi;${MULTI_PROGRAM}")
+  list(GET tag_program 0 tag)
+  list(GET tag_program 1 program)
+  set(serial_out "${OUT_DIR}/cli_smoke_${tag}_serial.out")
+  set(threads_out "${OUT_DIR}/cli_smoke_${tag}_threads4.out")
+  set(naive_out "${OUT_DIR}/cli_smoke_${tag}_naive.out")
+  run_cli(${serial_out} ${program} ${base_args} --seminaive)
+  run_cli(${threads_out} ${program} ${base_args} --seminaive --threads=4)
+  require_identical(${serial_out} ${threads_out}
+                    "${tag}-group serial and --threads=4 output")
+  run_cli(${naive_out} ${program} ${base_args})
+  strip_comments(${naive_out} "${naive_out}.rows")
+  strip_comments(${serial_out} "${serial_out}.rows")
+  require_identical("${naive_out}.rows" "${serial_out}.rows"
+                    "${tag}-group naive and --seminaive fixpoints")
+endforeach()
+message(STATUS "threads smoke: serial/--threads=4/naive outputs agree")

@@ -53,8 +53,8 @@ strip_comments(${ref_out} "${ref_out}.stripped")
 
 # Incremental: fixpoint over the original edges, then the batch through
 # Engine::Update — default config and a deliberately different one
-# (threads, scheduler, index tier all changed); every variant must match
-# the recompute byte-for-byte.
+# (threads and index tier changed); every variant must match the
+# recompute byte-for-byte.
 set(upd_out "${OUT_DIR}/cli_update_inc.out")
 run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
         --update=${BATCH})
@@ -64,10 +64,10 @@ require_identical("${ref_out}.stripped" "${upd_out}.stripped"
 
 set(upd_t4_out "${OUT_DIR}/cli_update_inc_t4.out")
 run_cli(${upd_t4_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
-        --update=${BATCH} --threads=4 --scheduler=ordered --index=direct)
+        --update=${BATCH} --threads=4 --index=direct)
 strip_comments(${upd_t4_out} "${upd_t4_out}.stripped")
 require_identical("${ref_out}.stripped" "${upd_t4_out}.stripped"
-                  "full recompute and parallel/ordered --update output")
+                  "full recompute and parallel --update output")
 
 # The scalar kernels must maintain the same bytes too.
 set(upd_scalar_out "${OUT_DIR}/cli_update_inc_scalar.out")

@@ -2,13 +2,18 @@
 //
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
-//       [--threads=N] [--scheduler=sweep|ordered]
+//       [--max-steps=N] [--threads=N]
 //       [--index=hash|direct|auto] [--scan=scalar|simd]
 //       [--values=scalar|simd] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // POPS EDB TSVs carry the value in the last column; Boolean EDB TSVs are
 // key-only. Results are printed as sorted TSV per IDB predicate.
+// The '# converged, stability index N' line reports EvalResult::steps:
+// the stability index under naive evaluation, and under --seminaive the
+// group-local rounds summed over the program's reliance groups.
+// --threads=N (0 = one per hardware core) and --max-steps=N (>= 1) take
+// whole base-10 integers; anything else is a usage error (exit 1).
 //
 // --update=BATCH runs the fixpoint silently, applies the batch through
 // Engine::Update (incremental maintenance — no full re-run), and prints
@@ -17,6 +22,7 @@
 //   + PRED key...           insert a Boolean-EDB fact
 //   - PRED key...           delete a fact (either kind)
 // '#' comments and blank lines are skipped.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -39,10 +45,6 @@ struct CliOptions {
   bool advise = false;
   int max_steps = 100000;
   int threads = 1;  // 0 = one per hardware core; results are identical
-  // sweep = global rule sweeps; ordered = reliance-group local fixpoints
-  // with triggered rules. Same fixpoint either way; the stability index
-  // comment line can differ on multi-group programs.
-  Scheduler scheduler = Scheduler::kSweep;
   // Index tier and scan kernel (engine.h / simd.h). --scan selects both
   // the index-build column scans and the join kernel (scalar
   // row-at-a-time vs SIMD batched bind/check). Output is identical for
@@ -66,6 +68,22 @@ bool ReadFile(const std::string& path, std::string* out) {
   std::ostringstream ss;
   ss << in.rdbuf();
   *out = ss.str();
+  return true;
+}
+
+/// Parses a whole flag value as a base-10 int in [min, INT_MAX]: no sign
+/// other than a leading '-', no trailing junk, no overflow.
+bool ParseIntFlag(const std::string& flag, const std::string& text, int min,
+                  int* out) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < min) {
+    std::fprintf(stderr, "%s expects an integer >= %d, got '%s'\n",
+                 flag.c_str(), min, text.c_str());
+    return false;
+  }
+  *out = v;
   return true;
 }
 
@@ -94,17 +112,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--advise") {
       opt->advise = true;
     } else if (arg.rfind("--max-steps=", 0) == 0) {
-      opt->max_steps = std::stoi(value_of("--max-steps="));
+      if (!ParseIntFlag("--max-steps", value_of("--max-steps="), 1,
+                        &opt->max_steps)) {
+        return false;
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      opt->threads = std::stoi(value_of("--threads="));
-    } else if (arg.rfind("--scheduler=", 0) == 0) {
-      std::string name = value_of("--scheduler=");
-      if (name == "sweep") {
-        opt->scheduler = Scheduler::kSweep;
-      } else if (name == "ordered") {
-        opt->scheduler = Scheduler::kOrdered;
-      } else {
-        std::fprintf(stderr, "unknown scheduler: %s\n", name.c_str());
+      if (!ParseIntFlag("--threads", value_of("--threads="), 0,
+                        &opt->threads)) {
         return false;
       }
     } else if (arg.rfind("--index=", 0) == 0) {
@@ -272,7 +286,6 @@ int RunAs(const CliOptions& opt, const std::string& text,
 
   Engine<P> engine(prog.value(), edb,
                    EngineOptions{.num_threads = opt.threads,
-                                 .scheduler = opt.scheduler,
                                  .index_kind = opt.index_kind,
                                  .scan_kernel = opt.scan_kernel,
                                  .value_kernel = opt.value_kernel});
@@ -339,10 +352,12 @@ int main(int argc, char** argv) {
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
                  "[--advise] [--max-steps=N] [--threads=N] "
-                 "[--scheduler=sweep|ordered] [--index=hash|direct|auto] "
-                 "[--scan=scalar|simd] [--values=scalar|simd] "
-                 "[--update=BATCH]\n"
-                 "semirings: bool nat trop tropnat fuzzy viterbi\n");
+                 "[--index=hash|direct|auto] [--scan=scalar|simd] "
+                 "[--values=scalar|simd] [--update=BATCH]\n"
+                 "semirings: bool nat trop tropnat fuzzy viterbi\n"
+                 "--max-steps >= 1; --threads >= 0 (0 = one per core); the "
+                 "stability-index line sums group-local rounds under "
+                 "--seminaive\n");
     return 1;
   }
   std::string text;

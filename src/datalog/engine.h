@@ -36,37 +36,17 @@ namespace datalogo {
 template <Pops P>
 struct EvalResult {
   IdbInstance<P> idb;
-  /// Number of ICO applications (naive) or loop iterations (semi-naive).
+  /// Naive: ICO applications until J stops changing — the stability
+  /// index. Semi-naive: group-local rounds (each reliance group's seed
+  /// plus its differential rounds) summed over the groups.
   int steps = 0;
   bool converged = false;
   /// Join-work counter: generator entries visited (for the Sec. 6 benches).
   uint64_t work = 0;
 };
 
-/// Rule-scheduling policy for the fixpoint loops.
-enum class Scheduler {
-  /// Re-evaluate every rule on every global iteration — the engine's
-  /// original behaviour, preserved bit-for-bit (fixpoints, `work`, all
-  /// index counters).
-  kSweep,
-  /// Condense the rule reliance graph (reliance.h) into SCC groups and
-  /// run one LOCAL fixpoint per group in topological (producers-first)
-  /// order; inside a group, only rules whose body predicates actually
-  /// received a delta last round are re-evaluated (a triggered set that
-  /// drains with the deltas). Fixpoints are identical to kSweep; on
-  /// multi-group programs the local deltas are smaller and dead rules
-  /// are skipped, so `steps`, `work` and index counters may legitimately
-  /// be LOWER than kSweep's. On single-group programs (every rule
-  /// mutually recursive) the two schedulers are bit-identical.
-  kOrdered,
-};
-
 /// Tuning knobs for Engine.
 struct EngineOptions {
-  /// Reuse RelationIndexes across joining steps (EDB indexes live for the
-  /// whole run; IDB indexes until their relation mutates). Off = the
-  /// seed's rebuild-per-disjunct behaviour, kept for benchmarking.
-  bool cache_indexes = true;
   /// Worker parallelism for ICO applications. <= 1 runs the sequential
   /// kernel unchanged; N > 1 fans compiled disjuncts (and row-range
   /// shards of each disjunct's driver entry list) out across N threads
@@ -80,11 +60,6 @@ struct EngineOptions {
   /// deterministic reduce tree — depends only on the data, so results
   /// are identical at every thread count, not merely per thread count.
   int shard_rows = 256;
-  /// Rule scheduling for Naive/SemiNaive (see Scheduler). Orthogonal to
-  /// num_threads: the ordered scheduler routes each group round through
-  /// the same prepare/execute/reduce phases, so its results and counters
-  /// are identical at every thread count too.
-  Scheduler scheduler = Scheduler::kSweep;
   /// Index-tier policy (relation.h): kAuto picks a direct (offset-
   /// addressed) index per (relation, key-spec) when the key column is a
   /// dense ConstId range, else hash; kHash/kDirect force one tier.
@@ -191,10 +166,10 @@ class Engine {
   /// Threads an ICO application executes on (1 = sequential kernel).
   int num_threads() const { return pool_ ? pool_->concurrency() : 1; }
 
-  /// Indexes constructed so far (cached or not) — the bench counter for
-  /// the index-caching win.
+  /// Indexes built into the cache so far (EDB indexes live for the whole
+  /// run; IDB indexes are refreshed or rebuilt when their relation mutates).
   uint64_t index_builds() const {
-    return pops_cache_.builds() + bool_cache_.builds() + uncached_builds_;
+    return pops_cache_.builds() + bool_cache_.builds();
   }
   /// Index lookups served from cache without rebuilding.
   uint64_t index_hits() const {
@@ -243,21 +218,18 @@ class Engine {
   /// engine_scheduler_test).
   uint64_t edb_index_scan_rows() const { return edb_index_scan_rows_; }
 
-  /// The condensed rule-reliance structure the ordered scheduler executes
-  /// (computed for every engine; kSweep simply ignores it).
+  /// The condensed rule-reliance structure SemiNaive schedules by: one
+  /// local fixpoint per SCC group, producers first. Naive ignores it.
   const RelianceGroups& reliance() const { return reliance_; }
-  /// Local fixpoint rounds executed by the ordered scheduler so far: seed
-  /// applications plus differential rounds, summed over groups.
+  /// Local fixpoint rounds SemiNaive executed so far: seed applications
+  /// plus differential rounds, summed over groups (the `steps` it reports).
   uint64_t group_iterations() const { return group_iterations_; }
-  /// Triggered-set savings: rule evaluations the ordered scheduler skipped
-  /// because none of the rule's body predicates held a live delta.
+  /// Triggered-set savings: rule evaluations SemiNaive skipped because
+  /// none of the rule's body predicates held a live delta.
   uint64_t rules_skipped() const { return rules_skipped_; }
 
   /// Algorithm 1: J ← F(J) from ⊥ until fixpoint (or budget).
   EvalResult<P> Naive(int max_steps) const {
-    if (options_.scheduler == Scheduler::kOrdered) {
-      return NaiveOrdered(max_steps);
-    }
     std::vector<int> all(compiled_.size());
     for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
     return NaiveWithRules(all, IdbInstance<P>(*prog_), max_steps);
@@ -340,110 +312,152 @@ class Engine {
 
   /// Algorithm 3 with the differential rule (Eq. 65): requires a complete
   /// distributive dioid for ⊖. Returns the same fixpoint as Naive
-  /// (Theorem 6.4).
+  /// (Theorem 6.4). Rules are scheduled by reliance (reliance.h): per
+  /// reliance group, in topological (producers-first) order, a seed
+  /// application of the group's rules over the accumulated T
+  /// (δ_g = F_g(T) ⊖ T over the group's heads), then — for recursive
+  /// groups only — local semi-naive rounds (Eq. 64/65 restricted to the
+  /// occurrences of the group's own heads) in which only TRIGGERED rules
+  /// run: a rule re-evaluates iff some group-head predicate it reads
+  /// still holds a live delta. Deltas drain through the shared `delta`
+  /// instance; rules whose inputs have drained count into rules_skipped()
+  /// instead of being evaluated.
+  ///
+  /// Soundness: lower-group predicates are constants of F_g by the
+  /// condensation order, so the differential expansion over group
+  /// occurrences is exactly Eq. (64) for F_g; the warm-start invariant
+  /// F_g(T_prev) ≼ T holds after the seed by x ⊕ (y ⊖ x) ⊒ y and is then
+  /// maintained as in the global algorithm (Theorem 6.4). When the
+  /// program is one recursive rule (every golden recursion) the schedule
+  /// is exactly the global semi-naive loop: one seed δ(0) = F(0), then one
+  /// differential round per step, with the same ⊖ scan and merge orders.
+  ///
+  /// `steps` sums the group-local rounds (each group's seed plus its
+  /// differential rounds); max_steps is a TOTAL budget across groups.
   EvalResult<P> SemiNaive(int max_steps) const
     requires CompleteDistributiveDioid<P>
   {
-    if (options_.scheduler == Scheduler::kOrdered) {
-      return SemiNaiveOrdered(max_steps);
-    }
     uint64_t work = 0;
-    IdbInstance<P> t_old(*prog_);   // T(t-1)
-    IdbInstance<P> t_new(*prog_);   // T(t)
-    IdbInstance<P> delta(*prog_);   // δ(t-1)
-
-    // t = 0: δ(0) = F(0) ⊖ 0 = F(0); T(1) = δ(0).
-    ApplyIco(t_new /*empty*/, &delta, &work);
-    bool empty = true;
-    for (int pred : prog_->IdbPredicates()) {
-      if (!delta.idb(pred).empty()) empty = false;
-    }
-    if (empty) return {std::move(t_new), 1, true, work};
-    t_new.CopyContentsFrom(delta);
-
-    // Scratch instances persist across iterations (Clear + refill).
-    // δ(t) is diffed DIRECTLY into `delta` (safe: the candidate is fully
-    // computed before the old deltas are cleared, and DiffRows reads only
-    // candidate and t_new), so each round's delta mutation is a Clear
-    // plus fresh Sets — the soft pattern the index cache refreshes
-    // incrementally (reset-and-reappend) instead of rebuilding, and one
-    // full content move per round cheaper than staging through a
-    // next_delta instance.
+    int steps = 0;
+    IdbInstance<P> t_old(*prog_);  // T before the last local merge
+    IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
+    // Live deltas of the running group. Every δ — the seed's and each
+    // local round's — is diffed directly into `delta` (ClearPreds +
+    // DiffRows; safe: the candidate is fully computed before the old
+    // deltas are cleared), keeping the delta relations on the
+    // Clear-plus-append mutation pattern the index cache refreshes
+    // incrementally instead of rebuilding.
+    IdbInstance<P> delta(*prog_);
     IdbInstance<P> candidate(*prog_);
-    // Units enumerate (rule, disjunct, occurrence) in the exact order of
-    // the sequential loop below; ApplyUnitsParallel prepares and reduces
-    // in that order, so counters and fixpoints agree. Loop-invariant:
-    // the resolvers capture the persistent t_new/delta/t_old instances,
-    // whose Relation objects stay stable across iterations.
-    std::vector<EvalUnit> units;
-    if (pool_) {
-      for (const CompiledRule& cr : compiled_) {
-        for (const CompiledDisjunct& cd : cr.disjuncts) {
-          const int occurrences = static_cast<int>(cd.idb_atoms.size());
-          if (occurrences == 0) continue;  // EDB-only part E_i, Eq. (65)
-          const CompiledDisjunct* cdp = &cd;
-          for (int ell = 0; ell < occurrences; ++ell) {
-            units.push_back(EvalUnit{
-                &cr, cdp,
-                [this, cdp, ell, &t_new, &delta,
-                 &t_old](int atom_index) -> const Relation<P>& {
-                  int pred = cdp->sp->atoms[atom_index].pred;
-                  int occ = cdp->occ_of_atom[atom_index];
-                  if (occ < 0) return edb_->pops(pred);
-                  if (occ < ell) return t_new.idb(pred);
-                  if (occ == ell) return delta.idb(pred);
-                  return t_old.idb(pred);
-                }});
-          }
+    std::vector<int> triggered;
+
+    for (int g = 0; g < reliance_.num_groups(); ++g) {
+      const std::vector<int>& rules = reliance_.groups[g];
+      const std::vector<int>& heads = reliance_.group_heads[g];
+      if (steps >= max_steps) {
+        return {std::move(t_new), max_steps, false, work};
+      }
+
+      // Seed: C = F_g(T), δ = C ⊖ T over the group's heads. For the
+      // first group T = 0, making this exactly the global t = 0 step.
+      candidate.ClearPreds(heads);
+      if (pool_) {
+        ApplyUnitsParallel(NaiveUnits(rules, t_new), &candidate, &work);
+      } else {
+        for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
+      }
+      ++steps;
+      ++group_iterations_;
+      delta.ClearPreds(heads);  // may hold stale rows of a shared head
+      bool any_delta = false;
+      for (int pred : heads) {
+        if (DiffRows(candidate.idb(pred), t_new.idb(pred),
+                     &delta.idb(pred))) {
+          any_delta = true;
         }
       }
-    }
-    for (int t = 1; t < max_steps; ++t) {
-      SweepCaches();
-      // Candidate C_i = ⊕_ℓ G_i(.., δ_ℓ, ..) using new/old T per Eq. (64).
-      candidate.ClearAll();
-      if (pool_) {
-        ApplyUnitsParallel(units, &candidate, &work);
-      } else {
-        for (const CompiledRule& cr : compiled_) {
-          for (const CompiledDisjunct& cd : cr.disjuncts) {
-            const int occurrences = static_cast<int>(cd.idb_atoms.size());
-            if (occurrences == 0) continue;  // EDB-only part E_i, Eq. (65)
-            for (int ell = 0; ell < occurrences; ++ell) {
-              auto resolver = [&](int atom_index) -> const Relation<P>& {
-                int pred = cd.sp->atoms[atom_index].pred;
-                int occ = cd.occ_of_atom[atom_index];
-                if (occ < 0) return edb_->pops(pred);
-                if (occ < ell) return t_new.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return t_old.idb(pred);
-              };
-              EvalDisjunct(cd, resolver,
-                           &candidate.idb(cr.rule->head.pred), &work);
+      if (!any_delta) continue;
+      t_old.CopyPredsFrom(t_new, heads);
+      for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
+      if (!reliance_.group_recursive[g]) continue;  // nothing can retrigger
+
+      // Local differential rounds over the group.
+      bool drained = false;
+      while (steps < max_steps) {
+        SweepCaches();
+        triggered.clear();
+        for (int r : rules) {
+          bool fire = false;
+          for (int pred : reliance_.rule_body_idb[r]) {
+            if (delta.HasSupport(pred) &&
+                std::binary_search(heads.begin(), heads.end(), pred)) {
+              fire = true;
+              break;
+            }
+          }
+          if (fire) {
+            triggered.push_back(r);
+          } else {
+            ++rules_skipped_;
+          }
+        }
+        if (triggered.empty()) {  // live deltas feed no rule of this group
+          drained = true;
+          break;
+        }
+        ++steps;
+        ++group_iterations_;
+        candidate.ClearPreds(heads);
+        if (pool_) {
+          BuildGroupUnits(triggered, t_new, delta, t_old, &group_units_);
+          ApplyUnitsParallel(group_units_, &candidate, &work);
+        } else {
+          for (int r : triggered) {
+            const CompiledRule& cr = compiled_[r];
+            for (const CompiledDisjunct& cd : cr.disjuncts) {
+              // occurrences == 0: the disjunct reads nothing the group
+              // still moves — its one-shot contribution was the seed's.
+              const int occurrences =
+                  static_cast<int>(cd.group_atoms.size());
+              for (int ell = 0; ell < occurrences; ++ell) {
+                auto resolver = [&](int atom_index) -> const Relation<P>& {
+                  const int pred = cd.sp->atoms[atom_index].pred;
+                  if (prog_->predicate(pred).kind != PredKind::kIdb) {
+                    return edb_->pops(pred);
+                  }
+                  const int occ = cd.group_occ_of_atom[atom_index];
+                  if (occ < 0 || occ < ell) return t_new.idb(pred);
+                  if (occ == ell) return delta.idb(pred);
+                  return t_old.idb(pred);
+                };
+                EvalDisjunct(cd, resolver,
+                             &candidate.idb(cr.rule->head.pred), &work);
+              }
             }
           }
         }
-      }
-      // δ(t) = C ⊖ T(t), per row of C's support — into `delta` itself.
-      delta.ClearAll();
-      bool all_empty = true;
-      for (int pred : prog_->IdbPredicates()) {
-        if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                     &delta.idb(pred))) {
-          all_empty = false;
+        // δ(t) = C ⊖ T(t) over the group's heads — into `delta` itself.
+        delta.ClearPreds(heads);
+        bool all_empty = true;
+        for (int pred : heads) {
+          if (DiffRows(candidate.idb(pred), t_new.idb(pred),
+                       &delta.idb(pred))) {
+            all_empty = false;
+          }
         }
+        if (all_empty) {
+          drained = true;
+          break;
+        }
+        t_old.CopyPredsFrom(t_new, heads);
+        for (int pred : heads) {
+          MergeRows(delta.idb(pred), &t_new.idb(pred));
+        }
+        t_new.CompactPreds(heads);
       }
-      if (all_empty) {
-        return {std::move(t_new), t + 1, true, work};
-      }
-      // T(t+1) = T(t) ⊕ δ(t).
-      t_old.CopyContentsFrom(t_new);
-      for (int pred : prog_->IdbPredicates()) {
-        MergeRows(delta.idb(pred), &t_new.idb(pred));
-      }
-      t_new.CompactAll();  // tombstone hygiene between fixpoint iterations
+      if (!drained) return {std::move(t_new), max_steps, false, work};
     }
-    return {std::move(t_new), max_steps, false, work};
+    return {std::move(t_new), steps, true, work};
   }
 
   /// Incremental maintenance — the warm-continuation entry point. Given
@@ -685,9 +699,9 @@ class Engine {
 
   /// Per-generator inputs of one disjunct evaluation, resolved during the
   /// sequential prepare phase (the only phase that touches the index
-  /// caches, build counters, or — with caching off — builds throwaway
-  /// local indexes). Immutable during the execute phase, so any number of
-  /// shard tasks of the same evaluation may read it concurrently.
+  /// caches and build counters). Immutable during the execute phase, so
+  /// any number of shard tasks of the same evaluation may read it
+  /// concurrently.
   struct PreparedGens {
     std::vector<const RelationIndex<P>*> pops_idx;
     std::vector<const RelationIndex<BoolS>*> bool_idx;
@@ -701,11 +715,6 @@ class Engine {
     /// prebindings, so it is known before execution and is what shards
     /// partition). Null iff the disjunct has no generators.
     const RowIdList* level0 = nullptr;
-    /// Caching off: owning storage keeping rebuilt indexes alive for the
-    /// duration of the execute phase (the seed's rebuild-per-disjunct
-    /// behaviour, preserved for benchmarking).
-    std::vector<std::unique_ptr<RelationIndex<P>>> local_pops;
-    std::vector<std::unique_ptr<RelationIndex<BoolS>>> local_bool;
   };
 
   /// One unit of parallel evaluation: a disjunct plus the resolver that
@@ -933,8 +942,8 @@ class Engine {
         for (std::size_t k = 0; k < cd.idb_atoms.size(); ++k) {
           cd.occ_of_atom[cd.idb_atoms[k]] = static_cast<int>(k);
         }
-        // Group-restricted occurrence map for the ordered scheduler's
-        // local differential rounds (group_heads are sorted).
+        // Group-restricted occurrence map for SemiNaive's group-local
+        // differential rounds (group_heads are sorted).
         cd.group_occ_of_atom.assign(sp.atoms.size(), -1);
         for (int atom : cd.idb_atoms) {
           if (std::binary_search(own_group_heads.begin(),
@@ -1019,180 +1028,9 @@ class Engine {
     return units;
   }
 
-  /// Ordered naive evaluation: one local naive fixpoint per reliance
-  /// group, producers first, with everything below frozen — the
-  /// rule-level analogue of stratified evaluation (stratified.h), with
-  /// groups finer than strata. Reaches the same least fixpoint as the
-  /// global sweep: the condensation order makes every predicate a group
-  /// reads (beyond its own heads) final before the group runs. `steps`
-  /// sums the local stability indexes; max_steps is a TOTAL budget
-  /// across groups, so ordered never exceeds the sweep's iteration cap.
-  EvalResult<P> NaiveOrdered(int max_steps) const {
-    IdbInstance<P> j(*prog_);
-    int steps = 0;
-    uint64_t work = 0;
-    for (int g = 0; g < reliance_.num_groups(); ++g) {
-      if (steps >= max_steps) return {std::move(j), max_steps, false, work};
-      EvalResult<P> r =
-          NaiveWithRules(reliance_.groups[g], j, max_steps - steps);
-      steps += r.steps;
-      work += r.work;
-      group_iterations_ +=
-          static_cast<uint64_t>(r.steps) + (r.converged ? 1 : 0);
-      if (!r.converged) return {std::move(r.idb), max_steps, false, work};
-      j = std::move(r.idb);
-    }
-    return {std::move(j), steps, true, work};
-  }
-
-  /// The ordered scheduler's differential evaluation: per reliance group,
-  /// a seed application of the group's rules over the accumulated T
-  /// (δ_g = F_g(T) ⊖ T over the group's heads), then — for recursive
-  /// groups only — local semi-naive rounds (Eq. 64/65 restricted to the
-  /// occurrences of the group's own heads) in which only TRIGGERED rules
-  /// run: a rule re-evaluates iff some group-head predicate it reads
-  /// still holds a live delta. Deltas drain through the shared `delta`
-  /// instance; rules whose inputs have drained count into rules_skipped()
-  /// instead of being evaluated.
-  ///
-  /// Soundness: lower-group predicates are constants of F_g by the
-  /// condensation order, so the differential expansion over group
-  /// occurrences is exactly Eq. (64) for F_g; the warm-start invariant
-  /// F_g(T_prev) ≼ T holds after the seed by x ⊕ (y ⊖ x) ⊒ y and is then
-  /// maintained as in the global algorithm (Theorem 6.4). For a single
-  /// recursive rule (every golden recursion) the local trace replays the
-  /// global one operation for operation — same seed, same rounds, same
-  /// ⊖ scan and merge orders — so fixpoints, steps, `work` and index
-  /// counters are bit-identical to kSweep there.
-  EvalResult<P> SemiNaiveOrdered(int max_steps) const
-    requires CompleteDistributiveDioid<P>
-  {
-    uint64_t work = 0;
-    int steps = 0;
-    IdbInstance<P> t_old(*prog_);  // T before the last local merge
-    IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
-    // Live deltas of the running group. Like the sweep scheduler, every
-    // δ — the seed's and each local round's — is diffed directly into
-    // `delta` (ClearPreds + DiffRows), keeping the delta relations on the
-    // Clear-plus-append mutation pattern the index cache refreshes
-    // incrementally.
-    IdbInstance<P> delta(*prog_);
-    IdbInstance<P> candidate(*prog_);
-    std::vector<int> triggered;
-
-    for (int g = 0; g < reliance_.num_groups(); ++g) {
-      const std::vector<int>& rules = reliance_.groups[g];
-      const std::vector<int>& heads = reliance_.group_heads[g];
-      if (steps >= max_steps) {
-        return {std::move(t_new), max_steps, false, work};
-      }
-
-      // Seed: C = F_g(T), δ = C ⊖ T over the group's heads. For the
-      // first group T = 0, making this exactly the global t = 0 step.
-      candidate.ClearPreds(heads);
-      if (pool_) {
-        ApplyUnitsParallel(NaiveUnits(rules, t_new), &candidate, &work);
-      } else {
-        for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
-      }
-      ++steps;
-      ++group_iterations_;
-      delta.ClearPreds(heads);  // may hold stale rows of a shared head
-      bool any_delta = false;
-      for (int pred : heads) {
-        if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                     &delta.idb(pred))) {
-          any_delta = true;
-        }
-      }
-      if (!any_delta) continue;
-      t_old.CopyPredsFrom(t_new, heads);
-      for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
-      if (!reliance_.group_recursive[g]) continue;  // nothing can retrigger
-
-      // Local differential rounds over the group.
-      bool drained = false;
-      while (steps < max_steps) {
-        SweepCaches();
-        triggered.clear();
-        for (int r : rules) {
-          bool fire = false;
-          for (int pred : reliance_.rule_body_idb[r]) {
-            if (delta.HasSupport(pred) &&
-                std::binary_search(heads.begin(), heads.end(), pred)) {
-              fire = true;
-              break;
-            }
-          }
-          if (fire) {
-            triggered.push_back(r);
-          } else {
-            ++rules_skipped_;
-          }
-        }
-        if (triggered.empty()) {  // live deltas feed no rule of this group
-          drained = true;
-          break;
-        }
-        ++steps;
-        ++group_iterations_;
-        candidate.ClearPreds(heads);
-        if (pool_) {
-          BuildGroupUnits(triggered, t_new, delta, t_old, &group_units_);
-          ApplyUnitsParallel(group_units_, &candidate, &work);
-        } else {
-          for (int r : triggered) {
-            const CompiledRule& cr = compiled_[r];
-            for (const CompiledDisjunct& cd : cr.disjuncts) {
-              // occurrences == 0: the disjunct reads nothing the group
-              // still moves — its one-shot contribution was the seed's.
-              const int occurrences =
-                  static_cast<int>(cd.group_atoms.size());
-              for (int ell = 0; ell < occurrences; ++ell) {
-                auto resolver = [&](int atom_index) -> const Relation<P>& {
-                  const int pred = cd.sp->atoms[atom_index].pred;
-                  if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                    return edb_->pops(pred);
-                  }
-                  const int occ = cd.group_occ_of_atom[atom_index];
-                  if (occ < 0 || occ < ell) return t_new.idb(pred);
-                  if (occ == ell) return delta.idb(pred);
-                  return t_old.idb(pred);
-                };
-                EvalDisjunct(cd, resolver,
-                             &candidate.idb(cr.rule->head.pred), &work);
-              }
-            }
-          }
-        }
-        // δ(t) = C ⊖ T(t) over the group's heads — into `delta` itself.
-        delta.ClearPreds(heads);
-        bool all_empty = true;
-        for (int pred : heads) {
-          if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                       &delta.idb(pred))) {
-            all_empty = false;
-          }
-        }
-        if (all_empty) {
-          drained = true;
-          break;
-        }
-        t_old.CopyPredsFrom(t_new, heads);
-        for (int pred : heads) {
-          MergeRows(delta.idb(pred), &t_new.idb(pred));
-        }
-        t_new.CompactPreds(heads);
-      }
-      if (!drained) return {std::move(t_new), max_steps, false, work};
-    }
-    return {std::move(t_new), steps, true, work};
-  }
-
   /// δ = candidate ⊖ base for one predicate, appended into *out in
   /// candidate's row order; returns true iff any nonzero difference was
-  /// stored. The shared ⊖ scan of both semi-naive variants — identical
-  /// code path keeps sweep and ordered value/order behaviour aligned.
+  /// stored. The ⊖ scan shared by SemiNaive and the Update cascades.
   bool DiffRows(const Relation<P>& candidate, const Relation<P>& base,
                 Relation<P>* out) const
     requires CompleteDistributiveDioid<P>
@@ -1220,11 +1058,11 @@ class Engine {
     }
   }
 
-  /// The ordered scheduler's differential units for one group round:
-  /// every (triggered rule, disjunct, group occurrence) in the exact
-  /// order of the sequential loop in SemiNaiveOrdered, resolving through
-  /// the persistent t_new/delta/t_old instances (stable Relation
-  /// objects, so cached delta indexes stay attached across rounds).
+  /// SemiNaive's differential units for one group round: every
+  /// (triggered rule, disjunct, group occurrence) in the exact order of
+  /// its sequential loop, resolving through the persistent
+  /// t_new/delta/t_old instances (stable Relation objects, so cached
+  /// delta indexes stay attached across rounds).
   void BuildGroupUnits(const std::vector<int>& rule_ids,
                        const IdbInstance<P>& t_new,
                        const IdbInstance<P>& delta,
@@ -1840,7 +1678,6 @@ class Engine {
       }
       free_ops.push_back(FreeOp{static_cast<int>(p), t.var, !seen});
     }
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
     typename P::Value total = P::Zero();
     auto drain = [&](const auto& rel, const RowIdList& entries,
                      auto&& value_of) {
@@ -1871,20 +1708,10 @@ class Engine {
         if (!rel.Get(key)) return P::Zero();
         return RederiveLevel(cd, g + 1, binding, acc, idb, work);
       }
-      std::unique_ptr<RelationIndex<BoolS>> local;
-      const RowIdList* entries = nullptr;
-      if (options_.cache_indexes) {
-        const RelationIndex<BoolS>& idx =
-            bool_cache_.Get(rel, key_pos, /*pin=*/false);
-        CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-        entries = &idx.Lookup(key);
-      } else {
-        ++uncached_builds_;
-        local = std::make_unique<RelationIndex<BoolS>>(rel, key_pos, idx_cfg);
-        CountProbe(local->repr(), &hash_probes_, &direct_probes_);
-        entries = &local->Lookup(key);
-      }
-      drain(rel, *entries, [&](uint32_t) { return acc; });
+      const RelationIndex<BoolS>& idx =
+          bool_cache_.Get(rel, key_pos, /*pin=*/false);
+      CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
+      drain(rel, idx.Lookup(key), [&](uint32_t) { return acc; });
       return total;
     }
     const Relation<P>& rel =
@@ -1895,20 +1722,9 @@ class Engine {
       if (P::Eq(v, P::Zero())) return P::Zero();
       return RederiveLevel(cd, g + 1, binding, P::Times(acc, v), idb, work);
     }
-    std::unique_ptr<RelationIndex<P>> local;
-    const RowIdList* entries = nullptr;
-    if (options_.cache_indexes) {
-      const RelationIndex<P>& idx =
-          pops_cache_.Get(rel, key_pos, /*pin=*/false);
-      CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-      entries = &idx.Lookup(key);
-    } else {
-      ++uncached_builds_;
-      local = std::make_unique<RelationIndex<P>>(rel, key_pos, idx_cfg);
-      CountProbe(local->repr(), &hash_probes_, &direct_probes_);
-      entries = &local->Lookup(key);
-    }
-    drain(rel, *entries,
+    const RelationIndex<P>& idx = pops_cache_.Get(rel, key_pos, /*pin=*/false);
+    CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
+    drain(rel, idx.Lookup(key),
           [&](uint32_t row) { return P::Times(acc, rel.ValueAt(row)); });
     return total;
   }
@@ -2154,40 +1970,29 @@ class Engine {
 
   /// Prepare phase of one disjunct evaluation: resolves every generator's
   /// relation and index (through the cache — the only place build/hit
-  /// counters move — or into owned locals with caching off) and looks up
-  /// the driver entry list (level 0's key depends only on prebindings).
-  /// Sequential by construction: callers never overlap PrepareGens with
-  /// the parallel execute phase.
+  /// counters move) and looks up the driver entry list (level 0's key
+  /// depends only on prebindings). Sequential by construction: callers
+  /// never overlap PrepareGens with the parallel execute phase.
   template <typename Resolver>
   void PrepareGens(const CompiledDisjunct& cd, Resolver&& resolver,
                    PreparedGens* prep) const {
     const std::size_t levels = cd.generators.size();
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
     prep->pops_idx.assign(levels, nullptr);
     prep->bool_idx.assign(levels, nullptr);
     prep->pops_rel.assign(levels, nullptr);
     prep->bool_rel.assign(levels, nullptr);
     prep->repr.assign(levels, IndexRepr::kHashMap);
     prep->level0 = nullptr;
-    prep->local_pops.clear();
-    prep->local_bool.clear();
     for (std::size_t g = 0; g < levels; ++g) {
       const Generator& gen = cd.generators[g];
       if (gen.is_bool) {
         const Relation<BoolS>& rel = edb_->boolean(gen.pred);
-        if (options_.cache_indexes) {
-          // Boolean condition atoms always read the EDB: pin the entry
-          // (never evicted, never re-scanned) and attribute its scan.
-          const uint64_t scans = bool_cache_.scan_rows();
-          prep->bool_idx[g] =
-              &bool_cache_.Get(rel, gen.key_positions, /*pin=*/true);
-          edb_index_scan_rows_ += bool_cache_.scan_rows() - scans;
-        } else {
-          ++uncached_builds_;
-          prep->local_bool.push_back(std::make_unique<RelationIndex<BoolS>>(
-              rel, gen.key_positions, idx_cfg));
-          prep->bool_idx[g] = prep->local_bool.back().get();
-        }
+        // Boolean condition atoms always read the EDB: pin the entry
+        // (never evicted, never re-scanned) and attribute its scan.
+        const uint64_t scans = bool_cache_.scan_rows();
+        prep->bool_idx[g] =
+            &bool_cache_.Get(rel, gen.key_positions, /*pin=*/true);
+        edb_index_scan_rows_ += bool_cache_.scan_rows() - scans;
         prep->bool_rel[g] = &rel;
         prep->repr[g] = prep->bool_idx[g]->repr();
       } else {
@@ -2200,25 +2005,18 @@ class Engine {
         // evictable and must not disturb the EDB-scan invariant.
         const Relation<P>& rel = resolver(gen.atom_index);
         const bool base_edb = !gen.is_idb && &rel == &edb_->pops(gen.pred);
-        if (options_.cache_indexes) {
-          const uint64_t before = pops_cache_.builds();
-          const uint64_t scans = pops_cache_.scan_rows();
-          prep->pops_idx[g] =
-              &pops_cache_.Get(rel, gen.key_positions, /*pin=*/base_edb);
-          if (!base_edb) {
-            if (pops_cache_.builds() != before) {
-              ++idb_index_builds_;
-            } else {
-              ++idb_index_hits_;
-            }
+        const uint64_t before = pops_cache_.builds();
+        const uint64_t scans = pops_cache_.scan_rows();
+        prep->pops_idx[g] =
+            &pops_cache_.Get(rel, gen.key_positions, /*pin=*/base_edb);
+        if (!base_edb) {
+          if (pops_cache_.builds() != before) {
+            ++idb_index_builds_;
           } else {
-            edb_index_scan_rows_ += pops_cache_.scan_rows() - scans;
+            ++idb_index_hits_;
           }
         } else {
-          ++uncached_builds_;
-          prep->local_pops.push_back(std::make_unique<RelationIndex<P>>(
-              rel, gen.key_positions, idx_cfg));
-          prep->pops_idx[g] = prep->local_pops.back().get();
+          edb_index_scan_rows_ += pops_cache_.scan_rows() - scans;
         }
         prep->pops_rel[g] = &rel;
         prep->repr[g] = prep->pops_idx[g]->repr();
@@ -2765,7 +2563,6 @@ class Engine {
   mutable std::vector<TaskState> par_states_;  ///< one per (unit, shard)
   mutable IndexCache<P> pops_cache_;
   mutable IndexCache<BoolS> bool_cache_;
-  mutable uint64_t uncached_builds_ = 0;
   mutable uint64_t idb_index_builds_ = 0;  ///< cache builds for IDB inputs
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups
@@ -2773,9 +2570,9 @@ class Engine {
   mutable uint64_t join_batched_rows_ = 0;
   mutable uint64_t values_batched_ = 0;  ///< vector value-plane emissions  ///< rows through vector join
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
-  mutable std::vector<EvalUnit> group_units_;  ///< ordered-round unit buffer
-  mutable uint64_t group_iterations_ = 0;  ///< ordered: local rounds run
-  mutable uint64_t rules_skipped_ = 0;     ///< ordered: triggered-set skips
+  mutable std::vector<EvalUnit> group_units_;  ///< group-round unit buffer
+  mutable uint64_t group_iterations_ = 0;  ///< SemiNaive: local rounds run
+  mutable uint64_t rules_skipped_ = 0;     ///< SemiNaive: triggered skips
 };
 
 }  // namespace datalogo

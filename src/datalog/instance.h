@@ -161,7 +161,7 @@ class IdbInstance {
   }
 
   /// True iff `pred`'s relation currently has support — the delta-drain
-  /// signal the ordered scheduler's triggered-rule sets key on.
+  /// signal Engine::SemiNaive's triggered-rule sets key on.
   bool HasSupport(int pred) const { return !rels_[pred].empty(); }
 
   /// Clears every IDB relation in place. Column and slot capacity — and
@@ -177,7 +177,7 @@ class IdbInstance {
     for (int pred : prog_->IdbPredicates()) rels_[pred].Clear();
   }
 
-  /// ClearAll restricted to a predicate subset — the ordered scheduler
+  /// ClearAll restricted to a predicate subset — Engine::SemiNaive
   /// recycles one candidate/delta instance across group-local fixpoints
   /// and only ever touches the running group's head predicates.
   void ClearPreds(const std::vector<int>& preds) {

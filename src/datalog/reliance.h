@@ -5,10 +5,9 @@
 // head predicate of r occurs as a body (POPS) atom of s — r's output can
 // trigger s. Condensing it with the shared Tarjan utility (src/core/scc.h)
 // yields *rule groups*: maximal sets of mutually recursive rules, ordered
-// so every producer group precedes its consumers. The ordered engine
-// scheduler (EngineOptions::scheduler = Scheduler::kOrdered) runs one
-// LOCAL fixpoint per group in this order; inside a group only rules whose
-// body predicates actually received a delta are re-evaluated.
+// so every producer group precedes its consumers. Engine::SemiNaive runs
+// one LOCAL fixpoint per group in this order; inside a group only rules
+// whose body predicates actually received a delta are re-evaluated.
 //
 // This is the classical refinement of predicate-level stratification
 // (stratify.h): two rules with the same head predicate may land in

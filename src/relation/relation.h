@@ -850,8 +850,8 @@ class IndexCache {
   ///
   /// `pin` marks the entry eviction-exempt: the engine pins EDB entries,
   /// which never mutate during a run but used to fall idle — and get
-  /// evicted, then fully re-scanned — while the ordered scheduler ran
-  /// other groups' local fixpoints.
+  /// evicted, then fully re-scanned — while semi-naive evaluation ran
+  /// other reliance groups' local fixpoints.
   ///
   /// A version mismatch does not always mean a scan: when the relation
   /// reports no hard discontinuity since the entry's version, the cached

@@ -1,7 +1,7 @@
 // Tiered-index determinism: the engine's fixpoints, `work`, and all four
 // index-cache counters must be bit-identical across every index tier
-// (--index=hash|direct|auto), scan kernel (--scan=scalar|simd), thread
-// count, and scheduler — the tiers may only move probe *cost* (visible
+// (--index=hash|direct|auto), scan kernel (--scan=scalar|simd) and
+// thread count — the tiers may only move probe *cost* (visible
 // through the separate hash_probes/direct_probes counters). Workloads
 // are the equivalence-suite goldens (Boolean / Tropical / PosBool
 // provenance), each run naive and semi-naive.
@@ -95,20 +95,18 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   return out;
 }
 
-std::string ConfigName(IndexKind kind, ScanKernel scan, int threads,
-                       Scheduler sched) {
+std::string ConfigName(IndexKind kind, ScanKernel scan, int threads) {
   std::string s = kind == IndexKind::kHash     ? "hash"
                   : kind == IndexKind::kDirect ? "direct"
                                                : "auto";
   s += scan == ScanKernel::kScalar ? "/scalar" : "/simd";
   s += "/t" + std::to_string(threads);
-  s += sched == Scheduler::kOrdered ? "/ordered" : "/sweep";
   return s;
 }
 
 /// Runs the reference configuration (hash tier, scalar scans, one
-/// thread, sweep scheduler), then the full cross of
-/// {hash,direct,auto} × {scalar,simd} × threads {1,4} × {sweep,ordered},
+/// thread), then the full cross of
+/// {hash,direct,auto} × {scalar,simd} × threads {1,4},
 /// asserting each run's fixpoint and pinned counters match the
 /// reference exactly — for naive AND semi-naive.
 template <Pops P>
@@ -118,7 +116,6 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
                                      uint64_t golden_naive_work,
                                      uint64_t golden_semi_work) {
   const EngineOptions ref_opts{.num_threads = 1,
-                               .scheduler = Scheduler::kSweep,
                                .index_kind = IndexKind::kHash,
                                .scan_kernel = ScanKernel::kScalar,
                                .value_kernel = ScanKernel::kScalar};
@@ -133,7 +130,7 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
   EXPECT_EQ(ref_semi.direct_probes, 0u);
 
   // values_batched moves with the kernel pair, but within (simd, simd)
-  // it must be one constant across tiers, threads and schedulers.
+  // it must be one constant across tiers and threads.
   uint64_t vb_naive_golden = 0;
   uint64_t vb_semi_golden = 0;
   for (IndexKind kind :
@@ -141,36 +138,33 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
     for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
       for (ScanKernel values : {ScanKernel::kScalar, ScanKernel::kSimd}) {
         for (int threads : {1, 4}) {
-          for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-            SCOPED_TRACE(ConfigName(kind, scan, threads, sched) +
-                         (values == ScanKernel::kSimd ? "/vsimd" : "/vscalar"));
-            const EngineOptions opts{.num_threads = threads,
-                                     .scheduler = sched,
-                                     .index_kind = kind,
-                                     .scan_kernel = scan,
-                                     .value_kernel = values};
-            RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-            RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-            ASSERT_TRUE(naive.eval.converged);
-            ASSERT_TRUE(semi.eval.converged);
-            EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-            EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-            EXPECT_EQ(naive.pinned, ref_naive.pinned);
-            EXPECT_EQ(semi.pinned, ref_semi.pinned);
-            if (kind == IndexKind::kHash) {
-              // Forced hash must never take the offset-addressed path.
-              EXPECT_EQ(naive.direct_probes, 0u);
-              EXPECT_EQ(semi.direct_probes, 0u);
+          SCOPED_TRACE(ConfigName(kind, scan, threads) +
+                       (values == ScanKernel::kSimd ? "/vsimd" : "/vscalar"));
+          const EngineOptions opts{.num_threads = threads,
+                                   .index_kind = kind,
+                                   .scan_kernel = scan,
+                                   .value_kernel = values};
+          RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
+          RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
+          ASSERT_TRUE(naive.eval.converged);
+          ASSERT_TRUE(semi.eval.converged);
+          EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
+          EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
+          EXPECT_EQ(naive.pinned, ref_naive.pinned);
+          EXPECT_EQ(semi.pinned, ref_semi.pinned);
+          if (kind == IndexKind::kHash) {
+            // Forced hash must never take the offset-addressed path.
+            EXPECT_EQ(naive.direct_probes, 0u);
+            EXPECT_EQ(semi.direct_probes, 0u);
+          }
+          if (scan == ScanKernel::kSimd && values == ScanKernel::kSimd &&
+              VectorizedValuePlane<P>) {
+            if (vb_naive_golden == 0) {
+              vb_naive_golden = naive.values_batched;
+              vb_semi_golden = semi.values_batched;
             }
-            if (scan == ScanKernel::kSimd && values == ScanKernel::kSimd &&
-                VectorizedValuePlane<P>) {
-              if (vb_naive_golden == 0) {
-                vb_naive_golden = naive.values_batched;
-                vb_semi_golden = semi.values_batched;
-              }
-              EXPECT_EQ(naive.values_batched, vb_naive_golden);
-              EXPECT_EQ(semi.values_batched, vb_semi_golden);
-            }
+            EXPECT_EQ(naive.values_batched, vb_naive_golden);
+            EXPECT_EQ(semi.values_batched, vb_semi_golden);
           }
         }
       }

@@ -1,6 +1,6 @@
 // Cross-thread-count equivalence for the parallel ICO step: every golden
 // program from engine_equivalence_test.cc (B / Trop / PosBool, naive and
-// semi-naive, cached and uncached indexes) must produce bit-identical
+// semi-naive) must produce bit-identical
 // fixpoints, `work` counters, iteration counts AND index-cache counters
 // (total and IDB-attributed) at num_threads ∈ {1, 2, 3, 8} — including
 // with tiny shard_rows that force many (disjunct, shard) tasks per ICO
@@ -63,34 +63,29 @@ template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 void ExpectThreadCountInvariance(const Program& prog,
                                  const EdbInstance<P>& edb) {
-  for (bool cache : {true, false}) {
-    for (bool semi : {false, true}) {
-      RunRecord<P> base = RunOnce<P>(
-          prog, edb, semi,
-          EngineOptions{.cache_indexes = cache, .num_threads = 1});
-      ASSERT_TRUE(base.result.converged);
-      for (int threads : {2, 3, 8}) {
-        // shard_rows = 4 forces multi-shard evaluation even on these
-        // small inputs; 256 is the production default.
-        for (int shard_rows : {4, 256}) {
-          SCOPED_TRACE(::testing::Message()
-                       << P::kName << (semi ? " semi" : " naive")
-                       << " cache=" << cache << " threads=" << threads
-                       << " shard_rows=" << shard_rows);
-          RunRecord<P> run =
-              RunOnce<P>(prog, edb, semi,
-                         EngineOptions{.cache_indexes = cache,
-                                       .num_threads = threads,
-                                       .shard_rows = shard_rows});
-          EXPECT_TRUE(run.result.converged);
-          EXPECT_TRUE(run.result.idb.Equals(base.result.idb));
-          EXPECT_EQ(run.result.steps, base.result.steps);
-          EXPECT_EQ(run.result.work, base.result.work);
-          EXPECT_EQ(run.index_builds, base.index_builds);
-          EXPECT_EQ(run.index_hits, base.index_hits);
-          EXPECT_EQ(run.idb_index_builds, base.idb_index_builds);
-          EXPECT_EQ(run.idb_index_hits, base.idb_index_hits);
-        }
+  for (bool semi : {false, true}) {
+    RunRecord<P> base =
+        RunOnce<P>(prog, edb, semi, EngineOptions{.num_threads = 1});
+    ASSERT_TRUE(base.result.converged);
+    for (int threads : {2, 3, 8}) {
+      // shard_rows = 4 forces multi-shard evaluation even on these small
+      // inputs; 256 is the production default.
+      for (int shard_rows : {4, 256}) {
+        SCOPED_TRACE(::testing::Message()
+                     << P::kName << (semi ? " semi" : " naive")
+                     << " threads=" << threads
+                     << " shard_rows=" << shard_rows);
+        RunRecord<P> run = RunOnce<P>(
+            prog, edb, semi,
+            EngineOptions{.num_threads = threads, .shard_rows = shard_rows});
+        EXPECT_TRUE(run.result.converged);
+        EXPECT_TRUE(run.result.idb.Equals(base.result.idb));
+        EXPECT_EQ(run.result.steps, base.result.steps);
+        EXPECT_EQ(run.result.work, base.result.work);
+        EXPECT_EQ(run.index_builds, base.index_builds);
+        EXPECT_EQ(run.index_hits, base.index_hits);
+        EXPECT_EQ(run.idb_index_builds, base.idb_index_builds);
+        EXPECT_EQ(run.idb_index_hits, base.idb_index_hits);
       }
     }
   }

@@ -1,14 +1,14 @@
-// Tests for EngineOptions::scheduler — the triggered-rule ordered
-// scheduler (reliance-graph SCC condensation with per-group local
-// fixpoints) against the default global sweep:
-//   * single-group programs (every golden recursion) replay the sweep
-//     trace bit for bit: fixpoints, steps, `work`, and all four index
-//     counters, pinned against the seed work goldens;
-//   * multi-group programs reach identical fixpoints with no more join
-//     work, across {B, Trop, PosBool} x {naive, semi-naive} x threads
-//     {1, 4} (steps and counters legitimately differ there: ordered
-//     spends a seed round per group and skips drained rules);
-//   * ordered's own counters are thread-count invariant;
+// Tests for Engine::SemiNaive's reliance scheduling (reliance-graph SCC
+// condensation with per-group local fixpoints and triggered rule sets),
+// checked against Naive — the global Algorithm-1 loop:
+//   * single-group programs (every golden recursion) run one group whose
+//     local rounds are the whole semi-naive loop: group_iterations ==
+//     steps, nothing skipped, `work` pinned to the seed goldens;
+//   * multi-group programs reach the Naive fixpoint across {B, Trop,
+//     PosBool} x threads {1, 4}, with steps, `work` and the group
+//     counters pinned;
+//   * the group counters are thread-count invariant and Naive never
+//     moves them;
 //   * triggered sets actually drain: alternating deltas in a mutual
 //     recursion produce a nonzero rules_skipped().
 #include <gtest/gtest.h>
@@ -69,108 +69,106 @@ struct SchedRun {
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 SchedRun<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
-               Scheduler sched, bool semi, int threads) {
-  Engine<P> engine(prog, edb,
-                   EngineOptions{.num_threads = threads, .scheduler = sched});
+                    bool semi, int threads) {
+  Engine<P> engine(prog, edb, EngineOptions{.num_threads = threads});
   SchedRun<P> out{semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20),
-             engine.index_builds(),
-             engine.index_hits(),
-             engine.idb_index_builds(),
-             engine.idb_index_hits(),
-             engine.group_iterations(),
-             engine.rules_skipped(),
-             engine.reliance().num_groups()};
+                  engine.index_builds(),
+                  engine.index_hits(),
+                  engine.idb_index_builds(),
+                  engine.idb_index_hits(),
+                  engine.group_iterations(),
+                  engine.rules_skipped(),
+                  engine.reliance().num_groups()};
   EXPECT_TRUE(out.result.converged);
   return out;
 }
 
-/// Single-group programs: ordered must replay the sweep trace exactly —
-/// fixpoint, steps, work (pinned to the seed golden) and index counters,
-/// sequentially and at 4 threads.
+/// The pinned outcome of one SemiNaive run.
+struct SemiGolden {
+  int steps;
+  uint64_t work;
+  uint64_t group_iterations;
+  uint64_t rules_skipped;
+};
+
+/// SemiNaive must reach the Naive fixpoint and hit `golden` at 1 and 4
+/// threads; Naive never moves the group counters.
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
-void ExpectBitIdentical(const char* text, const Graph& g, auto&& lift,
-                        uint64_t golden_semi_work) {
+void ExpectSemiNaiveMatchesNaive(const Program& prog,
+                                 const EdbInstance<P>& edb,
+                                 const SemiGolden& golden) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << P::kName << " threads=" << threads);
+    SchedRun<P> naive = RunOnce<P>(prog, edb, /*semi=*/false, threads);
+    SchedRun<P> semi = RunOnce<P>(prog, edb, /*semi=*/true, threads);
+    EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
+    EXPECT_EQ(semi.result.steps, golden.steps);
+    EXPECT_EQ(semi.result.work, golden.work);
+    EXPECT_EQ(semi.group_iterations, golden.group_iterations);
+    EXPECT_EQ(semi.rules_skipped, golden.rules_skipped);
+    EXPECT_EQ(naive.group_iterations, 0u);
+    EXPECT_EQ(naive.rules_skipped, 0u);
+  }
+}
+
+template <Pops P>
+  requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
+void ExpectSemiNaiveMatchesNaiveOnGraph(const char* text, const Graph& g,
+                                        auto&& lift,
+                                        const SemiGolden& golden) {
   Domain dom;
   auto prog = ParseProgram(text, &dom).value();
   std::vector<ConstId> ids = InternVertices(g.num_vertices(), &dom);
   EdbInstance<P> edb(prog);
   LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
-  for (bool semi : {false, true}) {
-    for (int threads : {1, 4}) {
-      SchedRun<P> sweep = RunOnce<P>(prog, edb, Scheduler::kSweep, semi, threads);
-      SchedRun<P> ordered =
-          RunOnce<P>(prog, edb, Scheduler::kOrdered, semi, threads);
-      EXPECT_TRUE(sweep.result.idb.Equals(ordered.result.idb));
-      EXPECT_EQ(sweep.result.steps, ordered.result.steps);
-      EXPECT_EQ(sweep.result.work, ordered.result.work);
-      EXPECT_EQ(sweep.index_builds, ordered.index_builds);
-      EXPECT_EQ(sweep.index_hits, ordered.index_hits);
-      EXPECT_EQ(sweep.idb_index_builds, ordered.idb_index_builds);
-      EXPECT_EQ(sweep.idb_index_hits, ordered.idb_index_hits);
-      if (semi) EXPECT_EQ(ordered.result.work, golden_semi_work);
-    }
-  }
+  ExpectSemiNaiveMatchesNaive<P>(prog, edb, golden);
 }
 
-TEST(EngineScheduler, BitIdenticalOnBooleanLinearTcChain80) {
-  ExpectBitIdentical<BoolS>(kLinearTc, ChainGraph(80),
-                            [](const Edge&) { return true; },
-                            /*golden_semi_work=*/6320);
+// Single-group programs: one group, group_iterations == steps, no skips;
+// the work goldens are the seed's (engine_equivalence_test).
+TEST(EngineScheduler, SingleGroupBooleanLinearTcChain80) {
+  ExpectSemiNaiveMatchesNaiveOnGraph<BoolS>(
+      kLinearTc, ChainGraph(80), [](const Edge&) { return true; },
+      {.steps = 80, .work = 6320, .group_iterations = 80, .rules_skipped = 0});
 }
 
-TEST(EngineScheduler, BitIdenticalOnBooleanQuadraticTcChain80) {
-  ExpectBitIdentical<BoolS>(kQuadraticTc, ChainGraph(80),
-                            [](const Edge&) { return true; },
-                            /*golden_semi_work=*/95925);
+TEST(EngineScheduler, SingleGroupBooleanQuadraticTcChain80) {
+  ExpectSemiNaiveMatchesNaiveOnGraph<BoolS>(
+      kQuadraticTc, ChainGraph(80), [](const Edge&) { return true; },
+      {.steps = 9, .work = 95925, .group_iterations = 9, .rules_skipped = 0});
 }
 
-TEST(EngineScheduler, BitIdenticalOnTropicalSsspChain80) {
-  ExpectBitIdentical<TropS>(kSssp, ChainGraph(80),
-                            [](const Edge& e) { return e.weight; },
-                            /*golden_semi_work=*/159);
+TEST(EngineScheduler, SingleGroupTropicalSsspChain80) {
+  ExpectSemiNaiveMatchesNaiveOnGraph<TropS>(
+      kSssp, ChainGraph(80), [](const Edge& e) { return e.weight; },
+      {.steps = 81, .work = 159, .group_iterations = 81, .rules_skipped = 0});
 }
 
-TEST(EngineScheduler, BitIdenticalOnTropicalApspGrid8x8) {
-  ExpectBitIdentical<TropS>(kLinearTc, GridGraph(8, 8),
-                            [](const Edge& e) { return e.weight; },
-                            /*golden_semi_work=*/3248);
+TEST(EngineScheduler, SingleGroupTropicalApspGrid8x8) {
+  ExpectSemiNaiveMatchesNaiveOnGraph<TropS>(
+      kLinearTc, GridGraph(8, 8), [](const Edge& e) { return e.weight; },
+      {.steps = 15, .work = 3248, .group_iterations = 15, .rules_skipped = 0});
 }
 
-/// Multi-group programs: identical fixpoints across semirings, modes and
-/// thread counts; ordered never does more join work than the sweep.
-template <Pops P>
-  requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
-void ExpectEquivalentFixpoints(const char* text, const Graph& g,
-                               auto&& lift) {
-  Domain dom;
-  auto prog = ParseProgram(text, &dom).value();
-  std::vector<ConstId> ids = InternVertices(g.num_vertices(), &dom);
-  EdbInstance<P> edb(prog);
-  LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
-  for (bool semi : {false, true}) {
-    for (int threads : {1, 4}) {
-      SchedRun<P> sweep = RunOnce<P>(prog, edb, Scheduler::kSweep, semi, threads);
-      SchedRun<P> ordered =
-          RunOnce<P>(prog, edb, Scheduler::kOrdered, semi, threads);
-      EXPECT_TRUE(sweep.result.idb.Equals(ordered.result.idb))
-          << "semi=" << semi << " threads=" << threads;
-      EXPECT_LE(ordered.result.work, sweep.result.work);
-    }
-  }
-}
-
+// Multi-group programs: one seed round per group plus the local rounds,
+// and drained step rules skipped.
 TEST(EngineScheduler, ParityPathsMatchOnBoolean) {
-  ExpectEquivalentFixpoints<BoolS>(kParityPaths, RandomGraph(40, 120, 7),
-                                   [](const Edge&) { return true; });
+  ExpectSemiNaiveMatchesNaiveOnGraph<BoolS>(
+      kParityPaths, RandomGraph(40, 120, 7), [](const Edge&) { return true; },
+      {.steps = 11, .work = 61390, .group_iterations = 11,
+       .rules_skipped = 7});
 }
 
 TEST(EngineScheduler, ParityPathsMatchOnTropical) {
-  ExpectEquivalentFixpoints<TropS>(kParityPaths, RandomGraph(40, 120, 7),
-                                   [](const Edge& e) { return e.weight; });
+  ExpectSemiNaiveMatchesNaiveOnGraph<TropS>(
+      kParityPaths, RandomGraph(40, 120, 7),
+      [](const Edge& e) { return e.weight; },
+      {.steps = 15, .work = 84467, .group_iterations = 15,
+       .rules_skipped = 8});
 }
 
-TEST(EngineScheduler, PosBoolProvenanceMatchesAcrossSchedulers) {
+TEST(EngineScheduler, PosBoolProvenanceMatchesNaive) {
   // PosBool[X] provenance on a labeled chain, run through the multi-head
   // base/step split (two groups sharing the head predicate T).
   constexpr const char* kSplitTc = R"(
@@ -193,23 +191,22 @@ TEST(EngineScheduler, PosBoolProvenanceMatchesAcrossSchedulers) {
                  PosBoolS::Var("x" + std::to_string(i++)));
     }
   }
-  for (bool semi : {false, true}) {
-    for (int threads : {1, 4}) {
-      SchedRun<PosBoolS> sweep =
-          RunOnce<PosBoolS>(prog, edb, Scheduler::kSweep, semi, threads);
-      SchedRun<PosBoolS> ordered =
-          RunOnce<PosBoolS>(prog, edb, Scheduler::kOrdered, semi, threads);
-      EXPECT_TRUE(sweep.result.idb.Equals(ordered.result.idb));
-      PosBoolS::Clause all;
-      for (int i = 0; i < n - 1; ++i) all.insert("x" + std::to_string(i));
-      EXPECT_EQ(ordered.result.idb.idb(prog.FindPredicate("T"))
-                    .Get({ids[0], ids[n - 1]}),
-                PosBoolS::Value{all});
-    }
+  for (int threads : {1, 4}) {
+    SchedRun<PosBoolS> naive =
+        RunOnce<PosBoolS>(prog, edb, /*semi=*/false, threads);
+    SchedRun<PosBoolS> semi =
+        RunOnce<PosBoolS>(prog, edb, /*semi=*/true, threads);
+    EXPECT_EQ(semi.groups, 2);
+    EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
+    PosBoolS::Clause all;
+    for (int i = 0; i < n - 1; ++i) all.insert("x" + std::to_string(i));
+    EXPECT_EQ(
+        semi.result.idb.idb(prog.FindPredicate("T")).Get({ids[0], ids[n - 1]}),
+        PosBoolS::Value{all});
   }
 }
 
-TEST(EngineScheduler, OrderedCountersAreThreadCountInvariant) {
+TEST(EngineScheduler, GroupCountersAreThreadCountInvariant) {
   Domain dom;
   auto prog = ParseProgram(kParityPaths, &dom).value();
   Graph g = RandomGraph(40, 120, 7);
@@ -217,10 +214,8 @@ TEST(EngineScheduler, OrderedCountersAreThreadCountInvariant) {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  SchedRun<TropS> t1 = RunOnce<TropS>(prog, edb, Scheduler::kOrdered,
-                                 /*semi=*/true, /*threads=*/1);
-  SchedRun<TropS> t4 = RunOnce<TropS>(prog, edb, Scheduler::kOrdered,
-                                 /*semi=*/true, /*threads=*/4);
+  SchedRun<TropS> t1 = RunOnce<TropS>(prog, edb, /*semi=*/true, 1);
+  SchedRun<TropS> t4 = RunOnce<TropS>(prog, edb, /*semi=*/true, 4);
   EXPECT_TRUE(t1.result.idb.Equals(t4.result.idb));
   EXPECT_EQ(t1.result.steps, t4.result.steps);
   EXPECT_EQ(t1.result.work, t4.result.work);
@@ -242,25 +237,18 @@ TEST(EngineScheduler, TriggeredSetSkipsDrainedRules) {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  SchedRun<TropS> ordered = RunOnce<TropS>(prog, edb, Scheduler::kOrdered,
-                                      /*semi=*/true, /*threads=*/1);
-  SchedRun<TropS> sweep = RunOnce<TropS>(prog, edb, Scheduler::kSweep,
-                                    /*semi=*/true, /*threads=*/1);
-  EXPECT_TRUE(ordered.result.idb.Equals(sweep.result.idb));
   // Groups: {Odd base}, {Odd step, Even step}, {T closure}.
-  EXPECT_EQ(ordered.groups, 3);
-  EXPECT_GT(ordered.rules_skipped, 0u);
-  EXPECT_GT(ordered.group_iterations, 0u);
-  EXPECT_LT(ordered.result.work, sweep.result.work);
-  // The sweep scheduler never skips and never counts local rounds.
-  EXPECT_EQ(sweep.rules_skipped, 0u);
-  EXPECT_EQ(sweep.group_iterations, 0u);
+  EXPECT_EQ(Engine<TropS>(prog, edb).reliance().num_groups(), 3);
+  ExpectSemiNaiveMatchesNaive<TropS>(
+      prog, edb,
+      {.steps = 18, .work = 1160, .group_iterations = 18,
+       .rules_skipped = 14});
 }
 
 TEST(EngineScheduler, TriggeredSetDrainsThroughDeltas) {
   // Mutual recursion with an asymmetric step relation: Q's deltas die out
   // long before P's, so the triggered set must shrink (skips accumulate)
-  // while the fixpoint still matches the sweep exactly.
+  // while the fixpoint still matches Naive exactly.
   constexpr const char* kAsymmetric = R"(
     edb E/2. edb F/2.
     idb P/2. idb Q/2.
@@ -275,14 +263,10 @@ TEST(EngineScheduler, TriggeredSetDrainsThroughDeltas) {
   auto& e_rel = edb.pops(prog.FindPredicate("E"));
   for (int i = 0; i + 1 < 12; ++i) e_rel.Set({ids[i], ids[i + 1]}, 1.0);
   edb.pops(prog.FindPredicate("F")).Set({ids[3], ids[4]}, 0.5);
-  SchedRun<TropS> ordered = RunOnce<TropS>(prog, edb, Scheduler::kOrdered,
-                                      /*semi=*/true, /*threads=*/1);
-  SchedRun<TropS> sweep = RunOnce<TropS>(prog, edb, Scheduler::kSweep,
-                                    /*semi=*/true, /*threads=*/1);
-  EXPECT_TRUE(ordered.result.idb.Equals(sweep.result.idb));
-  EXPECT_EQ(ordered.groups, 2);
-  EXPECT_GT(ordered.rules_skipped, 0u);
-  EXPECT_LE(ordered.result.work, sweep.result.work);
+  EXPECT_EQ(Engine<TropS>(prog, edb).reliance().num_groups(), 2);
+  ExpectSemiNaiveMatchesNaive<TropS>(
+      prog, edb,
+      {.steps = 4, .work = 26, .group_iterations = 4, .rules_skipped = 2});
 }
 
 TEST(EngineScheduler, EdbColumnsAreScannedOncePerSpecAcrossGroups) {
@@ -290,9 +274,9 @@ TEST(EngineScheduler, EdbColumnsAreScannedOncePerSpecAcrossGroups) {
   // between them an E-free recursive group runs its own local fixpoint.
   // EDB relations never mutate during a run, so every re-read of E after
   // the first build per key-spec must be a pure cache hit that scans no
-  // rows: edb_index_scan_rows() has to come out identical across
-  // {sweep, ordered} × {naive, semi-naive} even though those four runs
-  // hit the cached E indexes a very different number of times.
+  // rows: edb_index_scan_rows() has to come out identical for naive and
+  // semi-naive even though the two runs hit the cached E indexes a very
+  // different number of times.
   constexpr const char* kThreeGroups = R"(
     edb E/2.
     idb A/2. idb B/2. idb C/2.
@@ -310,44 +294,40 @@ TEST(EngineScheduler, EdbColumnsAreScannedOncePerSpecAcrossGroups) {
   for (IndexKind kind : {IndexKind::kHash, IndexKind::kAuto}) {
     uint64_t expected_scan_rows = 0;
     bool first = true;
-    for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-      for (bool semi : {false, true}) {
-        SCOPED_TRACE(std::string(kind == IndexKind::kHash ? "hash" : "auto") +
-                     (sched == Scheduler::kOrdered ? "/ordered" : "/sweep") +
-                     (semi ? "/semi" : "/naive"));
-        Engine<TropS> engine(
-            prog, edb,
-            EngineOptions{.scheduler = sched,
-                          .index_kind = kind,
-                          .scan_kernel = ScanKernel::kScalar});
-        EvalResult<TropS> r =
-            semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
-        ASSERT_TRUE(r.converged);
-        // The sweep re-prepares every rule each global round, so E must
-        // be served from cache there. (Ordered may legitimately read E
-        // once per group and never hit — the equality below still pins
-        // its hit path to zero scan rows.)
-        if (sched == Scheduler::kSweep) {
-          EXPECT_GT(engine.index_hits(), engine.idb_index_hits());
-        }
-        if (first) {
-          expected_scan_rows = engine.edb_index_scan_rows();
-          // Builds scan E at most a few full passes: one per distinct
-          // key-spec (plus the auto tier's min/max detection pass).
-          EXPECT_GT(expected_scan_rows, 0u);
-          EXPECT_LE(expected_scan_rows, 8 * g.edges().size());
-          first = false;
-        } else {
-          EXPECT_EQ(engine.edb_index_scan_rows(), expected_scan_rows);
-        }
+    for (bool semi : {false, true}) {
+      SCOPED_TRACE(std::string(kind == IndexKind::kHash ? "hash" : "auto") +
+                   (semi ? "/semi" : "/naive"));
+      Engine<TropS> engine(prog, edb,
+                           EngineOptions{.index_kind = kind,
+                                         .scan_kernel = ScanKernel::kScalar});
+      EvalResult<TropS> r =
+          semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
+      ASSERT_TRUE(r.converged);
+      // Naive re-prepares every rule each global round, so E must be
+      // served from cache there. (SemiNaive may legitimately read E once
+      // per group and never hit — the equality below still pins its hit
+      // path to zero scan rows.)
+      if (!semi) {
+        EXPECT_GT(engine.index_hits(), engine.idb_index_hits());
+      }
+      if (first) {
+        expected_scan_rows = engine.edb_index_scan_rows();
+        // Builds scan E at most a few full passes: one per distinct
+        // key-spec (plus the auto tier's min/max detection pass).
+        EXPECT_GT(expected_scan_rows, 0u);
+        EXPECT_LE(expected_scan_rows, 8 * g.edges().size());
+        first = false;
+      } else {
+        EXPECT_EQ(engine.edb_index_scan_rows(), expected_scan_rows);
       }
     }
   }
 }
 
 TEST(EngineScheduler, BudgetIsATotalAcrossGroups) {
-  // With a max_steps budget too small to finish, ordered must report
-  // non-convergence with steps == max_steps, exactly like the sweep.
+  // With a max_steps budget too small to finish, both entry points must
+  // report non-convergence with steps == max_steps: SemiNaive's budget
+  // is a total across groups, not per group.
   Domain dom;
   auto prog = ParseProgram(kParityPaths, &dom).value();
   Graph g = ChainGraph(32);
@@ -356,8 +336,7 @@ TEST(EngineScheduler, BudgetIsATotalAcrossGroups) {
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
   for (bool semi : {false, true}) {
-    Engine<TropS> engine(prog, edb,
-                         EngineOptions{.scheduler = Scheduler::kOrdered});
+    Engine<TropS> engine(prog, edb);
     EvalResult<TropS> r = semi ? engine.SemiNaive(3) : engine.Naive(3);
     EXPECT_FALSE(r.converged) << "semi=" << semi;
     EXPECT_EQ(r.steps, 3);

@@ -11,6 +11,7 @@
 
 #include "src/datalogo.h"
 #include "tests/ci_knob.h"
+#include "tests/grounded_oracle.h"
 
 namespace datalogo {
 namespace {
@@ -32,11 +33,9 @@ void ExpectEnginesAgree(const Graph& g, F&& lift, uint64_t seed) {
   Engine<P> engine(prog.value(), edb);
   auto support = engine.Naive(100000);
   ASSERT_TRUE(support.converged) << P::kName << " seed " << seed;
-  auto grounded = GroundProgram<P>(prog.value(), edb);
-  auto poly = grounded.NaiveIterate(100000);
-  ASSERT_TRUE(poly.converged) << P::kName << " seed " << seed;
-  EXPECT_TRUE(grounded.Decode(poly.values).Equals(support.idb))
-      << P::kName << " seed " << seed;
+  auto grounded = GroundedFixpoint<P>(prog.value(), edb);
+  ASSERT_TRUE(grounded.has_value()) << P::kName << " seed " << seed;
+  EXPECT_TRUE(grounded->Equals(support.idb)) << P::kName << " seed " << seed;
 }
 
 TEST(EngineStress, CrossEngineAgreementAcrossSemirings) {
@@ -174,9 +173,9 @@ TEST(EngineStress, LargerRandomSweepSemiNaiveEqualsNaive) {
 }
 
 TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
-  // The engine caches RelationIndexes (EngineOptions::cache_indexes, on
-  // by default); mutating the EDB between runs must invalidate them, so a
-  // rerun sees the new data exactly like the uncached engine does.
+  // The engine caches RelationIndexes; mutating the EDB between runs must
+  // invalidate them, so a rerun sees the new data exactly like a freshly
+  // constructed engine (empty cache) does.
   Domain dom;
   auto prog = ParseProgram(kTc, &dom);
   ASSERT_TRUE(prog.ok());
@@ -186,8 +185,6 @@ TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
   int t = prog.value().FindPredicate("T");
   edb.pops(e).Set({ids[0], ids[1]}, 5.0);
   Engine<TropS> cached(prog.value(), edb);
-  Engine<TropS> uncached(prog.value(), edb,
-                         EngineOptions{.cache_indexes = false});
   auto first = cached.Naive(100);
   ASSERT_TRUE(first.converged);
   EXPECT_EQ(first.idb.idb(t).Get({ids[0], ids[1]}), 5.0);
@@ -196,14 +193,15 @@ TEST(EngineStress, IndexCacheInvalidatesOnEdbMutation) {
   edb.pops(e).Set({ids[0], ids[1]}, 2.0);
   edb.pops(e).Set({ids[1], ids[2]}, 1.0);
   auto second = cached.Naive(100);
-  auto reference = uncached.Naive(100);
+  Engine<TropS> fresh(prog.value(), edb);
+  auto reference = fresh.Naive(100);
   ASSERT_TRUE(second.converged && reference.converged);
   EXPECT_EQ(second.idb.idb(t).Get({ids[0], ids[1]}), 2.0);
   EXPECT_EQ(second.idb.idb(t).Get({ids[0], ids[2]}), 3.0);
   EXPECT_TRUE(second.idb.Equals(reference.idb));
 }
 
-TEST(EngineStress, CachedEngineAgreesWithUncachedAndBuildsFewerIndexes) {
+TEST(EngineStress, CachedEngineAgreesWithGroundedSemanticsAndHitsCache) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     Domain dom;
     auto prog = ParseProgram(kTc, &dom);
@@ -214,17 +212,14 @@ TEST(EngineStress, CachedEngineAgreesWithUncachedAndBuildsFewerIndexes) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
     Engine<TropS> cached(prog.value(), edb);
-    Engine<TropS> uncached(prog.value(), edb,
-                           EngineOptions{.cache_indexes = false});
+    auto grounded = GroundedFixpoint<TropS>(prog.value(), edb);
+    ASSERT_TRUE(grounded.has_value()) << seed;
     auto cn = cached.Naive(100000);
-    auto un = uncached.Naive(100000);
-    ASSERT_TRUE(cn.converged && un.converged);
-    EXPECT_TRUE(cn.idb.Equals(un.idb)) << seed;
+    ASSERT_TRUE(cn.converged) << seed;
+    EXPECT_TRUE(cn.idb.Equals(*grounded)) << seed;
     auto cs = cached.SemiNaive(100000);
-    auto us = uncached.SemiNaive(100000);
-    ASSERT_TRUE(cs.converged && us.converged);
-    EXPECT_TRUE(cs.idb.Equals(us.idb)) << seed;
-    EXPECT_LT(cached.index_builds(), uncached.index_builds()) << seed;
+    ASSERT_TRUE(cs.converged) << seed;
+    EXPECT_TRUE(cs.idb.Equals(*grounded)) << seed;
     EXPECT_GT(cached.index_hits(), 0u) << seed;
   }
 }
@@ -378,11 +373,12 @@ TEST(EngineStress, BatchedJoinKernelMatchesScalarOnRandomPrograms) {
   }
 }
 
-TEST(EngineStress, OrderedSchedulerMatchesSweepOnRandomPrograms) {
+TEST(EngineStress, SemiNaiveMatchesNaiveOnRandomMultiGroupPrograms) {
   // Randomized stratified/mutually recursive programs over randomized
-  // EDBs: the ordered scheduler (reliance SCC groups, triggered-rule
-  // local fixpoints) must reproduce the sweep fixpoint for naive and
-  // semi-naive, serially and in parallel, with no more join work.
+  // EDBs: semi-naive evaluation (reliance SCC groups, triggered-rule
+  // local fixpoints) must reproduce the global naive fixpoint — itself
+  // checked against the grounded semantics — serially and in parallel,
+  // with thread-invariant steps and work.
   const int cases = CiIterations(12, 4);
   const int env_threads = StressThreads();
   std::mt19937_64 rng(0x5CC0DE01u);
@@ -420,26 +416,30 @@ TEST(EngineStress, OrderedSchedulerMatchesSweepOnRandomPrograms) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
 
-    Engine<TropS> sweep(prog.value(), edb);
-    auto sweep_naive = sweep.Naive(100000);
-    auto sweep_semi = sweep.SemiNaive(100000);
-    ASSERT_TRUE(sweep_naive.converged && sweep_semi.converged);
+    Engine<TropS> serial(prog.value(), edb);
+    auto naive = serial.Naive(100000);
+    auto semi = serial.SemiNaive(100000);
+    ASSERT_TRUE(naive.converged && semi.converged);
+    auto grounded = GroundedFixpoint<TropS>(prog.value(), edb);
+    ASSERT_TRUE(grounded.has_value());
+    EXPECT_TRUE(naive.idb.Equals(*grounded));
+    EXPECT_TRUE(semi.idb.Equals(naive.idb));
 
     const int threads =
         c % 2 == 0 ? 1 : std::max(2, env_threads % 8);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    Engine<TropS> ordered(prog.value(), edb,
-                          EngineOptions{.num_threads = threads,
-                                        .scheduler = Scheduler::kOrdered});
-    auto ord_naive = ordered.Naive(100000);
-    auto ord_semi = ordered.SemiNaive(100000);
-    ASSERT_TRUE(ord_naive.converged && ord_semi.converged);
-    EXPECT_TRUE(ord_naive.idb.Equals(sweep_naive.idb));
-    EXPECT_TRUE(ord_semi.idb.Equals(sweep_semi.idb));
-    EXPECT_LE(ord_semi.work, sweep_semi.work);
+    Engine<TropS> par(prog.value(), edb,
+                      EngineOptions{.num_threads = threads});
+    auto par_semi = par.SemiNaive(100000);
+    ASSERT_TRUE(par_semi.converged);
+    EXPECT_TRUE(par_semi.idb.Equals(naive.idb));
+    EXPECT_EQ(par_semi.steps, semi.steps);
+    EXPECT_EQ(par_semi.work, semi.work);
     // Base/step rule split guarantees multiple groups whenever any
     // recursive or downstream rule was sampled.
-    if (mutual || closure) EXPECT_GE(ordered.reliance().num_groups(), 2);
+    if (mutual || closure) {
+      EXPECT_GE(serial.reliance().num_groups(), 2);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for Engine::Update — incremental maintenance against the one
 // oracle that matters: a full recompute from the mutated EDB must be
-// bit-identical to the warm Update result, across carriers, schedulers,
-// thread counts and index tiers.
+// bit-identical to the warm Update result, across carriers, thread
+// counts and index tiers.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -23,17 +23,14 @@ constexpr const char* kTc = R"(
 )";
 
 /// The engine configurations the bit-identity contract is checked over:
-/// schedulers × threads, plus each forced index tier and the scalar
-/// kernels (the SIMD kernels are the build default).
+/// threads, plus each forced index tier and the scalar kernels (the SIMD
+/// kernels are the build default).
 std::vector<EngineOptions> ConfigMatrix() {
   std::vector<EngineOptions> out;
-  for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-    for (int threads : {1, 4}) {
-      EngineOptions o;
-      o.scheduler = sched;
-      o.num_threads = threads;
-      out.push_back(o);
-    }
+  for (int threads : {1, 4}) {
+    EngineOptions o;
+    o.num_threads = threads;
+    out.push_back(o);
   }
   for (IndexKind kind : {IndexKind::kHash, IndexKind::kDirect}) {
     EngineOptions o;
@@ -50,8 +47,7 @@ std::vector<EngineOptions> ConfigMatrix() {
 }
 
 std::string ConfigName(const EngineOptions& o) {
-  std::string s = o.scheduler == Scheduler::kOrdered ? "ordered" : "sweep";
-  s += "/t" + std::to_string(o.num_threads);
+  std::string s = "t" + std::to_string(o.num_threads);
   s += o.index_kind == IndexKind::kHash     ? "/hash"
        : o.index_kind == IndexKind::kDirect ? "/direct"
                                             : "/auto";

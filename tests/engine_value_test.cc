@@ -2,8 +2,8 @@
 // batched join computes ⊗ products, ground residual masks and head
 // emission through the SemiringSimdTraits kernels — and fixpoints,
 // `work` and every index counter must stay bit-identical to the scalar
-// reference across value kernels × scan kernels × tiers × threads ×
-// schedulers. values_batched() is the only counter allowed to move: it
+// reference across value kernels × scan kernels × tiers × threads.
+// values_batched() is the only counter allowed to move: it
 // equals the number of head contributions the scalar path would merge
 // (counted BEFORE ⊕-coalescing) under (scan, values) = (simd, simd) on
 // an opted-in semiring, and is 0 under either scalar kernel.
@@ -151,11 +151,10 @@ TEST(EngineValuePlane, RealPlusPathWeightsMatchScalarReference) {
       [](const Edge&) { return 0.5; });
 }
 
-TEST(EngineValuePlane, ValuesBatchedGoldenAcrossThreadsAndSchedulers) {
+TEST(EngineValuePlane, ValuesBatchedGoldenAcrossTiersAndThreads) {
   // The thread-invariance pin: under (simd, simd), values_batched is a
   // pure function of the join trace — the same golden constant at every
-  // tier, thread count and scheduler; 0 the moment either kernel is
-  // scalar.
+  // tier and thread count; 0 the moment either kernel is scalar.
   Domain dom;
   auto prog = ParseProgram(kLinearTc, &dom).value();
   EdbInstance<TropS> edb =
@@ -166,30 +165,27 @@ TEST(EngineValuePlane, ValuesBatchedGoldenAcrossThreadsAndSchedulers) {
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
     for (int threads : {1, 4}) {
-      for (Scheduler sched : {Scheduler::kSweep, Scheduler::kOrdered}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const EngineOptions opts{.num_threads = threads,
-                                 .scheduler = sched,
-                                 .index_kind = kind,
-                                 .scan_kernel = ScanKernel::kSimd,
-                                 .value_kernel = ScanKernel::kSimd};
-        ValueRun<TropS> naive = RunValue(prog, edb, /*semi=*/false, opts);
-        ValueRun<TropS> semi = RunValue(prog, edb, /*semi=*/true, opts);
-        EXPECT_GT(naive.values_batched, 0u);
-        EXPECT_GT(semi.values_batched, 0u);
-        if (golden_naive == 0) {
-          golden_naive = naive.values_batched;
-          golden_semi = semi.values_batched;
-        }
-        EXPECT_EQ(naive.values_batched, golden_naive);
-        EXPECT_EQ(semi.values_batched, golden_semi);
-        // Scalar value kernel under the same config: same fixpoint, zero
-        // value-plane traffic (asserted inside RunValue).
-        EngineOptions scalar_vals = opts;
-        scalar_vals.value_kernel = ScanKernel::kScalar;
-        ValueRun<TropS> sv = RunValue(prog, edb, /*semi=*/true, scalar_vals);
-        ExpectSameFixpointAndTrace(semi, sv);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const EngineOptions opts{.num_threads = threads,
+                               .index_kind = kind,
+                               .scan_kernel = ScanKernel::kSimd,
+                               .value_kernel = ScanKernel::kSimd};
+      ValueRun<TropS> naive = RunValue(prog, edb, /*semi=*/false, opts);
+      ValueRun<TropS> semi = RunValue(prog, edb, /*semi=*/true, opts);
+      EXPECT_GT(naive.values_batched, 0u);
+      EXPECT_GT(semi.values_batched, 0u);
+      if (golden_naive == 0) {
+        golden_naive = naive.values_batched;
+        golden_semi = semi.values_batched;
       }
+      EXPECT_EQ(naive.values_batched, golden_naive);
+      EXPECT_EQ(semi.values_batched, golden_semi);
+      // Scalar value kernel under the same config: same fixpoint, zero
+      // value-plane traffic (asserted inside RunValue).
+      EngineOptions scalar_vals = opts;
+      scalar_vals.value_kernel = ScanKernel::kScalar;
+      ValueRun<TropS> sv = RunValue(prog, edb, /*semi=*/true, scalar_vals);
+      ExpectSameFixpointAndTrace(semi, sv);
     }
   }
 }
