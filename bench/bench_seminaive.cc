@@ -146,14 +146,15 @@ void PrintParallelTable() {
       " sequential head-merge sequence)\n");
 }
 
-// Index tiers and scan kernels: the hash index is the general tier;
-// dense single-column keys get an offset-addressed direct tier (kAuto
-// detects density, kDirect forces it), and index-build column scans run
-// through the SIMD kernels in src/core/simd.h. Every combination is
-// pinned to the same fixpoint, work counter and four index counters —
-// only wall time and the probe counters (hash vs direct lookups) move.
+// Index tiers: the hash index is the general tier; dense single-column
+// keys get an offset-addressed direct tier (kAuto detects density,
+// kDirect forces it). Index-build column scans run through the SIMD
+// kernels in src/core/simd.h. Every tier is pinned to the same fixpoint,
+// work counter and four index counters, and the batched join kernel
+// decodes exactly `work` rows under each — only wall time and the probe
+// counters (hash vs direct lookups) move.
 void PrintIndexTierTable() {
-  Banner("index tiers & scan kernels (EngineOptions::index_kind/scan_kernel)",
+  Banner("index tiers (EngineOptions::index_kind)",
          "dense-id direct indexes + SIMD column scans, bit-identical");
   const bool smoke = BenchSmokeMode();
   const int reps = smoke ? 1 : 3;
@@ -165,182 +166,51 @@ void PrintIndexTierTable() {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  // Reference: the pre-tier behaviour (hash everywhere, scalar scans).
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.index_kind = IndexKind::kHash,
-                                  .scan_kernel = ScanKernel::kScalar});
+  // Reference: the pre-tier behaviour (hash everywhere).
+  Engine<TropS> ref(prog, edb, EngineOptions{.index_kind = IndexKind::kHash});
   auto base = ref.SemiNaive(1 << 20);
   std::printf("%-14s %-10s %-12s %-13s %-12s %-7s %-6s (APSP/Trop random-%d"
               ", simd=%s)\n",
-              "index/scan", "semi-ms", "hash-probes", "direct-probes",
+              "index", "semi-ms", "hash-probes", "direct-probes",
               "incr-appends", "pinned", "agree", n, simd::IsaName());
   for (IndexKind kind : {IndexKind::kHash, IndexKind::kDirect,
                          IndexKind::kAuto}) {
-    for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-      const EngineOptions opts{.index_kind = kind, .scan_kernel = scan};
-      double best_ms = 1e300;
-      EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-      uint64_t hash_probes = 0, direct_probes = 0, incr = 0;
-      bool pinned = false;
-      for (int rep = 0; rep < reps; ++rep) {
-        Engine<TropS> engine(prog, edb, opts);
-        EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-        double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-        if (ms < best_ms) {
-          best_ms = ms;
-          hash_probes = engine.hash_probes();
-          direct_probes = engine.direct_probes();
-          incr = engine.idx_incremental_appends();
-          pinned = cur.work == base.work &&
-                   engine.index_builds() == ref.index_builds() &&
-                   engine.index_hits() == ref.index_hits() &&
-                   engine.idb_index_builds() == ref.idb_index_builds() &&
-                   engine.idb_index_hits() == ref.idb_index_hits();
-          r = std::move(cur);
-        }
-      }
-      std::string config = std::string(IndexKindName(kind)) + "/" +
-                           ScanKernelName(scan);
-      std::printf("%-14s %-10.2f %-12llu %-13llu %-12llu %-7s %-6s\n",
-                  config.c_str(), best_ms,
-                  static_cast<unsigned long long>(hash_probes),
-                  static_cast<unsigned long long>(direct_probes),
-                  static_cast<unsigned long long>(incr),
-                  pinned ? "yes" : "NO",
-                  r.idb.Equals(base.idb) ? "yes" : "NO");
-    }
-  }
-  std::printf(
-      "(direct/auto route the dense APSP key lookups off the hash map —\n"
-      " hash-probes drops to the Boolean-condition remainder — and the\n"
-      " Clear+append delta cycle keeps incr-appends nonzero; `work` and\n"
-      " the four index counters are pinned across every combination)\n");
-}
-
-// Scalar vs batched join kernel: the same APSP workload driven through
-// the row-at-a-time reference join and the SIMD batched bind/check join
-// (gather/compare-mask/compress over kJoinBatch-row chunks of each entry
-// list). Fixpoints, work, and join_batched_rows' invariant (== work when
-// batched, 0 when scalar) hold at every thread count — only wall time
-// moves.
-void PrintJoinKernelTable() {
-  Banner("scalar vs batched join kernel (EngineOptions::scan_kernel)",
-         "SIMD batched bind/check over entry lists, bit-identical");
-  const bool smoke = BenchSmokeMode();
-  const int reps = smoke ? 1 : 3;
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.scan_kernel = ScanKernel::kScalar});
-  auto base = ref.SemiNaive(1 << 20);
-  std::printf("%-14s %-10s %-10s %-16s %-7s %-6s (APSP/Trop random-%d)\n",
-              "join-kernel", "threads", "semi-ms", "batched-rows", "pinned",
-              "agree", n);
-  for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-    for (int threads : {1, 4}) {
-      const EngineOptions opts{.num_threads = threads, .scan_kernel = scan};
-      double best_ms = 1e300;
-      EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-      uint64_t batched = 0;
-      for (int rep = 0; rep < reps; ++rep) {
-        Engine<TropS> engine(prog, edb, opts);
-        EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-        double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-        if (ms < best_ms) {
-          best_ms = ms;
-          batched = engine.join_batched_rows();
-          r = std::move(cur);
-        }
-      }
-      const bool pinned =
-          r.work == base.work &&
-          (scan == ScanKernel::kSimd ? batched == r.work : batched == 0);
-      std::printf("%-14s %-10d %-10.2f %-16llu %-7s %-6s\n",
-                  JoinKernelName(scan).c_str(), threads, best_ms,
-                  static_cast<unsigned long long>(batched),
-                  pinned ? "yes" : "NO",
-                  r.idb.Equals(base.idb) ? "yes" : "NO");
-    }
-  }
-  std::printf(
-      "(the batched kernel drains check-free inner levels in one tight\n"
-      " loop and filters repeated-variable checks with gathered column\n"
-      " compares; survivors keep entry-list order, so fixpoint, work and\n"
-      " merge order replay the scalar run exactly)\n");
-}
-
-// Scalar vs vectorized value plane: the batched join with per-row ⊗ and
-// head merges (values=scalar) against the SemiringSimdTraits kernels
-// (values=simd): SIMD ⊗ products per survivor batch, pre-hashed head
-// keys, ⊕-coalesced adjacent duplicates. values_batched counts the head
-// contributions the scalar path would merge (pre-coalesce) — nonzero
-// exactly when both kernels are kSimd — while fixpoint and work stay
-// pinned to the scalar-scan reference.
-void PrintValueKernelTable() {
-  Banner("scalar vs vectorized value plane (EngineOptions::value_kernel)",
-         "SIMD semiring ⊗/⊕ kernels + batched head emission, bit-identical");
-  const bool smoke = BenchSmokeMode();
-  const int reps = smoke ? 1 : 3;
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> ref(prog, edb,
-                    EngineOptions{.scan_kernel = ScanKernel::kScalar,
-                                  .value_kernel = ScanKernel::kScalar});
-  auto base = ref.SemiNaive(1 << 20);
-  struct Config {
-    ScanKernel scan;
-    ScanKernel values;
-  };
-  const Config configs[] = {
-      {ScanKernel::kScalar, ScanKernel::kScalar},
-      {ScanKernel::kSimd, ScanKernel::kScalar},
-      {ScanKernel::kSimd, ScanKernel::kSimd},
-  };
-  std::printf("%-22s %-10s %-16s %-7s %-6s (APSP/Trop random-%d)\n",
-              "join/value-kernel", "semi-ms", "values-batched", "pinned",
-              "agree", n);
-  for (const Config& c : configs) {
-    const EngineOptions opts{.scan_kernel = c.scan, .value_kernel = c.values};
+    const EngineOptions opts{.index_kind = kind};
     double best_ms = 1e300;
     EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-    uint64_t vb = 0;
+    uint64_t hash_probes = 0, direct_probes = 0, incr = 0;
+    bool pinned = false;
     for (int rep = 0; rep < reps; ++rep) {
       Engine<TropS> engine(prog, edb, opts);
       EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
       double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
       if (ms < best_ms) {
         best_ms = ms;
-        vb = engine.values_batched();
+        hash_probes = engine.hash_probes();
+        direct_probes = engine.direct_probes();
+        incr = engine.idx_incremental_appends();
+        pinned = cur.work == base.work &&
+                 engine.join_batched_rows() == cur.work &&
+                 engine.index_builds() == ref.index_builds() &&
+                 engine.index_hits() == ref.index_hits() &&
+                 engine.idb_index_builds() == ref.idb_index_builds() &&
+                 engine.idb_index_hits() == ref.idb_index_hits();
         r = std::move(cur);
       }
     }
-    const bool active =
-        c.scan == ScanKernel::kSimd && c.values == ScanKernel::kSimd;
-    const bool pinned = r.work == base.work && (active ? vb > 0 : vb == 0);
-    std::string config = JoinKernelName(c.scan) + "/" +
-                         ValueKernelName<TropS>(c.scan, c.values);
-    std::printf("%-22s %-10.2f %-16llu %-7s %-6s\n", config.c_str(), best_ms,
-                static_cast<unsigned long long>(vb), pinned ? "yes" : "NO",
+    std::printf("%-14s %-10.2f %-12llu %-13llu %-12llu %-7s %-6s\n",
+                IndexKindName(kind), best_ms,
+                static_cast<unsigned long long>(hash_probes),
+                static_cast<unsigned long long>(direct_probes),
+                static_cast<unsigned long long>(incr), pinned ? "yes" : "NO",
                 r.idb.Equals(base.idb) ? "yes" : "NO");
   }
   std::printf(
-      "(the vectorized plane gathers the value column per survivor batch,\n"
-      " computes all ⊗ products in one kernel call and ⊕-coalesces\n"
-      " adjacent duplicate head keys before the hash probe; min's tie\n"
-      " rule and ±0.0 are replicated exactly, so fixpoint, work and merge\n"
-      " results replay the scalar run bit for bit)\n");
+      "(direct/auto route the dense APSP key lookups off the hash map —\n"
+      " hash-probes drops to the Boolean-condition remainder — and the\n"
+      " Clear+append delta cycle keeps incr-appends nonzero; `work`,\n"
+      " join_batched_rows and the four index counters are pinned across\n"
+      " every tier)\n");
 }
 
 // Parity-split shortest paths: a wide multi-SCC stratified program — a
@@ -475,13 +345,11 @@ BENCHMARK(BM_QuadraticTc<false>)->Name("quad_tc_naive")->Arg(32)->Arg(64);
 BENCHMARK(BM_QuadraticTc<true>)->Name("quad_tc_seminaive")->Arg(32)->Arg(64);
 BENCHMARK(BM_ApspCached)->Name("apsp_cached")->Arg(64)->Arg(128);
 
-/// APSP semi-naive per index tier and scan kernel: range(0) = n,
-/// range(1) = IndexKind, range(2) = ScanKernel — each piece of the
-/// tiered-index subsystem benchmarkable in isolation.
+/// APSP semi-naive per index tier: range(0) = n, range(1) = IndexKind —
+/// each piece of the tiered-index subsystem benchmarkable in isolation.
 void BM_ApspIndexTier(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto kind = static_cast<IndexKind>(state.range(1));
-  const auto scan = static_cast<ScanKernel>(state.range(2));
   Domain dom;
   auto prog = ApspProgram(&dom).value();
   Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
@@ -489,14 +357,12 @@ void BM_ApspIndexTier(benchmark::State& state) {
   EdbInstance<TropS> edb(prog);
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb,
-                       EngineOptions{.index_kind = kind, .scan_kernel = scan});
+  Engine<TropS> engine(prog, edb, EngineOptions{.index_kind = kind});
   for (auto _ : state) {
     auto r = engine.SemiNaive(1 << 20);
     benchmark::DoNotOptimize(r.idb.TotalSupport());
   }
-  state.SetLabel(std::string(IndexKindName(kind)) + "/" +
-                 ScanKernelName(scan));
+  state.SetLabel(IndexKindName(kind));
   state.counters["hash_probes"] =
       benchmark::Counter(static_cast<double>(engine.hash_probes()),
                          benchmark::Counter::kAvgIterations);
@@ -507,16 +373,9 @@ void BM_ApspIndexTier(benchmark::State& state) {
 
 BENCHMARK(BM_ApspIndexTier)
     ->Name("apsp_seminaive_index")
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash),
-            static_cast<int>(datalogo::ScanKernel::kScalar)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash),
-            static_cast<int>(datalogo::ScanKernel::kSimd)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect),
-            static_cast<int>(datalogo::ScanKernel::kScalar)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect),
-            static_cast<int>(datalogo::ScanKernel::kSimd)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kAuto),
-            static_cast<int>(datalogo::ScanKernel::kSimd)});
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash)})
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect)})
+    ->Args({128, static_cast<int>(datalogo::IndexKind::kAuto)});
 
 // Machine-readable perf journal: BENCH_seminaive.json in the working
 // directory, with wall ms / iterations / work / index builds (total and
@@ -548,8 +407,6 @@ int main(int argc, char** argv) {
   datalogo::PrintTables();
   datalogo::PrintParallelTable();
   datalogo::PrintIndexTierTable();
-  datalogo::PrintJoinKernelTable();
-  datalogo::PrintValueKernelTable();
   datalogo::WriteJson();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -155,7 +155,7 @@ class BenchJson {
   bool first_field_ = true;
 };
 
-/// Journal spellings of the engine's index-tier / scan-kernel knobs.
+/// Journal spelling of the engine's index-tier knob.
 inline const char* IndexKindName(IndexKind k) {
   switch (k) {
     case IndexKind::kHash:
@@ -167,38 +167,10 @@ inline const char* IndexKindName(IndexKind k) {
   }
   return "?";
 }
-inline const char* ScanKernelName(ScanKernel k) {
-  return k == ScanKernel::kScalar ? "scalar" : "simd";
-}
-
-/// Effective join-kernel spelling for the journals: the batched kernel's
-/// behaviour depends on the ISA the binary compiled to, so "batched-avx2"
-/// and "batched-sse2" journal as distinct kernels while "scalar" is
-/// ISA-independent.
-inline std::string JoinKernelName(ScanKernel k) {
-  if (k == ScanKernel::kScalar) return "scalar";
-  return std::string("batched-") + simd::IsaName();
-}
-
-/// Effective value-kernel spelling: the vectorized value plane only runs
-/// when the join kernel is batched AND the value kernel is kSimd AND the
-/// semiring opted into SemiringSimdTraits; otherwise values journal as
-/// "scalar". Active kernels journal the trait family plus the ISA (e.g.
-/// "trop-f64-sse2") so journals from different hosts stay distinguishable.
-template <NaturallyOrderedSemiring P>
-std::string ValueKernelName(ScanKernel scan, ScanKernel values) {
-  if constexpr (VectorizedValuePlane<P>) {
-    if (scan == ScanKernel::kSimd && values == ScanKernel::kSimd) {
-      return std::string(SemiringSimdTraits<P>::kFamily) + "-" +
-             simd::IsaName();
-    }
-  }
-  return "scalar";
-}
 
 /// Host metadata for every BENCH_*.json: hardware concurrency (the PR-5
 /// single-core-host caveat, machine-readable) and the SIMD instruction
-/// set the binary's kSimd scan paths compile to.
+/// set the binary's vectorized scan paths compile to.
 inline void AddHostMeta(BenchJson* json) {
   json->MetaInt("nproc", std::thread::hardware_concurrency());
   json->Meta("simd_isa", simd::IsaName());
@@ -241,7 +213,7 @@ void WriteEngineJson(const std::string& bench_name,
         uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
         uint64_t groups = 0, group_iters = 0, skipped = 0;
         uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
-        uint64_t join_batched = 0, values_batched = 0;
+        uint64_t join_batched = 0;
         const EngineOptions opts{.num_threads = threads};
         for (int rep = 0; rep < reps; ++rep) {
           Engine<P> engine(prog, edb, opts);
@@ -267,7 +239,6 @@ void WriteEngineJson(const std::string& bench_name,
             hash_probes = engine.hash_probes();
             direct_probes = engine.direct_probes();
             join_batched = engine.join_batched_rows();
-            values_batched = engine.values_batched();
           }
         }
         json.BeginRow()
@@ -285,12 +256,7 @@ void WriteEngineJson(const std::string& bench_name,
             .Int("group_iterations", group_iters)
             .Int("rules_skipped", skipped)
             .Str("index_kind", IndexKindName(opts.index_kind))
-            .Str("scan_kernel", ScanKernelName(opts.scan_kernel))
-            .Str("join_kernel", JoinKernelName(opts.scan_kernel))
             .Int("join_batched_rows", join_batched)
-            .Str("value_kernel",
-                 ValueKernelName<P>(opts.scan_kernel, opts.value_kernel))
-            .Int("values_batched", values_batched)
             .Int("idx_incremental_appends", incr_appends)
             .Int("hash_probes", hash_probes)
             .Int("direct_probes", direct_probes)

@@ -1,6 +1,8 @@
-# Numeric-flag hardening at the CLI surface: every malformed --threads /
-# --max-steps value must take the usage-error path — exit 1 with a
-# message on stderr — never an uncaught exception or abort.
+# Flag hardening at the CLI surface: every malformed --threads /
+# --max-steps value, a trailing --edb/--bedb with no spec, a misspelt
+# --edbx and the retired --scan/--values kernel flags must take the
+# usage-error path — exit 1 with a message on stderr — never an uncaught
+# exception or abort.
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
@@ -14,7 +16,8 @@ endforeach()
 set(bad_flags
     --threads=abc --threads=-3 --threads=4x --threads= --threads=+2
     --threads=99999999999 --max-steps=99999999999 --max-steps=0
-    --max-steps=-1 --max-steps=12abc --max-steps=)
+    --max-steps=-1 --max-steps=12abc --max-steps= --edb --bedb
+    --edbx --scan=simd --values=simd)
 foreach(flag IN LISTS bad_flags)
   execute_process(
     COMMAND ${CLI} ${PROGRAM} --semiring=trop --edb E=${EDGES} ${flag}

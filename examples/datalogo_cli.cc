@@ -3,8 +3,7 @@
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
 //       [--max-steps=N] [--threads=N]
-//       [--index=hash|direct|auto] [--scan=scalar|simd]
-//       [--values=scalar|simd] [--update=BATCH]
+//       [--index=hash|direct|auto] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // POPS EDB TSVs carry the value in the last column; Boolean EDB TSVs are
@@ -13,7 +12,8 @@
 // the stability index under naive evaluation, and under --seminaive the
 // group-local rounds summed over the program's reliance groups.
 // --threads=N (0 = one per hardware core) and --max-steps=N (>= 1) take
-// whole base-10 integers; anything else is a usage error (exit 1).
+// whole base-10 integers; anything else is a usage error (exit 1), as is
+// an --edb/--bedb without a P=FILE spec.
 //
 // --update=BATCH runs the fixpoint silently, applies the batch through
 // Engine::Update (incremental maintenance — no full re-run), and prints
@@ -45,18 +45,10 @@ struct CliOptions {
   bool advise = false;
   int max_steps = 100000;
   int threads = 1;  // 0 = one per hardware core; results are identical
-  // Index tier and scan kernel (engine.h / simd.h). --scan selects both
-  // the index-build column scans and the join kernel (scalar
-  // row-at-a-time vs SIMD batched bind/check). Output is identical for
-  // every combination — these exist for benchmarking and the
-  // byte-identity smoke test.
+  // Index tier (engine.h / relation.h). Output is identical for every
+  // tier — the flag exists for benchmarking and the byte-identity smoke
+  // test.
   IndexKind index_kind = IndexKind::kAuto;
-  ScanKernel scan_kernel = DefaultScanKernel();
-  // --values selects the value-plane kernel (⊗ products / head emission
-  // inside the batched join); only active when --scan=simd and the
-  // semiring opted into SemiringSimdTraits. Output is identical either
-  // way.
-  ScanKernel value_kernel = DefaultValueKernel();
   // --update=FILE: mutation batch serviced by Engine::Update after the
   // initial fixpoint; the printed tables are the maintained result.
   std::string update_path;
@@ -95,18 +87,23 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     };
     if (arg.rfind("--semiring=", 0) == 0) {
       opt->semiring = value_of("--semiring=");
-    } else if (arg.rfind("--edb", 0) == 0 && i + 1 <= argc) {
-      std::string spec =
-          arg.rfind("--edb=", 0) == 0 ? value_of("--edb=") : argv[++i];
-      auto eq = spec.find('=');
-      if (eq == std::string::npos) return false;
-      opt->edbs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-    } else if (arg.rfind("--bedb", 0) == 0 && i + 1 <= argc) {
-      std::string spec =
-          arg.rfind("--bedb=", 0) == 0 ? value_of("--bedb=") : argv[++i];
-      auto eq = spec.find('=');
-      if (eq == std::string::npos) return false;
-      opt->bedbs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+    } else if (arg == "--edb" || arg.rfind("--edb=", 0) == 0 ||
+               arg == "--bedb" || arg.rfind("--bedb=", 0) == 0) {
+      // Spec as the next argument (--edb P=FILE) or inline (--edb=P=FILE).
+      const std::string flag = arg.rfind("--bedb", 0) == 0 ? "--bedb" : "--edb";
+      if (arg == flag && i + 1 >= argc) {
+        std::fprintf(stderr, "%s expects P=FILE\n", flag.c_str());
+        return false;
+      }
+      const std::string spec = arg == flag ? argv[++i] : value_of(flag + "=");
+      const auto eq = spec.find('=');
+      if (eq == std::string::npos) {
+        std::fprintf(stderr, "%s expects P=FILE, got '%s'\n", flag.c_str(),
+                     spec.c_str());
+        return false;
+      }
+      (flag == "--bedb" ? opt->bedbs : opt->edbs)
+          .emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--seminaive") {
       opt->seminaive = true;
     } else if (arg == "--advise") {
@@ -131,26 +128,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
         opt->index_kind = IndexKind::kAuto;
       } else {
         std::fprintf(stderr, "unknown index kind: %s\n", name.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--scan=", 0) == 0) {
-      std::string name = value_of("--scan=");
-      if (name == "scalar") {
-        opt->scan_kernel = ScanKernel::kScalar;
-      } else if (name == "simd") {
-        opt->scan_kernel = ScanKernel::kSimd;
-      } else {
-        std::fprintf(stderr, "unknown scan kernel: %s\n", name.c_str());
-        return false;
-      }
-    } else if (arg.rfind("--values=", 0) == 0) {
-      std::string name = value_of("--values=");
-      if (name == "scalar") {
-        opt->value_kernel = ScanKernel::kScalar;
-      } else if (name == "simd") {
-        opt->value_kernel = ScanKernel::kSimd;
-      } else {
-        std::fprintf(stderr, "unknown value kernel: %s\n", name.c_str());
         return false;
       }
     } else if (arg.rfind("--update=", 0) == 0) {
@@ -286,9 +263,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
 
   Engine<P> engine(prog.value(), edb,
                    EngineOptions{.num_threads = opt.threads,
-                                 .index_kind = opt.index_kind,
-                                 .scan_kernel = opt.scan_kernel,
-                                 .value_kernel = opt.value_kernel});
+                                 .index_kind = opt.index_kind});
   EvalResult<P> result = [&] {
     if constexpr (CompleteDistributiveDioid<P>) {
       if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
@@ -352,8 +327,7 @@ int main(int argc, char** argv) {
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
                  "[--advise] [--max-steps=N] [--threads=N] "
-                 "[--index=hash|direct|auto] [--scan=scalar|simd] "
-                 "[--values=scalar|simd] [--update=BATCH]\n"
+                 "[--index=hash|direct|auto] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n"
                  "--max-steps >= 1; --threads >= 0 (0 = one per core); the "
                  "stability-index line sums group-local rounds under "

@@ -11,21 +11,17 @@
 // entry-list row ids, gather the checked column cells, compare them as
 // one mask, and compress the survivors.
 //
-// Dispatch is two-level. The instruction set is chosen at compile time
-// by preprocessor detection (AVX2 > SSE2 on x86, NEON on arm64, scalar
-// elsewhere); within one binary, every primitive also takes a runtime
-// ScanKernel switch so the scalar path — the definitional reference —
-// stays selectable for differential testing and benchmarking. Both
-// paths emit row ids in ascending order and never read past the given
-// length (tails are scalar), so outputs are bit-identical across
-// kernels and sanitizer-clean: the engine's determinism pins do not
-// depend on which kernel ran.
+// The instruction set is chosen at compile time by preprocessor
+// detection (AVX2 > SSE2 on x86, NEON on arm64, scalar elsewhere). Every
+// vectorized primitive has a `*Scalar` twin — the definitional reference
+// the unit tests compare it against. Both emit row ids in ascending order
+// and never read past the given length (tails are scalar), so outputs are
+// bit-identical to the reference and sanitizer-clean: the engine's
+// determinism pins do not depend on the instruction set.
 #ifndef DATALOGO_CORE_SIMD_H_
 #define DATALOGO_CORE_SIMD_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #if defined(__AVX2__)
@@ -37,37 +33,6 @@
 #endif
 
 namespace datalogo {
-
-/// Runtime selection of the column-scan implementation. kSimd uses the
-/// best instruction set the binary was compiled for (falling back to
-/// scalar code when there is none); kScalar forces the reference loops.
-enum class ScanKernel : uint8_t { kScalar = 0, kSimd = 1 };
-
-/// The process-wide default kernel: DATALOGO_SCAN=scalar|simd overrides
-/// (read once); otherwise kSimd — safe because results are identical by
-/// construction.
-inline ScanKernel DefaultScanKernel() {
-  static const ScanKernel kDefault = [] {
-    const char* v = std::getenv("DATALOGO_SCAN");
-    if (v != nullptr && v[0] == 's' && v[1] == 'c') return ScanKernel::kScalar;
-    return ScanKernel::kSimd;
-  }();
-  return kDefault;
-}
-
-/// The process-wide default semiring value-plane kernel:
-/// DATALOGO_VALUES=scalar|simd overrides (read once); otherwise the value
-/// plane follows the scan kernel — it only ever runs inside the batched
-/// join, so there is no point vectorizing values under a scalar join.
-inline ScanKernel DefaultValueKernel() {
-  static const ScanKernel kDefault = [] {
-    const char* v = std::getenv("DATALOGO_VALUES");
-    if (v != nullptr && v[0] == 's' && v[1] == 'c') return ScanKernel::kScalar;
-    if (v != nullptr && v[0] == 's' && v[1] == 'i') return ScanKernel::kSimd;
-    return DefaultScanKernel();
-  }();
-  return kDefault;
-}
 
 namespace simd {
 
@@ -104,12 +69,8 @@ inline void CollectLiveRowsScalar(const uint8_t* live, uint32_t n,
   }
 }
 
-inline void CollectLiveRows(const uint8_t* live, uint32_t n, ScanKernel k,
+inline void CollectLiveRows(const uint8_t* live, uint32_t n,
                             std::vector<uint32_t>* out) {
-  if (k == ScanKernel::kScalar) {
-    CollectLiveRowsScalar(live, n, out);
-    return;
-  }
   uint32_t r = 0;
 #if defined(__AVX2__)
   const __m256i zero = _mm256_setzero_si256();
@@ -169,11 +130,7 @@ inline void FilterEqRowsScalar(const uint32_t* col, uint32_t n, uint32_t key,
 }
 
 inline void FilterEqRows(const uint32_t* col, uint32_t n, uint32_t key,
-                         ScanKernel k, std::vector<uint32_t>* out) {
-  if (k == ScanKernel::kScalar) {
-    FilterEqRowsScalar(col, n, key, out);
-    return;
-  }
+                         std::vector<uint32_t>* out) {
   uint32_t r = 0;
 #if defined(__AVX2__)
   const __m256i kv = _mm256_set1_epi32(static_cast<int>(key));
@@ -218,8 +175,8 @@ inline void FilterEqRows(const uint32_t* col, uint32_t n, uint32_t key,
 
 // ------------------------------------------------------------------
 // MinMaxU32: exact unsigned min and max of col[0..n). Requires n > 0.
-// Feeds the direct-index density rule, so both kernels must be exact —
-// a SIMD approximation would make index-kind selection diverge.
+// Feeds the direct-index density rule, so the vector path must be exact
+// — a SIMD approximation would make index-kind selection diverge.
 
 inline void MinMaxU32Scalar(const uint32_t* col, uint32_t n, uint32_t* lo,
                             uint32_t* hi) {
@@ -233,8 +190,8 @@ inline void MinMaxU32Scalar(const uint32_t* col, uint32_t n, uint32_t* lo,
 }
 
 inline void MinMaxU32(const uint32_t* col, uint32_t n, uint32_t* lo,
-                      uint32_t* hi, ScanKernel k) {
-  if (k == ScanKernel::kScalar || n < 2 * kLanes32) {
+                      uint32_t* hi) {
+  if (n < 2 * kLanes32) {
     MinMaxU32Scalar(col, n, lo, hi);
     return;
   }
@@ -308,9 +265,9 @@ inline void MinMaxU32(const uint32_t* col, uint32_t n, uint32_t* lo,
 // kJoinBatch row ids per step from an index entry list, gathers the
 // column cells its check ops compare, folds the comparisons into one
 // survivor bitmask, and compresses the surviving row ids into a small
-// batch buffer. All three keep the column-scan contract: scalar
-// reference selectable at runtime, scalar tails, never read past the
-// given length, bit-identical outputs across kernels.
+// batch buffer. All three keep the column-scan contract: a `*Scalar`
+// reference twin, scalar tails, never read past the given length,
+// outputs bit-identical to the reference.
 
 /// Row ids decoded per batched join step. Two SSE2/NEON vectors or one
 /// AVX2 vector per compare; masks stay comfortably inside a uint32_t.
@@ -325,11 +282,7 @@ inline void GatherU32Scalar(const uint32_t* col, const uint32_t* rows,
 }
 
 inline void GatherU32(const uint32_t* col, const uint32_t* rows, uint32_t n,
-                      ScanKernel k, uint32_t* out) {
-  if (k == ScanKernel::kScalar) {
-    GatherU32Scalar(col, rows, n, out);
-    return;
-  }
+                      uint32_t* out) {
   uint32_t i = 0;
 #if defined(__AVX2__)
   for (; i + 8 <= n; i += 8) {
@@ -353,10 +306,8 @@ inline void GatherU32(const uint32_t* col, const uint32_t* rows, uint32_t n,
 }
 
 // MaskEqU32: bit i of the result is set iff a[i] == b[i], for i in
-// [0, n); higher bits are clear. Requires n <= 32. The pairwise form
-// serves the engine's repeated-variable checks (two cells of the same
-// row must agree); the scalar-key form filters a gathered batch against
-// one loop-invariant ConstId.
+// [0, n); higher bits are clear. Requires n <= 32. Serves the engine's
+// repeated-variable checks: two cells of the same row must agree.
 
 inline uint32_t MaskEqU32Scalar(const uint32_t* a, const uint32_t* b,
                                 uint32_t n) {
@@ -367,9 +318,7 @@ inline uint32_t MaskEqU32Scalar(const uint32_t* a, const uint32_t* b,
   return m;
 }
 
-inline uint32_t MaskEqU32(const uint32_t* a, const uint32_t* b, uint32_t n,
-                          ScanKernel k) {
-  if (k == ScanKernel::kScalar) return MaskEqU32Scalar(a, b, n);
+inline uint32_t MaskEqU32(const uint32_t* a, const uint32_t* b, uint32_t n) {
   uint32_t m = 0;
   uint32_t i = 0;
 #if defined(__AVX2__)
@@ -406,59 +355,11 @@ inline uint32_t MaskEqU32(const uint32_t* a, const uint32_t* b, uint32_t n,
   return m;
 }
 
-inline uint32_t MaskEqScalarU32Scalar(const uint32_t* vals, uint32_t n,
-                                      uint32_t key) {
-  uint32_t m = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    m |= static_cast<uint32_t>(vals[i] == key) << i;
-  }
-  return m;
-}
-
-inline uint32_t MaskEqScalarU32(const uint32_t* vals, uint32_t n, uint32_t key,
-                                ScanKernel k) {
-  if (k == ScanKernel::kScalar) return MaskEqScalarU32Scalar(vals, n, key);
-  uint32_t m = 0;
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256i kv = _mm256_set1_epi32(static_cast<int>(key));
-  for (; i + 8 <= n; i += 8) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    m |= static_cast<uint32_t>(_mm256_movemask_ps(
-             _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, kv))))
-         << i;
-  }
-#elif defined(__SSE2__)
-  const __m128i kv = _mm_set1_epi32(static_cast<int>(key));
-  for (; i + 4 <= n; i += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i));
-    m |= static_cast<uint32_t>(
-             _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, kv))))
-         << i;
-  }
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-  const uint32x4_t kv = vdupq_n_u32(key);
-  for (; i + 4 <= n; i += 4) {
-    uint32x4_t eq = vceqq_u32(vld1q_u32(vals + i), kv);
-    uint8x8_t nib = vshrn_n_u16(vreinterpretq_u16_u32(eq), 4);
-    uint64_t nm = vget_lane_u64(vreinterpret_u64_u8(nib), 0);
-    for (uint32_t l = 0; l < 4; ++l) {
-      m |= static_cast<uint32_t>((nm >> (8 * l)) & 1u) << (i + l);
-    }
-  }
-#endif
-  for (; i < n; ++i) {
-    m |= static_cast<uint32_t>(vals[i] == key) << i;
-  }
-  return m;
-}
-
 /// Compresses the row ids selected by `mask` into `out`, preserving
 /// ascending lane order; returns how many were written. Callers
 /// guarantee mask bits at or above the batch length are clear (the
-/// MaskEq kernels do). One deterministic implementation serves both
-/// kernels — a bit-scan loop is already branch-light, and survivor
-/// batches are at most kJoinBatch wide.
+/// MaskEqU32 kernel does). No vector twin: a bit-scan loop is already
+/// branch-light, and survivor batches are at most kJoinBatch wide.
 inline uint32_t CompressRowIds(const uint32_t* rows, uint32_t mask,
                                uint32_t* out) {
   uint32_t count = 0;
@@ -467,424 +368,6 @@ inline uint32_t CompressRowIds(const uint32_t* rows, uint32_t mask,
     mask &= mask - 1;
   }
   return count;
-}
-
-// ------------------------------------------------------------------
-// Value-plane kernels. The batched join kernel's *value* twin: gather a
-// survivor batch's semiring values, apply ⊗ against one loop-invariant
-// accumulator, and fold ⊕ elementwise. Which kernel implements which
-// semiring op is declared per semiring in semiring/simd_traits.h; the
-// kernels themselves are plain typed arithmetic with the column-scan
-// contract (runtime-selectable scalar reference, scalar tails,
-// bit-identical outputs across kernels).
-//
-// Exactness notes, load-bearing for the engine's determinism pins:
-//  * f64 add/mul lanes are the same IEEE operations as the scalar
-//    expressions — bit-identical per element, no reassociation.
-//  * MinF64/MaxF64 replicate std::min/std::max tie behaviour exactly
-//    (ties — including ±0.0 — return the FIRST operand) by swapping the
-//    operands of the hardware min/max, which return the second operand
-//    on ties.
-//  * The u64 kernels saturate exactly like NatS::Plus / TropNatS::Times
-//    (kInf = UINT64_MAX absorbs through wrap-around + clamp). SSE2 has
-//    no 64-bit compares, so their kSimd path is vectorized on AVX2 only
-//    and falls back to the scalar loop elsewhere — still batched, still
-//    bit-identical.
-
-// GatherF64: out[i] = col[rows[i]] — value-column decode over a row-id
-// batch (the f64 sibling of GatherU32).
-
-inline void GatherF64Scalar(const double* col, const uint32_t* rows,
-                            uint32_t n, double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = col[rows[i]];
-}
-
-inline void GatherF64(const double* col, const uint32_t* rows, uint32_t n,
-                      ScanKernel k, double* out) {
-  if (k == ScanKernel::kScalar) {
-    GatherF64Scalar(col, rows, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + i));
-    __m256d v = _mm256_i32gather_pd(col, idx, 8);
-    _mm256_storeu_pd(out + i, v);
-  }
-#else
-  // No hardware gather below AVX2: four independent loads per step so
-  // the load ports pipeline them (same shape as GatherU32).
-  for (; i + 4 <= n; i += 4) {
-    out[i + 0] = col[rows[i + 0]];
-    out[i + 1] = col[rows[i + 1]];
-    out[i + 2] = col[rows[i + 2]];
-    out[i + 3] = col[rows[i + 3]];
-  }
-#endif
-  for (; i < n; ++i) out[i] = col[rows[i]];
-}
-
-// AddScalarF64 / MulScalarF64: out[i] = acc ⊗ vals[i] for the f64
-// semirings whose ⊗ is + (Trop) or × (R+/Viterbi), acc loop-invariant.
-
-inline void AddScalarF64Scalar(double acc, const double* vals, uint32_t n,
-                               double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = acc + vals[i];
-}
-
-inline void AddScalarF64(double acc, const double* vals, uint32_t n,
-                         ScanKernel k, double* out) {
-  if (k == ScanKernel::kScalar) {
-    AddScalarF64Scalar(acc, vals, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256d av = _mm256_set1_pd(acc);
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_add_pd(av, _mm256_loadu_pd(vals + i)));
-  }
-#elif defined(__SSE2__)
-  const __m128d av = _mm_set1_pd(acc);
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_add_pd(av, _mm_loadu_pd(vals + i)));
-  }
-#elif (defined(__ARM_NEON) || defined(__ARM_NEON__)) && defined(__aarch64__)
-  const float64x2_t av = vdupq_n_f64(acc);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vaddq_f64(av, vld1q_f64(vals + i)));
-  }
-#endif
-  for (; i < n; ++i) out[i] = acc + vals[i];
-}
-
-inline void MulScalarF64Scalar(double acc, const double* vals, uint32_t n,
-                               double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = acc * vals[i];
-}
-
-inline void MulScalarF64(double acc, const double* vals, uint32_t n,
-                         ScanKernel k, double* out) {
-  if (k == ScanKernel::kScalar) {
-    MulScalarF64Scalar(acc, vals, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256d av = _mm256_set1_pd(acc);
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(av, _mm256_loadu_pd(vals + i)));
-  }
-#elif defined(__SSE2__)
-  const __m128d av = _mm_set1_pd(acc);
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_mul_pd(av, _mm_loadu_pd(vals + i)));
-  }
-#elif (defined(__ARM_NEON) || defined(__ARM_NEON__)) && defined(__aarch64__)
-  const float64x2_t av = vdupq_n_f64(acc);
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vmulq_f64(av, vld1q_f64(vals + i)));
-  }
-#endif
-  for (; i < n; ++i) out[i] = acc * vals[i];
-}
-
-// MinF64 / MaxF64: out[i] = std::min/max(a[i], b[i]) — elementwise ⊕
-// for min-plus/max-plus f64 dioids. Hardware min/max return the SECOND
-// operand on ties (x < y ? x : y), std::min returns the FIRST, so the
-// vector ops take (b, a): min_pd(b, a) = b < a ? b : a = std::min(a, b)
-// bit-for-bit, ±0.0 included. No NaN can reach these: stored values are
-// finite (∞ = ⊥ is never stored) and accumulators are finite products.
-
-inline void MinF64Scalar(const double* a, const double* b, uint32_t n,
-                         double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-inline void MinF64(const double* a, const double* b, uint32_t n, ScanKernel k,
-                   double* out) {
-  if (k == ScanKernel::kScalar) {
-    MinF64Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_min_pd(_mm256_loadu_pd(b + i),
-                                            _mm256_loadu_pd(a + i)));
-  }
-#elif defined(__SSE2__)
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_min_pd(_mm_loadu_pd(b + i),
-                                      _mm_loadu_pd(a + i)));
-  }
-#elif (defined(__ARM_NEON) || defined(__ARM_NEON__)) && defined(__aarch64__)
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t va = vld1q_f64(a + i);
-    float64x2_t vb = vld1q_f64(b + i);
-    // b < a ? b : a — explicit select for std::min tie behaviour.
-    vst1q_f64(out + i, vbslq_f64(vcltq_f64(vb, va), vb, va));
-  }
-#endif
-  for (; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-inline void MaxF64Scalar(const double* a, const double* b, uint32_t n,
-                         double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = std::max(a[i], b[i]);
-}
-
-inline void MaxF64(const double* a, const double* b, uint32_t n, ScanKernel k,
-                   double* out) {
-  if (k == ScanKernel::kScalar) {
-    MaxF64Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_max_pd(_mm256_loadu_pd(b + i),
-                                            _mm256_loadu_pd(a + i)));
-  }
-#elif defined(__SSE2__)
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_max_pd(_mm_loadu_pd(b + i),
-                                      _mm_loadu_pd(a + i)));
-  }
-#elif (defined(__ARM_NEON) || defined(__ARM_NEON__)) && defined(__aarch64__)
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t va = vld1q_f64(a + i);
-    float64x2_t vb = vld1q_f64(b + i);
-    // a < b ? b : a — std::max returns the first operand on ties.
-    vst1q_f64(out + i, vbslq_f64(vcltq_f64(va, vb), vb, va));
-  }
-#endif
-  for (; i < n; ++i) out[i] = std::max(a[i], b[i]);
-}
-
-// AddF64: out[i] = a[i] + b[i] — elementwise ⊕ for the float-sum
-// semirings (R+). Elementwise-exact, but FOLDING through it reassociates
-// — which is why simd_traits marks R+ kExactPlusFold = false.
-
-inline void AddF64Scalar(const double* a, const double* b, uint32_t n,
-                         double* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-inline void AddF64(const double* a, const double* b, uint32_t n, ScanKernel k,
-                   double* out) {
-  if (k == ScanKernel::kScalar) {
-    AddF64Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-  }
-#elif defined(__SSE2__)
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_add_pd(_mm_loadu_pd(a + i),
-                                      _mm_loadu_pd(b + i)));
-  }
-#elif (defined(__ARM_NEON) || defined(__ARM_NEON__)) && defined(__aarch64__)
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(out + i, vaddq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-#endif
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-// SatAddScalarU64 / SatAddU64: saturating u64 add with UINT64_MAX as
-// the absorbing ∞ — exactly NatS::Plus / TropNatS::Times, including the
-// ∞ cases, because wrap-around + clamp reproduces them: ∞ + x wraps
-// below the addend and clamps back to ∞. Vector path on AVX2 only (64-
-// bit compares); SSE2/NEON run the batched scalar loop.
-
-inline void SatAddScalarU64Scalar(uint64_t acc, const uint64_t* vals,
-                                  uint32_t n, uint64_t* out) {
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t s = acc + vals[i];
-    out[i] = s < acc ? ~uint64_t{0} : s;
-  }
-}
-
-inline void SatAddScalarU64(uint64_t acc, const uint64_t* vals, uint32_t n,
-                            ScanKernel k, uint64_t* out) {
-  if (k == ScanKernel::kScalar) {
-    SatAddScalarU64Scalar(acc, vals, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256i av = _mm256_set1_epi64x(static_cast<long long>(acc));
-  const __m256i bias =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  const __m256i ab = _mm256_xor_si256(av, bias);
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    __m256i s = _mm256_add_epi64(av, v);
-    // Unsigned s < acc (overflow) via sign-biased signed compare; the
-    // all-ones overflow lanes OR straight to UINT64_MAX.
-    __m256i ov = _mm256_cmpgt_epi64(ab, _mm256_xor_si256(s, bias));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(s, ov));
-  }
-#endif
-  for (; i < n; ++i) {
-    uint64_t s = acc + vals[i];
-    out[i] = s < acc ? ~uint64_t{0} : s;
-  }
-}
-
-inline void SatAddU64Scalar(const uint64_t* a, const uint64_t* b, uint32_t n,
-                            uint64_t* out) {
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t s = a[i] + b[i];
-    out[i] = s < a[i] ? ~uint64_t{0} : s;
-  }
-}
-
-inline void SatAddU64(const uint64_t* a, const uint64_t* b, uint32_t n,
-                      ScanKernel k, uint64_t* out) {
-  if (k == ScanKernel::kScalar) {
-    SatAddU64Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256i bias =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    __m256i s = _mm256_add_epi64(va, vb);
-    __m256i ov = _mm256_cmpgt_epi64(_mm256_xor_si256(va, bias),
-                                    _mm256_xor_si256(s, bias));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(s, ov));
-  }
-#endif
-  for (; i < n; ++i) {
-    uint64_t s = a[i] + b[i];
-    out[i] = s < a[i] ? ~uint64_t{0} : s;
-  }
-}
-
-// MinU64: out[i] = std::min(a[i], b[i]) — ⊕ of the u64 min-plus dioid
-// (TropN). Ties return the first operand, matching std::min.
-
-inline void MinU64Scalar(const uint64_t* a, const uint64_t* b, uint32_t n,
-                         uint64_t* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-inline void MinU64(const uint64_t* a, const uint64_t* b, uint32_t n,
-                   ScanKernel k, uint64_t* out) {
-  if (k == ScanKernel::kScalar) {
-    MinU64Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256i bias =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  for (; i + 4 <= n; i += 4) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // b < a ? b : a — unsigned via sign bias; blendv picks b where set.
-    __m256i lt = _mm256_cmpgt_epi64(_mm256_xor_si256(va, bias),
-                                    _mm256_xor_si256(vb, bias));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_blendv_epi8(va, vb, lt));
-  }
-#endif
-  for (; i < n; ++i) out[i] = std::min(a[i], b[i]);
-}
-
-// AndScalarU8 / OrU8: byte-wise ⊗/⊕ of the Boolean semiring over its
-// 0/1 value bytes (B stores bool values; vector<ValueCell<bool>> is one
-// byte per row).
-
-inline void AndScalarU8Scalar(uint8_t acc, const uint8_t* vals, uint32_t n,
-                              uint8_t* out) {
-  for (uint32_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(acc & vals[i]);
-  }
-}
-
-inline void AndScalarU8(uint8_t acc, const uint8_t* vals, uint32_t n,
-                        ScanKernel k, uint8_t* out) {
-  if (k == ScanKernel::kScalar) {
-    AndScalarU8Scalar(acc, vals, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  const __m256i av = _mm256_set1_epi8(static_cast<char>(acc));
-  for (; i + 32 <= n; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(av, v));
-  }
-#elif defined(__SSE2__)
-  const __m128i av = _mm_set1_epi8(static_cast<char>(acc));
-  for (; i + 16 <= n; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_and_si128(av, v));
-  }
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-  const uint8x16_t av = vdupq_n_u8(acc);
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(out + i, vandq_u8(av, vld1q_u8(vals + i)));
-  }
-#endif
-  for (; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(acc & vals[i]);
-  }
-}
-
-inline void OrU8Scalar(const uint8_t* a, const uint8_t* b, uint32_t n,
-                       uint8_t* out) {
-  for (uint32_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(a[i] | b[i]);
-  }
-}
-
-inline void OrU8(const uint8_t* a, const uint8_t* b, uint32_t n, ScanKernel k,
-                 uint8_t* out) {
-  if (k == ScanKernel::kScalar) {
-    OrU8Scalar(a, b, n, out);
-    return;
-  }
-  uint32_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 32 <= n; i += 32) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(va, vb));
-  }
-#elif defined(__SSE2__)
-  for (; i + 16 <= n; i += 16) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(va, vb));
-  }
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(out + i, vorrq_u8(vld1q_u8(a + i), vld1q_u8(b + i)));
-  }
-#endif
-  for (; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(a[i] | b[i]);
-  }
 }
 
 }  // namespace simd

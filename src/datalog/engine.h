@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -27,7 +26,6 @@
 #include "src/relation/relation.h"
 #include "src/semiring/boolean.h"
 #include "src/semiring/deletion.h"
-#include "src/semiring/simd_traits.h"
 #include "src/semiring/traits.h"
 
 namespace datalogo {
@@ -66,29 +64,6 @@ struct EngineOptions {
   /// Fixpoints, `work` and all four index counters are bit-identical
   /// across tiers — only probe cost and the new probe counters move.
   IndexKind index_kind = IndexKind::kAuto;
-  /// Column-scan and join kernel (simd.h). kScalar forces the
-  /// definitional reference everywhere: scalar index-build scans and the
-  /// row-at-a-time join loop. kSimd uses the compiled ISA (SSE2/AVX2/
-  /// NEON, scalar tails) for index builds AND routes ExecuteShard
-  /// through the batched join kernel (kJoinBatch row ids decoded per
-  /// step, check ops as masked vector compares, survivors compressed
-  /// before the bind ops run). Fixpoints, `work` and all index counters
-  /// are bit-identical across kernels by construction; only
-  /// join_batched_rows() distinguishes them. Default honors the
-  /// DATALOGO_SCAN environment variable.
-  ScanKernel scan_kernel = DefaultScanKernel();
-  /// Value-plane kernel: how the batched join computes ⊗ products and
-  /// emits head rows for semirings that opt into SemiringSimdTraits
-  /// (Trop, TropN, B, N, R+). kSimd batches value gathers, ⊗ kernels,
-  /// ground residual compares and head-key pre-hashing per survivor
-  /// batch (and ⊕-coalesces adjacent duplicate head keys when the trait
-  /// declares the fold exact); kScalar keeps the per-row P::Times /
-  /// EmitHead reference. Only active when scan_kernel is also kSimd —
-  /// the scalar join kernel is always fully scalar. Fixpoints, `work`
-  /// and all index counters are bit-identical across value kernels;
-  /// only values_batched() distinguishes them. Default honors the
-  /// DATALOGO_VALUES environment variable (falling back to DATALOGO_SCAN).
-  ScanKernel value_kernel = DefaultValueKernel();
 };
 
 /// How Engine::Update serviced one batch (reported for tests/benches).
@@ -151,7 +126,7 @@ class Engine {
   Engine(const Program& prog, const EdbInstance<P>& edb,
          EngineOptions options = {})
       : prog_(&prog), edb_(&edb), options_(options) {
-    const IndexConfig idx_cfg{options_.index_kind, options_.scan_kernel};
+    const IndexConfig idx_cfg{options_.index_kind};
     pops_cache_.set_config(idx_cfg);
     bool_cache_.set_config(idx_cfg);
     reliance_ = BuildRelianceGroups(prog);
@@ -189,21 +164,17 @@ class Engine {
   /// fixed order), but NOT pinned across index kinds by design.
   uint64_t hash_probes() const { return hash_probes_; }
   uint64_t direct_probes() const { return direct_probes_; }
-  /// Entry-list rows decoded through the batched join kernel. Zero under
-  /// ScanKernel::kScalar; equal to `work` under kSimd (every visited
-  /// entry goes through the vector path — chunk sizes at shard
-  /// boundaries differ across thread counts, but the counter sums rows,
-  /// so it is thread-invariant like hash_probes: task-private during the
-  /// execute phase, reduced in shard order).
+  /// Entry-list rows decoded through the batched join kernel — the only
+  /// join kernel, so this always equals the summed `work` of the runs
+  /// (chunk sizes at shard boundaries differ across thread counts, but
+  /// the counter sums rows, so it is thread-invariant like hash_probes:
+  /// task-private during the execute phase, reduced in shard order).
   uint64_t join_batched_rows() const { return join_batched_rows_; }
-  /// Head contributions emitted through the vectorized value plane —
-  /// counted per surviving (head key, ⊗ product) pair BEFORE any
-  /// ⊕-coalescing, so under (scan_kernel, value_kernel) == (kSimd,
-  /// kSimd) on an opted-in semiring it equals the number of head merges
-  /// the scalar reference would perform, and is 0 under either scalar
-  /// kernel or on a trait-less semiring. Thread-invariant for the same
-  /// reason as join_batched_rows (task-private, reduced in shard order).
-  uint64_t values_batched() const { return values_batched_; }
+  /// Always 0: the vectorized ⊗/⊕ value plane this counted was removed
+  /// (it did not win when measured), and every carrier now computes
+  /// values per row with P::Times / Relation::Merge. Kept only because
+  /// the benchmark runner still reads it.
+  uint64_t values_batched() const { return 0; }
   /// Rows appended to cached indexes by incremental refreshes instead of
   /// full rebuilds (relation.h IndexCache) — nonzero on every delta-driven
   /// run; each appended row replaces a whole-relation re-scan.
@@ -564,14 +535,11 @@ class Engine {
     ConstId constant = 0;
   };
 
-  /// What to do with one non-key position of a matched index entry:
-  /// bind a fresh variable from it, or check it against a variable bound
-  /// earlier within the same atom (repeated-variable pattern, e.g. E(X,X)).
-  struct EntryOp {
-    enum class Kind : uint8_t { kBind, kCheck };
-    Kind kind = Kind::kBind;
+  /// Binds a fresh rule variable from one non-key position of a matched
+  /// index entry.
+  struct BindOp {
     int pos = 0;  ///< argument position in the matched tuple
-    int var = 0;  ///< rule-variable slot to bind or compare
+    int var = 0;  ///< rule-variable slot to bind
   };
 
   /// One join generator — a POPS atom or a positive Boolean condition atom
@@ -585,21 +553,19 @@ class Engine {
     int atom_index = -1;       ///< into sp.atoms or sp.conditions
     std::vector<int> key_positions;   ///< arg positions bound beforehand
     std::vector<ValueSource> key_sources;  ///< parallel to key_positions
-    std::vector<EntryOp> entry_ops;   ///< non-key positions, in arg order
-    /// entry_ops split for the batched join kernel. A kCheck op can only
-    /// compare against a variable bound by an earlier kBind of the SAME
-    /// atom (anything bound before the atom becomes a key position), so
-    /// each check lowers to a same-row column-pair equality: the entry
-    /// survives iff its `pos` cell equals its `first_pos` cell. Checks
-    /// run first over the whole batch (vector compare + survivor
-    /// compress), then the binds run per survivor — rows failing a
-    /// check never touch the bind columns.
+    /// Repeated-variable pattern (e.g. E(X,X)). A repeat can only match a
+    /// variable bound earlier in the SAME atom (anything bound before the
+    /// atom becomes a key position), so it lowers to a same-row
+    /// column-pair equality: the entry survives iff its `pos` cell equals
+    /// its `first_pos` cell. Checks run first over the whole batch
+    /// (vector compare + survivor compress), then the binds run per
+    /// survivor — rows failing a check never touch the bind columns.
     struct CheckPair {
       int pos = 0;        ///< position carrying the repeated variable
-      int first_pos = 0;  ///< position whose kBind introduced it
+      int first_pos = 0;  ///< position whose BindOp introduced it
     };
     std::vector<CheckPair> check_pairs;
-    std::vector<EntryOp> bind_ops;  ///< the kBind subset, in arg order
+    std::vector<BindOp> bind_ops;  ///< first occurrences, in arg order
   };
 
   struct CompiledDisjunct {
@@ -609,26 +575,9 @@ class Engine {
     std::vector<Generator> generators;
     std::vector<const Condition*> residual;
     /// A residual compare decided false at compile time. The join still
-    /// runs with its exact work/probe trace (the residual keeps the
-    /// condition, so the scalar kernel fails it per row); the batched
-    /// kernel short-circuits the drain instead of paying per-row checks.
+    /// runs with its exact work/probe trace; the innermost drain is
+    /// skipped instead of failing the condition per row.
     bool always_false = false;
-    /// Residual Eq/Ne compares between a variable bound by the LAST
-    /// generator and a compile-time-ground side: the vectorized drain
-    /// runs these as batched column-vs-scalar masks (MaskEqScalarU32)
-    /// instead of per-row re-grounding. `pos` is the bound column of the
-    /// last generator's relation, `key` the ground side.
-    struct VecResidual {
-      int pos;
-      ConstId key;
-      bool negate;  ///< true for kNe
-    };
-    std::vector<VecResidual> vec_residuals;
-    /// Residual conditions the vectorized drain must still ground per
-    /// surviving row (bool-atom lookups, var-var compares, compares not
-    /// touching the last generator). residual = vec_residuals ∪ this
-    /// whenever the vectorized drain is reachable.
-    std::vector<const Condition*> batched_residual;
     std::vector<int> idb_atoms;  ///< indexes of IDB atoms in sp->atoms
     std::vector<int> occ_of_atom;  ///< atom index → IDB occurrence, or -1
     /// Like idb_atoms/occ_of_atom, restricted to atoms whose predicate is
@@ -670,31 +619,6 @@ class Engine {
     std::vector<uint32_t> batch_len;       ///< per-level batch fill
     std::vector<uint32_t> gather_a;        ///< check-gather buffer (lhs)
     std::vector<uint32_t> gather_b;        ///< check-gather buffer (rhs)
-    // Vectorized value-plane state (sized only for semirings satisfying
-    // VectorizedValuePlane; empty otherwise). val_prod holds one
-    // kJoinBatch-wide ⊗-product slice per level, mirroring `survivors`.
-    // The ValCell wrapper defeats the std::vector<bool> bit-packing
-    // specialization (same trick as Relation's value column); the
-    // *_data() views hand the trait kernels a raw carrier span.
-    struct ValCell {
-      typename P::Value v;
-    };
-    std::vector<ValCell> val_gather;       ///< gathered value batch
-    std::vector<ValCell> val_prod;         ///< levels × kJoinBatch ⊗ acc
-    std::vector<ConstId> head_batch;       ///< kJoinBatch × arity head keys
-    std::vector<std::size_t> head_hash;    ///< pre-computed head-key hashes
-    std::vector<ValCell> head_vals;        ///< per-emission ⊗ products
-    std::vector<const ConstId*> head_col;  ///< per-slot varying column or null
-    std::vector<ConstId> head_fixed;       ///< per-slot drain-invariant value
-    typename P::Value* val_gather_data() {
-      static_assert(sizeof(ValCell) == sizeof(typename P::Value) &&
-                        alignof(ValCell) == alignof(typename P::Value),
-                    "ValCell must be layout-compatible with Value");
-      return reinterpret_cast<typename P::Value*>(val_gather.data());
-    }
-    typename P::Value* val_prod_data() {
-      return reinterpret_cast<typename P::Value*>(val_prod.data());
-    }
   };
 
   /// Per-generator inputs of one disjunct evaluation, resolved during the
@@ -736,7 +660,6 @@ class Engine {
     uint64_t hash_probes = 0;    ///< task-private, reduced in shard order
     uint64_t direct_probes = 0;
     uint64_t join_batched = 0;   ///< rows through the batched join path
-    uint64_t values_batched = 0;  ///< head emissions through the value plane
     const CompiledDisjunct* sized_for = nullptr;  ///< scratch shape guard
   };
 
@@ -796,45 +719,31 @@ class Engine {
           // One pass over the argument positions: positions whose value is
           // known before this generator (constants and already-bound
           // variables) become index-key slots; the rest become bind/check
-          // ops executed per matched entry, in argument order, so a
-          // repeated variable is bound by its first occurrence before its
-          // later occurrences compare against it.
+          // ops executed per matched entry: a variable's first occurrence
+          // binds it, and each later occurrence in this atom pairs with
+          // that binding position as a check (see Generator::CheckPair).
           std::vector<bool> bound_before = bound;
           for (std::size_t p = 0; p < a.args.size(); ++p) {
             const Term& t = a.args[p];
+            const int pos = static_cast<int>(p);
             if (!t.IsVar()) {
-              g.key_positions.push_back(static_cast<int>(p));
+              g.key_positions.push_back(pos);
               g.key_sources.push_back(ValueSource{-1, t.constant});
             } else if (bound_before[t.var]) {
-              g.key_positions.push_back(static_cast<int>(p));
+              g.key_positions.push_back(pos);
               g.key_sources.push_back(ValueSource{t.var, 0});
             } else if (!bound[t.var]) {
-              g.entry_ops.push_back(
-                  EntryOp{EntryOp::Kind::kBind, static_cast<int>(p), t.var});
+              g.bind_ops.push_back(BindOp{pos, t.var});
               bound[t.var] = true;
             } else {
-              g.entry_ops.push_back(
-                  EntryOp{EntryOp::Kind::kCheck, static_cast<int>(p), t.var});
-            }
-          }
-          // Split for the batched kernel: every kCheck pairs with the
-          // kBind that introduced its variable earlier in this atom (see
-          // Generator::CheckPair — no other source is possible).
-          for (const EntryOp& op : g.entry_ops) {
-            if (op.kind == EntryOp::Kind::kBind) {
-              g.bind_ops.push_back(op);
-              continue;
-            }
-            int first_pos = -1;
-            for (const EntryOp& b : g.entry_ops) {
-              if (b.kind == EntryOp::Kind::kBind && b.var == op.var) {
-                first_pos = b.pos;
-                break;
+              int first_pos = -1;
+              for (const BindOp& b : g.bind_ops) {
+                if (b.var == t.var) first_pos = b.pos;
               }
+              DLO_CHECK_MSG(first_pos >= 0,
+                            "check without a same-atom binding occurrence");
+              g.check_pairs.push_back({pos, first_pos});
             }
-            DLO_CHECK_MSG(first_pos >= 0,
-                          "check without a same-atom binding occurrence");
-            g.check_pairs.push_back({op.pos, first_pos});
           }
           cd.generators.push_back(std::move(g));
         };
@@ -885,56 +794,6 @@ class Engine {
           }
           cd.residual.push_back(&c);
         }
-        // Classify residuals for the vectorized drain: an Eq/Ne compare
-        // between a variable the LAST generator binds and a side that is
-        // ground at compile time becomes a batched column-vs-scalar mask;
-        // everything else stays a per-row check. Only meaningful when the
-        // innermost generator is a POPS atom (the only drain that
-        // vectorizes) — a bool innermost generator keeps the full
-        // residual on the scalar EmitHead path.
-        if (!cd.generators.empty() && !cd.generators.back().is_bool) {
-          const Generator& last = cd.generators.back();
-          for (const Condition* c : cd.residual) {
-            typename CompiledDisjunct::VecResidual vr{-1, 0, false};
-            if (c->kind == Condition::Kind::kCompare &&
-                (c->op == CmpOp::kEq || c->op == CmpOp::kNe)) {
-              auto ground_side = [&](const Term& t, ConstId* out_key) {
-                if (!t.IsVar()) {
-                  *out_key = t.constant;
-                  return true;
-                }
-                if (pre[t.var] != kUnbound) {
-                  *out_key = pre[t.var];
-                  return true;
-                }
-                return false;
-              };
-              auto last_bound_pos = [&](const Term& t) {
-                if (!t.IsVar()) return -1;
-                for (const EntryOp& op : last.bind_ops) {
-                  if (op.var == t.var) return op.pos;
-                }
-                return -1;
-              };
-              ConstId key = 0;
-              int pos = last_bound_pos(c->lhs);
-              if (pos >= 0 && ground_side(c->rhs, &key)) {
-                vr = {pos, key, c->op == CmpOp::kNe};
-              } else {
-                pos = last_bound_pos(c->rhs);
-                if (pos >= 0 && ground_side(c->lhs, &key)) {
-                  vr = {pos, key, c->op == CmpOp::kNe};
-                }
-              }
-            }
-            if (vr.pos >= 0) {
-              cd.vec_residuals.push_back(vr);
-            } else {
-              cd.batched_residual.push_back(c);
-            }
-          }
-        }
-
         // O(1) atom-index → IDB-occurrence map for the semi-naive
         // differential rule (Eq. 64): the resolver must not re-scan
         // idb_atoms on every atom resolution of every iteration.
@@ -1785,7 +1644,6 @@ class Engine {
       st.hash_probes = 0;
       st.direct_probes = 0;
       st.join_batched = 0;
-      st.values_batched = 0;
     }
     pool_->ParallelFor(tasks.size(), [&](std::size_t t) {
       const TaskRef& tr = tasks[t];
@@ -1793,8 +1651,7 @@ class Engine {
       TaskState& st = par_states_[t];
       ExecuteShard(*un.cd, par_prepared_[static_cast<std::size_t>(tr.unit)],
                    st.scratch, tr.begin, tr.end, &st.partial, &st.work,
-                   &st.hash_probes, &st.direct_probes, &st.join_batched,
-                   &st.values_batched);
+                   &st.hash_probes, &st.direct_probes, &st.join_batched);
     });
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const EvalUnit& un = units[static_cast<std::size_t>(tasks[t].unit)];
@@ -1804,7 +1661,6 @@ class Engine {
       hash_probes_ += par_states_[t].hash_probes;
       direct_probes_ += par_states_[t].direct_probes;
       join_batched_rows_ += par_states_[t].join_batched;
-      values_batched_ += par_states_[t].values_batched;
     }
   }
 
@@ -1925,17 +1781,6 @@ class Engine {
     sc->batch_len.assign(cd.generators.size(), 0);
     sc->gather_a.assign(simd::kJoinBatch, 0);
     sc->gather_b.assign(simd::kJoinBatch, 0);
-    if constexpr (VectorizedValuePlane<P>) {
-      using ValCell = typename Scratch::ValCell;
-      sc->val_gather.assign(simd::kJoinBatch, ValCell{P::One()});
-      sc->val_prod.assign(cd.generators.size() * simd::kJoinBatch,
-                          ValCell{P::One()});
-      sc->head_batch.assign(simd::kJoinBatch * rule.head.args.size(), 0);
-      sc->head_hash.assign(simd::kJoinBatch, 0);
-      sc->head_vals.assign(simd::kJoinBatch, ValCell{P::One()});
-      sc->head_col.assign(rule.head.args.size(), nullptr);
-      sc->head_fixed.assign(rule.head.args.size(), 0);
-    }
   }
 
   /// Residual checks + zero filter + head construction for one complete
@@ -1965,7 +1810,7 @@ class Engine {
     PrepareGens(cd, resolver, &prep);
     ExecuteShard(cd, prep, scratch_[static_cast<std::size_t>(cd.scratch_id)],
                  0, static_cast<std::size_t>(-1), out, work, &hash_probes_,
-                 &direct_probes_, &join_batched_rows_, &values_batched_);
+                 &direct_probes_, &join_batched_rows_);
   }
 
   /// Prepare phase of one disjunct evaluation: resolves every generator's
@@ -2059,127 +1904,8 @@ class Engine {
   }
 
   /// Execute phase: joins driver entries [begin, end) of a prepared
-  /// disjunct into `out`, counting visited entries into `work`.
-  ///
-  /// Two kernels implement the same join, selected once per engine by
-  /// EngineOptions::scan_kernel: the row-at-a-time scalar reference and
-  /// the batch-at-a-time vector kernel (below). Both visit the same
-  /// entries in the same order and merge the same heads in the same
-  /// order, so fixpoints, `work` and every index counter are
-  /// bit-identical across kernels; `join_batched` counts the rows the
-  /// vector path decoded (zero for the scalar kernel).
-  ///
-  /// Const-path safety: reads only immutable prepared/compiled state and
-  /// the (unchanging) input relations; writes only `sc`, `out` and the
-  /// task counters, which belong exclusively to the calling task — so
-  /// shards execute concurrently without synchronization.
-  void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
-                    Scratch& sc, std::size_t begin, std::size_t end,
-                    Relation<P>* out, uint64_t* work, uint64_t* hash_probes,
-                    uint64_t* direct_probes, uint64_t* join_batched,
-                    uint64_t* values_batched) const {
-    if (options_.scan_kernel == ScanKernel::kSimd) {
-      ExecuteShardBatched(cd, prep, sc, begin, end, out, work, hash_probes,
-                          direct_probes, join_batched, values_batched);
-    } else {
-      ExecuteShardScalar(cd, prep, sc, begin, end, out, work, hash_probes,
-                         direct_probes);
-    }
-  }
-
-  /// The scalar join kernel — the definitional reference. Runs the
-  /// compiled flat join program with an explicit iterative loop over
-  /// generator levels: per level, the key buffer is filled from
-  /// precomputed sources, looked up in the prepared index, and each entry
-  /// runs its bind/check ops — no recursion, no per-entry allocation, no
-  /// Term re-inspection. Unbinding on backtrack is unnecessary: which
-  /// variables are bound at each level is static, so stale slots are
-  /// always overwritten before being read.
-  void ExecuteShardScalar(const CompiledDisjunct& cd, const PreparedGens& prep,
-                          Scratch& sc, std::size_t begin, std::size_t end,
-                          Relation<P>* out, uint64_t* work,
-                          uint64_t* hash_probes,
-                          uint64_t* direct_probes) const {
-    for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
-
-    const std::size_t levels = cd.generators.size();
-    if (levels == 0) {
-      EmitHead(cd, sc, P::One(), out);
-      return;
-    }
-    const RowIdList& driver = *prep.level0;
-    if (end > driver.size()) end = driver.size();
-    if (begin >= end) return;
-    sc.entries[0] = &driver;
-    sc.next[0] = begin;
-
-    // Fills level `lvl`'s key buffer from the current binding and points
-    // its cursor at the matching entry list (levels >= 1 only; level 0's
-    // list is the prepared driver).
-    auto enter_level = [&](std::size_t lvl) {
-      const Generator& gen = cd.generators[lvl];
-      Tuple& key = sc.keys[lvl];
-      for (std::size_t i = 0; i < gen.key_sources.size(); ++i) {
-        const ValueSource& s = gen.key_sources[i];
-        key[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
-      }
-      CountProbe(prep.repr[lvl], hash_probes, direct_probes);
-      if (gen.is_bool) {
-        sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
-      } else {
-        sc.entries[lvl] = &prep.pops_idx[lvl]->Lookup(key);
-      }
-      sc.next[lvl] = 0;
-    };
-
-    sc.acc[0] = P::One();
-    std::size_t g = 0;
-    for (;;) {
-      const Generator& gen = cd.generators[g];
-      const RowIdList& entries = *sc.entries[g];
-      const std::size_t limit = g == 0 ? end : entries.size();
-      if (sc.next[g] == limit) {
-        if (g == 0) break;
-        --g;
-        continue;
-      }
-      const uint32_t row = entries[sc.next[g]];
-      ++sc.next[g];
-      ++*work;
-      // Bind/check against the matched row's cells, read straight out of
-      // the relation's columns (no tuple is materialized).
-      auto run_entry_ops = [&](const auto& rel) {
-        for (const EntryOp& op : gen.entry_ops) {
-          ConstId got = rel.Cell(row, op.pos);
-          if (op.kind == EntryOp::Kind::kBind) {
-            sc.binding[op.var] = got;
-          } else if (sc.binding[op.var] != got) {
-            return false;
-          }
-        }
-        return true;
-      };
-      bool matched;
-      const typename P::Value* value = nullptr;
-      if (gen.is_bool) {
-        matched = run_entry_ops(*prep.bool_rel[g]);
-      } else {
-        const Relation<P>& rel = *prep.pops_rel[g];
-        matched = run_entry_ops(rel);
-        value = &rel.ValueAt(row);
-      }
-      if (!matched) continue;
-      sc.acc[g + 1] = value ? P::Times(sc.acc[g], *value) : sc.acc[g];
-      if (g + 1 == levels) {
-        EmitHead(cd, sc, sc.acc[levels], out);
-      } else {
-        ++g;
-        enter_level(g);
-      }
-    }
-  }
-
-  /// The batched join kernel. Per level, entry-list row ids are decoded
+  /// disjunct into `out`, counting visited entries into `work` — the
+  /// batched join kernel. Per level, entry-list row ids are decoded
   /// simd::kJoinBatch at a time: the level's check ops run first as
   /// vector compares over the gathered column pairs (Generator::
   /// CheckPair), the survivor mask is compressed into the level's
@@ -2189,22 +1915,22 @@ class Engine {
   /// parent's batch half-consumed, which is why every level owns its own
   /// survivor slice; the innermost level drains whole batches in one
   /// tight loop. Work accounting is per chunk (`work += chunk` on
-  /// refill) and covers every decoded row, matching the scalar kernel's
-  /// per-entry `++work` exactly; survivor order is entry-list order, so
-  /// head merges replay the scalar sequence bit-for-bit.
-  void ExecuteShardBatched(const CompiledDisjunct& cd,
-                           const PreparedGens& prep, Scratch& sc,
-                           std::size_t begin, std::size_t end,
-                           Relation<P>* out, uint64_t* work,
-                           uint64_t* hash_probes, uint64_t* direct_probes,
-                           uint64_t* join_batched,
-                           uint64_t* values_batched) const {
+  /// refill) and covers every decoded row, so `work` counts exactly the
+  /// entries the join visits; survivor order is entry-list order, so
+  /// head merges follow the row-at-a-time definition's sequence
+  /// bit-for-bit. ⊗ and ⊕ run per surviving row through P::Times and
+  /// Relation::Merge for every carrier. `join_batched` counts the
+  /// decoded rows (always equal to the work added).
+  ///
+  /// Const-path safety: reads only immutable prepared/compiled state and
+  /// the (unchanging) input relations; writes only `sc`, `out` and the
+  /// task counters, which belong exclusively to the calling task — so
+  /// shards execute concurrently without synchronization.
+  void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
+                    Scratch& sc, std::size_t begin, std::size_t end,
+                    Relation<P>* out, uint64_t* work, uint64_t* hash_probes,
+                    uint64_t* direct_probes, uint64_t* join_batched) const {
     for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
-    // The value plane vectorizes only when BOTH kernels are kSimd and
-    // the semiring opted in; otherwise ⊗/⊕ stay on the scalar reference
-    // inside this (row-decode-batched) kernel.
-    const bool value_simd = options_.value_kernel == ScanKernel::kSimd;
-
     const std::size_t levels = cd.generators.size();
     if (levels == 0) {
       EmitHead(cd, sc, P::One(), out);
@@ -2269,33 +1995,15 @@ class Engine {
             ca = prep.pops_rel[g]->column_data(cp.pos);
             cb = prep.pops_rel[g]->column_data(cp.first_pos);
           }
-          simd::GatherU32(ca, rows, chunk, ScanKernel::kSimd,
-                          sc.gather_a.data());
-          simd::GatherU32(cb, rows, chunk, ScanKernel::kSimd,
-                          sc.gather_b.data());
+          simd::GatherU32(ca, rows, chunk, sc.gather_a.data());
+          simd::GatherU32(cb, rows, chunk, sc.gather_b.data());
           mask &= simd::MaskEqU32(sc.gather_a.data(), sc.gather_b.data(),
-                                  chunk, ScanKernel::kSimd);
+                                  chunk);
           if (mask == 0) break;
         }
         uint32_t* surv = sc.survivors.data() + g * kB;
         filled = simd::CompressRowIds(rows, mask, surv);
         sc.batch[g] = surv;
-      }
-      if constexpr (VectorizedValuePlane<P>) {
-        // Mid-level ⊗ batching: acc[g] is invariant while this batch is
-        // consumed (the parent wrote it before descending), so the whole
-        // batch's products are one gather + one kernel call into the
-        // level's val_prod slice. The innermost level computes products
-        // in its own drain instead (it may bypass refill entirely).
-        if (value_simd && filled != 0 && g + 1 < levels &&
-            !cd.generators[g].is_bool) {
-          using Traits = SemiringSimdTraits<P>;
-          Traits::GatherVals(prep.pops_rel[g]->value_data(), sc.batch[g],
-                             filled, ScanKernel::kSimd, sc.val_gather_data());
-          Traits::TimesScalarVec(sc.acc[g], sc.val_gather_data(), filled,
-                                 ScanKernel::kSimd,
-                                 sc.val_prod_data() + g * kB);
-        }
       }
       sc.batch_len[g] = filled;
       sc.batch_pos[g] = 0;
@@ -2307,22 +2015,16 @@ class Engine {
     auto drain = [&](std::size_t g, const uint32_t* rows, std::size_t n) {
       // A compile-time-false residual can never emit: the callers have
       // already counted this batch's work/decode (and the descent above
-      // kept the probe trace), so the per-row residual re-grounding the
-      // scalar kernel pays is pure waste — skip the drain body entirely.
+      // kept the probe trace), so re-grounding the residual per row is
+      // pure waste — skip the drain body entirely.
       if (cd.always_false) return;
       const Generator& gen = cd.generators[g];
       const typename P::Value& acc_in = sc.acc[g];
-      if constexpr (VectorizedValuePlane<P>) {
-        if (value_simd && !gen.is_bool) {
-          DrainValueBatched(cd, prep, sc, g, rows, n, out, values_batched);
-          return;
-        }
-      }
       if (gen.is_bool) {
         const Relation<BoolS>& rel = *prep.bool_rel[g];
         for (std::size_t i = 0; i < n; ++i) {
           const uint32_t row = rows[i];
-          for (const EntryOp& op : gen.bind_ops) {
+          for (const BindOp& op : gen.bind_ops) {
             sc.binding[op.var] = rel.Cell(row, op.pos);
           }
           EmitHead(cd, sc, acc_in, out);
@@ -2342,7 +2044,7 @@ class Engine {
         const Relation<P>& rel = *prep.pops_rel[g];
         for (std::size_t i = 0; i < n; ++i) {
           const uint32_t row = rows[i];
-          for (const EntryOp& op : gen.bind_ops) {
+          for (const BindOp& op : gen.bind_ops) {
             sc.binding[op.var] = rel.Cell(row, op.pos);
           }
           EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out);
@@ -2383,164 +2085,23 @@ class Engine {
         --g;
         continue;
       }
-      const uint32_t bidx = sc.batch_pos[g];
-      const uint32_t row = sc.batch[g][bidx];
+      const uint32_t row = sc.batch[g][sc.batch_pos[g]];
       ++sc.batch_pos[g];
       if (gen.is_bool) {
         const Relation<BoolS>& rel = *prep.bool_rel[g];
-        for (const EntryOp& op : gen.bind_ops) {
+        for (const BindOp& op : gen.bind_ops) {
           sc.binding[op.var] = rel.Cell(row, op.pos);
         }
         sc.acc[g + 1] = sc.acc[g];
       } else {
         const Relation<P>& rel = *prep.pops_rel[g];
-        for (const EntryOp& op : gen.bind_ops) {
+        for (const BindOp& op : gen.bind_ops) {
           sc.binding[op.var] = rel.Cell(row, op.pos);
         }
-        bool batched_acc = false;
-        if constexpr (VectorizedValuePlane<P>) {
-          if (value_simd) {
-            // refill computed the whole batch's products already.
-            sc.acc[g + 1] = sc.val_prod[g * kB + bidx].v;
-            batched_acc = true;
-          }
-        }
-        if (!batched_acc) sc.acc[g + 1] = P::Times(sc.acc[g], rel.ValueAt(row));
+        sc.acc[g + 1] = P::Times(sc.acc[g], rel.ValueAt(row));
       }
       ++g;
       enter_level(g);
-    }
-  }
-
-  /// A borrowed head-key view over the batched head buffer. Shapes like a
-  /// Tuple (size() + operator[]) so Relation's probe/merge templates and
-  /// KeyHash accept it without materializing a key per emission.
-  struct HeadKeyRef {
-    const ConstId* p;
-    std::size_t n;
-    std::size_t size() const { return n; }
-    ConstId operator[](std::size_t i) const { return p[i]; }
-  };
-
-  /// The vectorized innermost drain (SemiringSimdTraits semirings under
-  /// value_kernel == kSimd only). Per survivor chunk of up to kJoinBatch
-  /// rows: gather the value column once, compute every ⊗ product in one
-  /// TimesScalarVec call, run ground residual Eq/Ne compares as batched
-  /// column-vs-scalar masks, then walk the surviving lanes in entry-list
-  /// order — remaining residuals, zero filter, head-key build and
-  /// pre-hash — and merge. When the trait declares ⊕ exactly associative
-  /// (kExactPlusFold), adjacent duplicate head keys fold into a single
-  /// pre-hashed upsert; the fold preserves stored values bit-for-bit
-  /// (exact associativity + exact ⊥-identity), first-occurrence append
-  /// order, and — on a naturally ordered semiring — tombstone behaviour
-  /// (x ≠ ⊥ ⇒ x ⊕ y ≠ ⊥), so fixpoints and every pinned counter match
-  /// the scalar emission sequence exactly.
-  void DrainValueBatched(const CompiledDisjunct& cd, const PreparedGens& prep,
-                         Scratch& sc, std::size_t g, const uint32_t* rows,
-                         std::size_t n, Relation<P>* out,
-                         uint64_t* values_batched) const {
-    using Traits = SemiringSimdTraits<P>;
-    using Value = typename P::Value;
-    constexpr uint32_t kB = simd::kJoinBatch;
-    const ScanKernel vk = ScanKernel::kSimd;
-    const Generator& gen = cd.generators[g];
-    const Relation<P>& rel = *prep.pops_rel[g];
-    const Value* vd = rel.value_data();
-    const Value& acc_in = sc.acc[g];
-    const std::size_t ar = cd.head_sources.size();
-    // Classify head slots once per drain: a slot fed by one of THIS
-    // generator's binds varies per row (read straight off the bound
-    // column); every other slot is constant for the whole call.
-    for (std::size_t j = 0; j < ar; ++j) {
-      const ValueSource& s = cd.head_sources[j];
-      const ConstId* colp = nullptr;
-      if (s.var >= 0) {
-        for (const EntryOp& op : gen.bind_ops) {
-          if (op.var == s.var) {
-            colp = rel.column_data(op.pos);
-            break;
-          }
-        }
-      }
-      sc.head_col[j] = colp;
-      sc.head_fixed[j] =
-          colp ? 0 : (s.var >= 0 ? sc.binding[s.var] : s.constant);
-    }
-    const bool per_row_residual = !cd.batched_residual.empty();
-    Value* prod = sc.val_prod_data() + g * kB;
-    for (std::size_t base = 0; base < n; base += kB) {
-      const uint32_t c =
-          static_cast<uint32_t>(std::min<std::size_t>(kB, n - base));
-      const uint32_t* chunk_rows = rows + base;
-      // All c ⊗ products of this chunk in one kernel call.
-      Traits::GatherVals(vd, chunk_rows, c, vk, sc.val_gather_data());
-      Traits::TimesScalarVec(acc_in, sc.val_gather_data(), c, vk, prod);
-      // Ground residual compares over this level's bound columns run as
-      // batched masks — a dead lane never reaches the per-row loop.
-      const uint32_t full = (1u << c) - 1;  // c <= kB < 32
-      uint32_t mask = full;
-      for (const typename CompiledDisjunct::VecResidual& vr :
-           cd.vec_residuals) {
-        simd::GatherU32(rel.column_data(vr.pos), chunk_rows, c, vk,
-                        sc.gather_a.data());
-        const uint32_t em =
-            simd::MaskEqScalarU32(sc.gather_a.data(), c, vr.key, vk);
-        mask &= vr.negate ? (~em & full) : em;
-        if (mask == 0) break;
-      }
-      // Surviving lanes in entry-list order: remaining residuals, zero
-      // filter, head build + pre-hash.
-      uint32_t emit = 0;
-      while (mask != 0) {
-        const uint32_t i = static_cast<uint32_t>(__builtin_ctz(mask));
-        mask &= mask - 1;
-        const uint32_t row = chunk_rows[i];
-        if (per_row_residual) {
-          for (const EntryOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          bool ok = true;
-          for (const Condition* cond : cd.batched_residual) {
-            if (!CheckCondition(*cond, sc.binding)) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) continue;
-        }
-        const Value& v = prod[i];
-        if (P::Eq(v, P::Zero())) continue;
-        ConstId* hk = sc.head_batch.data() + emit * ar;
-        for (std::size_t j = 0; j < ar; ++j) {
-          hk[j] = sc.head_col[j] != nullptr ? sc.head_col[j][row]
-                                            : sc.head_fixed[j];
-        }
-        sc.head_hash[emit] = Relation<P>::HashOf(HeadKeyRef{hk, ar});
-        sc.head_vals[emit].v = v;
-        ++emit;
-      }
-      *values_batched += emit;
-      // Upserts in emission order. Under kExactPlusFold, a run of equal
-      // adjacent head keys (hash prefilter, then exact compare) folds
-      // into one probe; otherwise one probe per emission (R+ sums would
-      // reassociate).
-      uint32_t i = 0;
-      while (i < emit) {
-        const ConstId* ki = sc.head_batch.data() + i * ar;
-        Value folded = sc.head_vals[i].v;
-        uint32_t run_end = i + 1;
-        if constexpr (Traits::kExactPlusFold) {
-          while (run_end < emit && sc.head_hash[run_end] == sc.head_hash[i] &&
-                 (ar == 0 ||
-                  std::memcmp(ki, sc.head_batch.data() + run_end * ar,
-                              ar * sizeof(ConstId)) == 0)) {
-            folded = P::Plus(folded, sc.head_vals[run_end].v);
-            ++run_end;
-          }
-        }
-        out->MergeHashed(HeadKeyRef{ki, ar}, sc.head_hash[i], folded);
-        i = run_end;
-      }
     }
   }
 
@@ -2567,8 +2128,7 @@ class Engine {
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups
   mutable uint64_t direct_probes_ = 0;  ///< direct-array index lookups
-  mutable uint64_t join_batched_rows_ = 0;
-  mutable uint64_t values_batched_ = 0;  ///< vector value-plane emissions  ///< rows through vector join
+  mutable uint64_t join_batched_rows_ = 0;  ///< rows through vector join
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
   mutable std::vector<EvalUnit> group_units_;  ///< group-round unit buffer
   mutable uint64_t group_iterations_ = 0;  ///< SemiNaive: local rounds run

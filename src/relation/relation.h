@@ -20,7 +20,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,7 +58,6 @@ enum class IndexKind : uint8_t { kHash = 0, kDirect = 1, kAuto = 2 };
 /// Knobs threaded from EngineOptions into every index build.
 struct IndexConfig {
   IndexKind kind = IndexKind::kAuto;
-  ScanKernel scan = DefaultScanKernel();
 };
 
 /// Non-owning view of one row's key columns in a columnar store. Usable
@@ -158,21 +156,6 @@ class Relation {
   /// surface of the batched join kernel (simd::GatherU32 decodes entry
   /// batches straight from it). Valid until the columns mutate.
   const ConstId* column_data(int pos) const { return cols_[pos].data(); }
-  /// Raw span of the value column, indexable by row id — the gather
-  /// surface of the batched VALUE kernel (semiring/simd_traits.h), the
-  /// value-plane twin of column_data(). Only instantiable for trivially
-  /// copyable carriers whose ValueCell wrapper is layout-compatible with
-  /// the bare Value (asserted below — the wrapper exists solely to defeat
-  /// vector<bool>, so a one-member standard-layout struct adds no
-  /// padding). Valid until the value column mutates.
-  const Value* value_data() const {
-    static_assert(std::is_trivially_copyable_v<Value>,
-                  "value_data() requires a raw-gatherable carrier");
-    static_assert(sizeof(ValueCell) == sizeof(Value) &&
-                      alignof(ValueCell) == alignof(Value),
-                  "ValueCell must be layout-compatible with Value");
-    return reinterpret_cast<const Value*>(values_.data());
-  }
   /// Raw live-flag bytes (parallel to the columns) — the SIMD-scan
   /// surface for live-row compaction during index builds.
   const uint8_t* live_data() const { return live_flags_.data(); }
@@ -231,23 +214,6 @@ class Relation {
   /// rebuild per touched relation instead of one per tuple.
   bool Erase(const Tuple& t) { return EraseKey(t); }
   bool Erase(const RowView& key) { return EraseKey(key); }
-
-  /// The key hash Merge/Get probe with, exposed so batched callers can
-  /// hash a whole head batch ahead of the probes. Any Key exposing
-  /// size() and operator[] over ConstIds works; the same value sequence
-  /// hashes identically regardless of form.
-  template <typename Key>
-  static std::size_t HashOf(const Key& key) {
-    return KeyHash(key);
-  }
-  /// Merge with the key's hash precomputed by HashOf(key) — the batched
-  /// head-emission upsert. Behaviour (including version accounting) is
-  /// identical to Merge(); only the hash computation moves out of the
-  /// probe. `hash` MUST equal HashOf(key).
-  template <typename Key>
-  void MergeHashed(const Key& key, std::size_t hash, const Value& v) {
-    MergeKeyHashed(key, hash, v);
-  }
 
   /// r ← r ⊕ other, consuming `other` (left empty but structurally valid):
   /// the reduce primitive for the engine's parallel per-task partials.
@@ -400,15 +366,7 @@ class Relation {
   /// where it would be inserted. Requires a non-empty table.
   template <typename Key>
   std::size_t Probe(const Key& key) const {
-    return ProbeHashed(key, KeyHash(key));
-  }
-
-  /// Probe with the hash already computed (hash == KeyHash(key)); the
-  /// hash is independent of table size, so callers may compute it before
-  /// ReserveOneRow() grows the table.
-  template <typename Key>
-  std::size_t ProbeHashed(const Key& key, std::size_t hash) const {
-    std::size_t s = hash & mask_;
+    std::size_t s = KeyHash(key) & mask_;
     for (;;) {
       uint32_t r = slots_[s];
       if (r == kNoRow || RowMatchesKey(r, key)) return s;
@@ -519,14 +477,9 @@ class Relation {
 
   template <typename Key>
   void MergeKey(const Key& key, const Value& v) {
-    MergeKeyHashed(key, KeyHash(key), v);
-  }
-
-  template <typename Key>
-  void MergeKeyHashed(const Key& key, std::size_t hash, const Value& v) {
     DLO_CHECK(static_cast<int>(key.size()) == arity_);
     ReserveOneRow();
-    std::size_t slot = ProbeHashed(key, hash);
+    std::size_t slot = Probe(key);
     uint32_t r = slots_[slot];
     if (r != kNoRow && live_flags_[r]) {
       Value nv = P::Plus(values_[r].v, v);
@@ -610,8 +563,7 @@ inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
 
 /// Direct-build strategy bound: tombstone-free columns whose span is at
 /// most this are built by one vectorized FilterEqRows pass per key
-/// instead of a scalar scatter. Kernel-independent on purpose, so both
-/// scan kernels build byte-identical structures by the same plan.
+/// instead of a scalar scatter.
 inline constexpr uint64_t kFilterBuildSpanCap = 8;
 
 /// An index over a relation keyed by a subset of argument positions;
@@ -726,7 +678,7 @@ class RelationIndex {
     const std::vector<ConstId>& col = rel_->column(positions_[0]);
     uint32_t lo = 0, hi = 0;
     if (rel_->tombstones() == 0) {
-      simd::MinMaxU32(col.data(), rel_->num_rows(), &lo, &hi, cfg_.scan);
+      simd::MinMaxU32(col.data(), rel_->num_rows(), &lo, &hi);
     } else {
       bool first = true;
       for (uint32_t r = 0; r < rel_->num_rows(); ++r) {
@@ -758,7 +710,7 @@ class RelationIndex {
       case IndexRepr::kAllRows:
         // The entry list IS the live-row compaction — one SIMD pass.
         if (from == 0) {
-          simd::CollectLiveRows(rel_->live_data(), to, cfg_.scan, &all_);
+          simd::CollectLiveRows(rel_->live_data(), to, &all_);
         } else {
           for (uint32_t r = from; r < to; ++r) all_.push_back(r);
         }
@@ -779,7 +731,7 @@ class RelationIndex {
           for (uint64_t k = 0; k < span_; ++k) {
             FilterScans(to);
             simd::FilterEqRows(col.data(), to,
-                               base_ + static_cast<uint32_t>(k), cfg_.scan,
+                               base_ + static_cast<uint32_t>(k),
                                &buckets_[static_cast<std::size_t>(k)]);
           }
         } else {
@@ -837,7 +789,7 @@ class RelationIndex {
 template <Pops P>
 class IndexCache {
  public:
-  /// Index-tier and scan-kernel knobs for every index built through this
+  /// Index-tier knobs for every index built through this
   /// cache. Set before the first Get (the engine does, at construction).
   void set_config(IndexConfig cfg) { config_ = cfg; }
   IndexConfig config() const { return config_; }

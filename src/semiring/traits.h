@@ -25,7 +25,6 @@
 
 #include <concepts>
 #include <string>
-#include <type_traits>
 
 namespace datalogo {
 
@@ -73,37 +72,6 @@ concept CompleteDistributiveDioid =
                              const typename P::Value& b) {
   { P::Minus(b, a) } -> std::convertible_to<typename P::Value>;
 };
-
-/// Opt-in SIMD value-plane support for a semiring. The primary template
-/// is the universal opt-out: kVectorized = false keeps lifted, product,
-/// provenance and every other structured-value semiring on the scalar
-/// ⊗/⊕ path with zero behavior change. POD-value semirings specialize
-/// this in semiring/simd_traits.h, exposing
-///   static constexpr bool kVectorized;    // true for specializations
-///   static constexpr bool kExactPlusFold; // ⊕ exactly associative?
-///   static constexpr const char* kFamily; // journal name, e.g. "trop-f64"
-///   static void GatherVals(col, rows, n, kernel, out);
-///   static void TimesScalarVec(acc, vals, n, kernel, out);
-///   static void PlusVec(a, b, n, kernel, out);
-/// where every kernel is bit-identical, element for element, to the
-/// definitional scalar loops over P::Times / P::Plus (the exactness
-/// contract the engine's cross-kernel determinism pins rest on).
-/// kExactPlusFold additionally licenses ⊕-FOLDING adjacent duplicate
-/// head keys before the hash probe: true only when ⊕ is exactly
-/// associative as an operation on bit patterns (min/max/or/saturating
-/// add), false for floating-point sums, which fold exactly elementwise
-/// but reassociate when chained.
-template <typename P>
-struct SemiringSimdTraits {
-  static constexpr bool kVectorized = false;
-};
-
-/// Semirings whose value plane the batched join kernel may vectorize:
-/// an opted-in POPS with a trivially copyable (raw-gatherable) carrier.
-template <typename P>
-concept VectorizedValuePlane =
-    Pops<P> && SemiringSimdTraits<P>::kVectorized &&
-    std::is_trivially_copyable_v<typename P::Value>;
 
 /// Convenience: n-fold product a^k (a^0 = 1).
 template <PreSemiring S>

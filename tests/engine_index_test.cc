@@ -1,7 +1,7 @@
 // Tiered-index determinism: the engine's fixpoints, `work`, and all four
 // index-cache counters must be bit-identical across every index tier
-// (--index=hash|direct|auto), scan kernel (--scan=scalar|simd) and
-// thread count — the tiers may only move probe *cost* (visible
+// (--index=hash|direct|auto) and thread count — the tiers may only move
+// probe *cost* (visible
 // through the separate hash_probes/direct_probes counters). Workloads
 // are the equivalence-suite goldens (Boolean / Tropical / PosBool
 // provenance), each run naive and semi-naive.
@@ -64,7 +64,6 @@ struct RunResult {
   uint64_t direct_probes = 0;
   uint64_t incremental_appends = 0;
   uint64_t join_batched_rows = 0;
-  uint64_t values_batched = 0;
 };
 
 template <Pops P>
@@ -78,37 +77,24 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   out.direct_probes = engine.direct_probes();
   out.incremental_appends = engine.idx_incremental_appends();
   out.join_batched_rows = engine.join_batched_rows();
-  out.values_batched = engine.values_batched();
-  // The join-kernel totality invariant: under the batched kernel every
-  // visited entry is decoded through the vector path; under the scalar
-  // kernel none is. The value plane additionally needs value_kernel =
-  // kSimd and an opted-in semiring.
-  if (opts.scan_kernel == ScanKernel::kSimd) {
-    EXPECT_EQ(out.join_batched_rows, out.eval.work);
-  } else {
-    EXPECT_EQ(out.join_batched_rows, 0u);
-  }
-  if (opts.scan_kernel != ScanKernel::kSimd ||
-      opts.value_kernel != ScanKernel::kSimd || !VectorizedValuePlane<P>) {
-    EXPECT_EQ(out.values_batched, 0u);
-  }
+  // The join-kernel totality invariant: every visited entry is decoded
+  // through the batched kernel.
+  EXPECT_EQ(out.join_batched_rows, out.eval.work);
   return out;
 }
 
-std::string ConfigName(IndexKind kind, ScanKernel scan, int threads) {
+std::string ConfigName(IndexKind kind, int threads) {
   std::string s = kind == IndexKind::kHash     ? "hash"
                   : kind == IndexKind::kDirect ? "direct"
                                                : "auto";
-  s += scan == ScanKernel::kScalar ? "/scalar" : "/simd";
   s += "/t" + std::to_string(threads);
   return s;
 }
 
-/// Runs the reference configuration (hash tier, scalar scans, one
-/// thread), then the full cross of
-/// {hash,direct,auto} × {scalar,simd} × threads {1,4},
-/// asserting each run's fixpoint and pinned counters match the
-/// reference exactly — for naive AND semi-naive.
+/// Runs the reference configuration (hash tier, one thread), then the
+/// full cross of {hash,direct,auto} × threads {1,4}, asserting each
+/// run's fixpoint and pinned counters match the reference exactly — for
+/// naive AND semi-naive.
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 void ExpectBitIdenticalAcrossConfigs(const Program& prog,
@@ -116,9 +102,7 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
                                      uint64_t golden_naive_work,
                                      uint64_t golden_semi_work) {
   const EngineOptions ref_opts{.num_threads = 1,
-                               .index_kind = IndexKind::kHash,
-                               .scan_kernel = ScanKernel::kScalar,
-                               .value_kernel = ScanKernel::kScalar};
+                               .index_kind = IndexKind::kHash};
   RunResult<P> ref_naive = RunOnce(prog, edb, /*semi=*/false, ref_opts);
   RunResult<P> ref_semi = RunOnce(prog, edb, /*semi=*/true, ref_opts);
   ASSERT_TRUE(ref_naive.eval.converged);
@@ -129,44 +113,23 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
   EXPECT_EQ(ref_naive.direct_probes, 0u);
   EXPECT_EQ(ref_semi.direct_probes, 0u);
 
-  // values_batched moves with the kernel pair, but within (simd, simd)
-  // it must be one constant across tiers and threads.
-  uint64_t vb_naive_golden = 0;
-  uint64_t vb_semi_golden = 0;
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
-    for (ScanKernel scan : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-      for (ScanKernel values : {ScanKernel::kScalar, ScanKernel::kSimd}) {
-        for (int threads : {1, 4}) {
-          SCOPED_TRACE(ConfigName(kind, scan, threads) +
-                       (values == ScanKernel::kSimd ? "/vsimd" : "/vscalar"));
-          const EngineOptions opts{.num_threads = threads,
-                                   .index_kind = kind,
-                                   .scan_kernel = scan,
-                                   .value_kernel = values};
-          RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-          RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-          ASSERT_TRUE(naive.eval.converged);
-          ASSERT_TRUE(semi.eval.converged);
-          EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-          EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-          EXPECT_EQ(naive.pinned, ref_naive.pinned);
-          EXPECT_EQ(semi.pinned, ref_semi.pinned);
-          if (kind == IndexKind::kHash) {
-            // Forced hash must never take the offset-addressed path.
-            EXPECT_EQ(naive.direct_probes, 0u);
-            EXPECT_EQ(semi.direct_probes, 0u);
-          }
-          if (scan == ScanKernel::kSimd && values == ScanKernel::kSimd &&
-              VectorizedValuePlane<P>) {
-            if (vb_naive_golden == 0) {
-              vb_naive_golden = naive.values_batched;
-              vb_semi_golden = semi.values_batched;
-            }
-            EXPECT_EQ(naive.values_batched, vb_naive_golden);
-            EXPECT_EQ(semi.values_batched, vb_semi_golden);
-          }
-        }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(ConfigName(kind, threads));
+      const EngineOptions opts{.num_threads = threads, .index_kind = kind};
+      RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
+      RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
+      ASSERT_TRUE(naive.eval.converged);
+      ASSERT_TRUE(semi.eval.converged);
+      EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
+      EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
+      EXPECT_EQ(naive.pinned, ref_naive.pinned);
+      EXPECT_EQ(semi.pinned, ref_semi.pinned);
+      if (kind == IndexKind::kHash) {
+        // Forced hash must never take the offset-addressed path.
+        EXPECT_EQ(naive.direct_probes, 0u);
+        EXPECT_EQ(semi.direct_probes, 0u);
       }
     }
   }
@@ -240,7 +203,7 @@ TEST(EngineIndexTiers, RepeatedVariableChecksChordalCycle12) {
   // one join-program construct where the batched kernel's vector
   // compare/compress path does real filtering work, so this golden pins
   // `work` (which counts check-failing entries too) across the full
-  // config cross. The chordal-cycle EDB gets explicit self-loops so the
+  // tier × thread cross. The chordal-cycle EDB gets explicit self-loops so the
   // checks both pass and fail.
   constexpr const char* kSelfLoopTc = R"(
     edb E/2.
@@ -269,10 +232,8 @@ TEST(EngineIndexTiers, DirectTierReplacesHashProbesOnDenseKeys) {
   LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                    &edb.pops(prog.FindPredicate("E")));
 
-  const EngineOptions hash_opts{.index_kind = IndexKind::kHash,
-                                .scan_kernel = ScanKernel::kScalar};
-  const EngineOptions auto_opts{.index_kind = IndexKind::kAuto,
-                                .scan_kernel = ScanKernel::kScalar};
+  const EngineOptions hash_opts{.index_kind = IndexKind::kHash};
+  const EngineOptions auto_opts{.index_kind = IndexKind::kAuto};
   RunResult<TropS> hashed = RunOnce(prog, edb, /*semi=*/true, hash_opts);
   RunResult<TropS> tiered = RunOnce(prog, edb, /*semi=*/true, auto_opts);
 
@@ -300,8 +261,7 @@ TEST(EngineIndexTiers, SemiNaiveRefreshesDeltaIndexesIncrementally) {
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
     SCOPED_TRACE(static_cast<int>(kind));
-    const EngineOptions opts{.index_kind = kind,
-                             .scan_kernel = ScanKernel::kScalar};
+    const EngineOptions opts{.index_kind = kind};
     RunResult<TropS> semi = RunOnce(prog, edb, /*semi=*/true, opts);
     EXPECT_GT(semi.incremental_appends, 0u);
     RunResult<TropS> naive = RunOnce(prog, edb, /*semi=*/false, opts);

@@ -297,9 +297,7 @@ TEST(EngineScheduler, EdbColumnsAreScannedOncePerSpecAcrossGroups) {
     for (bool semi : {false, true}) {
       SCOPED_TRACE(std::string(kind == IndexKind::kHash ? "hash" : "auto") +
                    (semi ? "/semi" : "/naive"));
-      Engine<TropS> engine(prog, edb,
-                           EngineOptions{.index_kind = kind,
-                                         .scan_kernel = ScanKernel::kScalar});
+      Engine<TropS> engine(prog, edb, EngineOptions{.index_kind = kind});
       EvalResult<TropS> r =
           semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
       ASSERT_TRUE(r.converged);

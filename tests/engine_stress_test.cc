@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -240,9 +242,8 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
   // from a range-restricted template grammar) over randomized EDBs: the
   // parallel engine must reproduce the sequential fixpoint, work counter
   // and iteration count exactly, across thread counts, shard sizes —
-  // including shard_rows = 1, one task per driver entry — and join
-  // kernels (the sequential reference is pinned to the scalar kernel;
-  // the parallel engine samples scalar or batched-SIMD per case).
+  // including shard_rows = 1, one task per driver entry — and count
+  // every visited entry through the batched join kernel.
   const int cases = CiIterations(12, 4);
   const int env_threads = StressThreads();
   std::mt19937_64 rng(0xD47A1060u);
@@ -276,23 +277,18 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
 
-    Engine<TropS> seq(prog.value(), edb,
-                      EngineOptions{.scan_kernel = ScanKernel::kScalar});
+    Engine<TropS> seq(prog.value(), edb);
     auto base_naive = seq.Naive(100000);
     auto base_semi = seq.SemiNaive(100000);
     ASSERT_TRUE(base_naive.converged && base_semi.converged);
 
     const int threads = c % 2 == 0 ? env_threads : 2 + static_cast<int>(rng() % 2);
     const int shard_rows = std::array{1, 8, 512}[rng() % 3];
-    const ScanKernel scan =
-        rng() % 2 == 0 ? ScanKernel::kSimd : ScanKernel::kScalar;
     SCOPED_TRACE(::testing::Message()
-                 << "threads=" << threads << " shard_rows=" << shard_rows
-                 << " scan=" << (scan == ScanKernel::kSimd ? "simd" : "scalar"));
+                 << "threads=" << threads << " shard_rows=" << shard_rows);
     Engine<TropS> par(prog.value(), edb,
                       EngineOptions{.num_threads = threads,
-                                    .shard_rows = shard_rows,
-                                    .scan_kernel = scan});
+                                    .shard_rows = shard_rows});
     auto par_naive = par.Naive(100000);
     auto par_semi = par.SemiNaive(100000);
     ASSERT_TRUE(par_naive.converged && par_semi.converged);
@@ -302,22 +298,55 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
     EXPECT_EQ(par_semi.work, base_semi.work);
     EXPECT_EQ(par_naive.steps, base_naive.steps);
     EXPECT_EQ(par_semi.steps, base_semi.steps);
-    // Every visited entry goes through the batched path, or none does.
-    if (scan == ScanKernel::kSimd) {
-      EXPECT_EQ(par.join_batched_rows(), par_naive.work + par_semi.work);
-    } else {
-      EXPECT_EQ(par.join_batched_rows(), 0u);
-    }
+    // Every visited entry goes through the batched path.
+    EXPECT_EQ(par.join_batched_rows(), par_naive.work + par_semi.work);
   }
 }
 
-TEST(EngineStress, BatchedJoinKernelMatchesScalarOnRandomPrograms) {
-  // The dedicated scan-kernel sweep: random programs biased toward
+/// One case of the batched-join sweep over carrier P: Naive and
+/// SemiNaive at 1 and 4 threads must equal the grounded least fixpoint,
+/// agree with each other on `work` and `steps` across thread counts, and
+/// count every visited entry into join_batched_rows.
+template <NaturallyOrderedSemiring P, typename Lift>
+  requires CompleteDistributiveDioid<P>
+void ExpectBatchedJoinMatchesGrounded(const Program& prog, const Graph& g,
+                                      Domain* dom, Lift&& lift) {
+  SCOPED_TRACE(P::kName);
+  std::vector<ConstId> ids = InternVertices(g.num_vertices(), dom);
+  EdbInstance<P> edb(prog);
+  LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
+  std::optional<IdbInstance<P>> grounded = GroundedFixpoint<P>(prog, edb);
+  ASSERT_TRUE(grounded.has_value());
+  EvalResult<P> ref_naive{IdbInstance<P>(prog)};
+  EvalResult<P> ref_semi{IdbInstance<P>(prog)};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Engine<P> engine(prog, edb, EngineOptions{.num_threads = threads});
+    auto naive = engine.Naive(100000);
+    auto semi = engine.SemiNaive(100000);
+    ASSERT_TRUE(naive.converged && semi.converged);
+    EXPECT_TRUE(naive.idb.Equals(*grounded));
+    EXPECT_TRUE(semi.idb.Equals(*grounded));
+    EXPECT_EQ(engine.join_batched_rows(), naive.work + semi.work);
+    if (threads == 1) {
+      ref_naive = std::move(naive);
+      ref_semi = std::move(semi);
+      continue;
+    }
+    EXPECT_EQ(naive.work, ref_naive.work);
+    EXPECT_EQ(semi.work, ref_semi.work);
+    EXPECT_EQ(naive.steps, ref_naive.steps);
+    EXPECT_EQ(semi.steps, ref_semi.steps);
+  }
+}
+
+TEST(EngineStress, BatchedJoinKernelMatchesGroundedOnRandomPrograms) {
+  // The dedicated join-kernel sweep: random programs biased toward
   // repeated-variable atoms (T(X,X), E(X,X) — the patterns that compile
   // to check ops and exercise the gather/compare/compress path) plus
-  // residual conditions, run under both kernels at 1 and 4 threads. The
-  // batched kernel must reproduce the scalar fixpoint, work and steps
-  // exactly, and count every visited entry into join_batched_rows.
+  // residual conditions, over Trop (integer weights, so ⊗ is exact) and
+  // B. The batched kernel is checked against the grounded semantics,
+  // which shares no join code with the engine.
   const int cases = CiIterations(10, 4);
   std::mt19937_64 rng(0xBA7C4ED0u);
   for (int c = 0; c < cases; ++c) {
@@ -342,34 +371,11 @@ TEST(EngineStress, BatchedJoinKernelMatchesScalarOnRandomPrograms) {
     // Guarantee some self-loops so the checks have surviving rows, not
     // just failing ones.
     for (int v = 0; v < n; v += 3) g.AddEdge(v, v, 1.0);
-    std::vector<ConstId> ids = InternVertices(n, &dom);
-    EdbInstance<TropS> edb(prog.value());
-    LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                     &edb.pops(prog.value().FindPredicate("E")));
-
-    Engine<TropS> scalar(prog.value(), edb,
-                         EngineOptions{.scan_kernel = ScanKernel::kScalar});
-    auto ref_naive = scalar.Naive(100000);
-    auto ref_semi = scalar.SemiNaive(100000);
-    ASSERT_TRUE(ref_naive.converged && ref_semi.converged);
-    EXPECT_EQ(scalar.join_batched_rows(), 0u);
-
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-      Engine<TropS> batched(prog.value(), edb,
-                            EngineOptions{.num_threads = threads,
-                                          .scan_kernel = ScanKernel::kSimd});
-      auto got_naive = batched.Naive(100000);
-      auto got_semi = batched.SemiNaive(100000);
-      ASSERT_TRUE(got_naive.converged && got_semi.converged);
-      EXPECT_TRUE(got_naive.idb.Equals(ref_naive.idb));
-      EXPECT_TRUE(got_semi.idb.Equals(ref_semi.idb));
-      EXPECT_EQ(got_naive.work, ref_naive.work);
-      EXPECT_EQ(got_semi.work, ref_semi.work);
-      EXPECT_EQ(got_naive.steps, ref_naive.steps);
-      EXPECT_EQ(got_semi.steps, ref_semi.steps);
-      EXPECT_EQ(batched.join_batched_rows(), got_naive.work + got_semi.work);
-    }
+    ExpectBatchedJoinMatchesGrounded<TropS>(
+        prog.value(), g, &dom,
+        [](const Edge& e) { return std::round(e.weight); });
+    ExpectBatchedJoinMatchesGrounded<BoolS>(
+        prog.value(), g, &dom, [](const Edge&) { return true; });
   }
 }
 

@@ -209,35 +209,6 @@ TEST(ColumnarRelation, RandomizedOpsMatchReferenceMap) {
   EXPECT_TRUE(mirror.Equals(rel));
 }
 
-TEST(ColumnarRelation, ValueDataMirrorsValueAt) {
-  // value_data() is the raw span the vectorized value plane gathers
-  // from: it must see exactly the ValueAt() column, in row order, at
-  // Value granularity (the ValueCell wrapper is layout-compatible), and
-  // tombstoned rows keep their slot (row ids stay stable).
-  Relation<TropS> r(2);
-  r.Set({1, 2}, 5.0);
-  r.Set({3, 4}, 7.0);
-  r.Set({5, 6}, 9.0);
-  r.Set({3, 4}, TropS::Inf());  // tombstone in the middle
-  const double* vd = r.value_data();
-  ASSERT_EQ(r.num_rows(), 3u);
-  for (uint32_t row = 0; row < r.num_rows(); ++row) {
-    EXPECT_EQ(vd[row], r.ValueAt(row)) << "row " << row;
-  }
-  // Mutation through Merge must be visible through the same span (the
-  // pointer may move on growth; re-fetch like the engine does per drain).
-  r.Merge({5, 6}, 4.0);
-  EXPECT_EQ(r.value_data()[2], 4.0);
-
-  // A non-double carrier: u64 hop counts.
-  Relation<TropNatS> h(1);
-  h.Set({1}, uint64_t{3});
-  h.Set({2}, uint64_t{7});
-  const uint64_t* hd = h.value_data();
-  EXPECT_EQ(hd[0], 3u);
-  EXPECT_EQ(hd[1], 7u);
-}
-
 TEST(ColumnarRelation, CopyAndMoveSemantics) {
   Relation<TropS> a(2);
   a.Set({1, 2}, 3.0);

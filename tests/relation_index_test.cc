@@ -1,8 +1,7 @@
 // Tiered RelationIndex (relation.h): the direct (offset-addressed) and
 // all-rows tiers must serve exactly the entry lists of the hash tier —
 // same row ids, same order — over randomized id distributions, forced
-// and auto selection, both scan kernels, tombstoned rows and
-// post-Compact rebuilds. Plus the IndexCache refresh ladder: cache hits
+// and auto selection, tombstoned rows and post-Compact rebuilds. Plus the IndexCache refresh ladder: cache hits
 // scan nothing, soft mutations refresh incrementally (counted into
 // incremental_appends with builds/hits unchanged relative to the
 // rebuild-everything behaviour), hard mutations rebuild and re-pick the
@@ -21,7 +20,6 @@ namespace {
 
 constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kDirect,
                                    IndexKind::kAuto};
-constexpr ScanKernel kAllScans[] = {ScanKernel::kScalar, ScanKernel::kSimd};
 
 /// Probes: every id in [0, max_id], a band beyond it, and extremes —
 /// covers present keys, absent in-range keys, and the direct tier's
@@ -34,22 +32,18 @@ std::vector<Tuple> SingleColumnProbes(uint32_t max_id) {
   return probes;
 }
 
-/// Every built index kind × scan kernel must agree with the scalar hash
-/// reference on every probe, list order included.
+/// Every index kind must agree with the hash reference on every probe,
+/// list order included.
 void ExpectTiersEquivalent(const Relation<TropS>& rel,
                            const std::vector<int>& positions,
                            const std::vector<Tuple>& probes) {
-  RelationIndex<TropS> ref(rel, positions,
-                           {IndexKind::kHash, ScanKernel::kScalar});
+  RelationIndex<TropS> ref(rel, positions, {IndexKind::kHash});
   for (IndexKind kind : kAllKinds) {
-    for (ScanKernel scan : kAllScans) {
-      RelationIndex<TropS> idx(rel, positions, {kind, scan});
-      for (const Tuple& key : probes) {
-        EXPECT_EQ(ref.Lookup(key), idx.Lookup(key))
-            << "kind=" << static_cast<int>(kind)
-            << " scan=" << static_cast<int>(scan) << " key0="
-            << (key.size() ? key[0] : 0);
-      }
+    RelationIndex<TropS> idx(rel, positions, {kind});
+    for (const Tuple& key : probes) {
+      EXPECT_EQ(ref.Lookup(key), idx.Lookup(key))
+          << "kind=" << static_cast<int>(kind)
+          << " key0=" << (key.size() ? key[0] : 0);
     }
   }
 }
@@ -58,10 +52,10 @@ TEST(RelationIndex, DenseIdsSelectDirectAndAgreeWithHash) {
   std::mt19937 rng(11);
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 200; ++i) {
-    r.Set({i % 64, rng() % 64}, static_cast<double>(rng() % 100));
+    r.Set({i % 64, static_cast<uint32_t>(rng() % 64)},
+          static_cast<double>(rng() % 100));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
-                                         ScanKernel::kSimd});
+  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto});
   EXPECT_EQ(auto_idx.repr(), IndexRepr::kDirectArray);
   EXPECT_FALSE(auto_idx.is_hash());
   ExpectTiersEquivalent(r, {0}, SingleColumnProbes(63));
@@ -75,16 +69,14 @@ TEST(RelationIndex, SparseIdsSelectHashAndAgreeWithForcedDirect) {
   for (int i = 0; i < 40; ++i) {
     uint32_t k = rng() % (1u << 19);  // sparse but under kDirectSpanCap
     keys.push_back(k);
-    r.Set({k, rng() % 8}, static_cast<double>(i));
+    r.Set({k, static_cast<uint32_t>(rng() % 8)}, static_cast<double>(i));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto,
-                                         ScanKernel::kSimd});
+  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto});
   EXPECT_EQ(auto_idx.repr(), IndexRepr::kHashMap);
   // Forced direct on a sparse-but-in-cap column: wasteful, still exact.
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect,
-                                       ScanKernel::kSimd});
+  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect});
   EXPECT_EQ(forced.repr(), IndexRepr::kDirectArray);
-  RelationIndex<TropS> ref(r, {0}, {IndexKind::kHash, ScanKernel::kScalar});
+  RelationIndex<TropS> ref(r, {0}, {IndexKind::kHash});
   for (uint32_t k : keys) {
     EXPECT_EQ(ref.Lookup({k}), forced.Lookup({k}));
     EXPECT_EQ(ref.Lookup({k}), auto_idx.Lookup({k}));
@@ -96,8 +88,7 @@ TEST(RelationIndex, SpanBeyondCapFallsBackToHashEvenWhenForced) {
   Relation<TropS> r(1);
   r.Set({0}, 1.0);
   r.Set({(1u << 20) + 5}, 2.0);  // span exceeds kDirectSpanCap
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect,
-                                       ScanKernel::kSimd});
+  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect});
   EXPECT_EQ(forced.repr(), IndexRepr::kHashMap);
   EXPECT_EQ(forced.Lookup({0}).size(), 1u);
   EXPECT_EQ(forced.Lookup({(1u << 20) + 5}).size(), 1u);
@@ -112,7 +103,7 @@ TEST(RelationIndex, AutoThresholdStraddle) {
     Relation<TropS> r(2);
     for (uint32_t i = 0; i < 50; ++i) r.Set({i, i}, 1.0);
     r.Set({outlier, 7}, 2.0);
-    RelationIndex<TropS> idx(r, {0}, {IndexKind::kAuto, ScanKernel::kSimd});
+    RelationIndex<TropS> idx(r, {0}, {IndexKind::kAuto});
     EXPECT_EQ(idx.repr(), outlier == 459u ? IndexRepr::kDirectArray
                                           : IndexRepr::kHashMap)
         << "outlier=" << outlier;
@@ -160,11 +151,14 @@ TEST(RelationIndex, RandomizedMutationEquivalence) {
       }
     }
     std::vector<Tuple> probes;
-    for (int i = 0; i < 64; ++i) probes.push_back({rng() % (id_range + 8)});
+    for (int i = 0; i < 64; ++i) {
+      probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8))});
+    }
     ExpectTiersEquivalent(r, {0}, probes);
     std::vector<Tuple> pair_probes;
     for (int i = 0; i < 64; ++i) {
-      pair_probes.push_back({rng() % (id_range + 8), rng() % 18});
+      pair_probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8)),
+                             static_cast<uint32_t>(rng() % 18)});
     }
     ExpectTiersEquivalent(r, {0, 1}, pair_probes);  // multi-col: hash tier
   }
@@ -173,11 +167,9 @@ TEST(RelationIndex, RandomizedMutationEquivalence) {
 TEST(RelationIndex, EmptyRelationEveryTier) {
   Relation<TropS> r(2);
   for (IndexKind kind : kAllKinds) {
-    for (ScanKernel scan : kAllScans) {
-      RelationIndex<TropS> idx(r, {0}, {kind, scan});
-      EXPECT_EQ(idx.Lookup({0}).size(), 0u);
-      EXPECT_EQ(idx.Lookup({12345}).size(), 0u);
-    }
+    RelationIndex<TropS> idx(r, {0}, {kind});
+    EXPECT_EQ(idx.Lookup({0}).size(), 0u);
+    EXPECT_EQ(idx.Lookup({12345}).size(), 0u);
   }
 }
 
@@ -200,7 +192,7 @@ TEST(IndexCache, AppendOnlyMutationRefreshesIncrementally) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
   IndexCache<TropS> cache;
-  cache.set_config({IndexKind::kHash, ScanKernel::kScalar});
+  cache.set_config({IndexKind::kHash});
   const RelationIndex<TropS>* idx = &cache.Get(r, {0});
   for (uint32_t i = 10; i < 15; ++i) r.Set({i, i}, 1.0);  // soft appends
   const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
@@ -286,7 +278,7 @@ TEST(IndexCache, BuildAndHitCountersIdenticalAcrossKinds) {
   auto run = [](IndexKind kind) {
     Relation<TropS> r(2);
     IndexCache<TropS> cache;
-    cache.set_config({kind, ScanKernel::kSimd});
+    cache.set_config({kind});
     for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
     cache.Get(r, {0});
     cache.Get(r, {0});

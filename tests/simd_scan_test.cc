@@ -29,13 +29,8 @@ TEST(SimdScan, CollectLiveRowsMatchesScalarOverAllTailLengths) {
       for (auto& f : live) f = alive(rng) ? (rng() % 2 ? 1 : 2) : 0;
       std::vector<uint32_t> ref, got;
       simd::CollectLiveRowsScalar(live.data(), n, &ref);
-      simd::CollectLiveRows(live.data(), n, ScanKernel::kSimd, &got);
+      simd::CollectLiveRows(live.data(), n, &got);
       EXPECT_EQ(ref, got) << "n=" << n << " density=" << density;
-      // The runtime switch must really route to the reference loop.
-      std::vector<uint32_t> via_switch;
-      simd::CollectLiveRows(live.data(), n, ScanKernel::kScalar,
-                            &via_switch);
-      EXPECT_EQ(ref, via_switch);
     }
   }
 }
@@ -67,7 +62,7 @@ TEST(SimdScan, FilterEqRowsMatchesScalarOverAllTailLengths) {
       }
       std::vector<uint32_t> ref, got;
       simd::FilterEqRowsScalar(col.data(), n, key, &ref);
-      simd::FilterEqRows(col.data(), n, key, ScanKernel::kSimd, &got);
+      simd::FilterEqRows(col.data(), n, key, &got);
       EXPECT_EQ(ref, got) << "n=" << n << " variant=" << variant;
     }
   }
@@ -87,7 +82,7 @@ TEST(SimdScan, MinMaxU32MatchesScalarOverAllTailLengths) {
       }
       uint32_t ref_lo = 0, ref_hi = 0, lo = 0, hi = 0;
       simd::MinMaxU32Scalar(col.data(), n, &ref_lo, &ref_hi);
-      simd::MinMaxU32(col.data(), n, &lo, &hi, ScanKernel::kSimd);
+      simd::MinMaxU32(col.data(), n, &lo, &hi);
       EXPECT_EQ(ref_lo, lo) << "n=" << n << " variant=" << variant;
       EXPECT_EQ(ref_hi, hi) << "n=" << n << " variant=" << variant;
     }
@@ -103,14 +98,10 @@ TEST(SimdScan, GatherU32MatchesScalarOverAllTailLengths) {
     // ascending, but the kernel must not rely on it).
     std::vector<uint32_t> rows(n);
     for (auto& r : rows) r = rng() % col.size();
-    std::vector<uint32_t> ref(n, 0), got(n, 0), via_switch(n, 0);
+    std::vector<uint32_t> ref(n, 0), got(n, 0);
     simd::GatherU32Scalar(col.data(), rows.data(), n, ref.data());
-    simd::GatherU32(col.data(), rows.data(), n, ScanKernel::kSimd,
-                    got.data());
+    simd::GatherU32(col.data(), rows.data(), n, got.data());
     EXPECT_EQ(ref, got) << "n=" << n;
-    simd::GatherU32(col.data(), rows.data(), n, ScanKernel::kScalar,
-                    via_switch.data());
-    EXPECT_EQ(ref, via_switch);
   }
 }
 
@@ -135,43 +126,10 @@ TEST(SimdScan, MaskEqU32MatchesScalarOverAllTailLengths) {
         }
       }
       const uint32_t ref = simd::MaskEqU32Scalar(a.data(), b.data(), n);
-      EXPECT_EQ(ref, simd::MaskEqU32(a.data(), b.data(), n,
-                                     ScanKernel::kSimd))
+      EXPECT_EQ(ref, simd::MaskEqU32(a.data(), b.data(), n))
           << "n=" << n << " variant=" << variant;
-      EXPECT_EQ(ref, simd::MaskEqU32(a.data(), b.data(), n,
-                                     ScanKernel::kScalar));
       // Bits at or above n must be clear — CompressRowIds relies on it.
       if (n < 32) EXPECT_EQ(ref >> n, 0u);
-    }
-  }
-}
-
-TEST(SimdScan, MaskEqScalarU32MatchesScalarOverAllTailLengths) {
-  std::mt19937 rng(0x5CA1A4);
-  for (uint32_t n = 0; n <= 2 * simd::kLanes32 + 3; ++n) {
-    for (int variant = 0; variant < 3; ++variant) {
-      std::vector<uint32_t> vals(n);
-      uint32_t key = 0;
-      switch (variant) {
-        case 0:
-          for (auto& v : vals) v = rng() % 4;
-          key = 2;
-          break;
-        case 1:  // key absent
-          for (auto& v : vals) v = rng() % 100;
-          key = 1000;
-          break;
-        case 2:  // extreme values
-          for (auto& v : vals) v = rng() % 2 ? 0u : 0xFFFFFFFFu;
-          key = 0xFFFFFFFFu;
-          break;
-      }
-      const uint32_t ref = simd::MaskEqScalarU32Scalar(vals.data(), n, key);
-      EXPECT_EQ(ref, simd::MaskEqScalarU32(vals.data(), n, key,
-                                           ScanKernel::kSimd))
-          << "n=" << n << " variant=" << variant;
-      EXPECT_EQ(ref, simd::MaskEqScalarU32(vals.data(), n, key,
-                                           ScanKernel::kScalar));
     }
   }
 }
@@ -217,12 +175,9 @@ TEST(SimdScan, GatherCompareCompressPipelineMatchesScalarFilter) {
     std::vector<uint32_t> surv(simd::kJoinBatch);
     for (uint32_t i = 0; i < n; i += simd::kJoinBatch) {
       const uint32_t chunk = std::min(simd::kJoinBatch, n - i);
-      simd::GatherU32(col_a.data(), rows.data() + i, chunk,
-                      ScanKernel::kSimd, ga.data());
-      simd::GatherU32(col_b.data(), rows.data() + i, chunk,
-                      ScanKernel::kSimd, gb.data());
-      const uint32_t mask =
-          simd::MaskEqU32(ga.data(), gb.data(), chunk, ScanKernel::kSimd);
+      simd::GatherU32(col_a.data(), rows.data() + i, chunk, ga.data());
+      simd::GatherU32(col_b.data(), rows.data() + i, chunk, gb.data());
+      const uint32_t mask = simd::MaskEqU32(ga.data(), gb.data(), chunk);
       const uint32_t count =
           simd::CompressRowIds(rows.data() + i, mask, surv.data());
       got.insert(got.end(), surv.begin(), surv.begin() + count);
@@ -238,7 +193,7 @@ TEST(SimdScan, RowIdsAreAscending) {
                                1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1};
   std::vector<uint32_t> rows;
   simd::CollectLiveRows(live.data(), static_cast<uint32_t>(live.size()),
-                        ScanKernel::kSimd, &rows);
+                        &rows);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1], rows[i]);
   }
