@@ -24,8 +24,6 @@
 // '#' comments and blank lines are skipped.
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,12 +53,15 @@ struct CliOptions {
 };
 
 bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  out->clear();
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  const bool ok = !std::ferror(f);
+  std::fclose(f);
+  return ok;
 }
 
 /// Parses a whole flag value as a base-10 int in [min, INT_MAX]: no sign
@@ -140,65 +141,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     }
   }
   return !opt->program_path.empty();
-}
-
-/// Parses one --update batch file into an EdbDelta. Lines:
-///   + PRED tok... value   (POPS pred)  |  + PRED tok...   (Boolean pred)
-///   - PRED tok...
-template <Pops P, typename ParseFn>
-bool ParseUpdateBatch(const std::string& text, const Program& prog,
-                      Domain* dom, ParseFn&& parse_value,
-                      EdbDelta<P>* batch) {
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> toks = io_internal::SplitLine(line);
-    if (toks.empty()) continue;
-    auto fail = [&](const char* msg) {
-      std::fprintf(stderr, "update batch line %d: %s\n", lineno, msg);
-      return false;
-    };
-    if (toks[0] != "+" && toks[0] != "-") {
-      return fail("expected '+' or '-'");
-    }
-    const bool is_add = toks[0] == "+";
-    if (toks.size() < 2) return fail("missing predicate");
-    const int pred = prog.FindPredicate(toks[1]);
-    if (pred < 0) return fail("unknown predicate");
-    const PredKind kind = prog.predicate(pred).kind;
-    if (kind == PredKind::kIdb) return fail("IDB predicates are derived");
-    const int arity = prog.predicate(pred).arity;
-    const bool is_bool = kind == PredKind::kBoolEdb;
-    const int want = 2 + arity + (is_add && !is_bool ? 1 : 0);
-    if (static_cast<int>(toks.size()) != want) {
-      return fail("wrong column count for predicate arity");
-    }
-    Tuple t;
-    for (int i = 0; i < arity; ++i) {
-      ConstId id = 0;
-      if (!io_internal::TryInternToken(toks[2 + i], dom, &id)) {
-        return fail("integer key out of 64-bit range");
-      }
-      t.push_back(id);
-    }
-    if (is_bool) {
-      if (is_add) {
-        batch->AddBool(pred, std::move(t));
-      } else {
-        batch->DeleteBool(pred, std::move(t));
-      }
-    } else if (is_add) {
-      typename P::Value v;
-      if (!parse_value(toks.back(), &v)) return fail("cannot parse value");
-      batch->Add(pred, std::move(t), std::move(v));
-    } else {
-      batch->Delete(pred, std::move(t));
-    }
-  }
-  return true;
 }
 
 template <NaturallyOrderedSemiring P, typename ParseFn>
@@ -287,8 +229,11 @@ int RunAs(const CliOptions& opt, const std::string& text,
       return 1;
     }
     EdbDelta<P> batch;
-    if (!ParseUpdateBatch<P>(batch_text, prog.value(), &dom, parse_value,
-                             &batch)) {
+    Status s = LoadUpdateBatch<P>(batch_text, prog.value(), &dom,
+                                  parse_value, &batch);
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s: %s\n", opt.update_path.c_str(),
+                   s.ToString().c_str());
       return 1;
     }
     maintained.CopyContentsFrom(result.idb);

@@ -1,14 +1,19 @@
-// Helpers to load graph workloads into EDB instances.
+// Helpers to load graph workloads and update batches into EDB instances.
 #ifndef DATALOGO_DATALOG_LOADER_H_
 #define DATALOGO_DATALOG_LOADER_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/core/status.h"
+#include "src/datalog/ast.h"
 #include "src/datalog/instance.h"
 #include "src/graph/graph.h"
 #include "src/graph/workloads.h"
 #include "src/relation/domain.h"
+#include "src/relation/io.h"
 
 namespace datalogo {
 
@@ -67,6 +72,62 @@ void LoadNamedEdges(const NamedGraph& g, Domain* dom, F&& value_of_weight,
     rel->Merge({dom->InternSymbol(s), dom->InternSymbol(t)},
                value_of_weight(w));
   }
+}
+
+/// Parses an update batch (datalogo_cli --update) into `*batch`, one
+/// mutation per line:
+///   + PRED key... value     insert/⊕-merge a POPS fact
+///   + PRED key...           insert a Boolean-EDB fact
+///   - PRED key...           delete a fact (either kind)
+/// Lines are cut, tokenized and skipped as by LoadTsv (relation/io.h).
+/// Returns InvalidArgument naming the line of the first bad mutation;
+/// `*batch` then holds the mutations of the lines before it.
+template <Pops P, typename ParseFn>
+Status LoadUpdateBatch(const std::string& text, const Program& prog,
+                       Domain* dom, ParseFn&& parse_value,
+                       EdbDelta<P>* batch) {
+  std::string scratch;  // reused: FindPredicate and parse_value take strings
+  return io_internal::ForEachTokenLine(
+      text, [&](int lineno, std::span<const std::string_view> toks) {
+        auto fail = [&](const char* msg) {
+          return InvalidArgument(io_internal::LinePrefix(lineno) + msg);
+        };
+        if (toks[0] != "+" && toks[0] != "-") {
+          return fail("expected '+' or '-'");
+        }
+        const bool is_add = toks[0] == "+";
+        if (toks.size() < 2) return fail("missing predicate");
+        scratch.assign(toks[1]);
+        const int pred = prog.FindPredicate(scratch);
+        if (pred < 0) return fail("unknown predicate");
+        const PredKind kind = prog.predicate(pred).kind;
+        if (kind == PredKind::kIdb) return fail("IDB predicates are derived");
+        const int arity = prog.predicate(pred).arity;
+        const bool is_bool = kind == PredKind::kBoolEdb;
+        const int want = 2 + arity + (is_add && !is_bool ? 1 : 0);
+        if (static_cast<int>(toks.size()) != want) {
+          return fail("wrong column count for predicate arity");
+        }
+        Tuple t;
+        Status s =
+            io_internal::InternKeys(toks.subspan(2, arity), lineno, dom, &t);
+        if (!s.ok()) return s;
+        if (is_bool) {
+          if (is_add) {
+            batch->AddBool(pred, std::move(t));
+          } else {
+            batch->DeleteBool(pred, std::move(t));
+          }
+        } else if (is_add) {
+          scratch.assign(toks.back());
+          typename P::Value v;
+          if (!parse_value(scratch, &v)) return fail("cannot parse value");
+          batch->Add(pred, std::move(t), std::move(v));
+        } else {
+          batch->Delete(pred, std::move(t));
+        }
+        return Status::Ok();
+      });
 }
 
 }  // namespace datalogo

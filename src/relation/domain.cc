@@ -1,14 +1,16 @@
 #include "src/relation/domain.h"
 
+#include <charconv>
+
 #include "src/core/check.h"
 
 namespace datalogo {
 
-ConstId Domain::InternSymbol(const std::string& name) {
+ConstId Domain::InternSymbol(std::string_view name) {
   auto it = symbol_index_.find(name);
   if (it != symbol_index_.end()) return it->second;
   ConstId id = static_cast<ConstId>(entries_.size());
-  entries_.push_back(Entry{false, name, 0});
+  entries_.push_back(Entry{false, std::string(name), 0});
   symbol_index_.emplace(name, id);
   return id;
 }
@@ -34,12 +36,23 @@ std::optional<int64_t> Domain::AsInt(ConstId id) const {
 }
 
 std::string Domain::ToString(ConstId id) const {
-  DLO_CHECK(id < entries_.size());
-  const Entry& e = entries_[id];
-  return e.is_int ? std::to_string(e.value) : e.symbol;
+  std::string out;
+  AppendTo(id, &out);
+  return out;
 }
 
-std::optional<ConstId> Domain::FindSymbol(const std::string& name) const {
+void Domain::AppendTo(ConstId id, std::string* out) const {
+  DLO_CHECK(id < entries_.size());
+  const Entry& e = entries_[id];
+  if (!e.is_int) {
+    out->append(e.symbol);
+    return;
+  }
+  char buf[24];  // "-9223372036854775808" is 20 bytes
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), e.value).ptr);
+}
+
+std::optional<ConstId> Domain::FindSymbol(std::string_view name) const {
   auto it = symbol_index_.find(name);
   if (it == symbol_index_.end()) return std::nullopt;
   return it->second;

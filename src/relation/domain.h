@@ -5,9 +5,9 @@
 #define DATALOGO_RELATION_DOMAIN_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,8 +20,9 @@ using ConstId = uint32_t;
 /// program instance.
 class Domain {
  public:
-  /// Interns a symbolic constant (idempotent).
-  ConstId InternSymbol(const std::string& name);
+  /// Interns a symbolic constant (idempotent). Looking up a known symbol
+  /// copies nothing.
+  ConstId InternSymbol(std::string_view name);
 
   /// Interns an integer constant (idempotent).
   ConstId InternInt(int64_t value);
@@ -38,8 +39,11 @@ class Domain {
   /// Printable form ("a", "42", …).
   std::string ToString(ConstId id) const;
 
+  /// Appends ToString(id) to `*out` without building a temporary string.
+  void AppendTo(ConstId id, std::string* out) const;
+
   /// Looks up a symbol without interning.
-  std::optional<ConstId> FindSymbol(const std::string& name) const;
+  std::optional<ConstId> FindSymbol(std::string_view name) const;
 
   /// All interned ids, in interning order.
   std::vector<ConstId> AllIds() const;
@@ -50,9 +54,17 @@ class Domain {
     std::string symbol;
     int64_t value;
   };
+  // Transparent hash: symbol_index_ is probed with string_views.
+  struct SymbolHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   std::vector<Entry> entries_;
-  std::unordered_map<std::string, ConstId> symbol_index_;
-  std::map<int64_t, ConstId> int_index_;
+  std::unordered_map<std::string, ConstId, SymbolHash, std::equal_to<>>
+      symbol_index_;
+  std::unordered_map<int64_t, ConstId> int_index_;
 };
 
 }  // namespace datalogo

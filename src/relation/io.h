@@ -1,29 +1,34 @@
 // TSV import/export for K-relations.
 //
-// Token grammar (one tuple per line):
+// Token grammar (one tuple per line; lines end at LF):
 //   line    := '#' comment | WS* | token (WS+ token)* WS*
-//   token   := 1*<any byte except space, tab, CR, LF>
-//   WS      := space | tab | CR
+//   token   := 1*<any byte except WS>
+//   WS      := space | \t | \n | \v | \f | \r   (the C-locale isspace bytes)
 // Tokens are whitespace-delimited, so a symbol containing whitespace
 // cannot be represented; DumpTsv/DumpTsvChecked reject such symbols
-// instead of emitting text that SplitLine would re-split into extra
+// instead of emitting text that the loader would re-split into extra
 // columns on reload. A token matching `-?[0-9]+` interns as the 64-bit
 // integer it spells (out-of-range integer tokens are a load error, not an
 // exception); every other token interns as a symbol. Lines that are empty
-// or whose first byte is '#' are skipped, which is why a symbol may not
-// begin with '#': it would round-trip into a comment. CR before LF is
-// treated as whitespace, so CRLF files load like LF files.
+// or whose first byte is '#' are skipped, as are lines holding only
+// whitespace, which is why a symbol may not begin with '#': it would
+// round-trip into a comment. CR before LF is whitespace, so CRLF files
+// load like LF files.
 //
 // POPS relations carry the value in the last column; Boolean relations
-// are key-only.
+// are key-only. Loading walks the text once and cuts tokens as views into
+// it; dumping appends straight into one string. Neither uses iostreams.
 #ifndef DATALOGO_RELATION_IO_H_
 #define DATALOGO_RELATION_IO_H_
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <sstream>
+#include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/check.h"
@@ -34,26 +39,30 @@
 namespace datalogo {
 namespace io_internal {
 
-inline bool LooksLikeInt(const std::string& s) {
+/// The bytes `std::istream >> std::string` splits on in the C locale.
+constexpr bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+inline bool LooksLikeInt(std::string_view s) {
   if (s.empty()) return false;
   std::size_t i = (s[0] == '-') ? 1 : 0;
   if (i == s.size()) return false;
   for (; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
+    if (s[i] < '0' || s[i] > '9') return false;
   }
   return true;
 }
 
 /// Interns one key token: integer-looking tokens as integers, everything
-/// else as symbols. Returns false — instead of letting std::stoll throw
-/// std::out_of_range through the loaders — when the token spells an
-/// integer that does not fit int64_t.
-inline bool TryInternToken(const std::string& tok, Domain* dom,
-                           ConstId* out) {
+/// else as symbols. Returns false — instead of throwing through the
+/// loaders — when the token spells an integer that does not fit int64_t.
+inline bool TryInternToken(std::string_view tok, Domain* dom, ConstId* out) {
   if (LooksLikeInt(tok)) {
     int64_t v = 0;
-    auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc() || p != tok.data() + tok.size()) return false;
+    const char* end = tok.data() + tok.size();
+    auto [p, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || p != end) return false;
     *out = dom->InternInt(v);
     return true;
   }
@@ -61,109 +70,146 @@ inline bool TryInternToken(const std::string& tok, Domain* dom,
   return true;
 }
 
-inline std::vector<std::string> SplitLine(const std::string& line) {
+/// Cuts the first token off `*rest`, which then starts right after it;
+/// returns an empty view when `*rest` holds no more tokens.
+inline std::string_view NextToken(std::string_view* rest) {
+  const char* p = rest->data();
+  const char* const end = p + rest->size();
+  while (p != end && IsSpace(*p)) ++p;
+  const char* start = p;
+  while (p != end && !IsSpace(*p)) ++p;
+  *rest = std::string_view(p, end - p);
+  return std::string_view(start, p - start);
+}
+
+/// The tokens of `line` as owning strings.
+inline std::vector<std::string> SplitLine(std::string_view line) {
   std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
+  for (std::string_view tok; !(tok = NextToken(&line)).empty();) {
+    out.emplace_back(tok);
+  }
   return out;
+}
+
+inline std::string LinePrefix(int lineno) {
+  return "line " + std::to_string(lineno) + ": ";
+}
+
+/// Calls `fn(lineno, toks) -> Status` for every line of `text` that holds
+/// a token, numbering lines from 1 and skipping the rest per the grammar
+/// above. Stops at, and returns, the first error `fn` returns.
+template <typename Fn>
+Status ForEachTokenLine(std::string_view text, Fn&& fn) {
+  std::vector<std::string_view> toks;  // reused across lines
+  int lineno = 0;
+  while (!text.empty()) {
+    const void* nl = std::memchr(text.data(), '\n', text.size());
+    const std::size_t len =
+        nl ? static_cast<const char*>(nl) - text.data() : text.size();
+    const std::string_view line = text.substr(0, len);
+    text.remove_prefix(nl ? len + 1 : len);
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    toks.clear();
+    for (std::string_view rest = line, tok;
+         !(tok = NextToken(&rest)).empty();) {
+      toks.push_back(tok);
+    }
+    if (toks.empty()) continue;
+    Status s = fn(lineno, std::span<const std::string_view>(toks));
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+/// Replaces `*t` with the interned `keys`; InvalidArgument naming `lineno`
+/// for an integer key outside int64_t.
+inline Status InternKeys(std::span<const std::string_view> keys, int lineno,
+                         Domain* dom, Tuple* t) {
+  t->clear();
+  for (std::string_view tok : keys) {
+    ConstId id = 0;
+    if (!TryInternToken(tok, dom, &id)) {
+      return InvalidArgument(LinePrefix(lineno) +
+                             "integer key out of 64-bit range '" +
+                             std::string(tok) + "'");
+    }
+    t->push_back(id);
+  }
+  return Status::Ok();
 }
 
 /// True iff `text` is re-readable as a single token of the grammar above
 /// AND re-interns as the same symbol (not as an integer, a comment, or
 /// nothing at all).
-inline bool IsDumpableSymbol(const std::string& text) {
-  if (text.empty() || text[0] == '#') return false;
-  if (LooksLikeInt(text)) return false;
-  for (char ch : text) {
-    if (ch == ' ' || ch == '\t' || ch == '\r' || ch == '\n') return false;
-  }
-  return true;
+inline bool IsDumpableSymbol(std::string_view text) {
+  if (text.empty() || text[0] == '#' || LooksLikeInt(text)) return false;
+  return std::none_of(text.begin(), text.end(), IsSpace);
 }
 
 }  // namespace io_internal
 
 /// Loads a POPS relation from TSV text: k key columns then one value
-/// column, parsed by `parse_value(text, &value) -> bool`. Lines that are
-/// empty or start with '#' are skipped. Repeated tuples accumulate via ⊕.
+/// column, parsed by `parse_value(const std::string&, &value) -> bool`.
+/// Lines that are empty or start with '#' are skipped. Repeated tuples
+/// accumulate via ⊕.
 template <Pops P, typename ParseFn>
 Status LoadTsv(const std::string& text, Domain* dom, Relation<P>* rel,
                ParseFn&& parse_value) {
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
+  const int arity = rel->arity();
   Tuple t;  // reused across lines; Merge copies it into the relation
-  t.reserve(rel->arity());
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> toks = io_internal::SplitLine(line);
-    if (toks.empty()) continue;
-    if (static_cast<int>(toks.size()) != rel->arity() + 1) {
-      return InvalidArgument("line " + std::to_string(lineno) +
-                             ": expected " + std::to_string(rel->arity()) +
-                             " keys + 1 value, got " +
-                             std::to_string(toks.size()) + " columns");
-    }
-    t.clear();
-    for (int i = 0; i < rel->arity(); ++i) {
-      ConstId id = 0;
-      if (!io_internal::TryInternToken(toks[i], dom, &id)) {
-        return InvalidArgument("line " + std::to_string(lineno) +
-                               ": integer key out of 64-bit range '" +
-                               toks[i] + "'");
-      }
-      t.push_back(id);
-    }
-    typename P::Value v;
-    if (!parse_value(toks.back(), &v)) {
-      return InvalidArgument("line " + std::to_string(lineno) +
-                             ": cannot parse value '" + toks.back() + "'");
-    }
-    rel->Merge(t, v);
-  }
-  return Status::Ok();
+  t.reserve(arity);
+  std::string value_text;  // reused across lines
+  return io_internal::ForEachTokenLine(
+      text, [&](int lineno, std::span<const std::string_view> toks) {
+        if (static_cast<int>(toks.size()) != arity + 1) {
+          return InvalidArgument(io_internal::LinePrefix(lineno) +
+                                 "expected " + std::to_string(arity) +
+                                 " keys + 1 value, got " +
+                                 std::to_string(toks.size()) + " columns");
+        }
+        Status s =
+            io_internal::InternKeys(toks.first(arity), lineno, dom, &t);
+        if (!s.ok()) return s;
+        value_text.assign(toks.back());
+        typename P::Value v;
+        if (!parse_value(value_text, &v)) {
+          return InvalidArgument(io_internal::LinePrefix(lineno) +
+                                 "cannot parse value '" + value_text + "'");
+        }
+        rel->Merge(t, v);
+        return Status::Ok();
+      });
 }
 
 /// Loads a Boolean relation: every column is a key, the value is true.
 inline Status LoadTsvBool(const std::string& text, Domain* dom,
                           Relation<BoolS>* rel) {
-  std::istringstream is(text);
-  std::string line;
-  int lineno = 0;
+  const int arity = rel->arity();
   Tuple t;  // reused across lines; Set copies it into the relation
-  t.reserve(rel->arity());
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> toks = io_internal::SplitLine(line);
-    if (toks.empty()) continue;
-    if (static_cast<int>(toks.size()) != rel->arity()) {
-      return InvalidArgument("line " + std::to_string(lineno) +
-                             ": expected " + std::to_string(rel->arity()) +
-                             " key columns");
-    }
-    t.clear();
-    for (const std::string& tok : toks) {
-      ConstId id = 0;
-      if (!io_internal::TryInternToken(tok, dom, &id)) {
-        return InvalidArgument("line " + std::to_string(lineno) +
-                               ": integer key out of 64-bit range '" + tok +
-                               "'");
-      }
-      t.push_back(id);
-    }
-    rel->Set(t, true);
-  }
-  return Status::Ok();
+  t.reserve(arity);
+  return io_internal::ForEachTokenLine(
+      text, [&](int lineno, std::span<const std::string_view> toks) {
+        if (static_cast<int>(toks.size()) != arity) {
+          return InvalidArgument(io_internal::LinePrefix(lineno) +
+                                 "expected " + std::to_string(arity) +
+                                 " key columns");
+        }
+        Status s = io_internal::InternKeys(toks, lineno, dom, &t);
+        if (!s.ok()) return s;
+        rel->Set(t, true);
+        return Status::Ok();
+      });
 }
 
-/// Standard value parsers for the common carriers.
+/// Standard value parsers for the common carriers. ParseDoubleValue takes
+/// a whole std::stod token and rejects NaN: no carrier orders it, so ⊕
+/// would silently drop the fact (min(∞, NaN) = ∞ = ⊥ on Trop+).
 inline bool ParseDoubleValue(const std::string& s, double* out) {
   try {
     std::size_t pos = 0;
     *out = std::stod(s, &pos);
-    return pos == s.size();
+    return pos == s.size() && !std::isnan(*out);
   } catch (...) {
     return false;
   }
@@ -193,25 +239,29 @@ inline bool ParseBoolValue(const std::string& s, bool* out) {
 /// with InvalidArgument — instead of silently emitting text that LoadTsv
 /// would re-split into the wrong columns — when a key renders as a
 /// non-dumpable symbol (contains whitespace, is empty, starts with '#',
-/// or spells an integer; see the token grammar above).
+/// or spells an integer; see the token grammar above). `*out` is only
+/// written on success.
 template <Pops P>
 Status DumpTsvChecked(const Relation<P>& rel, const Domain& dom,
                       std::string* out) {
-  std::ostringstream os;
+  std::string text;
   for (uint32_t row : rel.SortedLiveRows()) {
     for (int p = 0; p < rel.arity(); ++p) {
-      ConstId id = rel.Cell(row, p);
-      std::string text = dom.ToString(id);
-      if (!dom.IsInt(id) && !io_internal::IsDumpableSymbol(text)) {
-        return InvalidArgument(
-            "symbol not representable as a TSV token: '" + text + "'");
+      const ConstId id = rel.Cell(row, p);
+      if (p) text += '\t';
+      const std::size_t start = text.size();
+      dom.AppendTo(id, &text);
+      if (!dom.IsInt(id) && !io_internal::IsDumpableSymbol(
+                                std::string_view(text).substr(start))) {
+        return InvalidArgument("symbol not representable as a TSV token: '" +
+                               text.substr(start) + "'");
       }
-      if (p) os << "\t";
-      os << text;
     }
-    os << "\t" << P::ToString(rel.ValueAt(row)) << "\n";
+    text += '\t';
+    text += P::ToString(rel.ValueAt(row));
+    text += '\n';
   }
-  *out = os.str();
+  *out = std::move(text);
   return Status::Ok();
 }
 

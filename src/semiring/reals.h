@@ -7,8 +7,9 @@
 #define DATALOGO_SEMIRING_REALS_H_
 
 #include <cmath>
-#include <sstream>
 #include <string>
+
+#include "src/semiring/format.h"
 
 namespace datalogo {
 
@@ -22,11 +23,7 @@ struct RealS {
   static Value Plus(Value a, Value b) { return a + b; }
   static Value Times(Value a, Value b) { return a * b; }
   static bool Eq(Value a, Value b) { return a == b; }
-  static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
-  }
+  static std::string ToString(Value a) { return FormatDouble(a); }
 };
 
 /// (R+, +, ×, 0, 1): the non-negative reals, naturally ordered by ≤.
@@ -45,11 +42,7 @@ struct RealPlusS {
   static Value Times(Value a, Value b) { return a * b; }
   static bool Eq(Value a, Value b) { return a == b; }
   static bool Leq(Value a, Value b) { return a <= b; }
-  static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
-  }
+  static std::string ToString(Value a) { return FormatDouble(a); }
 };
 
 }  // namespace datalogo

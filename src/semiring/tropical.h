@@ -9,8 +9,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <string>
+
+#include "src/semiring/format.h"
 
 namespace datalogo {
 
@@ -35,9 +36,7 @@ struct TropS {
   static Value Minus(Value v, Value u) { return v < u ? v : Inf(); }
   static std::string ToString(Value a) {
     if (a == Inf()) return "inf";
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -90,9 +89,7 @@ struct MaxPlusS {
   static Value Minus(Value v, Value u) { return v > u ? v : NegInf(); }
   static std::string ToString(Value a) {
     if (a == NegInf()) return "-inf";
-    std::ostringstream os;
-    os << a;
-    return os.str();
+    return FormatDouble(a);
   }
 };
 
@@ -112,11 +109,7 @@ struct ViterbiS {
   static bool Eq(Value a, Value b) { return a == b; }
   static bool Leq(Value a, Value b) { return a <= b; }
   static Value Minus(Value v, Value u) { return v > u ? v : 0.0; }
-  static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
-  }
+  static std::string ToString(Value a) { return FormatDouble(a); }
 };
 
 /// The fuzzy dioid ([0,1], max, min, 0, 1): widest-bottleneck paths. A
@@ -136,11 +129,7 @@ struct FuzzyS {
   static bool Eq(Value a, Value b) { return a == b; }
   static bool Leq(Value a, Value b) { return a <= b; }
   static Value Minus(Value v, Value u) { return v > u ? v : 0.0; }
-  static std::string ToString(Value a) {
-    std::ostringstream os;
-    os << a;
-    return os.str();
-  }
+  static std::string ToString(Value a) { return FormatDouble(a); }
 };
 
 }  // namespace datalogo

@@ -1,6 +1,11 @@
 // Domain interning.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <string_view>
+
 #include "src/relation/domain.h"
 
 namespace datalogo {
@@ -52,6 +57,36 @@ TEST(Domain, AllIdsEnumeratesEverything) {
   EXPECT_EQ(ids.size(), 3u);
   EXPECT_EQ(ids[0], 0u);
   EXPECT_EQ(ids[2], 2u);
+}
+
+TEST(Domain, IdsFollowInterningOrderAcrossKinds) {
+  // Ids are dense in first-interning order whatever the kind, and a
+  // string_view probe finds the symbol interned from a std::string.
+  Domain dom;
+  EXPECT_EQ(dom.InternInt(5), 0u);
+  EXPECT_EQ(dom.InternSymbol(std::string("x")), 1u);
+  EXPECT_EQ(dom.InternInt(-5), 2u);
+  EXPECT_EQ(dom.InternInt(5), 0u);
+  const std::string_view line = "x y";
+  EXPECT_EQ(dom.InternSymbol(line.substr(0, 1)), 1u);
+  EXPECT_EQ(dom.FindSymbol(line.substr(2)), std::nullopt);
+  EXPECT_EQ(dom.size(), 3u);
+}
+
+TEST(Domain, AppendToMatchesToString) {
+  Domain dom;
+  const ConstId ids[] = {
+      dom.InternSymbol("alpha"), dom.InternInt(0), dom.InternInt(-7),
+      dom.InternInt(std::numeric_limits<int64_t>::max()),
+      dom.InternInt(std::numeric_limits<int64_t>::min()),
+      dom.InternSymbol("a-rather-long-symbol-beyond-the-small-buffer")};
+  std::string out = "prefix|";
+  std::string want = out;
+  for (ConstId id : ids) {
+    dom.AppendTo(id, &out);
+    want += dom.ToString(id);
+  }
+  EXPECT_EQ(out, want);
 }
 
 }  // namespace

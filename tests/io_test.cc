@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,31 @@ TEST(Io, BadValueErrors) {
   Relation<TropS> rel(1);
   EXPECT_FALSE(
       LoadTsv<TropS>("a not_a_number\n", &dom, &rel, ParseDoubleValue).ok());
+}
+
+TEST(Io, NanValueIsLoadError) {
+  // NaN is ordered by no carrier: on Trop+ min(∞, NaN) = ∞ = ⊥ would drop
+  // the fact silently, so the loader rejects it, naming the line.
+  for (const char* nan : {"nan", "-nan", "NaN", "NAN", "nan(123)"}) {
+    const std::string text = std::string("a b 1\nb c ") + nan + "\n";
+    Domain dom;
+    Relation<TropS> trop(2);
+    Status s = LoadTsv<TropS>(text, &dom, &trop, ParseDoubleValue);
+    ASSERT_FALSE(s.ok()) << nan;
+    EXPECT_EQ(s.code(), Code::kInvalidArgument) << nan;
+    EXPECT_EQ(s.message(), std::string("line 2: cannot parse value '") +
+                               nan + "'");
+    Relation<FuzzyS> fuzzy(2);
+    Status fs = LoadTsv<FuzzyS>(text, &dom, &fuzzy, ParseDoubleValue);
+    ASSERT_FALSE(fs.ok()) << nan;
+    EXPECT_EQ(fs.code(), Code::kInvalidArgument) << nan;
+    EXPECT_NE(fs.message().find("line 2"), std::string::npos) << fs.message();
+  }
+  // Infinities are values of the carriers and still load.
+  Domain dom;
+  Relation<TropS> rel(1);
+  ASSERT_TRUE(LoadTsv<TropS>("a inf\n", &dom, &rel, ParseDoubleValue).ok());
+  EXPECT_EQ(rel.support_size(), 0u);  // ∞ = ⊥ is not stored
 }
 
 TEST(Io, BoolRelationAllColumnsAreKeys) {
@@ -148,7 +175,8 @@ TEST(Io, NonDumpableSymbolsRejectedAtDump) {
   // A symbol containing whitespace would re-split into extra columns on
   // reload; empty / '#'-leading / integer-spelling symbols would vanish
   // or re-intern as something else. All must fail at dump time.
-  for (const char* bad : {"has space", "has\ttab", "has\nnewline", "",
+  for (const char* bad : {"has space", "has\ttab", "has\nnewline",
+                          "has\vvtab", "has\fformfeed", "has\rcr", "",
                           "#comment", "42", "-7"}) {
     Domain dom;
     Relation<TropS> rel(1);
@@ -213,10 +241,80 @@ TEST(Io, RandomizedDumpLoadRoundTrip) {
   }
 }
 
+// Reference loader: the stream-based algorithm LoadTsv and LoadTsvBool
+// must match exactly — std::getline per line, `std::istringstream >>` per
+// token. Loads into `rel` (keys + value) or, when it is null, into `brel`
+// (keys only).
+Status ReferenceLoad(const std::string& text, Domain* dom,
+                     Relation<TropS>* rel, Relation<BoolS>* brel) {
+  std::istringstream is(text);
+  std::string line;
+  int lineno = 0;
+  while (std::getline(is, line)) {
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::vector<std::string> toks;
+    for (std::string tok; ls >> tok;) toks.push_back(tok);
+    if (toks.empty()) continue;
+    const std::string at = "line " + std::to_string(lineno) + ": ";
+    const int keys = rel ? rel->arity() : brel->arity();
+    if (static_cast<int>(toks.size()) != keys + (rel ? 1 : 0)) {
+      return InvalidArgument(
+          at + "expected " + std::to_string(keys) +
+          (rel ? " keys + 1 value, got " + std::to_string(toks.size()) +
+                     " columns"
+               : std::string(" key columns")));
+    }
+    Tuple t;
+    for (int i = 0; i < keys; ++i) {
+      ConstId id = 0;
+      if (!io_internal::TryInternToken(toks[i], dom, &id)) {
+        return InvalidArgument(at + "integer key out of 64-bit range '" +
+                               toks[i] + "'");
+      }
+      t.push_back(id);
+    }
+    if (!rel) {
+      brel->Set(t, true);
+      continue;
+    }
+    double v = 0;
+    if (!ParseDoubleValue(toks.back(), &v)) {
+      return InvalidArgument(at + "cannot parse value '" + toks.back() + "'");
+    }
+    rel->Merge(t, v);
+  }
+  return Status::Ok();
+}
+
+void ExpectSameDomain(const Domain& got, const Domain& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (ConstId id = 0; id < want.size(); ++id) {
+    EXPECT_EQ(got.IsInt(id), want.IsInt(id)) << id;
+    EXPECT_EQ(got.ToString(id), want.ToString(id)) << id;
+  }
+}
+
+template <Pops P>
+void ExpectSameRelation(const Relation<P>& got, const Relation<P>& want) {
+  const std::vector<uint32_t> g = got.SortedLiveRows();
+  const std::vector<uint32_t> w = want.SortedLiveRows();
+  ASSERT_EQ(g.size(), w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (int p = 0; p < want.arity(); ++p) {
+      EXPECT_EQ(got.Cell(g[i], p), want.Cell(w[i], p));
+    }
+    EXPECT_TRUE(P::Eq(got.ValueAt(g[i]), want.ValueAt(w[i])));
+  }
+}
+
 TEST(Io, LoaderNeverThrowsOnArbitraryInput) {
   // Fuzz-ish sweep: random token soup (integer-shaped, overflowing,
-  // comment-like, junk) must always produce Ok or InvalidArgument —
-  // never an exception, never a crash.
+  // comment-like, junk) separated by every whitespace byte must always
+  // produce Ok or InvalidArgument — never an exception, never a crash —
+  // and must load exactly as ReferenceLoad does: same status code and
+  // message, same interning order, same relation contents.
   std::mt19937 rng(13);
   const char* pieces[] = {"a",
                           "42",
@@ -227,28 +325,150 @@ TEST(Io, LoaderNeverThrowsOnArbitraryInput) {
                           "#x",
                           "1.5",
                           "nan",
+                          "inf",
                           "s#y",
                           "--3",
                           "0000000000000000000000009"};
+  const char* separators[] = {" ", " ", "\t", "\v", "\f", "\r", " \t "};
+  const char* line_starts[] = {"", "", "", " ", "\t", " #c ", "#c ", "\f"};
+  auto pick = [&](auto& arr) {
+    return arr[rng() % std::size(arr)];
+  };
   const int iters = CiIterations(500, 100);
   for (int it = 0; it < iters; ++it) {
     std::string text;
     const int lines = static_cast<int>(rng() % 6);
     for (int l = 0; l < lines; ++l) {
+      if (rng() % 5 == 0) text.append(rng() % 3 + 1, '\n');  // blank run
+      text += pick(line_starts);
       const int toks = static_cast<int>(rng() % 5);
       for (int t = 0; t < toks; ++t) {
-        if (t) text += (rng() % 4 == 0) ? '\t' : ' ';
-        text += pieces[rng() % (sizeof(pieces) / sizeof(pieces[0]))];
+        if (t) text += pick(separators);
+        text += pick(pieces);
       }
-      text += (rng() % 4 == 0) ? "\r\n" : "\n";
+      if (rng() % 4 == 0) text += pick(separators);
+      // The last line sometimes has no final newline.
+      if (l + 1 < lines || rng() % 3) text += (rng() % 4 == 0) ? "\r\n" : "\n";
+    }
+    Domain dom, ref_dom;
+    Relation<TropS> rel(2), ref_rel(2);
+    Status s = LoadTsv<TropS>(text, &dom, &rel, ParseDoubleValue);
+    Status ref = ReferenceLoad(text, &ref_dom, &ref_rel, nullptr);
+    EXPECT_TRUE(s.ok() || s.code() == Code::kInvalidArgument) << text;
+    EXPECT_EQ(s.code(), ref.code()) << text;
+    EXPECT_EQ(s.message(), ref.message()) << text;
+    ExpectSameDomain(dom, ref_dom);
+    ExpectSameRelation(rel, ref_rel);
+
+    Domain bdom, ref_bdom;
+    Relation<BoolS> brel(2), ref_brel(2);
+    Status bs = LoadTsvBool(text, &bdom, &brel);
+    Status bref = ReferenceLoad(text, &ref_bdom, nullptr, &ref_brel);
+    EXPECT_TRUE(bs.ok() || bs.code() == Code::kInvalidArgument) << text;
+    EXPECT_EQ(bs.code(), bref.code()) << text;
+    EXPECT_EQ(bs.message(), bref.message()) << text;
+    ExpectSameDomain(bdom, ref_bdom);
+    ExpectSameRelation(brel, ref_brel);
+  }
+}
+
+TEST(Io, SplitLineMatchesStreamExtraction) {
+  for (const char* line : {"", " ", "a", " a\tb\vc\fd\re ", "x\r", "#a b"}) {
+    std::istringstream is(line);
+    std::vector<std::string> want;
+    for (std::string tok; is >> tok;) want.push_back(tok);
+    EXPECT_EQ(io_internal::SplitLine(line), want) << line;
+  }
+}
+
+constexpr const char* kBatchProgram =
+    "edb E/2. bedb G/1. idb T/2. T(X,Y) :- E(X,Y).";
+
+TEST(Io, LoadUpdateBatchParsesEveryMutationKind) {
+  Domain dom;
+  Program prog = ParseProgram(kBatchProgram, &dom).value();
+  EdbDelta<TropS> batch;
+  Status s = LoadUpdateBatch<TropS>(
+      "# batch\n"
+      "+ E a b 2.5\n"
+      "\n"
+      "- E b c\n"
+      "+\tG 7\r\n"
+      "- G x",
+      prog, &dom, ParseDoubleValue, &batch);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const int e = prog.FindPredicate("E");
+  const int g = prog.FindPredicate("G");
+  ASSERT_EQ(batch.pops_adds.size(), 1u);
+  EXPECT_EQ(batch.pops_adds[0].pred, e);
+  EXPECT_EQ(batch.pops_adds[0].value, 2.5);
+  EXPECT_EQ(batch.pops_adds[0].tuple,
+            Tuple({*dom.FindSymbol("a"), *dom.FindSymbol("b")}));
+  ASSERT_EQ(batch.pops_deletes.size(), 1u);
+  EXPECT_EQ(batch.pops_deletes[0].pred, e);
+  ASSERT_EQ(batch.bool_adds.size(), 1u);
+  EXPECT_EQ(batch.bool_adds[0].pred, g);
+  EXPECT_EQ(batch.bool_adds[0].tuple, Tuple({dom.InternInt(7)}));
+  ASSERT_EQ(batch.bool_deletes.size(), 1u);
+  EXPECT_EQ(batch.bool_deletes[0].tuple, Tuple({*dom.FindSymbol("x")}));
+}
+
+TEST(Io, LoadUpdateBatchErrorsNameTheLine) {
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"* E a b 1\n", "line 1: expected '+' or '-'"},
+      {"+ E a b 1\n+\n", "line 2: missing predicate"},
+      {"\n\n- Q a\n", "line 3: unknown predicate"},
+      {"+ T a b 1\n", "line 1: IDB predicates are derived"},
+      {"+ E a b\n", "line 1: wrong column count for predicate arity"},
+      {"- E a b 1\n", "line 1: wrong column count for predicate arity"},
+      {"+ G a 1\n", "line 1: wrong column count for predicate arity"},
+      {"+ E a b nan\n", "line 1: cannot parse value"},
+      {"- E 99999999999999999999 b\n",
+       "line 1: integer key out of 64-bit range '99999999999999999999'"},
+  };
+  for (const auto& c : cases) {
+    Domain dom;
+    Program prog = ParseProgram(kBatchProgram, &dom).value();
+    EdbDelta<TropS> batch;
+    Status s = LoadUpdateBatch<TropS>(c.text, prog, &dom, ParseDoubleValue,
+                                      &batch);
+    EXPECT_EQ(s.code(), Code::kInvalidArgument) << c.text;
+    EXPECT_EQ(s.message(), c.message) << c.text;
+  }
+}
+
+TEST(Io, UpdateBatchLoaderNeverThrowsOnArbitraryInput) {
+  // The --update batch parser under the same token soup as the TSV
+  // loaders, plus the batch's own vocabulary: always Ok or
+  // InvalidArgument, never an exception.
+  std::mt19937 rng(17);
+  const char* pieces[] = {"+", "-", "E", "G", "T", "Q", "a", "42", "-7",
+                          "99999999999999999999999", "#x", "1.5", "nan",
+                          "inf", "--3", "*"};
+  const char* separators[] = {" ", "\t", "\v", "\f", "\r"};
+  const int iters = CiIterations(500, 100);
+  for (int it = 0; it < iters; ++it) {
+    std::string text;
+    const int lines = static_cast<int>(rng() % 6);
+    for (int l = 0; l < lines; ++l) {
+      const int toks = static_cast<int>(rng() % 6);
+      for (int t = 0; t < toks; ++t) {
+        if (t) text += separators[rng() % std::size(separators)];
+        // Lines lead with an op most of the time so deeper checks run.
+        text += t == 0 && rng() % 4 ? (rng() % 2 ? "+" : "-")
+                                    : pieces[rng() % std::size(pieces)];
+      }
+      text += "\n";
     }
     Domain dom;
-    Relation<TropS> rel(2);
-    Status s = LoadTsv<TropS>(text, &dom, &rel, ParseDoubleValue);
+    Program prog = ParseProgram(kBatchProgram, &dom).value();
+    EdbDelta<TropS> batch;
+    Status s = LoadUpdateBatch<TropS>(text, prog, &dom, ParseDoubleValue,
+                                      &batch);
     EXPECT_TRUE(s.ok() || s.code() == Code::kInvalidArgument) << text;
-    Relation<BoolS> brel(2);
-    Status bs = LoadTsvBool(text, &dom, &brel);
-    EXPECT_TRUE(bs.ok() || bs.code() == Code::kInvalidArgument) << text;
   }
 }
 

@@ -1,6 +1,14 @@
 // Basic unit tests for the individual POPS/semiring implementations.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "src/semiring/boolean.h"
 #include "src/semiring/completed.h"
 #include "src/semiring/core_semiring.h"
@@ -151,6 +159,49 @@ TEST(ProductPops, NontrivialCoreSemiring) {
   EXPECT_EQ(injected.first, 4.0);  // Trop component survives
   EXPECT_TRUE(Lifted<RealS>::Eq(injected.second,
                                 Lifted<RealS>::Bottom()));  // lifted dies
+}
+
+// Every double carrier prints a value exactly as `std::ostringstream << a`
+// does (printf "%.6g"), which the TSV dump relied on before it stopped
+// using streams.
+template <typename S>
+void ExpectStreamText(double a) {
+  std::ostringstream os;
+  os << a;
+  EXPECT_EQ(S::ToString(a), os.str()) << S::kName;
+}
+
+void ExpectAllCarriersStreamText(double a) {
+  ExpectStreamText<TropS>(a);
+  ExpectStreamText<MaxPlusS>(a);
+  ExpectStreamText<ViterbiS>(a);
+  ExpectStreamText<FuzzyS>(a);
+  ExpectStreamText<RealS>(a);
+  ExpectStreamText<RealPlusS>(a);
+}
+
+TEST(DoubleCarriers, ToStringMatchesOstreamByteForByte) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.0,      -0.0,      kInf,     -kInf,        kNan,          -kNan,
+      1e-5,     -1e-5,     999999.5, 1e6,          123456.5,      999999.4,
+      9999995,  1e-4,      0.1,      1.5,          -2.25,         DBL_MAX,
+      -DBL_MAX, DBL_MIN,   2.5e-320, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+      1.0,      17.0,      -5.0,     999999.0,     -999999.0,     123456.0,
+      -1e6,     1e6 + 1,   3e9,      -0.5,         0.999999,      1e-300};
+  for (double a : edges) ExpectAllCarriersStreamText(a);
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t bits = rng();
+    double a = 0;
+    std::memcpy(&a, &bits, sizeof(a));
+    ExpectAllCarriersStreamText(a);
+    // Whole numbers around the six-digit boundary, where "%.6g" switches
+    // to exponent form.
+    ExpectAllCarriersStreamText(
+        static_cast<double>(static_cast<int64_t>(rng() % 4000000) - 2000000));
+  }
 }
 
 }  // namespace
