@@ -101,6 +101,10 @@ class BenchJson {
     Key(key) << v;
     return *this;
   }
+  BenchJson& Bool(const char* key, bool v) {
+    Key(key) << (v ? "true" : "false");
+    return *this;
+  }
   BenchJson& EndRow() {
     rows_ << "}";
     return *this;

@@ -310,7 +310,9 @@ class Engine {
   {
     uint64_t work = 0;
     int steps = 0;
-    IdbInstance<P> t_old(*prog_);  // T before the last local merge
+    // T before the last local merge — kept only for groups that read it
+    // (group_reads_old_), so it is stale for every other group's heads.
+    IdbInstance<P> t_old(*prog_);
     IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
     // Live deltas of the running group. Every δ — the seed's and each
     // local round's — is diffed directly into `delta` (ClearPreds +
@@ -348,7 +350,8 @@ class Engine {
         }
       }
       if (!any_delta) continue;
-      t_old.CopyPredsFrom(t_new, heads);
+      const bool keep_old = group_reads_old_[g];
+      if (keep_old) t_old.CopyPredsFrom(t_new, heads);
       for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
       if (!reliance_.group_recursive[g]) continue;  // nothing can retrigger
 
@@ -420,7 +423,7 @@ class Engine {
           drained = true;
           break;
         }
-        t_old.CopyPredsFrom(t_new, heads);
+        if (keep_old) t_old.CopyPredsFrom(t_new, heads);
         for (int pred : heads) {
           MergeRows(delta.idb(pred), &t_new.idb(pred));
         }
@@ -664,6 +667,8 @@ class Engine {
   };
 
   void Compile() {
+    group_reads_old_.assign(static_cast<std::size_t>(reliance_.num_groups()),
+                            false);
     for (std::size_t rule_index = 0; rule_index < prog_->rules().size();
          ++rule_index) {
       const Rule& rule = prog_->rules()[rule_index];
@@ -811,6 +816,12 @@ class Engine {
             cd.group_occ_of_atom[atom] = static_cast<int>(cd.group_atoms.size());
             cd.group_atoms.push_back(atom);
           }
+        }
+        // Occurrence ell resolves occurrences after it to t_old, so only
+        // a disjunct with two or more group occurrences ever reads it.
+        if (cd.group_atoms.size() >= 2) {
+          group_reads_old_[static_cast<std::size_t>(
+              reliance_.group_of_rule[rule_index])] = true;
         }
 
         // Head slots: range restriction (validate.cc) guarantees every
@@ -2110,6 +2121,10 @@ class Engine {
   EngineOptions options_;
   RelianceGroups reliance_;  ///< computed before Compile() (group maps)
   std::vector<CompiledRule> compiled_;
+  /// Per reliance group: whether a disjunct of its rules has two or more
+  /// group occurrences — the only kind whose differential rounds read
+  /// T(t-1). SemiNaive keeps t_old current for exactly these groups.
+  std::vector<bool> group_reads_old_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
   // Mutable: evaluation entry points are const, but memoizing indexes,
   // counting builds, and reusing evaluation buffers are all invisible to

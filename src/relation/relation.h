@@ -5,17 +5,36 @@
 //
 // Storage layout (struct-of-arrays): one contiguous ConstId column per
 // argument position plus a parallel value column, addressed by row id.
-// Point lookups (Get/Set/Merge) go through an open-addressing row-id hash
-// table probed with a lightweight key view — no Tuple is materialized on
-// the probe path. Erasing a tuple tombstones its row (the row id and its
-// hash slot stay put, so a later Set of the same key revives the row in
-// place); Compact() squeezes tombstones out between fixpoint iterations.
-// Index construction and key projection become sequential column scans.
+// Point lookups (Get/Set/Merge) go through a row-id table mapping each key
+// to its row, probed with a lightweight key view — no Tuple is
+// materialized on the probe path. The table takes one of two forms:
+//  * direct — arity 1 or 2 over dense ids. With b0/b1 the bit widths of
+//    the largest id stored in each column, key (k0) lives in slot k0 and
+//    key (k0, k1) in slot (k0 << b1) | k1. A probe is one array read: no
+//    hash and no key-column compare.
+//  * hashed — open addressing with linear probing under a 3/4 load
+//    factor. Arity 0 and arity >= 3 are always hashed.
+// The form is a pure function of the content, re-chosen only where the
+// table is laid out anew: the first insert, hashed load-factor growth, a
+// key outside the direct range, and Compact. The table goes direct when
+// 2^(b0+b1) <= kDirectSpanCap and the slot array is no bigger than
+// max(4096, 4 × the hashed table for the same rows); otherwise it hashes.
+// Only the key → row map differs between the forms: row ids, row order,
+// columns, tombstones and the three versions are the same, so nothing
+// outside this class can tell which form is live (direct_slots() says).
+// The direct slot index is monotone in lexicographic key order and holds
+// each key once, so SortedLiveRows walks the slot array instead of
+// sorting. Erasing a tuple tombstones its row (the row id and its slot
+// stay put, so a later Set of the same key revives the row in place);
+// Compact() squeezes tombstones out between fixpoint iterations. Index
+// construction and key projection become sequential column scans.
 #ifndef DATALOGO_RELATION_RELATION_H_
 #define DATALOGO_RELATION_RELATION_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -41,8 +60,15 @@ inline uint64_t NextRelationUid() {
 }
 
 /// Sentinel row id: "no such row" (also the empty-slot marker of the
-/// row-id hash table).
+/// row-id table).
 inline constexpr uint32_t kNoRow = 0xFFFFFFFFu;
+
+/// Span cap for direct addressing. For the direct index tier: above
+/// this, bucket storage (one vector header per id in [min, max]) stops
+/// being worth skipping the hash; applies even under IndexKind::kDirect.
+/// For a relation's direct row-id table: the largest slot array
+/// (2^(b0+b1) slots) it may use. A power of two.
+inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
 
 /// A list of row ids into one relation's columnar storage — the currency
 /// of RelationIndex lookups and the engine's join programs.
@@ -96,7 +122,9 @@ class Relation {
         live_flags_(other.live_flags_),
         live_(other.live_),
         slots_(other.slots_),
-        mask_(other.mask_) {}
+        mask_(other.mask_),
+        direct_(other.direct_),
+        shift_(other.shift_) {}
   Relation(Relation&& other) noexcept
       : arity_(other.arity_),
         cols_(std::move(other.cols_)),
@@ -104,7 +132,9 @@ class Relation {
         live_flags_(std::move(other.live_flags_)),
         live_(other.live_),
         slots_(std::move(other.slots_)),
-        mask_(other.mask_) {
+        mask_(other.mask_),
+        direct_(other.direct_),
+        shift_(other.shift_) {
     other.ResetToEmpty();
     other.BumpHard();
   }
@@ -117,6 +147,8 @@ class Relation {
       live_ = other.live_;
       slots_ = other.slots_;
       mask_ = other.mask_;
+      direct_ = other.direct_;
+      shift_ = other.shift_;
       BumpHard();  // wholesale replacement: row ids mean something new
     }
     return *this;
@@ -130,6 +162,8 @@ class Relation {
       live_ = other.live_;
       slots_ = std::move(other.slots_);
       mask_ = other.mask_;
+      direct_ = other.direct_;
+      shift_ = other.shift_;
       other.ResetToEmpty();
       other.BumpHard();
       BumpHard();
@@ -160,6 +194,9 @@ class Relation {
   /// surface for live-row compaction during index builds.
   const uint8_t* live_data() const { return live_flags_.data(); }
   std::size_t tombstones() const { return values_.size() - live_; }
+  /// True when the row-id table is in its direct-addressed form (see the
+  /// storage-layout comment at the top of this file).
+  bool direct_slots() const { return direct_; }
 
   /// Calls fn(row_id) for every live (support) row, in row order.
   template <typename Fn>
@@ -171,9 +208,17 @@ class Relation {
   }
 
   /// Live row ids in lexicographic tuple order (deterministic renderings).
+  /// A direct table already holds the rows in that order, one slot per
+  /// key, so it is walked instead of sorted.
   std::vector<uint32_t> SortedLiveRows() const {
     std::vector<uint32_t> rows;
     rows.reserve(live_);
+    if (direct_) {
+      for (uint32_t r : slots_) {
+        if (r != kNoRow && live_flags_[r]) rows.push_back(r);
+      }
+      return rows;
+    }
     ForEachRow([&](uint32_t r) { rows.push_back(r); });
     std::sort(rows.begin(), rows.end(), [this](uint32_t a, uint32_t b) {
       for (int p = 0; p < arity_; ++p) {
@@ -200,7 +245,7 @@ class Relation {
   void Set(const Tuple& t, Value v) { SetKey(t, std::move(v)); }
   void Set(const RowView& key, Value v) { SetKey(key, std::move(v)); }
 
-  /// r(t) ← r(t) ⊕ v — a single-probe upsert (one hash walk, not the
+  /// r(t) ← r(t) ⊕ v — a single-probe upsert (one table probe, not the
   /// Get-then-Set double lookup of the row-major store).
   void Merge(const Tuple& t, const Value& v) { MergeKey(t, v); }
   void Merge(const RowView& key, const Value& v) { MergeKey(key, v); }
@@ -274,7 +319,7 @@ class Relation {
     live_flags_.assign(w, 1);
     live_ = w;
     BumpHard();  // surviving rows were renumbered
-    Rehash(SlotCountFor(w));
+    Relayout(w, DirectMaxima());
   }
 
   /// Identity of this object (stable for its lifetime, never reused).
@@ -362,10 +407,10 @@ class Relation {
     return true;
   }
 
-  /// Linear probe: the slot holding the key's row, or the empty slot
-  /// where it would be inserted. Requires a non-empty table.
+  /// Hashed form's linear probe: the slot holding the key's row, or the
+  /// empty slot where it would be inserted. Requires a non-empty table.
   template <typename Key>
-  std::size_t Probe(const Key& key) const {
+  std::size_t HashProbe(const Key& key) const {
     std::size_t s = KeyHash(key) & mask_;
     for (;;) {
       uint32_t r = slots_[s];
@@ -374,12 +419,53 @@ class Relation {
     }
   }
 
+  /// "Outside the direct table's id range" (DirectSlot's miss value).
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Direct form's slot of `key`, or kNoSlot when an id is wider than its
+  /// column's bit width.
+  template <typename Key>
+  std::size_t DirectSlot(const Key& key) const {
+    uint64_t s = key[0];
+    if (arity_ == 2) {
+      const uint64_t k1 = key[1];
+      if (k1 >> shift_) return kNoSlot;
+      s = (s << shift_) | k1;
+    }
+    return s < slots_.size() ? static_cast<std::size_t>(s) : kNoSlot;
+  }
+
   /// Row id (live or tombstoned) of `key`, or kNoRow. At most one row per
   /// distinct key ever exists — erasure tombstones the row in place.
   template <typename Key>
   uint32_t FindRow(const Key& key) const {
     if (slots_.empty()) return kNoRow;
-    return slots_[Probe(key)];
+    if (direct_) {
+      const std::size_t s = DirectSlot(key);
+      return s == kNoSlot ? kNoRow : slots_[s];
+    }
+    return slots_[HashProbe(key)];
+  }
+
+  /// The slot of `key` in a table ready for a one-row append, so the slot
+  /// stays valid through the insertion. Lays the table out anew first
+  /// when it is empty, when a hashed table would pass its load factor, or
+  /// when `key` falls outside the direct range.
+  template <typename Key>
+  std::size_t PrepareSlot(const Key& key) {
+    if (direct_) {
+      const std::size_t s = DirectSlot(key);
+      if (s != kNoSlot) return s;
+    } else if (!slots_.empty() &&
+               (values_.size() + 1) * 4 < slots_.size() * 3) {
+      return HashProbe(key);
+    }
+    std::array<ConstId, 2> hi = DirectMaxima();
+    for (int p = 0; p < arity_ && p < 2; ++p) {
+      hi[p] = std::max(hi[p], key[static_cast<std::size_t>(p)]);
+    }
+    Relayout(values_.size() + 1, hi);
+    return direct_ ? DirectSlot(key) : HashProbe(key);
   }
 
   static std::size_t SlotCountFor(std::size_t rows) {
@@ -388,23 +474,48 @@ class Relation {
     return n;
   }
 
-  void Rehash(std::size_t n_slots) {
-    slots_.assign(n_slots, kNoRow);
-    mask_ = n_slots - 1;
-    for (uint32_t r = 0; r < num_rows(); ++r) {
+  /// Largest ids stored in columns 0 and 1, tombstoned rows included —
+  /// what the direct form must cover. Zeros unless the arity is 1 or 2.
+  std::array<ConstId, 2> DirectMaxima() const {
+    std::array<ConstId, 2> hi = {0, 0};
+    if ((arity_ == 1 || arity_ == 2) && !values_.empty()) {
+      for (int p = 0; p < arity_; ++p) {
+        uint32_t lo = 0;
+        simd::MinMaxU32(cols_[p].data(), num_rows(), &lo, &hi[p]);
+      }
+    }
+    return hi;
+  }
+
+  /// Lays the row-id table out with room for `rows` rows whose largest
+  /// ids in columns 0 and 1 are `hi`, choosing the form (see the
+  /// storage-layout comment), and slots every stored row, tombstoned ones
+  /// included, so revivals still find them.
+  void Relayout(std::size_t rows, const std::array<ConstId, 2>& hi) {
+    constexpr int kDirectSpanBits = std::countr_zero(kDirectSpanCap);
+    constexpr std::size_t kDirectFloorSlots = 4096;
+    const std::size_t hashed = SlotCountFor(rows);
+    const uint32_t n = num_rows();
+    if (arity_ == 1 || arity_ == 2) {
+      const int b0 = std::bit_width(hi[0]);
+      const int b1 = arity_ == 2 ? std::bit_width(hi[1]) : 0;
+      if (b0 + b1 <= kDirectSpanBits &&
+          (std::size_t{1} << (b0 + b1)) <=
+              std::max(kDirectFloorSlots, 4 * hashed)) {
+        direct_ = true;
+        shift_ = b1;
+        slots_.assign(std::size_t{1} << (b0 + b1), kNoRow);
+        for (uint32_t r = 0; r < n; ++r) slots_[DirectSlot(View(r))] = r;
+        return;
+      }
+    }
+    direct_ = false;
+    slots_.assign(hashed, kNoRow);
+    mask_ = hashed - 1;
+    for (uint32_t r = 0; r < n; ++r) {
       std::size_t s = KeyHash(View(r)) & mask_;
       while (slots_[s] != kNoRow) s = (s + 1) & mask_;
       slots_[s] = r;
-    }
-  }
-
-  /// Grows the slot table ahead of a potential one-row append, so a slot
-  /// index obtained from Probe() stays valid through the insertion.
-  void ReserveOneRow() {
-    if (slots_.empty()) {
-      Rehash(SlotCountFor(values_.size() + 1));
-    } else if ((values_.size() + 1) * 4 >= slots_.size() * 3) {
-      Rehash(slots_.size() * 2);
     }
   }
 
@@ -444,8 +555,7 @@ class Relation {
       }
       return;
     }
-    ReserveOneRow();
-    std::size_t slot = Probe(key);
+    const std::size_t slot = PrepareSlot(key);
     uint32_t r = slots_[slot];
     if (r == kNoRow) {
       AppendRow(slot, key, std::move(v));
@@ -478,8 +588,7 @@ class Relation {
   template <typename Key>
   void MergeKey(const Key& key, const Value& v) {
     DLO_CHECK(static_cast<int>(key.size()) == arity_);
-    ReserveOneRow();
-    std::size_t slot = Probe(key);
+    const std::size_t slot = PrepareSlot(key);
     uint32_t r = slots_[slot];
     if (r != kNoRow && live_flags_[r]) {
       Value nv = P::Plus(values_[r].v, v);
@@ -523,6 +632,8 @@ class Relation {
     live_ = 0;
     slots_.clear();
     mask_ = 0;
+    direct_ = false;
+    shift_ = 0;
   }
 
   /// One value-column element. The wrapper defeats the std::vector<bool>
@@ -538,8 +649,10 @@ class Relation {
   std::vector<ValueCell> values_;           ///< parallel value column
   std::vector<uint8_t> live_flags_;         ///< 0 = tombstoned row
   std::size_t live_ = 0;                    ///< support size
-  RowIdList slots_;     ///< open-addressing row-id table (kNoRow = empty)
-  std::size_t mask_ = 0;
+  RowIdList slots_;       ///< row-id table, either form (kNoRow = empty)
+  std::size_t mask_ = 0;  ///< hashed form: slots_.size() - 1
+  bool direct_ = false;   ///< slots_ is direct-addressed
+  int shift_ = 0;         ///< direct form, arity 2: b1 (column 1's width)
   uint64_t uid_ = NextRelationUid();
   uint64_t version_ = 0;
   uint64_t hard_version_ = 0;   ///< version of the last hard discontinuity
@@ -555,11 +668,6 @@ enum class IndexRepr : uint8_t {
   kDirectArray,  ///< single key column, dense ids: offset-indexed buckets
   kAllRows,      ///< empty key: one list of all live rows
 };
-
-/// Span cap for the direct tier: above this, bucket storage (one vector
-/// header per id in [min, max]) stops being worth skipping the hash.
-/// Applies even under IndexKind::kDirect.
-inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
 
 /// Direct-build strategy bound: tombstone-free columns whose span is at
 /// most this are built by one vectorized FilterEqRows pass per key

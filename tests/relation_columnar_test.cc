@@ -1,17 +1,22 @@
 // The columnar (struct-of-arrays) relation store: tombstone/revive/
 // Compact lifecycle, row-id indexes, insertion-order independence, the
-// single-probe Merge upsert, and a randomized-op property check against a
-// reference std::map implementation of the same K-relation semantics.
+// single-probe Merge upsert, the choice between the direct and the hashed
+// row-id table, and a randomized-op property check that runs every op
+// sequence on both table forms against a reference std::map of the same
+// K-relation semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/relation/io.h"
 #include "src/relation/relation.h"
 #include "src/semiring/reals.h"
 #include "src/semiring/tropical.h"
+#include "tests/ci_knob.h"
 
 namespace datalogo {
 namespace {
@@ -152,61 +157,322 @@ TEST(ColumnarRelation, RowViewProbesAcrossRelations) {
   EXPECT_EQ(dst.Get(src.View(0)), 0.5);
 }
 
-/// Reference model: plain ordered map with the same support invariant.
-using RefMap = std::map<std::pair<ConstId, ConstId>, double>;
+/// Reference model: an ordered map with the same support invariant.
+/// Vector keys order lexicographically, as SortedLiveRows must.
+using RefKey = std::vector<ConstId>;
+using RefMap = std::map<RefKey, double>;
 
-Relation<TropS> FromReference(const RefMap& ref) {
-  Relation<TropS> out(2);
-  for (const auto& [key, val] : ref) out.Set({key.first, key.second}, val);
+constexpr ConstId kSmallIds = 8;    ///< ids of ordinary keys: [0, 8)
+constexpr ConstId kLateId = 32;     ///< late keys: [32, 64) — still direct
+constexpr ConstId kSparseId = 1u << 26;  ///< 2^(26+b) > kDirectSpanCap
+
+/// The monotone bijection that moves every id of a run far above
+/// kDirectSpanCap: the same op sequence run through it keeps its row ids
+/// and its sorted order but can only ever use the hashed row-id table.
+ConstId ToSparse(ConstId id) { return 0x80000000u + id; }
+
+Tuple ToTuple(const RefKey& key, bool sparse) {
+  Tuple t;
+  for (ConstId c : key) t.push_back(sparse ? ToSparse(c) : c);
+  return t;
+}
+
+Relation<TropS> FromReference(const RefMap& ref, int arity, bool sparse) {
+  Relation<TropS> out(arity);
+  for (const auto& [key, val] : ref) out.Set(ToTuple(key, sparse), val);
   return out;
 }
 
-TEST(ColumnarRelation, RandomizedOpsMatchReferenceMap) {
-  // Property test: an arbitrary interleaving of Set/Merge/erase/Clear/
-  // Compact leaves the columnar store Equals-identical to a reference
-  // map-based relation, in both directions, at every checkpoint.
-  std::mt19937 rng(7);
-  Relation<TropS> rel(2);
-  RefMap ref;
-  for (int step = 0; step < 5000; ++step) {
-    int op = static_cast<int>(rng() % 100);
-    ConstId x = rng() % 7, y = rng() % 7;
-    if (op < 40) {
-      double v = static_cast<double>(1 + rng() % 9);
-      rel.Set({x, y}, v);
-      ref[{x, y}] = v;
-    } else if (op < 70) {
-      double v = static_cast<double>(1 + rng() % 9);
-      rel.Merge({x, y}, v);
-      auto it = ref.find({x, y});
-      if (it == ref.end()) {
-        ref[{x, y}] = v;
-      } else {
-        it->second = TropS::Plus(it->second, v);
-      }
-    } else if (op < 85) {
-      rel.Set({x, y}, TropS::Inf());
-      ref.erase({x, y});
-    } else if (op < 93) {
-      rel.Compact();
-    } else if (op < 95) {
-      rel.Clear();
-      ref.clear();
-    } else {
-      double got = rel.Get({x, y});
-      auto it = ref.find({x, y});
-      EXPECT_EQ(got, it == ref.end() ? TropS::Inf() : it->second);
+/// Everything observable of the two runs must agree — with each other
+/// (ids through ToSparse) and with the reference map.
+void ExpectTwinsMatch(const Relation<TropS>& dense,
+                      const Relation<TropS>& sparse, const RefMap& ref,
+                      const RefKey& probe) {
+  ASSERT_EQ(dense.support_size(), ref.size());
+  ASSERT_EQ(sparse.support_size(), ref.size());
+  ASSERT_EQ(dense.num_rows(), sparse.num_rows());
+  ASSERT_EQ(dense.version(), sparse.version());
+  ASSERT_EQ(dense.hard_version(), sparse.hard_version());
+  ASSERT_EQ(dense.clear_version(), sparse.clear_version());
+  for (uint32_t r = 0; r < dense.num_rows(); ++r) {
+    ASSERT_EQ(dense.RowLive(r), sparse.RowLive(r)) << "row " << r;
+    for (int p = 0; p < dense.arity(); ++p) {
+      ASSERT_EQ(ToSparse(dense.Cell(r, p)), sparse.Cell(r, p)) << "row " << r;
     }
-    ASSERT_EQ(rel.support_size(), ref.size()) << "step " << step;
-    if (step % 97 == 0) {
-      Relation<TropS> mirror = FromReference(ref);
-      ASSERT_TRUE(rel.Equals(mirror)) << "step " << step;
-      ASSERT_TRUE(mirror.Equals(rel)) << "step " << step;
+    if (dense.RowLive(r)) {
+      ASSERT_EQ(dense.ValueAt(r), sparse.ValueAt(r)) << "row " << r;
     }
   }
-  Relation<TropS> mirror = FromReference(ref);
-  EXPECT_TRUE(rel.Equals(mirror));
-  EXPECT_TRUE(mirror.Equals(rel));
+  const std::vector<uint32_t> sorted = dense.SortedLiveRows();
+  ASSERT_EQ(sorted, sparse.SortedLiveRows());
+  ASSERT_EQ(sorted.size(), ref.size());
+  auto it = ref.begin();
+  for (uint32_t r : sorted) {
+    RefKey key(static_cast<std::size_t>(dense.arity()));
+    for (int p = 0; p < dense.arity(); ++p) key[p] = dense.Cell(r, p);
+    ASSERT_EQ(key, it->first);
+    ASSERT_EQ(dense.ValueAt(r), it->second);
+    ++it;
+  }
+  for (const auto& [key, val] : ref) {
+    ASSERT_EQ(dense.Get(ToTuple(key, false)), val);
+    ASSERT_EQ(sparse.Get(ToTuple(key, true)), val);
+    ASSERT_TRUE(dense.Contains(ToTuple(key, false)));
+    ASSERT_TRUE(sparse.Contains(ToTuple(key, true)));
+  }
+  const auto found = ref.find(probe);
+  const double want = found == ref.end() ? TropS::Inf() : found->second;
+  ASSERT_EQ(dense.Get(ToTuple(probe, false)), want);
+  ASSERT_EQ(sparse.Get(ToTuple(probe, true)), want);
+  ASSERT_EQ(dense.Contains(ToTuple(probe, false)), found != ref.end());
+  ASSERT_EQ(sparse.Contains(ToTuple(probe, true)), found != ref.end());
+}
+
+/// One random op sequence of `steps` ops at `arity`, applied in lockstep
+/// to a relation over dense ids (direct row-id table whenever it fits) and
+/// to one over the same ids moved by ToSparse (always hashed).
+void RunTwinOps(int arity, int steps, unsigned seed) {
+  std::mt19937 rng(seed);
+  Relation<TropS> dense(arity), sparse(arity);
+  RefMap ref;
+  std::vector<RefKey> erased;  // revival candidates
+  int direct_steps = 0, hashed_steps = 0;
+  const bool may_be_direct = arity == 1 || arity == 2;
+
+  // kind 0: ids in [0, kSmallIds); 1: one late id; 2: one sparse id.
+  auto random_key = [&](int kind) {
+    RefKey key(static_cast<std::size_t>(arity));
+    for (ConstId& c : key) c = rng() % kSmallIds;
+    if (kind != 0 && arity > 0) {
+      key[rng() % arity] =
+          (kind == 1 ? kLateId + rng() % 32 : kSparseId + rng() % 4);
+    }
+    return key;
+  };
+  // The key of a stored row (tombstoned ones too), else a random key.
+  auto stored_key = [&] {
+    if (dense.num_rows() == 0) return random_key(0);
+    const uint32_t r = rng() % dense.num_rows();
+    RefKey key(static_cast<std::size_t>(arity));
+    for (int p = 0; p < arity; ++p) key[p] = dense.Cell(r, p);
+    return key;
+  };
+  auto random_value = [&] { return static_cast<double>(1 + rng() % 9); };
+  auto ref_merge = [](RefMap* m, const RefKey& key, double v) {
+    if (v == TropS::Inf()) return;  // ⊕ ⊥ changes nothing
+    auto [it, fresh] = m->try_emplace(key, v);
+    if (!fresh) it->second = TropS::Plus(it->second, v);
+  };
+  auto set = [&](const RefKey& key, double v) {
+    dense.Set(ToTuple(key, false), v);
+    sparse.Set(ToTuple(key, true), v);
+    if (v == TropS::Inf()) {
+      if (ref.erase(key) != 0) erased.push_back(key);
+    } else {
+      ref[key] = v;
+    }
+  };
+  auto merge = [&](const RefKey& key, double v) {
+    dense.Merge(ToTuple(key, false), v);
+    sparse.Merge(ToTuple(key, true), v);
+    ref_merge(&ref, key, v);
+  };
+  // Two one-key relations (dense, sparse) whose dense one has the table
+  // form `dense` lacks: assigning over them must carry the form along.
+  auto other_form_pair = [&] {
+    const RefKey key = random_key(dense.direct_slots() ? 2 : 0);
+    std::pair<Relation<TropS>, Relation<TropS>> out{arity, arity};
+    out.first.Set(ToTuple(key, false), 1.0);
+    out.second.Set(ToTuple(key, true), 1.0);
+    return out;
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const int op = static_cast<int>(rng() % 100);
+    const bool was_direct = dense.direct_slots();
+    RefKey key = random_key(0);
+    if (op < 22) {
+      set(key, random_value());
+    } else if (op < 40) {
+      merge(key, rng() % 10 == 0 ? TropS::Inf() : random_value());
+    } else if (op < 47) {  // Set(⊥)
+      key = rng() % 2 ? stored_key() : key;
+      set(key, TropS::Inf());
+    } else if (op < 54) {
+      key = rng() % 2 ? stored_key() : key;
+      const bool live = ref.erase(key) != 0;
+      if (live) erased.push_back(key);
+      EXPECT_EQ(dense.Erase(ToTuple(key, false)), live) << "step " << step;
+      EXPECT_EQ(sparse.Erase(ToTuple(key, true)), live) << "step " << step;
+    } else if (op < 60) {  // revival of an erased key, if still stored
+      if (!erased.empty()) key = erased[rng() % erased.size()];
+      set(key, random_value());
+    } else if (op < 65) {
+      dense.Compact();
+      sparse.Compact();
+    } else if (op < 67) {
+      dense.Clear();
+      sparse.Clear();
+      ref.clear();
+    } else if (op < 70) {  // copy: construct, then assign over the other form
+      Relation<TropS> dcopy(dense), scopy(sparse);
+      EXPECT_EQ(dcopy.direct_slots(), dense.direct_slots());
+      EXPECT_EQ(dcopy.SortedLiveRows(), dense.SortedLiveRows());
+      EXPECT_TRUE(dcopy.Equals(dense));
+      EXPECT_TRUE(scopy.Equals(sparse));
+      auto [dtarget, starget] = other_form_pair();
+      dtarget = dcopy;
+      starget = scopy;
+      dense = std::move(dtarget);
+      sparse = std::move(starget);
+    } else if (op < 73) {  // move: construct, then assign over the other form
+      Relation<TropS> dcopy(dense), scopy(sparse);
+      Relation<TropS> dmoved(std::move(dcopy)), smoved(std::move(scopy));
+      EXPECT_EQ(dcopy.support_size(), 0u);  // moved-from: empty, hashed
+      EXPECT_FALSE(dcopy.direct_slots());
+      auto [dtarget, starget] = other_form_pair();
+      dtarget = std::move(dmoved);
+      starget = std::move(smoved);
+      dense = dtarget;
+      sparse = starget;
+    } else if (op < 80) {  // MergeFrom a partial, via an empty relation
+      Relation<TropS> dpart(arity), spart(arity);
+      RefMap part;
+      for (int i = 0, n = 1 + static_cast<int>(rng() % 5); i < n; ++i) {
+        const RefKey k = random_key(rng() % 4 == 0 ? 1 : 0);
+        const double v = random_value();
+        dpart.Merge(ToTuple(k, false), v);
+        spart.Merge(ToTuple(k, true), v);
+        ref_merge(&part, k, v);
+      }
+      if (rng() % 2) {
+        Relation<TropS> dempty(arity), sempty(arity);
+        dempty.MergeFrom(std::move(dpart));  // adopts the storage
+        sempty.MergeFrom(std::move(spart));
+        EXPECT_EQ(dempty.support_size(), part.size());
+        dense.MergeFrom(std::move(dempty));
+        sparse.MergeFrom(std::move(sempty));
+      } else {
+        dense.MergeFrom(std::move(dpart));
+        sparse.MergeFrom(std::move(spart));
+      }
+      for (const auto& [k, v] : part) ref_merge(&ref, k, v);
+    } else if (op < 86) {  // a RowView of the relation's own row
+      if (dense.num_rows() != 0) {
+        const uint32_t r = rng() % dense.num_rows();
+        for (int p = 0; p < arity; ++p) key[p] = dense.Cell(r, p);
+        const double v = random_value();
+        if (rng() % 2) {
+          dense.Merge(dense.View(r), v);
+          sparse.Merge(sparse.View(r), v);
+          ref_merge(&ref, key, v);
+        } else {
+          dense.Set(dense.View(r), v);
+          sparse.Set(sparse.View(r), v);
+          ref[key] = v;
+        }
+      }
+    } else if (op < 92) {  // late key: a direct table re-lays out, direct
+      key = random_key(1);
+      merge(key, random_value());
+      if (was_direct) {
+        EXPECT_TRUE(dense.direct_slots()) << "step " << step;
+      }
+    } else if (op < 94) {  // sparse key: a direct table turns hashed
+      key = random_key(2);
+      if (rng() % 2) {
+        set(key, random_value());
+      } else {
+        merge(key, rng() % 2 ? TropS::Inf() : random_value());
+      }
+      EXPECT_FALSE(may_be_direct && dense.direct_slots()) << "step " << step;
+    }  // else: probe only
+    ASSERT_NO_FATAL_FAILURE(ExpectTwinsMatch(dense, sparse, ref, key))
+        << "step " << step << " op " << op;
+    // Only an empty store (compacted to no rows) fits far-sparse ids.
+    EXPECT_FALSE(sparse.direct_slots() && sparse.num_rows() != 0)
+        << "step " << step;
+    (dense.direct_slots() ? direct_steps : hashed_steps)++;
+    if (step % 97 == 0) {
+      const Relation<TropS> dmirror = FromReference(ref, arity, false);
+      const Relation<TropS> smirror = FromReference(ref, arity, true);
+      ASSERT_TRUE(dense.Equals(dmirror)) << "step " << step;
+      ASSERT_TRUE(dmirror.Equals(dense)) << "step " << step;
+      ASSERT_TRUE(sparse.Equals(smirror)) << "step " << step;
+      ASSERT_TRUE(smirror.Equals(sparse)) << "step " << step;
+    }
+  }
+  if (may_be_direct) {  // both table forms were exercised
+    EXPECT_GT(direct_steps, 0);
+    EXPECT_GT(hashed_steps, 0);
+  } else {
+    EXPECT_EQ(direct_steps, 0);
+  }
+}
+
+TEST(ColumnarRelation, RandomizedOpsMatchReferenceMap) {
+  // Property test: random interleavings of Set, Set(⊥), Erase, revival,
+  // Merge, Clear, Compact, copy, move, MergeFrom, own-row RowViews, late
+  // and sparse keys, at arities 0–3. Each sequence runs twice — on dense
+  // ids (direct row-id table) and on far-sparse ids (hashed) — and both
+  // runs must match the reference map and each other at every step.
+  const int steps = CiIterations(4000, 800);
+  for (int arity = 0; arity <= 3; ++arity) {
+    SCOPED_TRACE(::testing::Message() << "arity " << arity);
+    RunTwinOps(arity, steps, 7u + static_cast<unsigned>(arity));
+  }
+}
+
+TEST(ColumnarRelation, DirectTableFormFollowsContent) {
+  // The table form is a function of the stored ids: dense arity-1/2 keys
+  // go direct, a key that does not fit turns the table hashed, and a
+  // Compact that drops that key goes back to direct. Arity 0 and 3 hash.
+  Relation<TropS> pairs(2);
+  EXPECT_FALSE(pairs.direct_slots());  // no table before the first insert
+  pairs.Set({3, 200}, 1.0);  // 2^(2+8) slots
+  EXPECT_TRUE(pairs.direct_slots());
+  pairs.Set({15, 0}, 2.0);  // out of range: re-laid out, still direct
+  EXPECT_TRUE(pairs.direct_slots());
+  pairs.Set({kSparseId, 1}, 3.0);
+  EXPECT_FALSE(pairs.direct_slots());
+  EXPECT_EQ(pairs.Get({3, 200}), 1.0);
+  pairs.Erase({kSparseId, 1});
+  pairs.Compact();
+  EXPECT_TRUE(pairs.direct_slots());
+  EXPECT_EQ(pairs.Get({15, 0}), 2.0);
+  EXPECT_EQ(pairs.Get({kSparseId, 1}), TropS::Inf());
+
+  Relation<TropS> unary(1);
+  unary.Set({4095}, 1.0);  // 4096 slots: within the floor
+  EXPECT_TRUE(unary.direct_slots());
+  Relation<TropS> wide(1);
+  wide.Set({kSparseId}, 1.0);
+  EXPECT_FALSE(wide.direct_slots());
+
+  // A large dense relation starts hashed (its slot array would dwarf a
+  // tiny hashed table) and goes direct once growth makes it pay.
+  Relation<TropS> grid(2);
+  grid.Set({255, 255}, 1.0);
+  EXPECT_FALSE(grid.direct_slots());
+  for (ConstId i = 0; i < 256; ++i) {
+    for (ConstId j = 0; j < 256; ++j) grid.Merge({i, j}, 2.0);
+  }
+  EXPECT_TRUE(grid.direct_slots());
+  const std::vector<uint32_t> sorted = grid.SortedLiveRows();
+  ASSERT_EQ(sorted.size(), 256u * 256u);
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
+                             [&](uint32_t a, uint32_t b) {
+                               return std::pair(grid.Cell(a, 0),
+                                                grid.Cell(a, 1)) <
+                                      std::pair(grid.Cell(b, 0),
+                                                grid.Cell(b, 1));
+                             }));
+
+  Relation<TropS> nullary(0), triples(3);
+  nullary.Set({}, 1.0);
+  triples.Set({1, 2, 3}, 1.0);
+  EXPECT_FALSE(nullary.direct_slots());
+  EXPECT_FALSE(triples.direct_slots());
 }
 
 TEST(ColumnarRelation, CopyAndMoveSemantics) {
