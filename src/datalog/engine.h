@@ -22,6 +22,7 @@
 #include "src/core/thread_pool.h"
 #include "src/datalog/ast.h"
 #include "src/datalog/instance.h"
+#include "src/datalog/join_plan.h"
 #include "src/datalog/reliance.h"
 #include "src/relation/relation.h"
 #include "src/semiring/boolean.h"
@@ -569,6 +570,10 @@ class Engine {
     };
     std::vector<CheckPair> check_pairs;
     std::vector<BindOp> bind_ops;  ///< first occurrences, in arg order
+    /// Every position is a key (re-derive programs only, never level 0):
+    /// the level probes the relation's own row-id table for its 0 or 1
+    /// matching row instead of going through an index.
+    bool point = false;
   };
 
   struct CompiledDisjunct {
@@ -598,6 +603,24 @@ class Engine {
     std::vector<CompiledDisjunct> disjuncts;
   };
 
+  /// Generator atom index of a re-derive program's driver Π.
+  static constexpr int kPrunedAtom = -1;
+
+  /// DRed's re-derive program for one compiled disjunct: the forward join
+  /// Π(head args) ∧ body. Π is the head predicate's pruned tuples, valued
+  /// One, and drives level 0, so head constants and repeated head
+  /// variables become its key positions and check pairs. The body follows
+  /// in the GreedyJoinOrder (join_plan.h) of the live row counts it was
+  /// last planned under; a DRed update re-plans and rebuilds it only when
+  /// that order changes. Slots are made by the first DRed update.
+  struct RederiveProgram {
+    int rule = 0;
+    int disjunct = 0;
+    bool built = false;
+    std::vector<JoinStep> order;
+    CompiledDisjunct cd;
+  };
+
   /// Reusable join-state buffers for one disjunct evaluation, sized by
   /// SizeScratch(). Executing a disjunct allocates nothing: bindings,
   /// per-level join keys, per-level accumulators and the head tuple all
@@ -622,6 +645,7 @@ class Engine {
     std::vector<uint32_t> batch_len;       ///< per-level batch fill
     std::vector<uint32_t> gather_a;        ///< check-gather buffer (lhs)
     std::vector<uint32_t> gather_b;        ///< check-gather buffer (rhs)
+    std::vector<RowIdList> point_rows;     ///< per-level point-probe hit
   };
 
   /// Per-generator inputs of one disjunct evaluation, resolved during the
@@ -714,50 +738,11 @@ class Engine {
           }
         }
 
-        auto add_generator = [&](bool is_bool, int index, const Atom& a) {
-          Generator g;
-          g.is_bool = is_bool;
-          g.atom_index = index;
-          g.pred = a.pred;
-          g.is_idb =
-              !is_bool && prog_->predicate(a.pred).kind == PredKind::kIdb;
-          // One pass over the argument positions: positions whose value is
-          // known before this generator (constants and already-bound
-          // variables) become index-key slots; the rest become bind/check
-          // ops executed per matched entry: a variable's first occurrence
-          // binds it, and each later occurrence in this atom pairs with
-          // that binding position as a check (see Generator::CheckPair).
-          std::vector<bool> bound_before = bound;
-          for (std::size_t p = 0; p < a.args.size(); ++p) {
-            const Term& t = a.args[p];
-            const int pos = static_cast<int>(p);
-            if (!t.IsVar()) {
-              g.key_positions.push_back(pos);
-              g.key_sources.push_back(ValueSource{-1, t.constant});
-            } else if (bound_before[t.var]) {
-              g.key_positions.push_back(pos);
-              g.key_sources.push_back(ValueSource{t.var, 0});
-            } else if (!bound[t.var]) {
-              g.bind_ops.push_back(BindOp{pos, t.var});
-              bound[t.var] = true;
-            } else {
-              int first_pos = -1;
-              for (const BindOp& b : g.bind_ops) {
-                if (b.var == t.var) first_pos = b.pos;
-              }
-              DLO_CHECK_MSG(first_pos >= 0,
-                            "check without a same-atom binding occurrence");
-              g.check_pairs.push_back({pos, first_pos});
-            }
-          }
-          cd.generators.push_back(std::move(g));
-        };
-
         for (std::size_t i = 0; i < sp.atoms.size(); ++i) {
           const Atom& a = sp.atoms[i];
           DLO_CHECK_MSG(!a.negated,
                         "negated POPS atoms require the grounded engine");
-          add_generator(false, static_cast<int>(i), a);
+          AddGenerator(false, static_cast<int>(i), a, &bound, &cd);
           if (prog_->predicate(a.pred).kind == PredKind::kIdb) {
             cd.idb_atoms.push_back(static_cast<int>(i));
           }
@@ -770,7 +755,7 @@ class Engine {
             if (t.IsVar() && !bound[t.var]) binds_new = true;
           }
           if (binds_new) {
-            add_generator(true, static_cast<int>(i), c.atom);
+            AddGenerator(true, static_cast<int>(i), c.atom, &bound, &cd);
           }
         }
         // Residual checks: everything except bool atoms used as
@@ -818,11 +803,13 @@ class Engine {
           }
         }
         // Occurrence ell resolves occurrences after it to t_old, so only
-        // a disjunct with two or more group occurrences ever reads it.
+        // a disjunct with two or more group occurrences ever reads it —
+        // and, in the Update cascades, two or more IDB occurrences.
         if (cd.group_atoms.size() >= 2) {
           group_reads_old_[static_cast<std::size_t>(
               reliance_.group_of_rule[rule_index])] = true;
         }
+        if (cd.idb_atoms.size() >= 2) reads_old_ = true;
 
         // Head slots: range restriction (validate.cc) guarantees every
         // head variable is bound once all generators have run.
@@ -847,6 +834,48 @@ class Engine {
       }
       compiled_.push_back(std::move(cr));
     }
+  }
+
+  /// Appends the join generator of atom `a` (sp.atoms[index], or the
+  /// Boolean condition atom sp.conditions[index]) to `cd`, given the
+  /// variables `bound` before it, and marks the variables it binds. One
+  /// pass over the argument positions: positions whose value is known
+  /// before this generator (constants and already-bound variables) become
+  /// index-key slots; the rest become bind/check ops executed per matched
+  /// entry: a variable's first occurrence binds it, and each later
+  /// occurrence in this atom pairs with that binding position as a check
+  /// (see Generator::CheckPair).
+  void AddGenerator(bool is_bool, int index, const Atom& a,
+                    std::vector<bool>* bound, CompiledDisjunct* cd) const {
+    Generator g;
+    g.is_bool = is_bool;
+    g.atom_index = index;
+    g.pred = a.pred;
+    g.is_idb = !is_bool && prog_->predicate(a.pred).kind == PredKind::kIdb;
+    const std::vector<bool> bound_before = *bound;
+    for (std::size_t p = 0; p < a.args.size(); ++p) {
+      const Term& t = a.args[p];
+      const int pos = static_cast<int>(p);
+      if (!t.IsVar()) {
+        g.key_positions.push_back(pos);
+        g.key_sources.push_back(ValueSource{-1, t.constant});
+      } else if (bound_before[t.var]) {
+        g.key_positions.push_back(pos);
+        g.key_sources.push_back(ValueSource{t.var, 0});
+      } else if (!(*bound)[t.var]) {
+        g.bind_ops.push_back(BindOp{pos, t.var});
+        (*bound)[t.var] = true;
+      } else {
+        int first_pos = -1;
+        for (const BindOp& b : g.bind_ops) {
+          if (b.var == t.var) first_pos = b.pos;
+        }
+        DLO_CHECK_MSG(first_pos >= 0,
+                      "check without a same-atom binding occurrence");
+        g.check_pairs.push_back({pos, first_pos});
+      }
+    }
+    cd->generators.push_back(std::move(g));
   }
 
   /// Bounds cache memory between joining steps — the only time no
@@ -1151,7 +1180,7 @@ class Engine {
       ++res->rounds;
       delta->ClearAll();
       if (!DeltaFromCandidate(*candidate, *t_new, delta)) return;
-      t_old->CopyContentsFrom(*t_new);
+      if (reads_old_) t_old->CopyContentsFrom(*t_new);
       for (int pred : prog_->IdbPredicates()) {
         MergeRows(delta->idb(pred), &t_new->idb(pred));
       }
@@ -1203,7 +1232,7 @@ class Engine {
     IdbInstance<P> delta(*prog_);
     if (DeltaFromCandidate(candidate, *idb, &delta)) {
       IdbInstance<P> t_old(*prog_);
-      t_old.CopyContentsFrom(*idb);
+      if (reads_old_) t_old.CopyContentsFrom(*idb);
       for (int pred : prog_->IdbPredicates()) {
         MergeRows(delta.idb(pred), &idb->idb(pred));
       }
@@ -1278,8 +1307,9 @@ class Engine {
         res->work += work;
         return CascadeOutcome::kConverged;
       }
-      // T_prev ← T, then T ⊖= removed (exact, or bail out).
-      t_prev.CopyContentsFrom(*idb);
+      // T_prev ← T (when a disjunct reads it), then T ⊖= removed (exact,
+      // or bail out).
+      if (reads_old_) t_prev.CopyContentsFrom(*idb);
       for (int pred : prog_->IdbPredicates()) {
         const Relation<P>& rem = removed.idb(pred);
         Relation<P>& t = idb->idb(pred);
@@ -1317,10 +1347,11 @@ class Engine {
   /// every truly affected tuple — ties included — survives. Non-selective
   /// dioids (PosBool) keep the whole reachable cone (plain support-level
   /// DRed). (2) Prune the cone from T and apply the whole EDB batch.
-  /// (3) Re-derive: seed = insert cross terms ⊕ a backward point
-  /// re-derivation of every pruned tuple, then ordinary differential
-  /// rounds. Unpruned rows need no seed slot — they satisfy
-  /// F_new(T_start)(u) ⊑ T_start(u), so their diff is ⊥.
+  /// (3) Re-derive: seed = insert cross terms ⊕ F(T)(u) for every pruned
+  /// tuple u (RederivePruned: forward join programs driven by the pruned
+  /// set), then ordinary differential rounds. Unpruned rows need no seed
+  /// slot — they satisfy F_new(T_start)(u) ⊑ T_start(u), so their diff is
+  /// ⊥.
   void DredUpdate(const EdbDelta<P>& batch, EdbInstance<P>* edb,
                   IdbInstance<P>* idb, int max_steps,
                   UpdateResult* res) const
@@ -1398,17 +1429,14 @@ class Engine {
       ++res->rounds;
     }
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
-    std::vector<std::pair<int, Tuple>> pruned;
+    IdbInstance<P> pruned(*prog_);  // the re-derive drivers Π, valued One
     for (int pred : prog_->IdbPredicates()) {
       const Relation<P>& a = affected.idb(pred);
       Relation<P>& t = idb->idb(pred);
       const uint32_t rows = a.num_rows();
       for (uint32_t r = 0; r < rows; ++r) {
         if (!a.RowLive(r)) continue;
-        if (!t.Erase(a.View(r))) continue;
-        Tuple tup(static_cast<std::size_t>(a.arity()), 0);
-        for (int p = 0; p < a.arity(); ++p) tup[p] = a.Cell(r, p);
-        pruned.emplace_back(pred, std::move(tup));
+        if (t.Erase(a.View(r))) pruned.idb(pred).Set(a.View(r), P::One());
       }
     }
     idb->CompactAll();
@@ -1440,163 +1468,141 @@ class Engine {
     if (have_adds) {
       EvalEdbCrossTerms(add_cv, add_snap, *idb, &candidate, &work);
     }
-    for (const auto& [pred, tup] : pruned) {
-      const typename P::Value v = RederiveTuple(pred, tup, *idb, &work);
-      if (!P::Eq(v, P::Zero())) candidate.idb(pred).Merge(tup, v);
-    }
+    RederivePruned(pruned, *idb, &candidate, &work);
     ++res->rounds;
     IdbInstance<P> delta(*prog_);
     if (DeltaFromCandidate(candidate, *idb, &delta)) {
       IdbInstance<P> t_old(*prog_);
-      t_old.CopyContentsFrom(*idb);
+      if (reads_old_) t_old.CopyContentsFrom(*idb);
       for (int pred : prog_->IdbPredicates()) {
         MergeRows(delta.idb(pred), &idb->idb(pred));
       }
       idb->CompactAll();
       RunMergeRounds(idb, &delta, &t_old, &candidate, max_steps, res, &work);
     }
-    for (const auto& [pred, tup] : pruned) {
-      if (idb->idb(pred).Contains(tup)) ++res->deleted_rederived;
+    for (int pred : prog_->IdbPredicates()) {
+      const Relation<P>& p = pruned.idb(pred);
+      const Relation<P>& t = idb->idb(pred);
+      for (uint32_t r = 0; r < p.num_rows(); ++r) {
+        if (!P::Eq(t.Get(p.View(r)), P::Zero())) ++res->deleted_rederived;
+      }
     }
     res->work += work;
   }
 
-  /// Backward point re-derivation: F(T)(tuple) for ONE head tuple — the
-  /// DRed re-derive seed for a pruned tuple. The head binding grounds
-  /// positions the forward compilation treated as free, so the key sets
-  /// differ from the compiled generators': each level re-plans its key
-  /// (the currently ground argument positions) against the live binding
-  /// and probes through the shared index cache — unpinned, so the
-  /// point-query indexes amortize across the pruned set and sweep away
-  /// afterwards. ⊕ across derivations is exactly associative/commutative
-  /// for every DRed carrier (min/max/or/antichain union), so enumeration
-  /// order cannot perturb values.
-  typename P::Value RederiveTuple(int head_pred, const Tuple& tuple,
-                                  const IdbInstance<P>& idb,
-                                  uint64_t* work) const {
-    typename P::Value total = P::Zero();
-    std::vector<ConstId> binding;
-    for (const CompiledRule& cr : compiled_) {
-      if (cr.rule->head.pred != head_pred) continue;
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        binding.assign(static_cast<std::size_t>(cr.rule->num_vars),
-                       kUnbound);
-        for (const auto& [v, c] : cd.prebindings) binding[v] = c;
-        bool feasible = true;
-        for (std::size_t i = 0; i < cr.rule->head.args.size(); ++i) {
-          const Term& t = cr.rule->head.args[i];
-          if (!t.IsVar()) {
-            if (t.constant != tuple[i]) {
-              feasible = false;
-              break;
-            }
-            continue;
-          }
-          if (binding[t.var] != kUnbound && binding[t.var] != tuple[i]) {
-            feasible = false;
-            break;
-          }
-          binding[t.var] = tuple[i];
+  /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, merged into
+  /// `out`. Runs the re-derive program (RederiveProgram) of every
+  /// disjunct whose head lost tuples through the ordinary join kernel,
+  /// reading `pruned` for Π, `idb` for the body's IDB atoms and the live
+  /// (mutated) EDB. Emission order differs from a recompute's, which is
+  /// sound because ⊕ is exactly associative and commutative on every DRed
+  /// carrier (min/max/or/antichain union); ⊗ order is GreedyJoinOrder's.
+  void RederivePruned(const IdbInstance<P>& pruned, const IdbInstance<P>& idb,
+                      IdbInstance<P>* out, uint64_t* work) const {
+    if (rederive_.empty()) {
+      // First DRed update: one program slot per disjunct, each planned
+      // and sized when its head first loses tuples. Engines that never
+      // re-derive allocate none of this.
+      for (std::size_t r = 0; r < compiled_.size(); ++r) {
+        for (std::size_t d = 0; d < compiled_[r].disjuncts.size(); ++d) {
+          RederiveProgram rp;
+          rp.rule = static_cast<int>(r);
+          rp.disjunct = static_cast<int>(d);
+          rp.cd.scratch_id = static_cast<int>(scratch_.size());
+          scratch_.emplace_back();
+          prepared_.emplace_back();
+          rederive_.push_back(std::move(rp));
         }
-        if (!feasible) continue;
-        total = P::Plus(total,
-                        RederiveLevel(cd, 0, &binding, P::One(), idb, work));
       }
     }
-    return total;
+    std::vector<EvalUnit> units;
+    for (RederiveProgram& rp : rederive_) {
+      const CompiledRule& cr = compiled_[static_cast<std::size_t>(rp.rule)];
+      const int head = cr.rule->head.pred;
+      if (pruned.idb(head).empty()) continue;
+      PlanRederive(idb, &rp);
+      const CompiledDisjunct* cdp = &rp.cd;
+      auto resolver = [this, cdp, head, &pruned,
+                       &idb](int atom_index) -> const Relation<P>& {
+        if (atom_index == kPrunedAtom) return pruned.idb(head);
+        const int pred = cdp->sp->atoms[atom_index].pred;
+        if (prog_->predicate(pred).kind == PredKind::kIdb) {
+          return idb.idb(pred);
+        }
+        return edb_->pops(pred);
+      };
+      units.push_back(EvalUnit{&cr, cdp, resolver});
+    }
+    if (pool_) {
+      if (!units.empty()) ApplyUnitsParallel(units, out, work);
+      return;
+    }
+    for (const EvalUnit& u : units) {
+      EvalDisjunct(*u.cd, u.resolver, &out->idb(u.cr->rule->head.pred), work);
+    }
   }
 
-  /// One generator level of RederiveTuple's backward join (recursive,
-  /// depth = generator count). Fully ground levels probe point-wise;
-  /// partially bound levels enumerate the cache-served entry list for the
-  /// ground positions, binding first occurrences and checking repeats.
-  /// Variables this level introduced are re-unbound before returning so
-  /// sibling entries (and the caller's next entry) re-plan cleanly.
-  typename P::Value RederiveLevel(const CompiledDisjunct& cd, std::size_t g,
-                                  std::vector<ConstId>* binding,
-                                  const typename P::Value& acc,
-                                  const IdbInstance<P>& idb,
-                                  uint64_t* work) const {
-    if (g == cd.generators.size()) {
-      for (const Condition* c : cd.residual) {
-        if (!CheckCondition(*c, *binding)) return P::Zero();
-      }
-      return acc;
+  /// Plans `rp`'s body for the current live row counts (head variables
+  /// and prebindings bound) and rebuilds its program if the order moved.
+  /// Positive Boolean condition atoms all become generators here (a fully
+  /// bound one filters as a point probe), so only compares and negated
+  /// atoms stay residual.
+  void PlanRederive(const IdbInstance<P>& idb, RederiveProgram* rp) const {
+    const CompiledRule& cr = compiled_[static_cast<std::size_t>(rp->rule)];
+    const CompiledDisjunct& fwd =
+        cr.disjuncts[static_cast<std::size_t>(rp->disjunct)];
+    const Rule& rule = *cr.rule;
+    const SumProduct& sp = *fwd.sp;
+    std::vector<bool> bound(static_cast<std::size_t>(rule.num_vars), false);
+    for (const auto& [v, c] : fwd.prebindings) bound[v] = true;
+    std::vector<bool> after_head = bound;
+    for (const Term& t : rule.head.args) {
+      if (t.IsVar()) after_head[t.var] = true;
     }
-    const Generator& gen = cd.generators[g];
-    const Atom& atom = gen.is_bool ? cd.sp->conditions[gen.atom_index].atom
-                                   : cd.sp->atoms[gen.atom_index];
-    std::vector<int> key_pos;
-    Tuple key;
-    struct FreeOp {
-      int pos;
-      int var;
-      bool bind;  ///< first unbound occurrence within this atom
-    };
-    std::vector<FreeOp> free_ops;
-    for (std::size_t p = 0; p < atom.args.size(); ++p) {
-      const Term& t = atom.args[p];
-      const ConstId ground = t.IsVar() ? (*binding)[t.var] : t.constant;
-      if (ground != kUnbound) {
-        key_pos.push_back(static_cast<int>(p));
-        key.push_back(ground);
-        continue;
-      }
-      bool seen = false;
-      for (const FreeOp& f : free_ops) {
-        if (f.bind && f.var == t.var) seen = true;
-      }
-      free_ops.push_back(FreeOp{static_cast<int>(p), t.var, !seen});
+    std::vector<std::size_t> atom_rows(sp.atoms.size(), 0);
+    for (std::size_t i = 0; i < sp.atoms.size(); ++i) {
+      const int pred = sp.atoms[i].pred;
+      atom_rows[i] = prog_->predicate(pred).kind == PredKind::kIdb
+                         ? idb.idb(pred).support_size()
+                         : edb_->pops(pred).support_size();
     }
-    typename P::Value total = P::Zero();
-    auto drain = [&](const auto& rel, const RowIdList& entries,
-                     auto&& value_of) {
-      for (uint32_t row : entries) {
-        ++*work;
-        bool matched = true;
-        for (const FreeOp& f : free_ops) {
-          const ConstId got = rel.Cell(row, f.pos);
-          if (f.bind) {
-            (*binding)[f.var] = got;
-          } else if ((*binding)[f.var] != got) {
-            matched = false;
-            break;
-          }
-        }
-        if (!matched) continue;
-        total = P::Plus(total, RederiveLevel(cd, g + 1, binding,
-                                             value_of(row), idb, work));
+    std::vector<std::size_t> cond_rows(sp.conditions.size(), 0);
+    for (std::size_t j = 0; j < sp.conditions.size(); ++j) {
+      const Condition& c = sp.conditions[j];
+      if (c.kind == Condition::Kind::kBoolAtom) {
+        cond_rows[j] = edb_->boolean(c.atom.pred).support_size();
       }
-      for (const FreeOp& f : free_ops) {
-        if (f.bind) (*binding)[f.var] = kUnbound;
-      }
-    };
-    if (gen.is_bool) {
-      const Relation<BoolS>& rel = edb_->boolean(gen.pred);
-      if (free_ops.empty()) {
-        ++*work;
-        if (!rel.Get(key)) return P::Zero();
-        return RederiveLevel(cd, g + 1, binding, acc, idb, work);
-      }
-      const RelationIndex<BoolS>& idx =
-          bool_cache_.Get(rel, key_pos, /*pin=*/false);
-      CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-      drain(rel, idx.Lookup(key), [&](uint32_t) { return acc; });
-      return total;
     }
-    const Relation<P>& rel =
-        gen.is_idb ? idb.idb(gen.pred) : edb_->pops(gen.pred);
-    if (free_ops.empty()) {
-      ++*work;
-      const typename P::Value v = rel.Get(key);
-      if (P::Eq(v, P::Zero())) return P::Zero();
-      return RederiveLevel(cd, g + 1, binding, P::Times(acc, v), idb, work);
+    std::vector<JoinStep> order =
+        GreedyJoinOrder(sp, after_head, atom_rows, cond_rows);
+    if (rp->built && order == rp->order) return;
+
+    CompiledDisjunct cd;
+    cd.disjunct_index = fwd.disjunct_index;
+    cd.sp = fwd.sp;
+    cd.prebindings = fwd.prebindings;
+    cd.always_false = fwd.always_false;
+    cd.head_sources = fwd.head_sources;
+    cd.scratch_id = rp->cd.scratch_id;
+    AddGenerator(false, kPrunedAtom, rule.head, &bound, &cd);
+    for (const JoinStep& step : order) {
+      const Atom& a = step.is_bool ? sp.conditions[step.index].atom
+                                   : sp.atoms[step.index];
+      AddGenerator(step.is_bool, step.index, a, &bound, &cd);
+      Generator& g = cd.generators.back();
+      g.point = g.key_positions.size() == a.args.size();
     }
-    const RelationIndex<P>& idx = pops_cache_.Get(rel, key_pos, /*pin=*/false);
-    CountProbe(idx.repr(), &hash_probes_, &direct_probes_);
-    drain(rel, idx.Lookup(key),
-          [&](uint32_t row) { return P::Times(acc, rel.ValueAt(row)); });
-    return total;
+    for (const Condition* c : fwd.residual) {
+      if (c->kind != Condition::Kind::kBoolAtom) cd.residual.push_back(c);
+    }
+    SizeScratch(rule, cd, &scratch_[static_cast<std::size_t>(cd.scratch_id)]);
+    rp->cd = std::move(cd);
+    rp->order = std::move(order);
+    rp->built = true;
+    // Parallel task slots sized for the old shape must re-size.
+    for (TaskState& st : par_states_) {
+      if (st.sized_for == &rp->cd) st.sized_for = nullptr;
+    }
   }
 
   /// The parallel ICO step. Three phases (see the class comment):
@@ -1696,8 +1702,11 @@ class Engine {
     return binding[t.var];
   }
 
-  bool CheckCondition(const Condition& c,
-                      const std::vector<ConstId>& binding) const {
+  /// Out of line on purpose: EmitHead is its only caller, and inlined
+  /// there this body makes EmitHead too big for GCC to inline into the
+  /// join kernel's per-row drain loops — a measured 4% on parity_paths.
+  [[gnu::noinline]] bool CheckCondition(
+      const Condition& c, const std::vector<ConstId>& binding) const {
     switch (c.kind) {
       case Condition::Kind::kBoolAtom:
       case Condition::Kind::kNegBoolAtom: {
@@ -1792,6 +1801,7 @@ class Engine {
     sc->batch_len.assign(cd.generators.size(), 0);
     sc->gather_a.assign(simd::kJoinBatch, 0);
     sc->gather_b.assign(simd::kJoinBatch, 0);
+    sc->point_rows.resize(cd.generators.size());
   }
 
   /// Residual checks + zero filter + head construction for one complete
@@ -1841,6 +1851,14 @@ class Engine {
     prep->level0 = nullptr;
     for (std::size_t g = 0; g < levels; ++g) {
       const Generator& gen = cd.generators[g];
+      if (gen.point) {  // probes the row-id table: no index to resolve
+        if (gen.is_bool) {
+          prep->bool_rel[g] = &edb_->boolean(gen.pred);
+        } else {
+          prep->pops_rel[g] = &resolver(gen.atom_index);
+        }
+        continue;
+      }
       if (gen.is_bool) {
         const Relation<BoolS>& rel = edb_->boolean(gen.pred);
         // Boolean condition atoms always read the EDB: pin the entry
@@ -1962,11 +1980,20 @@ class Engine {
         const ValueSource& s = gen.key_sources[i];
         key[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
       }
-      CountProbe(prep.repr[lvl], hash_probes, direct_probes);
-      if (gen.is_bool) {
-        sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
+      if (gen.point) {
+        RowIdList& hit = sc.point_rows[lvl];
+        hit.clear();
+        const uint32_t row = gen.is_bool ? prep.bool_rel[lvl]->LiveRow(key)
+                                         : prep.pops_rel[lvl]->LiveRow(key);
+        if (row != kNoRow) hit.push_back(row);
+        sc.entries[lvl] = &hit;
       } else {
-        sc.entries[lvl] = &prep.pops_idx[lvl]->Lookup(key);
+        CountProbe(prep.repr[lvl], hash_probes, direct_probes);
+        if (gen.is_bool) {
+          sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
+        } else {
+          sc.entries[lvl] = &prep.pops_idx[lvl]->Lookup(key);
+        }
       }
       sc.next[lvl] = 0;
       sc.batch_pos[lvl] = 0;
@@ -2125,6 +2152,10 @@ class Engine {
   /// group occurrences — the only kind whose differential rounds read
   /// T(t-1). SemiNaive keeps t_old current for exactly these groups.
   std::vector<bool> group_reads_old_;
+  /// Whether any disjunct has two or more IDB occurrences — the only kind
+  /// whose Update-cascade differential rounds read T(t-1) (`t_old`,
+  /// `t_prev`). The cascades keep it current only when this is set.
+  bool reads_old_ = false;
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
   // Mutable: evaluation entry points are const, but memoizing indexes,
   // counting builds, and reusing evaluation buffers are all invisible to
@@ -2133,8 +2164,10 @@ class Engine {
   // execute phase), which is what makes internal parallelism safe — and
   // also why one Engine object is still not shareable across *caller*
   // threads (see the class comment).
-  mutable std::vector<Scratch> scratch_;  ///< one per compiled disjunct
-  mutable std::vector<PreparedGens> prepared_;  ///< one per disjunct
+  mutable std::vector<Scratch> scratch_;  ///< one per forward/re-derive
+                                          ///< program
+  mutable std::vector<RederiveProgram> rederive_;  ///< one per disjunct
+  mutable std::vector<PreparedGens> prepared_;  ///< parallel to scratch_
   mutable std::vector<PreparedGens> par_prepared_;  ///< one per eval unit
   mutable std::vector<TaskState> par_states_;  ///< one per (unit, shard)
   mutable IndexCache<P> pops_cache_;

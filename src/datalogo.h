@@ -17,6 +17,7 @@
 #include "src/datalog/engine.h"
 #include "src/datalog/grounder.h"
 #include "src/datalog/instance.h"
+#include "src/datalog/join_plan.h"
 #include "src/datalog/loader.h"
 #include "src/datalog/parser.h"
 #include "src/datalog/reliance.h"

@@ -237,8 +237,14 @@ class Relation {
 
   bool Contains(const Tuple& t) const {
     if (static_cast<int>(t.size()) != arity_) return false;
-    uint32_t r = FindRow(t);
-    return r != kNoRow && live_flags_[r] != 0;
+    return LiveRow(t) != kNoRow;
+  }
+
+  /// The row holding `t` when it is in the support, else kNoRow — one
+  /// probe of the row-id table (`t` must have this relation's arity).
+  uint32_t LiveRow(const Tuple& t) const {
+    const uint32_t r = FindRow(t);
+    return r != kNoRow && live_flags_[r] != 0 ? r : kNoRow;
   }
 
   /// Sets the value, maintaining the support invariant (⊥ tombstones).

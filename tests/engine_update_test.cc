@@ -73,18 +73,21 @@ std::vector<Tuple> LiveTuples(const Relation<P>& rel) {
 /// Drives `rounds` random mixed batches through one warm engine and
 /// checks each against a cold full recompute of the mutated EDB. The
 /// comparison is Relation::Equals (same support, P::Eq values) plus
-/// DumpTsvChecked string equality — byte-level, catching any value
-/// formatting drift too.
+/// DumpTsvChecked string equality of every IDB — byte-level, catching any
+/// value formatting drift too. `program` must declare `edb E/2`, the only
+/// relation the batches mutate; its Boolean EDBs get random tuples once,
+/// before the first fixpoint.
 template <Pops P, typename MakeValue>
 void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
                            int rounds, unsigned seed,
-                           bool acyclic = false) {
+                           bool acyclic = false,
+                           const char* program = kTc) {
   Domain dom;
-  auto prog_or = ParseProgram(kTc, &dom);
-  ASSERT_TRUE(prog_or.ok());
+  auto prog_or = ParseProgram(program, &dom);
+  ASSERT_TRUE(prog_or.ok()) << prog_or.status().ToString();
   const Program& prog = prog_or.value();
   const int e = prog.FindPredicate("E");
-  const int t = prog.FindPredicate("T");
+  ASSERT_GE(e, 0);
 
   std::mt19937 rng(seed);
   const int n = 12;
@@ -107,6 +110,18 @@ void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
   for (int i = 0; i < 2 * n; ++i) {
     auto [a, b] = random_edge();
     edb.pops(e).Merge({a, b}, make_value(rng));
+  }
+  std::vector<int> bool_preds;
+  for (int pred = 0; pred < prog.num_predicates(); ++pred) {
+    if (prog.predicate(pred).kind != PredKind::kBoolEdb) continue;
+    bool_preds.push_back(pred);
+    for (int i = 0; i < n; ++i) {
+      Tuple tup;
+      for (int p = 0; p < prog.predicate(pred).arity; ++p) {
+        tup.push_back(ids[rng() % n]);
+      }
+      edb.boolean(pred).Set(tup, true);
+    }
   }
 
   Engine<P> eng(prog, edb, opts);
@@ -135,15 +150,19 @@ void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
 
     EdbInstance<P> gold_edb(prog);
     gold_edb.pops(e) = edb.pops(e);
+    for (int pred : bool_preds) gold_edb.boolean(pred) = edb.boolean(pred);
     EvalResult<P> gold = Golden<P>(prog, gold_edb, opts);
     ASSERT_TRUE(gold.converged);
     ASSERT_TRUE(idb.Equals(gold.idb))
         << ConfigName(opts) << " round " << round
         << ": Update diverged from full recompute";
-    std::string got, want;
-    ASSERT_TRUE(DumpTsvChecked(idb.idb(t), dom, &got).ok());
-    ASSERT_TRUE(DumpTsvChecked(gold.idb.idb(t), dom, &want).ok());
-    EXPECT_EQ(got, want) << ConfigName(opts) << " round " << round;
+    for (int pred : prog.IdbPredicates()) {
+      std::string got, want;
+      ASSERT_TRUE(DumpTsvChecked(idb.idb(pred), dom, &got).ok());
+      ASSERT_TRUE(DumpTsvChecked(gold.idb.idb(pred), dom, &want).ok());
+      EXPECT_EQ(got, want) << ConfigName(opts) << " round " << round << " "
+                           << prog.predicate(pred).name;
+    }
   }
 }
 
@@ -185,6 +204,152 @@ TEST(EngineUpdate, ProvenanceChurnMatchesRecompute) {
         return ProvPolyS::Var("e" + std::to_string(edge++));
       },
       rounds, 41, /*acyclic=*/true);
+}
+
+// -------- DRed re-derive program shapes --------
+//
+// DRed re-derives pruned tuples with a forward join program per disjunct:
+// the pruned head tuples drive level 0 and the body follows in a greedy
+// plan. The programs below give it different shapes; every one must keep
+// Update bit-identical to a cold recompute.
+
+// Three POPS atoms: the plan must keep their ⊗ in atom order.
+constexpr const char* kThreeAtomBody = R"(
+  edb E/2.
+  idb T/2.
+  T(X,Y) :- E(X,Y) ; E(X,Z) * T(Z,W) * E(W,Y).
+)";
+
+// Non-linear: two IDB occurrences, so the cascades read T(t-1).
+constexpr const char* kNonLinear = R"(
+  edb E/2.
+  idb T/2.
+  T(X,Y) :- E(X,Y) ; T(X,Z) * T(Z,Y).
+)";
+
+// Head constants: key positions of the pruned-tuple driver. Two rules
+// share the head H, so each one's driver sees the other's pruned tuples.
+constexpr const char* kHeadConstant = R"(
+  edb E/2.
+  idb T/2.
+  idb H/2.
+  T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+  H(v0,Y) :- T(v0,Y) ; H(v0,Z) * E(Z,Y).
+  H(X,v1) :- T(X,v1).
+)";
+
+// A repeated head variable: a check pair of the pruned-tuple driver,
+// which skips the pruned C(x,y), x ≠ y, of the second rule.
+constexpr const char* kHeadRepeat = R"(
+  edb E/2.
+  idb T/2.
+  idb C/2.
+  T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+  C(X,X) :- T(X,Z) * E(Z,X).
+  C(X,Y) :- E(X,Y) * E(Y,X).
+)";
+
+// A Boolean guard whose EDB no batch touches, so deletes stay on DRed.
+constexpr const char* kGuarded = R"(
+  edb E/2.
+  bedb Keep/1.
+  idb T/2.
+  T(X,Y) :- { E(X,Y) | Keep(X) } ; { T(X,Z) * E(Z,Y) | Keep(Z) }.
+)";
+
+/// DRed churn of `program` against a cold recompute over B, Trop (k/8
+/// weights, exact in binary) and Fuzzy, on every ConfigMatrix() config.
+void DredChurnAllCarriers(const char* program, unsigned seed) {
+  const int rounds = CiIterations(6, 2);
+  for (const EngineOptions& o : ConfigMatrix()) {
+    ChurnAgainstRecompute<BoolS>(
+        o, [](std::mt19937&) { return true; }, rounds, seed, false, program);
+    ChurnAgainstRecompute<TropS>(
+        o, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
+        rounds, seed + 1, false, program);
+    ChurnAgainstRecompute<FuzzyS>(
+        o, [](std::mt19937& rng) { return double(1 + rng() % 8) / 8.0; },
+        rounds, seed + 2, false, program);
+  }
+}
+
+TEST(EngineUpdate, DredThreeAtomBodyMatchesRecompute) {
+  DredChurnAllCarriers(kThreeAtomBody, 101);
+}
+
+TEST(EngineUpdate, DredNonLinearMatchesRecompute) {
+  DredChurnAllCarriers(kNonLinear, 211);
+}
+
+TEST(EngineUpdate, DredHeadConstantMatchesRecompute) {
+  DredChurnAllCarriers(kHeadConstant, 307);
+}
+
+TEST(EngineUpdate, DredHeadRepeatedVariableMatchesRecompute) {
+  DredChurnAllCarriers(kHeadRepeat, 401);
+}
+
+TEST(EngineUpdate, DredBooleanGuardMatchesRecompute) {
+  DredChurnAllCarriers(kGuarded, 503);
+}
+
+TEST(EngineUpdate, TropInexactWeightsMatchRecompute) {
+  // Weights that are not exact in binary make (a + b) + c and (a + c) + b
+  // differ in the last bit: the re-derive plan may swap the two POPS
+  // atoms of T(X,Z) * E(Z,Y) (⊗ is commutative), but must keep the three
+  // of E(X,Z) * T(Z,W) * E(W,Y) in atom order.
+  const int rounds = CiIterations(8, 3);
+  auto tenths = [](std::mt19937& rng) { return 0.1 * double(1 + rng() % 9); };
+  for (const EngineOptions& o : ConfigMatrix()) {
+    ChurnAgainstRecompute<TropS>(o, tenths, rounds, 601, false, kTc);
+    ChurnAgainstRecompute<TropS>(o, tenths, rounds, 607, false,
+                                 kThreeAtomBody);
+  }
+}
+
+TEST(RederivePlan, TwoAtomBodyStartsFromTheSmallerBoundAtom) {
+  // APSP's T(X,Z) * E(Z,Y) with the head (X,Y) bound: one bound position
+  // each, so the fewer live rows go first — E's in-edges of Y, not T's
+  // whole row of X.
+  Domain dom;
+  const Program prog = ParseProgram(kTc, &dom).value();
+  const Rule& rule = prog.rules()[0];
+  const SumProduct& sp = rule.disjuncts[1];
+  std::vector<bool> head_bound(static_cast<std::size_t>(rule.num_vars), false);
+  for (const Term& t : rule.head.args) head_bound[t.var] = true;
+  EXPECT_EQ(GreedyJoinOrder(sp, head_bound, {1000, 30}, {}),
+            (std::vector<JoinStep>{{false, 1}, {false, 0}}));
+  EXPECT_EQ(GreedyJoinOrder(sp, head_bound, {30, 1000}, {}),
+            (std::vector<JoinStep>{{false, 0}, {false, 1}}));
+}
+
+TEST(RederivePlan, ThreeAtomBodyKeepsPopsAtomsInAtomOrder) {
+  // E(X,Z) * T(Z,W) * E(W,Y) with (X,Y) bound: a free plan would take
+  // both E atoms before T. Three ⊗ factors must stay in atom order
+  // whatever the row counts; only Boolean atoms may move between them.
+  Domain dom;
+  const Program prog = ParseProgram(R"(
+    edb E/2.
+    bedb Keep/1.
+    idb T/2.
+    T(X,Y) :- E(X,Y) ; E(X,Z) * T(Z,W) * E(W,Y) ;
+              { E(X,Z) * T(Z,W) * E(W,Y) | Keep(Z) }.
+  )", &dom).value();
+  const Rule& rule = prog.rules()[0];
+  std::vector<bool> head_bound(static_cast<std::size_t>(rule.num_vars), false);
+  for (const Term& t : rule.head.args) head_bound[t.var] = true;
+  const std::vector<JoinStep> in_order = {
+      {false, 0}, {false, 1}, {false, 2}};
+  EXPECT_EQ(GreedyJoinOrder(rule.disjuncts[1], head_bound, {30, 1000, 30}, {}),
+            in_order);
+  EXPECT_EQ(GreedyJoinOrder(rule.disjuncts[1], head_bound, {1000, 1, 1}, {}),
+            in_order);
+  // The guard Keep(Z) joins as soon as it is fully bound: right after the
+  // E atom that binds Z, ahead of the T atom next in atom order.
+  EXPECT_EQ(GreedyJoinOrder(rule.disjuncts[2], head_bound, {30, 1000, 30},
+                            {5}),
+            (std::vector<JoinStep>{
+                {false, 0}, {true, 0}, {false, 1}, {false, 2}}));
 }
 
 // -------- Targeted scenarios --------
@@ -419,6 +584,44 @@ TEST(EngineUpdate, DeleteAbsentFactIsNoop) {
   UpdateResult r = eng.Update(batch, &edb, &idb, 100);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(idb.idb(f.t).Get({f.a, f.b}));
+}
+
+TEST(EngineUpdate, HubDeleteCostsLessThanRecompute) {
+  // Sources s0..s7 all reach the hub h, which has 64 out-edges. Deleting
+  // h→v0 prunes T(s_i, v0) and T(h, v0). Re-deriving a pruned T(s_i, v0)
+  // through T(X,Z) * E(Z,Y) must start from the one in-edge of v0, not
+  // from the 64 surviving T(s_i, ·) rows: the update then visits fewer
+  // join entries than a cold recompute of the whole closure.
+  Fixture f;
+  EdbInstance<TropS> edb(f.prog);
+  const ConstId hub = f.dom.InternSymbol("h");
+  std::vector<ConstId> leaves;
+  for (int i = 0; i < 64; ++i) {
+    leaves.push_back(f.dom.InternSymbol("v" + std::to_string(i)));
+    edb.pops(f.e).Set({hub, leaves.back()}, 1.0);
+  }
+  for (int i = 0; i < 8; ++i) {
+    edb.pops(f.e).Set({f.dom.InternSymbol("s" + std::to_string(i)), hub},
+                      1.0);
+  }
+  Engine<TropS> eng(f.prog, edb);
+  IdbInstance<TropS> idb(f.prog);
+  idb.CopyContentsFrom(eng.SemiNaive(100).idb);
+
+  EdbDelta<TropS> batch;
+  batch.Delete(f.e, {hub, leaves[0]});
+  UpdateResult r = eng.Update(batch, &edb, &idb, 100);
+  EXPECT_EQ(r.strategy, UpdateStrategy::kDred);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.deleted_rederived, 0u);
+
+  EdbInstance<TropS> cold(f.prog);
+  cold.pops(f.e) = edb.pops(f.e);
+  Engine<TropS> cold_eng(f.prog, cold);
+  EvalResult<TropS> gold = cold_eng.SemiNaive(100);
+  ASSERT_TRUE(gold.converged);
+  EXPECT_TRUE(idb.Equals(gold.idb));
+  EXPECT_LT(r.work, gold.work);
 }
 
 }  // namespace
