@@ -98,54 +98,6 @@ void PrintTables() {
       " iteration depth — the paper's motivation for Algorithm 3)\n");
 }
 
-// Parallel ICO step: wall time per thread count on the APSP workload,
-// with a determinism cross-check against the sequential engine. On a
-// single hardware core this table measures the prepare/reduce overhead
-// of the parallel path; on a multi-core machine it shows the scaling.
-void PrintParallelTable() {
-  Banner("parallel ICO step (EngineOptions::num_threads)",
-         "rule/shard-parallel join execution with deterministic merge");
-  const bool smoke = BenchSmokeMode();
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> seq(prog, edb);
-  auto base_naive = seq.Naive(1 << 20);
-  auto base_semi = seq.SemiNaive(1 << 20);
-  std::printf("%-10s %-14s %-14s %-8s %-6s (APSP/Trop random-%d)\n",
-              "threads", "naive-ms", "semi-ms", "work=", "agree", n);
-  for (int threads : BenchThreadCounts()) {
-    Engine<TropS> engine(prog, edb,
-                         EngineOptions{.num_threads = threads});
-    double naive_ms = 1e300, semi_ms = 1e300;
-    EvalResult<TropS> naive{IdbInstance<TropS>(prog)};
-    EvalResult<TropS> semi{IdbInstance<TropS>(prog)};
-    for (int rep = 0; rep < (smoke ? 1 : 3); ++rep) {
-      naive_ms = std::min(naive_ms, WallMs([&] {
-                            naive = engine.Naive(1 << 20);
-                          }));
-      semi_ms = std::min(semi_ms, WallMs([&] {
-                           semi = engine.SemiNaive(1 << 20);
-                         }));
-    }
-    const bool agree = naive.idb.Equals(base_naive.idb) &&
-                       semi.idb.Equals(base_semi.idb);
-    const bool work_eq =
-        naive.work == base_naive.work && semi.work == base_semi.work;
-    std::printf("%-10d %-14.2f %-14.2f %-8s %-6s\n", threads, naive_ms,
-                semi_ms, work_eq ? "yes" : "NO", agree ? "yes" : "NO");
-  }
-  std::printf(
-      "(fixpoints and work counters are identical at every thread count —\n"
-      " the deterministic (disjunct, shard) merge order replays the\n"
-      " sequential head-merge sequence)\n");
-}
-
 // Index tiers: the hash index is the general tier; dense single-column
 // keys get an offset-addressed direct tier (kAuto detects density,
 // kDirect forces it). Index-build column scans run through the SIMD
@@ -286,39 +238,8 @@ void BM_ApspCached(benchmark::State& state) {
                          benchmark::Counter::kAvgIterations);
 }
 
-/// APSP with the parallel ICO step: range(0) = n, range(1) = threads.
-template <bool kSemi>
-void BM_ApspMt(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb, EngineOptions{.num_threads = threads});
-  for (auto _ : state) {
-    auto r = kSemi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
-    benchmark::DoNotOptimize(r.idb.TotalSupport());
-  }
-}
-
 BENCHMARK(BM_Apsp<false>)->Name("apsp_naive")->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK(BM_Apsp<true>)->Name("apsp_seminaive")->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK(BM_ApspMt<false>)
-    ->Name("apsp_naive_mt")
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({128, 8});
-BENCHMARK(BM_ApspMt<true>)
-    ->Name("apsp_seminaive_mt")
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({128, 8});
 /// Multi-group parity semi-naive: range(0) = n; rules_skipped reports
 /// the triggered-set savings of the reliance-group schedule.
 void BM_ParitySemiNaive(benchmark::State& state) {
@@ -405,7 +326,6 @@ void WriteJson() {
 
 int main(int argc, char** argv) {
   datalogo::PrintTables();
-  datalogo::PrintParallelTable();
   datalogo::PrintIndexTierTable();
   datalogo::WriteJson();
   benchmark::Initialize(&argc, argv);

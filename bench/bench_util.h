@@ -31,27 +31,6 @@ inline bool BenchSmokeMode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-/// Thread counts the engine benches sweep (one BENCH_*.json row per
-/// count). DATALOGO_THREADS overrides as a comma-separated list (e.g.
-/// "1,4"); the default sweep is 1/2/4/8, trimmed to 1/4 in smoke mode.
-inline std::vector<int> BenchThreadCounts() {
-  std::vector<int> out;
-  if (const char* v = std::getenv("DATALOGO_THREADS");
-      v != nullptr && v[0] != '\0') {
-    std::stringstream ss(v);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) {
-      int t = std::atoi(tok.c_str());
-      if (t >= 1) out.push_back(t);
-    }
-  }
-  if (out.empty()) {
-    out = BenchSmokeMode() ? std::vector<int>{1, 4}
-                           : std::vector<int>{1, 2, 4, 8};
-  }
-  return out;
-}
-
 /// Wall-clock milliseconds of one `fn()` run.
 template <typename F>
 double WallMs(F&& fn) {
@@ -180,11 +159,9 @@ inline void AddHostMeta(BenchJson* json) {
   json->Meta("simd_isa", simd::IsaName());
 }
 
-/// Shared emitter for the BENCH_<name>.json perf journals: for each n,
-/// each engine, and each thread count in BenchThreadCounts() (the
-/// DATALOGO_THREADS knob), times `reps` evaluations — a fresh Engine per
-/// rep,
-/// so every journaled counter describes exactly the one run whose wall
+/// Shared emitter for the BENCH_<name>.json perf journals: for each n and
+/// each engine, times `reps` evaluations — a fresh Engine per rep, so
+/// every journaled counter describes exactly the one run whose wall
 /// time is reported (the best rep) rather than mixing best-of wall with
 /// lifetime-accumulated index counters. Works over any naturally ordered
 /// semiring; the seminaive rows are emitted only when P supports ⊖
@@ -197,7 +174,6 @@ void WriteEngineJson(const std::string& bench_name,
                      std::initializer_list<int> sizes) {
   const bool smoke = BenchSmokeMode();
   const int reps = smoke ? 1 : 3;
-  const std::vector<int> thread_counts = BenchThreadCounts();
   BenchJson json(bench_name);
   json.MetaBool("smoke", smoke);
   json.Meta("workload", workload_desc);
@@ -211,61 +187,58 @@ void WriteEngineJson(const std::string& bench_name,
     LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
     for (bool semi : {false, true}) {
       if (semi && !CompleteDistributiveDioid<P>) continue;
-      for (int threads : thread_counts) {
-        double best_ms = -1.0;
-        EvalResult<P> best{IdbInstance<P>(prog)};
-        uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
-        uint64_t groups = 0, group_iters = 0, skipped = 0;
-        uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
-        uint64_t join_batched = 0;
-        const EngineOptions opts{.num_threads = threads};
-        for (int rep = 0; rep < reps; ++rep) {
-          Engine<P> engine(prog, edb, opts);
-          EvalResult<P> r{IdbInstance<P>(prog)};
-          double ms = WallMs([&] {
-            if constexpr (CompleteDistributiveDioid<P>) {
-              r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
-            } else {
-              r = engine.Naive(1 << 20);
-            }
-          });
-          if (best_ms < 0 || ms < best_ms) {
-            best_ms = ms;
-            best = std::move(r);
-            builds = engine.index_builds();
-            hits = engine.index_hits();
-            idb_builds = engine.idb_index_builds();
-            idb_hits = engine.idb_index_hits();
-            groups = static_cast<uint64_t>(engine.reliance().num_groups());
-            group_iters = engine.group_iterations();
-            skipped = engine.rules_skipped();
-            incr_appends = engine.idx_incremental_appends();
-            hash_probes = engine.hash_probes();
-            direct_probes = engine.direct_probes();
-            join_batched = engine.join_batched_rows();
+      double best_ms = -1.0;
+      EvalResult<P> best{IdbInstance<P>(prog)};
+      uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
+      uint64_t groups = 0, group_iters = 0, skipped = 0;
+      uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
+      uint64_t join_batched = 0;
+      const EngineOptions opts;
+      for (int rep = 0; rep < reps; ++rep) {
+        Engine<P> engine(prog, edb, opts);
+        EvalResult<P> r{IdbInstance<P>(prog)};
+        double ms = WallMs([&] {
+          if constexpr (CompleteDistributiveDioid<P>) {
+            r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
+          } else {
+            r = engine.Naive(1 << 20);
           }
+        });
+        if (best_ms < 0 || ms < best_ms) {
+          best_ms = ms;
+          best = std::move(r);
+          builds = engine.index_builds();
+          hits = engine.index_hits();
+          idb_builds = engine.idb_index_builds();
+          idb_hits = engine.idb_index_hits();
+          groups = static_cast<uint64_t>(engine.reliance().num_groups());
+          group_iters = engine.group_iterations();
+          skipped = engine.rules_skipped();
+          incr_appends = engine.idx_incremental_appends();
+          hash_probes = engine.hash_probes();
+          direct_probes = engine.direct_probes();
+          join_batched = engine.join_batched_rows();
         }
-        json.BeginRow()
-            .Str("engine", semi ? "seminaive" : "naive")
-            .Int("n", static_cast<uint64_t>(n))
-            .Int("threads", static_cast<uint64_t>(threads))
-            .Num("wall_ms", best_ms)
-            .Int("iterations", static_cast<uint64_t>(best.steps))
-            .Int("work", best.work)
-            .Int("index_builds", builds)
-            .Int("index_hits", hits)
-            .Int("idb_index_builds", idb_builds)
-            .Int("idb_index_hits", idb_hits)
-            .Int("groups", groups)
-            .Int("group_iterations", group_iters)
-            .Int("rules_skipped", skipped)
-            .Str("index_kind", IndexKindName(opts.index_kind))
-            .Int("join_batched_rows", join_batched)
-            .Int("idx_incremental_appends", incr_appends)
-            .Int("hash_probes", hash_probes)
-            .Int("direct_probes", direct_probes)
-            .EndRow();
       }
+      json.BeginRow()
+          .Str("engine", semi ? "seminaive" : "naive")
+          .Int("n", static_cast<uint64_t>(n))
+          .Num("wall_ms", best_ms)
+          .Int("iterations", static_cast<uint64_t>(best.steps))
+          .Int("work", best.work)
+          .Int("index_builds", builds)
+          .Int("index_hits", hits)
+          .Int("idb_index_builds", idb_builds)
+          .Int("idb_index_hits", idb_hits)
+          .Int("groups", groups)
+          .Int("group_iterations", group_iters)
+          .Int("rules_skipped", skipped)
+          .Str("index_kind", IndexKindName(opts.index_kind))
+          .Int("join_batched_rows", join_batched)
+          .Int("idx_incremental_appends", incr_appends)
+          .Int("hash_probes", hash_probes)
+          .Int("direct_probes", direct_probes)
+          .EndRow();
     }
   }
   json.Write("BENCH_" + bench_name + ".json");

@@ -1,5 +1,5 @@
-# Index-tier equivalence smoke at the CLI surface, mirroring
-# cli_threads_smoke.cmake: every --index=hash|direct|auto run must be
+# Index-tier equivalence smoke at the CLI surface: every
+# --index=hash|direct|auto run must be
 # byte-identical to the default run — fixpoint rows AND the
 # stability-index comment line. The index tier changes how lookups are
 # served; it may not change a single output byte.
@@ -44,12 +44,5 @@ foreach(index hash direct auto)
   require_identical(${ref_out} ${out}
                     "default and --index=${index} output")
 endforeach()
-
-# Tier choice must also commute with parallelism: spot-check the least
-# hash-like tier at 4 threads against the reference.
-set(t4_out "${OUT_DIR}/cli_index_direct_t4.out")
-run_cli(${t4_out} ${PROGRAM} ${base_args} --index=direct --threads=4)
-require_identical(${ref_out} ${t4_out}
-                  "default and --index=direct --threads=4 output")
 
 message(STATUS "index smoke: all index tiers byte-identical")

@@ -2,8 +2,7 @@
 //
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
-//       [--max-steps=N] [--threads=N]
-//       [--index=hash|direct|auto] [--update=BATCH]
+//       [--max-steps=N] [--index=hash|direct|auto] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // POPS EDB TSVs carry the value in the last column; Boolean EDB TSVs are
@@ -11,9 +10,9 @@
 // The '# converged, stability index N' line reports EvalResult::steps:
 // the stability index under naive evaluation, and under --seminaive the
 // group-local rounds summed over the program's reliance groups.
-// --threads=N (0 = one per hardware core) and --max-steps=N (>= 1) take
-// whole base-10 integers; anything else is a usage error (exit 1), as is
-// an --edb/--bedb without a P=FILE spec.
+// --max-steps=N (>= 1) takes a whole base-10 integer; anything else is a
+// usage error (exit 1), as is an --edb/--bedb without a P=FILE spec, an
+// --update= without a path, a second program path or an unknown flag.
 //
 // --update=BATCH runs the fixpoint silently, applies the batch through
 // Engine::Update (incremental maintenance — no full re-run), and prints
@@ -42,7 +41,6 @@ struct CliOptions {
   bool seminaive = false;
   bool advise = false;
   int max_steps = 100000;
-  int threads = 1;  // 0 = one per hardware core; results are identical
   // Index tier (engine.h / relation.h). Output is identical for every
   // tier — the flag exists for benchmarking and the byte-identity smoke
   // test.
@@ -114,11 +112,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
                         &opt->max_steps)) {
         return false;
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!ParseIntFlag("--threads", value_of("--threads="), 0,
-                        &opt->threads)) {
-        return false;
-      }
     } else if (arg.rfind("--index=", 0) == 0) {
       std::string name = value_of("--index=");
       if (name == "hash") {
@@ -133,7 +126,16 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       }
     } else if (arg.rfind("--update=", 0) == 0) {
       opt->update_path = value_of("--update=");
+      if (opt->update_path.empty()) {
+        std::fprintf(stderr, "--update expects a batch file path\n");
+        return false;
+      }
     } else if (arg.rfind("--", 0) != 0) {
+      if (!opt->program_path.empty()) {
+        std::fprintf(stderr, "more than one program path: %s and %s\n",
+                     opt->program_path.c_str(), arg.c_str());
+        return false;
+      }
       opt->program_path = arg;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
@@ -204,8 +206,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
   }
 
   Engine<P> engine(prog.value(), edb,
-                   EngineOptions{.num_threads = opt.threads,
-                                 .index_kind = opt.index_kind});
+                   EngineOptions{.index_kind = opt.index_kind});
   EvalResult<P> result = [&] {
     if constexpr (CompleteDistributiveDioid<P>) {
       if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
@@ -271,12 +272,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
-                 "[--advise] [--max-steps=N] [--threads=N] "
+                 "[--advise] [--max-steps=N] "
                  "[--index=hash|direct|auto] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n"
-                 "--max-steps >= 1; --threads >= 0 (0 = one per core); the "
-                 "stability-index line sums group-local rounds under "
-                 "--seminaive\n");
+                 "--max-steps >= 1; the stability-index line sums "
+                 "group-local rounds under --seminaive\n");
     return 1;
   }
   std::string text;

@@ -9,17 +9,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/core/check.h"
 #include "src/core/simd.h"
 #include "src/core/status.h"
-#include "src/core/thread_pool.h"
 #include "src/datalog/ast.h"
 #include "src/datalog/instance.h"
 #include "src/datalog/join_plan.h"
@@ -46,19 +43,6 @@ struct EvalResult {
 
 /// Tuning knobs for Engine.
 struct EngineOptions {
-  /// Worker parallelism for ICO applications. <= 1 runs the sequential
-  /// kernel unchanged; N > 1 fans compiled disjuncts (and row-range
-  /// shards of each disjunct's driver entry list) out across N threads
-  /// and reduces the per-task partial relations in a fixed order, so
-  /// fixpoints, `work` counters and index-cache counters are identical
-  /// to the sequential run (see the class comment). 0 = one thread per
-  /// hardware core.
-  int num_threads = 1;
-  /// Target driver (level-0) entries per parallel shard. Deliberately
-  /// independent of num_threads: the shard structure — and therefore the
-  /// deterministic reduce tree — depends only on the data, so results
-  /// are identical at every thread count, not merely per thread count.
-  int shard_rows = 256;
   /// Index-tier policy (relation.h): kAuto picks a direct (offset-
   /// addressed) index per (relation, key-spec) when the key column is a
   /// dense ConstId range, else hash; kHash/kDirect force one tier.
@@ -98,49 +82,25 @@ struct UpdateResult {
 /// supports, reusing preallocated per-disjunct buffers so the inner loop
 /// does not allocate.
 ///
-/// With EngineOptions::num_threads > 1 each ICO application runs in three
-/// phases: a sequential *prepare* phase resolves every disjunct's indexes
-/// through the cache (all cache mutation and counter traffic happens
-/// here, in the same order as a sequential run — so `index_builds`,
-/// `idb_index_builds/hits` etc. are bit-identical), a parallel *execute*
-/// phase fans (disjunct, driver-row-range shard) tasks out to a
-/// ThreadPool — each task reads only immutable prepared state and writes
-/// a task-private partial Relation and work counter — and a sequential
-/// *reduce* phase merges the partials into the head relations in (rule,
-/// disjunct [, occurrence], shard) order. Because shard s's driver
-/// entries all precede shard s+1's, that fixed order replays the exact
-/// head-merge sequence of the sequential kernel, so fixpoints and `work`
-/// are identical at every thread count (for ⊕ that is exactly
-/// associative — every shipped discrete/min/max semiring; a floating-
-/// point *sum* ⊕ may differ from sequential by reassociation rounding
-/// across shard-boundary key collisions, but is still deterministic for
-/// a fixed shard_rows).
-///
-/// Thread safety: internal parallelism is safe by the phase structure
-/// above (mutable caches and scratch pools are touched only in the
-/// sequential phases). One Engine object must still not be *shared*
-/// across caller threads without external synchronization — use one
+/// Evaluation is sequential: semi-naive rounds are a chain of dependent
+/// ICO applications, and fanning one application out to threads did not
+/// pay off when measured (README.md, "Sequential evaluation"). Thread
+/// safety: the index cache, scratch buffers and counters are mutable
+/// state behind const entry points, so one Engine object must not be
+/// shared across threads without external synchronization — use one
 /// Engine per thread; compilation is cheap.
 template <NaturallyOrderedSemiring P>
 class Engine {
  public:
   Engine(const Program& prog, const EdbInstance<P>& edb,
          EngineOptions options = {})
-      : prog_(&prog), edb_(&edb), options_(options) {
-    const IndexConfig idx_cfg{options_.index_kind};
+      : prog_(&prog), edb_(&edb) {
+    const IndexConfig idx_cfg{options.index_kind};
     pops_cache_.set_config(idx_cfg);
     bool_cache_.set_config(idx_cfg);
     reliance_ = BuildRelianceGroups(prog);
     Compile();
-    int threads = options_.num_threads;
-    if (threads == 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
-
-  /// Threads an ICO application executes on (1 = sequential kernel).
-  int num_threads() const { return pool_ ? pool_->concurrency() : 1; }
 
   /// Indexes built into the cache so far (EDB indexes live for the whole
   /// run; IDB indexes are refreshed or rebuilt when their relation mutates).
@@ -161,15 +121,11 @@ class Engine {
   /// probe each) vs direct offset-addressed indexes (one bounds-checked
   /// array access each). Tier selection shifts traffic between the two —
   /// the bench evidence that kDirect/kAuto removes hashing from the hot
-  /// path. Deterministic across thread counts (shard counts reduce in
-  /// fixed order), but NOT pinned across index kinds by design.
+  /// path. Deterministic, but NOT pinned across index kinds by design.
   uint64_t hash_probes() const { return hash_probes_; }
   uint64_t direct_probes() const { return direct_probes_; }
   /// Entry-list rows decoded through the batched join kernel — the only
-  /// join kernel, so this always equals the summed `work` of the runs
-  /// (chunk sizes at shard boundaries differ across thread counts, but
-  /// the counter sums rows, so it is thread-invariant like hash_probes:
-  /// task-private during the execute phase, reduced in shard order).
+  /// join kernel, so this always equals the summed `work` of the runs.
   uint64_t join_batched_rows() const { return join_batched_rows_; }
   /// Always 0: the vectorized ⊗/⊕ value plane this counted was removed
   /// (it did not win when measured), and every carrier now computes
@@ -220,21 +176,12 @@ class Engine {
     // stays keyed to live uids instead of orphaning entries every round.
     IdbInstance<P> next = frozen;
     uint64_t work = 0;
-    // Units are loop-invariant: the resolvers capture `j` itself, whose
-    // Relation objects stay stable across iterations (TakeContentsFrom
-    // moves contents, not objects) — build once, reuse every round.
-    const std::vector<EvalUnit> units =
-        pool_ ? NaiveUnits(rule_ids, j) : std::vector<EvalUnit>{};
     for (int t = 0; t < max_steps; ++t) {
       SweepCaches();
       if (t > 0) next.CopyContentsFrom(frozen);
-      if (pool_) {
-        ApplyUnitsParallel(units, &next, &work);
-      } else {
-        for (int r : rule_ids) {
-          DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
-          ApplyRule(compiled_[r], j, &next, &work);
-        }
+      for (int r : rule_ids) {
+        DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
+        ApplyRule(compiled_[r], j, &next, &work);
       }
       if (next.Equals(j)) {
         return {std::move(j), t, true, work};
@@ -335,11 +282,7 @@ class Engine {
       // Seed: C = F_g(T), δ = C ⊖ T over the group's heads. For the
       // first group T = 0, making this exactly the global t = 0 step.
       candidate.ClearPreds(heads);
-      if (pool_) {
-        ApplyUnitsParallel(NaiveUnits(rules, t_new), &candidate, &work);
-      } else {
-        for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
-      }
+      for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
       ++steps;
       ++group_iterations_;
       delta.ClearPreds(heads);  // may hold stale rows of a shared head
@@ -383,31 +326,25 @@ class Engine {
         ++steps;
         ++group_iterations_;
         candidate.ClearPreds(heads);
-        if (pool_) {
-          BuildGroupUnits(triggered, t_new, delta, t_old, &group_units_);
-          ApplyUnitsParallel(group_units_, &candidate, &work);
-        } else {
-          for (int r : triggered) {
-            const CompiledRule& cr = compiled_[r];
-            for (const CompiledDisjunct& cd : cr.disjuncts) {
-              // occurrences == 0: the disjunct reads nothing the group
-              // still moves — its one-shot contribution was the seed's.
-              const int occurrences =
-                  static_cast<int>(cd.group_atoms.size());
-              for (int ell = 0; ell < occurrences; ++ell) {
-                auto resolver = [&](int atom_index) -> const Relation<P>& {
-                  const int pred = cd.sp->atoms[atom_index].pred;
-                  if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                    return edb_->pops(pred);
-                  }
-                  const int occ = cd.group_occ_of_atom[atom_index];
-                  if (occ < 0 || occ < ell) return t_new.idb(pred);
-                  if (occ == ell) return delta.idb(pred);
-                  return t_old.idb(pred);
-                };
-                EvalDisjunct(cd, resolver,
-                             &candidate.idb(cr.rule->head.pred), &work);
-              }
+        for (int r : triggered) {
+          const CompiledRule& cr = compiled_[r];
+          for (const CompiledDisjunct& cd : cr.disjuncts) {
+            // occurrences == 0: the disjunct reads nothing the group still
+            // moves — its one-shot contribution was the seed's.
+            const int occurrences = static_cast<int>(cd.group_atoms.size());
+            for (int ell = 0; ell < occurrences; ++ell) {
+              auto resolver = [&](int atom_index) -> const Relation<P>& {
+                const int pred = cd.sp->atoms[atom_index].pred;
+                if (prog_->predicate(pred).kind != PredKind::kIdb) {
+                  return edb_->pops(pred);
+                }
+                const int occ = cd.group_occ_of_atom[atom_index];
+                if (occ < 0 || occ < ell) return t_new.idb(pred);
+                if (occ == ell) return delta.idb(pred);
+                return t_old.idb(pred);
+              };
+              EvalDisjunct(cd, resolver, &candidate.idb(cr.rule->head.pred),
+                           &work);
             }
           }
         }
@@ -624,9 +561,7 @@ class Engine {
   /// Reusable join-state buffers for one disjunct evaluation, sized by
   /// SizeScratch(). Executing a disjunct allocates nothing: bindings,
   /// per-level join keys, per-level accumulators and the head tuple all
-  /// live here. One Scratch belongs to exactly one concurrent task — the
-  /// sequential kernel keeps one per disjunct; the parallel kernel keeps
-  /// one per (disjunct, shard) task slot.
+  /// live here. The engine keeps one per forward and re-derive program.
   struct Scratch {
     std::vector<ConstId> binding;          ///< rule-variable slots
     std::vector<typename P::Value> acc;    ///< acc[g] = value entering level g
@@ -648,46 +583,22 @@ class Engine {
     std::vector<RowIdList> point_rows;     ///< per-level point-probe hit
   };
 
-  /// Per-generator inputs of one disjunct evaluation, resolved during the
-  /// sequential prepare phase (the only phase that touches the index
-  /// caches and build counters). Immutable during the execute phase, so
-  /// any number of shard tasks of the same evaluation may read it
-  /// concurrently.
+  /// Per-generator inputs of one disjunct evaluation, resolved by
+  /// PrepareGens (the only step that touches the index caches and build
+  /// counters) and read-only while ExecuteShard joins.
   struct PreparedGens {
     std::vector<const RelationIndex<P>*> pops_idx;
     std::vector<const RelationIndex<BoolS>*> bool_idx;
     std::vector<const Relation<P>*> pops_rel;    ///< row-id decode target
     std::vector<const Relation<BoolS>*> bool_rel;
-    /// Per-level representation of the serving index, so the execute
-    /// phase can classify each Lookup into hash_probes/direct_probes
-    /// without re-virtual-dispatching on the index.
+    /// Per-level representation of the serving index, so ExecuteShard
+    /// can classify each Lookup into hash_probes/direct_probes without
+    /// re-virtual-dispatching on the index.
     std::vector<IndexRepr> repr;
     /// The driver: level 0's matched entry list (its key depends only on
-    /// prebindings, so it is known before execution and is what shards
-    /// partition). Null iff the disjunct has no generators.
+    /// prebindings, so it is known before execution). Null iff the
+    /// disjunct has no generators.
     const RowIdList* level0 = nullptr;
-  };
-
-  /// One unit of parallel evaluation: a disjunct plus the resolver that
-  /// maps its IDB atoms to concrete relation instances (naive: the
-  /// current J; semi-naive: the Eq. (64) new/delta/old split for one
-  /// occurrence index).
-  struct EvalUnit {
-    const CompiledRule* cr;
-    const CompiledDisjunct* cd;
-    std::function<const Relation<P>&(int)> resolver;
-  };
-
-  /// Reusable per-task state of the parallel execute phase: join scratch,
-  /// the task-private partial head relation, and the task's work counter.
-  struct TaskState {
-    Scratch scratch;
-    Relation<P> partial;
-    uint64_t work = 0;
-    uint64_t hash_probes = 0;    ///< task-private, reduced in shard order
-    uint64_t direct_probes = 0;
-    uint64_t join_batched = 0;   ///< rows through the batched join path
-    const CompiledDisjunct* sized_for = nullptr;  ///< scratch shape guard
   };
 
   void Compile() {
@@ -822,8 +733,7 @@ class Engine {
           }
         }
 
-        // Reusable evaluation buffers, exactly sized for this disjunct
-        // (the sequential kernel's one-task-per-disjunct slots).
+        // Reusable evaluation buffers, exactly sized for this disjunct.
         cd.scratch_id = static_cast<int>(scratch_.size());
         Scratch sc;
         SizeScratch(rule, cd, &sc);
@@ -888,43 +798,9 @@ class Engine {
   /// F(J) evaluated into `out` (fresh instance), counting join work.
   void ApplyIco(const IdbInstance<P>& j, IdbInstance<P>* out,
                 uint64_t* work) const {
-    if (pool_) {
-      std::vector<int> all(compiled_.size());
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        all[i] = static_cast<int>(i);
-      }
-      std::vector<EvalUnit> units = NaiveUnits(all, j);
-      ApplyUnitsParallel(units, out, work);
-      return;
-    }
     for (const CompiledRule& cr : compiled_) {
       ApplyRule(cr, j, out, work);
     }
-  }
-
-  /// The naive-evaluation units for a rule subset: every disjunct of every
-  /// listed rule, resolving IDB atoms against `j` — in the exact order the
-  /// sequential ApplyRule loop evaluates them.
-  std::vector<EvalUnit> NaiveUnits(const std::vector<int>& rule_ids,
-                                   const IdbInstance<P>& j) const {
-    std::vector<EvalUnit> units;
-    for (int r : rule_ids) {
-      DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
-      const CompiledRule& cr = compiled_[r];
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const CompiledDisjunct* cdp = &cd;
-        units.push_back(EvalUnit{
-            &cr, cdp,
-            [this, cdp, &j](int atom_index) -> const Relation<P>& {
-              const int pred = cdp->sp->atoms[atom_index].pred;
-              if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                return edb_->pops(pred);
-              }
-              return j.idb(pred);
-            }});
-      }
-    }
-    return units;
   }
 
   /// δ = candidate ⊖ base for one predicate, appended into *out in
@@ -954,41 +830,6 @@ class Engine {
     for (uint32_t r = 0; r < rows; ++r) {
       if (!from.RowLive(r)) continue;
       into->Merge(from.View(r), from.ValueAt(r));
-    }
-  }
-
-  /// SemiNaive's differential units for one group round: every
-  /// (triggered rule, disjunct, group occurrence) in the exact order of
-  /// its sequential loop, resolving through the persistent
-  /// t_new/delta/t_old instances (stable Relation objects, so cached
-  /// delta indexes stay attached across rounds).
-  void BuildGroupUnits(const std::vector<int>& rule_ids,
-                       const IdbInstance<P>& t_new,
-                       const IdbInstance<P>& delta,
-                       const IdbInstance<P>& t_old,
-                       std::vector<EvalUnit>* units) const {
-    units->clear();
-    for (int r : rule_ids) {
-      const CompiledRule& cr = compiled_[r];
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const int occurrences = static_cast<int>(cd.group_atoms.size());
-        const CompiledDisjunct* cdp = &cd;
-        for (int ell = 0; ell < occurrences; ++ell) {
-          units->push_back(EvalUnit{
-              &cr, cdp,
-              [this, cdp, ell, &t_new, &delta,
-               &t_old](int atom_index) -> const Relation<P>& {
-                const int pred = cdp->sp->atoms[atom_index].pred;
-                if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                  return edb_->pops(pred);
-                }
-                const int occ = cdp->group_occ_of_atom[atom_index];
-                if (occ < 0 || occ < ell) return t_new.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return t_old.idb(pred);
-              }});
-        }
-      }
     }
   }
 
@@ -1026,7 +867,6 @@ class Engine {
                          const std::vector<const Relation<P>*>& hi_by_pred,
                          const IdbInstance<P>& idb, IdbInstance<P>* out,
                          uint64_t* work) const {
-    std::vector<EvalUnit> units;
     std::vector<int> changed;
     for (const CompiledRule& cr : compiled_) {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
@@ -1037,13 +877,10 @@ class Engine {
             changed.push_back(static_cast<int>(i));
           }
         }
-        const CompiledDisjunct* cdp = &cd;
         for (int ell_atom : changed) {
-          auto resolver = [this, cdp, ell_atom, &idb, &delta_by_pred,
-                           &hi_by_pred](int atom_index)
-              -> const Relation<P>& {
-            const int pred = cdp->sp->atoms[atom_index].pred;
-            if (cdp->occ_of_atom[atom_index] >= 0) return idb.idb(pred);
+          auto resolver = [&](int atom_index) -> const Relation<P>& {
+            const int pred = cd.sp->atoms[atom_index].pred;
+            if (cd.occ_of_atom[atom_index] >= 0) return idb.idb(pred);
             const Relation<P>* d = delta_by_pred[pred];
             if (d == nullptr) return edb_->pops(pred);  // unchanged
             if (atom_index < ell_atom) return edb_->pops(pred);
@@ -1051,62 +888,21 @@ class Engine {
             const Relation<P>* hi = hi_by_pred[pred];
             return hi != nullptr ? *hi : edb_->pops(pred);
           };
-          if (pool_) {
-            units.push_back(EvalUnit{&cr, cdp, resolver});
-          } else {
-            EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
-          }
+          EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
         }
       }
     }
-    if (pool_ && !units.empty()) ApplyUnitsParallel(units, out, work);
-  }
-
-  /// The unit list for EvalDifferentialRound's pool path — SemiNaive's
-  /// unit shape, with EDB atoms resolved to the live EDB. References the
-  /// caller's instances: rebuild only when they move.
-  std::vector<EvalUnit> DifferentialUnits(const IdbInstance<P>& cur,
-                                          const IdbInstance<P>& delta,
-                                          const IdbInstance<P>& prev) const {
-    std::vector<EvalUnit> units;
-    for (const CompiledRule& cr : compiled_) {
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const int occurrences = static_cast<int>(cd.idb_atoms.size());
-        if (occurrences == 0) continue;
-        const CompiledDisjunct* cdp = &cd;
-        for (int ell = 0; ell < occurrences; ++ell) {
-          units.push_back(EvalUnit{
-              &cr, cdp,
-              [this, cdp, ell, &cur, &delta,
-               &prev](int atom_index) -> const Relation<P>& {
-                const int pred = cdp->sp->atoms[atom_index].pred;
-                const int occ = cdp->occ_of_atom[atom_index];
-                if (occ < 0) return edb_->pops(pred);
-                if (occ < ell) return cur.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return prev.idb(pred);
-              }});
-        }
-      }
-    }
-    return units;
   }
 
   /// One differential round body (Eq. 64 with caller-supplied instances):
   /// candidate ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB
   /// atoms reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ)
-  /// order. `units` is the pool path's prebuilt list (ignored
-  /// sequentially).
+  /// order.
   void EvalDifferentialRound(const IdbInstance<P>& cur,
                              const IdbInstance<P>& delta,
                              const IdbInstance<P>& prev,
-                             const std::vector<EvalUnit>& units,
                              IdbInstance<P>* candidate,
                              uint64_t* work) const {
-    if (pool_) {
-      ApplyUnitsParallel(units, candidate, work);
-      return;
-    }
     for (const CompiledRule& cr : compiled_) {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
         const int occurrences = static_cast<int>(cd.idb_atoms.size());
@@ -1167,8 +963,6 @@ class Engine {
                       IdbInstance<P>* t_old, IdbInstance<P>* candidate,
                       int max_steps, UpdateResult* res,
                       uint64_t* work) const {
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*t_new, *delta, *t_old);
     while (true) {
       if (res->rounds >= max_steps) {
         res->converged = false;
@@ -1176,7 +970,7 @@ class Engine {
       }
       SweepCaches();
       candidate->ClearAll();
-      EvalDifferentialRound(*t_new, *delta, *t_old, units, candidate, work);
+      EvalDifferentialRound(*t_new, *delta, *t_old, candidate, work);
       ++res->rounds;
       delta->ClearAll();
       if (!DeltaFromCandidate(*candidate, *t_new, delta)) return;
@@ -1289,8 +1083,6 @@ class Engine {
     ++res->rounds;
     IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
     IdbInstance<P> t_prev(*prog_);
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*idb, removed, t_prev);
     while (true) {
       removed.ClearAll();
       bool any = false;
@@ -1332,7 +1124,7 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, removed, t_prev, units, &candidate, &work);
+      EvalDifferentialRound(*idb, removed, t_prev, &candidate, &work);
       ++res->rounds;
     }
   }
@@ -1379,8 +1171,6 @@ class Engine {
     SweepCaches();
     EvalEdbCrossTerms(del_cv, no_snap, *idb, &candidate, &work);
     ++res->rounds;
-    std::vector<EvalUnit> units;
-    if (pool_) units = DifferentialUnits(*idb, aff_delta, *idb);
     while (true) {
       aff_delta.ClearAll();
       bool any = false;
@@ -1425,7 +1215,7 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, aff_delta, *idb, units, &candidate, &work);
+      EvalDifferentialRound(*idb, aff_delta, *idb, &candidate, &work);
       ++res->rounds;
     }
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
@@ -1515,30 +1305,21 @@ class Engine {
         }
       }
     }
-    std::vector<EvalUnit> units;
     for (RederiveProgram& rp : rederive_) {
       const CompiledRule& cr = compiled_[static_cast<std::size_t>(rp.rule)];
       const int head = cr.rule->head.pred;
       if (pruned.idb(head).empty()) continue;
       PlanRederive(idb, &rp);
-      const CompiledDisjunct* cdp = &rp.cd;
-      auto resolver = [this, cdp, head, &pruned,
-                       &idb](int atom_index) -> const Relation<P>& {
+      const CompiledDisjunct& cd = rp.cd;
+      auto resolver = [&](int atom_index) -> const Relation<P>& {
         if (atom_index == kPrunedAtom) return pruned.idb(head);
-        const int pred = cdp->sp->atoms[atom_index].pred;
+        const int pred = cd.sp->atoms[atom_index].pred;
         if (prog_->predicate(pred).kind == PredKind::kIdb) {
           return idb.idb(pred);
         }
         return edb_->pops(pred);
       };
-      units.push_back(EvalUnit{&cr, cdp, resolver});
-    }
-    if (pool_) {
-      if (!units.empty()) ApplyUnitsParallel(units, out, work);
-      return;
-    }
-    for (const EvalUnit& u : units) {
-      EvalDisjunct(*u.cd, u.resolver, &out->idb(u.cr->rule->head.pred), work);
+      EvalDisjunct(cd, resolver, &out->idb(head), work);
     }
   }
 
@@ -1599,86 +1380,6 @@ class Engine {
     rp->cd = std::move(cd);
     rp->order = std::move(order);
     rp->built = true;
-    // Parallel task slots sized for the old shape must re-size.
-    for (TaskState& st : par_states_) {
-      if (st.sized_for == &rp->cd) st.sized_for = nullptr;
-    }
-  }
-
-  /// The parallel ICO step. Three phases (see the class comment):
-  ///  1. prepare (sequential): resolve every unit's generator indexes —
-  ///     all cache/counters traffic, in unit order — and shard each
-  ///     unit's driver entry list into row ranges of <= shard_rows.
-  ///  2. execute (parallel): every (unit, shard) task joins its driver
-  ///     range into a task-private partial relation with a task-private
-  ///     work counter; tasks share only immutable prepared state.
-  ///  3. reduce (sequential): merge partials into the head relations and
-  ///     work into the run counter, in (unit, shard) order — replaying
-  ///     the sequential kernel's exact head-merge sequence.
-  void ApplyUnitsParallel(const std::vector<EvalUnit>& units,
-                          IdbInstance<P>* out, uint64_t* work) const {
-    if (par_prepared_.size() < units.size()) {
-      par_prepared_.resize(units.size());
-    }
-    struct TaskRef {
-      int unit;
-      std::size_t begin;
-      std::size_t end;
-    };
-    std::vector<TaskRef> tasks;
-    const std::size_t shard_rows =
-        options_.shard_rows < 1 ? 1
-                                : static_cast<std::size_t>(options_.shard_rows);
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      PreparedGens& prep = par_prepared_[u];
-      PrepareGens(*units[u].cd, units[u].resolver, &prep);
-      if (units[u].cd->generators.empty()) {
-        // No driver to shard; one task emits the empty-product head.
-        tasks.push_back(TaskRef{static_cast<int>(u), 0, 0});
-        continue;
-      }
-      const std::size_t n0 = prep.level0->size();
-      for (std::size_t b = 0; b < n0; b += shard_rows) {
-        tasks.push_back(
-            TaskRef{static_cast<int>(u), b, std::min(n0, b + shard_rows)});
-      }
-    }
-    if (par_states_.size() < tasks.size()) par_states_.resize(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const EvalUnit& un = units[static_cast<std::size_t>(tasks[t].unit)];
-      TaskState& st = par_states_[t];
-      if (st.sized_for != un.cd) {
-        SizeScratch(*un.cr->rule, *un.cd, &st.scratch);
-        st.sized_for = un.cd;
-      }
-      const int head_arity = static_cast<int>(un.cr->rule->head.args.size());
-      if (st.partial.arity() != head_arity) {
-        st.partial = Relation<P>(head_arity);
-      } else {
-        st.partial.Clear();
-      }
-      st.work = 0;
-      st.hash_probes = 0;
-      st.direct_probes = 0;
-      st.join_batched = 0;
-    }
-    pool_->ParallelFor(tasks.size(), [&](std::size_t t) {
-      const TaskRef& tr = tasks[t];
-      const EvalUnit& un = units[static_cast<std::size_t>(tr.unit)];
-      TaskState& st = par_states_[t];
-      ExecuteShard(*un.cd, par_prepared_[static_cast<std::size_t>(tr.unit)],
-                   st.scratch, tr.begin, tr.end, &st.partial, &st.work,
-                   &st.hash_probes, &st.direct_probes, &st.join_batched);
-    });
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const EvalUnit& un = units[static_cast<std::size_t>(tasks[t].unit)];
-      out->idb(un.cr->rule->head.pred)
-          .MergeFrom(std::move(par_states_[t].partial));
-      *work += par_states_[t].work;
-      hash_probes_ += par_states_[t].hash_probes;
-      direct_probes_ += par_states_[t].direct_probes;
-      join_batched_rows_ += par_states_[t].join_batched;
-    }
   }
 
   /// One rule's contribution to F(J), merged into `out`.
@@ -1782,7 +1483,7 @@ class Engine {
   }
 
   /// Sizes a Scratch's buffers for one disjunct (idempotent; reuses
-  /// capacity when a task slot is re-pointed at the same shape).
+  /// capacity when a re-derive program is rebuilt).
   void SizeScratch(const Rule& rule, const CompiledDisjunct& cd,
                    Scratch* sc) const {
     sc->binding.assign(static_cast<std::size_t>(rule.num_vars), kUnbound);
@@ -1805,7 +1506,7 @@ class Engine {
   }
 
   /// Residual checks + zero filter + head construction for one complete
-  /// join binding; merges the result into `out`. Uses the task's
+  /// join binding; merges the result into `out`. Uses the scratch's
   /// preallocated head buffer — no allocation on this path.
   void EmitHead(const CompiledDisjunct& cd, Scratch& sc,
                 const typename P::Value& acc, Relation<P>* out) const {
@@ -1821,24 +1522,21 @@ class Engine {
   }
 
   /// Evaluates one sum-product under `resolver` (mapping IDB atom indexes
-  /// to the relation instance to read), merging results into `out` — the
-  /// sequential kernel: prepare, then execute the whole driver range with
-  /// the disjunct's own scratch slot.
+  /// to the relation instance to read), merging results into `out`:
+  /// prepare, then execute the driver with the disjunct's own scratch slot.
   template <typename Resolver>
   void EvalDisjunct(const CompiledDisjunct& cd, Resolver&& resolver,
                     Relation<P>* out, uint64_t* work) const {
     PreparedGens& prep = prepared_[static_cast<std::size_t>(cd.scratch_id)];
     PrepareGens(cd, resolver, &prep);
     ExecuteShard(cd, prep, scratch_[static_cast<std::size_t>(cd.scratch_id)],
-                 0, static_cast<std::size_t>(-1), out, work, &hash_probes_,
-                 &direct_probes_, &join_batched_rows_);
+                 out, work);
   }
 
-  /// Prepare phase of one disjunct evaluation: resolves every generator's
+  /// Prepare step of one disjunct evaluation: resolves every generator's
   /// relation and index (through the cache — the only place build/hit
   /// counters move) and looks up the driver entry list (level 0's key
-  /// depends only on prebindings). Sequential by construction: callers
-  /// never overlap PrepareGens with the parallel execute phase.
+  /// depends only on prebindings).
   template <typename Resolver>
   void PrepareGens(const CompiledDisjunct& cd, Resolver&& resolver,
                    PreparedGens* prep) const {
@@ -1915,25 +1613,22 @@ class Engine {
       DLO_CHECK(c != kUnbound);
       key[i] = c;
     }
-    CountProbe(prep->repr[0], &hash_probes_, &direct_probes_);
+    CountProbe(prep->repr[0]);
     prep->level0 = g0.is_bool ? &prep->bool_idx[0]->Lookup(key)
                               : &prep->pops_idx[0]->Lookup(key);
   }
 
-  /// Classifies one index Lookup into the probe counters. The execute
-  /// phase passes task-private counters (reduced in fixed order); the
-  /// sequential prepare phase passes the engine members directly.
-  static void CountProbe(IndexRepr repr, uint64_t* hash_probes,
-                         uint64_t* direct_probes) {
+  /// Classifies one index Lookup into the probe counters.
+  void CountProbe(IndexRepr repr) const {
     if (repr == IndexRepr::kHashMap) {
-      ++*hash_probes;
+      ++hash_probes_;
     } else if (repr == IndexRepr::kDirectArray) {
-      ++*direct_probes;
+      ++direct_probes_;
     }  // kAllRows: no key is consulted at all.
   }
 
-  /// Execute phase: joins driver entries [begin, end) of a prepared
-  /// disjunct into `out`, counting visited entries into `work` — the
+  /// Execute step: joins every driver entry of a prepared disjunct into
+  /// `out`, counting visited entries into `work` — the
   /// batched join kernel. Per level, entry-list row ids are decoded
   /// simd::kJoinBatch at a time: the level's check ops run first as
   /// vector compares over the gathered column pairs (Generator::
@@ -1948,17 +1643,10 @@ class Engine {
   /// entries the join visits; survivor order is entry-list order, so
   /// head merges follow the row-at-a-time definition's sequence
   /// bit-for-bit. ⊗ and ⊕ run per surviving row through P::Times and
-  /// Relation::Merge for every carrier. `join_batched` counts the
+  /// Relation::Merge for every carrier. join_batched_rows_ counts the
   /// decoded rows (always equal to the work added).
-  ///
-  /// Const-path safety: reads only immutable prepared/compiled state and
-  /// the (unchanging) input relations; writes only `sc`, `out` and the
-  /// task counters, which belong exclusively to the calling task — so
-  /// shards execute concurrently without synchronization.
   void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
-                    Scratch& sc, std::size_t begin, std::size_t end,
-                    Relation<P>* out, uint64_t* work, uint64_t* hash_probes,
-                    uint64_t* direct_probes, uint64_t* join_batched) const {
+                    Scratch& sc, Relation<P>* out, uint64_t* work) const {
     for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
     const std::size_t levels = cd.generators.size();
     if (levels == 0) {
@@ -1966,10 +1654,9 @@ class Engine {
       return;
     }
     const RowIdList& driver = *prep.level0;
-    if (end > driver.size()) end = driver.size();
-    if (begin >= end) return;
+    if (driver.empty()) return;
     sc.entries[0] = &driver;
-    sc.next[0] = begin;
+    sc.next[0] = 0;
     sc.batch_pos[0] = 0;
     sc.batch_len[0] = 0;
 
@@ -1988,7 +1675,7 @@ class Engine {
         if (row != kNoRow) hit.push_back(row);
         sc.entries[lvl] = &hit;
       } else {
-        CountProbe(prep.repr[lvl], hash_probes, direct_probes);
+        CountProbe(prep.repr[lvl]);
         if (gen.is_bool) {
           sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
         } else {
@@ -2008,7 +1695,7 @@ class Engine {
     auto refill = [&](std::size_t g) {
       const Generator& gen = cd.generators[g];
       const RowIdList& entries = *sc.entries[g];
-      const std::size_t limit = g == 0 ? end : entries.size();
+      const std::size_t limit = entries.size();
       uint32_t filled = 0;
       while (filled == 0 && sc.next[g] < limit) {
         const uint32_t chunk =
@@ -2016,7 +1703,7 @@ class Engine {
         const uint32_t* rows = entries.data() + sc.next[g];
         sc.next[g] += chunk;
         *work += chunk;
-        *join_batched += chunk;
+        join_batched_rows_ += chunk;
         if (gen.check_pairs.empty()) {
           sc.batch[g] = rows;
           filled = chunk;
@@ -2101,12 +1788,11 @@ class Engine {
         // the refill/compress cycle batch by batch.
         if (gen.check_pairs.empty()) {
           const RowIdList& entries = *sc.entries[g];
-          const std::size_t limit = g == 0 ? end : entries.size();
-          const std::size_t n = limit - sc.next[g];
+          const std::size_t n = entries.size() - sc.next[g];
           drain(g, entries.data() + sc.next[g], n);
-          sc.next[g] = limit;
+          sc.next[g] = entries.size();
           *work += n;
-          *join_batched += n;
+          join_batched_rows_ += n;
         } else {
           while (refill(g)) {
             drain(g, sc.batch[g], sc.batch_len[g]);
@@ -2145,7 +1831,6 @@ class Engine {
 
   const Program* prog_;
   const EdbInstance<P>* edb_;
-  EngineOptions options_;
   RelianceGroups reliance_;  ///< computed before Compile() (group maps)
   std::vector<CompiledRule> compiled_;
   /// Per reliance group: whether a disjunct of its rules has two or more
@@ -2156,20 +1841,14 @@ class Engine {
   /// whose Update-cascade differential rounds read T(t-1) (`t_old`,
   /// `t_prev`). The cascades keep it current only when this is set.
   bool reads_old_ = false;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
   // Mutable: evaluation entry points are const, but memoizing indexes,
   // counting builds, and reusing evaluation buffers are all invisible to
-  // callers. Every one of these members is touched only in the
-  // sequential prepare/reduce phases (never during the fanned-out
-  // execute phase), which is what makes internal parallelism safe — and
-  // also why one Engine object is still not shareable across *caller*
-  // threads (see the class comment).
+  // callers — and why one Engine object is not shareable across threads
+  // (see the class comment).
   mutable std::vector<Scratch> scratch_;  ///< one per forward/re-derive
                                           ///< program
   mutable std::vector<RederiveProgram> rederive_;  ///< one per disjunct
   mutable std::vector<PreparedGens> prepared_;  ///< parallel to scratch_
-  mutable std::vector<PreparedGens> par_prepared_;  ///< one per eval unit
-  mutable std::vector<TaskState> par_states_;  ///< one per (unit, shard)
   mutable IndexCache<P> pops_cache_;
   mutable IndexCache<BoolS> bool_cache_;
   mutable uint64_t idb_index_builds_ = 0;  ///< cache builds for IDB inputs
@@ -2178,7 +1857,6 @@ class Engine {
   mutable uint64_t direct_probes_ = 0;  ///< direct-array index lookups
   mutable uint64_t join_batched_rows_ = 0;  ///< rows through vector join
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
-  mutable std::vector<EvalUnit> group_units_;  ///< group-round unit buffer
   mutable uint64_t group_iterations_ = 0;  ///< SemiNaive: local rounds run
   mutable uint64_t rules_skipped_ = 0;     ///< SemiNaive: triggered skips
 };

@@ -58,11 +58,7 @@ struct EdbDelta {
 ///
 /// Concurrency: neither instance class has mutable members, so the const
 /// accessors are plain reads — any number of threads may read an instance
-/// concurrently as long as no thread mutates it. The engine's parallel
-/// ICO step relies on exactly this: input instances are frozen for the
-/// duration of one application while worker tasks probe them through
-/// RowView/RelationIndex, and all mutation (merge of partials, content
-/// moves) happens in its sequential phases.
+/// concurrently as long as no thread mutates it.
 template <Pops P>
 class EdbInstance {
  public:

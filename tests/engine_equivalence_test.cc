@@ -192,6 +192,98 @@ TEST(EngineEquivalence, AlwaysFalseDisjunctKeepsWorkTrace) {
   EXPECT_GT(dead.work, live.work);
 }
 
+/// Naive and SemiNaive on a caller-built EDB must both reach the grounded
+/// least fixpoint; returns the naive fixpoint for extra spot checks.
+template <Pops P>
+  requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
+IdbInstance<P> ExpectGrounded(const Program& prog, const EdbInstance<P>& edb) {
+  std::optional<IdbInstance<P>> grounded = GroundedFixpoint<P>(prog, edb);
+  EXPECT_TRUE(grounded.has_value());
+  Engine<P> engine(prog, edb);
+  auto naive = engine.Naive(1 << 20);
+  auto semi = engine.SemiNaive(1 << 20);
+  EXPECT_TRUE(naive.converged);
+  EXPECT_TRUE(semi.converged);
+  if (grounded.has_value()) {
+    EXPECT_TRUE(naive.idb.Equals(*grounded));
+    EXPECT_TRUE(semi.idb.Equals(*grounded));
+  }
+  return std::move(naive.idb);
+}
+
+TEST(EngineEquivalence, BedbConditionsAndOrderComparisons) {
+  // Residual negated Boolean-EDB conditions plus an integer order
+  // comparison inside the recursion (CheckCondition → Domain::AsInt).
+  constexpr const char* kText = R"(
+    edb E/2.
+    bedb Blocked/1.
+    idb T/2.
+    T(X,Y) :- { E(X,Y) | !Blocked(Y), X < Y }
+            ; { T(X,Z) * E(Z,Y) | !Blocked(Y), X < Y }.
+  )";
+  Domain dom;
+  auto prog = ParseProgram(kText, &dom).value();
+  EdbInstance<TropS> edb(prog);
+  Relation<TropS>& e_rel = edb.pops(prog.FindPredicate("E"));
+  std::vector<ConstId> ids;
+  for (int v = 0; v < 24; ++v) ids.push_back(dom.InternInt(v));
+  for (int v = 0; v + 1 < 24; ++v) {
+    e_rel.Merge({ids[v], ids[v + 1]}, 1.0);
+    if (v + 3 < 24) e_rel.Merge({ids[v], ids[v + 3]}, 2.5);
+  }
+  edb.boolean(prog.FindPredicate("Blocked")).Set({ids[5]}, true);
+  edb.boolean(prog.FindPredicate("Blocked")).Set({ids[11]}, true);
+  IdbInstance<TropS> t = ExpectGrounded<TropS>(prog, edb);
+  const Relation<TropS>& t_rel = t.idb(prog.FindPredicate("T"));
+  EXPECT_EQ(t_rel.Get({ids[0], ids[5]}), TropS::Zero());  // blocked target
+  EXPECT_EQ(t_rel.Get({ids[0], ids[6]}), 5.0);  // 0→3→6 skips blocked 5
+}
+
+TEST(EngineEquivalence, MutualRecursionMultiHeadMerge) {
+  // Two rules with distinct head predicates in one recursive group: each
+  // disjunct's output must reach its own head relation.
+  constexpr const char* kText = R"(
+    edb E/2.
+    idb Odd/2.
+    idb Even/2.
+    Odd(X,Y) :- E(X,Y) ; Even(X,Z) * E(Z,Y).
+    Even(X,Y) :- Odd(X,Z) * E(Z,Y).
+  )";
+  Domain dom;
+  auto prog = ParseProgram(kText, &dom).value();
+  Graph g = CycleGraph(9);
+  std::vector<ConstId> ids = InternVertices(9, &dom);
+  EdbInstance<BoolS> edb(prog);
+  LoadEdges<BoolS>(g, ids, [](const Edge&) { return true; },
+                   &edb.pops(prog.FindPredicate("E")));
+  IdbInstance<BoolS> t = ExpectGrounded<BoolS>(prog, edb);
+  // On an odd cycle every pair is reachable by walks of both parities.
+  EXPECT_EQ(t.idb(prog.FindPredicate("Odd")).support_size(), 81u);
+  EXPECT_EQ(t.idb(prog.FindPredicate("Even")).support_size(), 81u);
+}
+
+TEST(EngineEquivalence, StratifiedNaiveWithRules) {
+  // NaiveWithRules (the stratified building block) over the whole rule
+  // set from an empty frozen instance is exactly Naive.
+  Domain dom;
+  auto prog = ParseProgram(kLinearTc, &dom).value();
+  Graph g = ChainGraph(40);
+  std::vector<ConstId> ids = InternVertices(40, &dom);
+  EdbInstance<TropS> edb(prog);
+  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
+                   &edb.pops(prog.FindPredicate("E")));
+  std::optional<IdbInstance<TropS>> grounded =
+      GroundedFixpoint<TropS>(prog, edb);
+  ASSERT_TRUE(grounded.has_value());
+  Engine<TropS> engine(prog, edb);
+  auto run = engine.NaiveWithRules({0}, IdbInstance<TropS>(prog), 1 << 20);
+  auto naive = engine.Naive(1 << 20);
+  ASSERT_TRUE(run.converged && naive.converged);
+  EXPECT_TRUE(run.idb.Equals(*grounded));
+  EXPECT_EQ(run.work, naive.work);
+  EXPECT_EQ(run.steps, naive.steps);
+}
+
 TEST(EngineEquivalence, ProvenancePosBoolChain6) {
   // PosBool[X] provenance on a labeled chain: x_i tags edge (v_i, v_i+1).
   // The fixpoint for T(v0, v5) must be the single clause {x0..x4}, and

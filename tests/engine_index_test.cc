@@ -1,8 +1,7 @@
 // Tiered-index determinism: the engine's fixpoints, `work`, and all four
 // index-cache counters must be bit-identical across every index tier
-// (--index=hash|direct|auto) and thread count — the tiers may only move
-// probe *cost* (visible
-// through the separate hash_probes/direct_probes counters). Workloads
+// (--index=hash|direct|auto) — the tiers may only move probe *cost*
+// (visible through the separate hash_probes/direct_probes counters). Workloads
 // are the equivalence-suite goldens (Boolean / Tropical / PosBool
 // provenance), each run naive and semi-naive.
 #include <gtest/gtest.h>
@@ -83,26 +82,23 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   return out;
 }
 
-std::string ConfigName(IndexKind kind, int threads) {
-  std::string s = kind == IndexKind::kHash     ? "hash"
-                  : kind == IndexKind::kDirect ? "direct"
-                                               : "auto";
-  s += "/t" + std::to_string(threads);
-  return s;
+std::string ConfigName(IndexKind kind) {
+  return kind == IndexKind::kHash     ? "hash"
+         : kind == IndexKind::kDirect ? "direct"
+                                      : "auto";
 }
 
-/// Runs the reference configuration (hash tier, one thread), then the
-/// full cross of {hash,direct,auto} × threads {1,4}, asserting each
-/// run's fixpoint and pinned counters match the reference exactly — for
-/// naive AND semi-naive.
+/// Runs the reference configuration (hash tier), then every tier of
+/// {hash,direct,auto} on a fresh engine, asserting each run's fixpoint
+/// and pinned counters match the reference exactly — for naive AND
+/// semi-naive.
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 void ExpectBitIdenticalAcrossConfigs(const Program& prog,
                                      const EdbInstance<P>& edb,
                                      uint64_t golden_naive_work,
                                      uint64_t golden_semi_work) {
-  const EngineOptions ref_opts{.num_threads = 1,
-                               .index_kind = IndexKind::kHash};
+  const EngineOptions ref_opts{.index_kind = IndexKind::kHash};
   RunResult<P> ref_naive = RunOnce(prog, edb, /*semi=*/false, ref_opts);
   RunResult<P> ref_semi = RunOnce(prog, edb, /*semi=*/true, ref_opts);
   ASSERT_TRUE(ref_naive.eval.converged);
@@ -115,22 +111,20 @@ void ExpectBitIdenticalAcrossConfigs(const Program& prog,
 
   for (IndexKind kind :
        {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(ConfigName(kind, threads));
-      const EngineOptions opts{.num_threads = threads, .index_kind = kind};
-      RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-      RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-      ASSERT_TRUE(naive.eval.converged);
-      ASSERT_TRUE(semi.eval.converged);
-      EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-      EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-      EXPECT_EQ(naive.pinned, ref_naive.pinned);
-      EXPECT_EQ(semi.pinned, ref_semi.pinned);
-      if (kind == IndexKind::kHash) {
-        // Forced hash must never take the offset-addressed path.
-        EXPECT_EQ(naive.direct_probes, 0u);
-        EXPECT_EQ(semi.direct_probes, 0u);
-      }
+    SCOPED_TRACE(ConfigName(kind));
+    const EngineOptions opts{.index_kind = kind};
+    RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
+    RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
+    ASSERT_TRUE(naive.eval.converged);
+    ASSERT_TRUE(semi.eval.converged);
+    EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
+    EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
+    EXPECT_EQ(naive.pinned, ref_naive.pinned);
+    EXPECT_EQ(semi.pinned, ref_semi.pinned);
+    if (kind == IndexKind::kHash) {
+      // Forced hash must never take the offset-addressed path.
+      EXPECT_EQ(naive.direct_probes, 0u);
+      EXPECT_EQ(semi.direct_probes, 0u);
     }
   }
 }
@@ -202,9 +196,9 @@ TEST(EngineIndexTiers, RepeatedVariableChecksChordalCycle12) {
   // Repeated-variable atoms (T(X,X), E(X,X)) compile to check ops — the
   // one join-program construct where the batched kernel's vector
   // compare/compress path does real filtering work, so this golden pins
-  // `work` (which counts check-failing entries too) across the full
-  // tier × thread cross. The chordal-cycle EDB gets explicit self-loops so the
-  // checks both pass and fail.
+  // `work` (which counts check-failing entries too) across every tier.
+  // The chordal-cycle EDB gets explicit self-loops so the checks both
+  // pass and fail.
   constexpr const char* kSelfLoopTc = R"(
     edb E/2.
     idb T/2.

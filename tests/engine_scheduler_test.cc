@@ -5,10 +5,8 @@
 //     local rounds are the whole semi-naive loop: group_iterations ==
 //     steps, nothing skipped, `work` pinned to the seed goldens;
 //   * multi-group programs reach the Naive fixpoint across {B, Trop,
-//     PosBool} x threads {1, 4}, with steps, `work` and the group
-//     counters pinned;
-//   * the group counters are thread-count invariant and Naive never
-//     moves them;
+//     PosBool}, with steps, `work` and the group counters pinned;
+//   * Naive never moves the group counters;
 //   * triggered sets actually drain: alternating deltas in a mutual
 //     recursion produce a nonzero rules_skipped().
 #include <gtest/gtest.h>
@@ -61,7 +59,6 @@ Graph ChainGraph(int n) {
 template <Pops P>
 struct SchedRun {
   EvalResult<P> result;
-  uint64_t index_builds, index_hits, idb_index_builds, idb_index_hits;
   uint64_t group_iterations, rules_skipped;
   int groups;
 };
@@ -69,13 +66,9 @@ struct SchedRun {
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 SchedRun<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
-                    bool semi, int threads) {
-  Engine<P> engine(prog, edb, EngineOptions{.num_threads = threads});
+                    bool semi) {
+  Engine<P> engine(prog, edb);
   SchedRun<P> out{semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20),
-                  engine.index_builds(),
-                  engine.index_hits(),
-                  engine.idb_index_builds(),
-                  engine.idb_index_hits(),
                   engine.group_iterations(),
                   engine.rules_skipped(),
                   engine.reliance().num_groups()};
@@ -91,25 +84,23 @@ struct SemiGolden {
   uint64_t rules_skipped;
 };
 
-/// SemiNaive must reach the Naive fixpoint and hit `golden` at 1 and 4
-/// threads; Naive never moves the group counters.
+/// SemiNaive must reach the Naive fixpoint and hit `golden`; Naive never
+/// moves the group counters.
 template <Pops P>
   requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
 void ExpectSemiNaiveMatchesNaive(const Program& prog,
                                  const EdbInstance<P>& edb,
                                  const SemiGolden& golden) {
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << P::kName << " threads=" << threads);
-    SchedRun<P> naive = RunOnce<P>(prog, edb, /*semi=*/false, threads);
-    SchedRun<P> semi = RunOnce<P>(prog, edb, /*semi=*/true, threads);
-    EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
-    EXPECT_EQ(semi.result.steps, golden.steps);
-    EXPECT_EQ(semi.result.work, golden.work);
-    EXPECT_EQ(semi.group_iterations, golden.group_iterations);
-    EXPECT_EQ(semi.rules_skipped, golden.rules_skipped);
-    EXPECT_EQ(naive.group_iterations, 0u);
-    EXPECT_EQ(naive.rules_skipped, 0u);
-  }
+  SCOPED_TRACE(P::kName);
+  SchedRun<P> naive = RunOnce<P>(prog, edb, /*semi=*/false);
+  SchedRun<P> semi = RunOnce<P>(prog, edb, /*semi=*/true);
+  EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
+  EXPECT_EQ(semi.result.steps, golden.steps);
+  EXPECT_EQ(semi.result.work, golden.work);
+  EXPECT_EQ(semi.group_iterations, golden.group_iterations);
+  EXPECT_EQ(semi.rules_skipped, golden.rules_skipped);
+  EXPECT_EQ(naive.group_iterations, 0u);
+  EXPECT_EQ(naive.rules_skipped, 0u);
 }
 
 template <Pops P>
@@ -191,40 +182,15 @@ TEST(EngineScheduler, PosBoolProvenanceMatchesNaive) {
                  PosBoolS::Var("x" + std::to_string(i++)));
     }
   }
-  for (int threads : {1, 4}) {
-    SchedRun<PosBoolS> naive =
-        RunOnce<PosBoolS>(prog, edb, /*semi=*/false, threads);
-    SchedRun<PosBoolS> semi =
-        RunOnce<PosBoolS>(prog, edb, /*semi=*/true, threads);
-    EXPECT_EQ(semi.groups, 2);
-    EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
-    PosBoolS::Clause all;
-    for (int i = 0; i < n - 1; ++i) all.insert("x" + std::to_string(i));
-    EXPECT_EQ(
-        semi.result.idb.idb(prog.FindPredicate("T")).Get({ids[0], ids[n - 1]}),
-        PosBoolS::Value{all});
-  }
-}
-
-TEST(EngineScheduler, GroupCountersAreThreadCountInvariant) {
-  Domain dom;
-  auto prog = ParseProgram(kParityPaths, &dom).value();
-  Graph g = RandomGraph(40, 120, 7);
-  std::vector<ConstId> ids = InternVertices(40, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  SchedRun<TropS> t1 = RunOnce<TropS>(prog, edb, /*semi=*/true, 1);
-  SchedRun<TropS> t4 = RunOnce<TropS>(prog, edb, /*semi=*/true, 4);
-  EXPECT_TRUE(t1.result.idb.Equals(t4.result.idb));
-  EXPECT_EQ(t1.result.steps, t4.result.steps);
-  EXPECT_EQ(t1.result.work, t4.result.work);
-  EXPECT_EQ(t1.index_builds, t4.index_builds);
-  EXPECT_EQ(t1.index_hits, t4.index_hits);
-  EXPECT_EQ(t1.idb_index_builds, t4.idb_index_builds);
-  EXPECT_EQ(t1.idb_index_hits, t4.idb_index_hits);
-  EXPECT_EQ(t1.group_iterations, t4.group_iterations);
-  EXPECT_EQ(t1.rules_skipped, t4.rules_skipped);
+  SchedRun<PosBoolS> naive = RunOnce<PosBoolS>(prog, edb, /*semi=*/false);
+  SchedRun<PosBoolS> semi = RunOnce<PosBoolS>(prog, edb, /*semi=*/true);
+  EXPECT_EQ(semi.groups, 2);
+  EXPECT_TRUE(semi.result.idb.Equals(naive.result.idb));
+  PosBoolS::Clause all;
+  for (int i = 0; i < n - 1; ++i) all.insert("x" + std::to_string(i));
+  EXPECT_EQ(
+      semi.result.idb.idb(prog.FindPredicate("T")).Get({ids[0], ids[n - 1]}),
+      PosBoolS::Value{all});
 }
 
 TEST(EngineScheduler, TriggeredSetSkipsDrainedRules) {

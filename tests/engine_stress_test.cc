@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -226,26 +224,12 @@ TEST(EngineStress, CachedEngineAgreesWithGroundedSemanticsAndHitsCache) {
   }
 }
 
-/// Thread count for the parallel stress sweep: DATALOGO_THREADS if set
-/// (the tsan CI preset exports 4), else 4.
-int StressThreads() {
-  const char* v = std::getenv("DATALOGO_THREADS");
-  if (v != nullptr && v[0] != '\0') {
-    int t = std::atoi(v);
-    if (t >= 1) return t;
-  }
-  return 4;
-}
-
-TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
+TEST(EngineStress, RandomProgramsMatchGrounded) {
   // Randomized programs (1-2 IDB predicates, 1-3 disjuncts each, sampled
-  // from a range-restricted template grammar) over randomized EDBs: the
-  // parallel engine must reproduce the sequential fixpoint, work counter
-  // and iteration count exactly, across thread counts, shard sizes —
-  // including shard_rows = 1, one task per driver entry — and count
-  // every visited entry through the batched join kernel.
+  // from a range-restricted template grammar) over randomized EDBs:
+  // Naive and SemiNaive must both reach the grounded least fixpoint, and
+  // every visited entry must go through the batched join kernel.
   const int cases = CiIterations(12, 4);
-  const int env_threads = StressThreads();
   std::mt19937_64 rng(0xD47A1060u);
   for (int c = 0; c < cases; ++c) {
     std::ostringstream text;
@@ -277,36 +261,22 @@ TEST(EngineStress, ParallelRandomProgramsMatchSequential) {
     LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
                      &edb.pops(prog.value().FindPredicate("E")));
 
-    Engine<TropS> seq(prog.value(), edb);
-    auto base_naive = seq.Naive(100000);
-    auto base_semi = seq.SemiNaive(100000);
-    ASSERT_TRUE(base_naive.converged && base_semi.converged);
-
-    const int threads = c % 2 == 0 ? env_threads : 2 + static_cast<int>(rng() % 2);
-    const int shard_rows = std::array{1, 8, 512}[rng() % 3];
-    SCOPED_TRACE(::testing::Message()
-                 << "threads=" << threads << " shard_rows=" << shard_rows);
-    Engine<TropS> par(prog.value(), edb,
-                      EngineOptions{.num_threads = threads,
-                                    .shard_rows = shard_rows});
-    auto par_naive = par.Naive(100000);
-    auto par_semi = par.SemiNaive(100000);
-    ASSERT_TRUE(par_naive.converged && par_semi.converged);
-    EXPECT_TRUE(par_naive.idb.Equals(base_naive.idb));
-    EXPECT_TRUE(par_semi.idb.Equals(base_semi.idb));
-    EXPECT_EQ(par_naive.work, base_naive.work);
-    EXPECT_EQ(par_semi.work, base_semi.work);
-    EXPECT_EQ(par_naive.steps, base_naive.steps);
-    EXPECT_EQ(par_semi.steps, base_semi.steps);
+    Engine<TropS> engine(prog.value(), edb);
+    auto naive = engine.Naive(100000);
+    auto semi = engine.SemiNaive(100000);
+    ASSERT_TRUE(naive.converged && semi.converged);
+    auto grounded = GroundedFixpoint<TropS>(prog.value(), edb);
+    ASSERT_TRUE(grounded.has_value());
+    EXPECT_TRUE(naive.idb.Equals(*grounded));
+    EXPECT_TRUE(semi.idb.Equals(*grounded));
     // Every visited entry goes through the batched path.
-    EXPECT_EQ(par.join_batched_rows(), par_naive.work + par_semi.work);
+    EXPECT_EQ(engine.join_batched_rows(), naive.work + semi.work);
   }
 }
 
 /// One case of the batched-join sweep over carrier P: Naive and
-/// SemiNaive at 1 and 4 threads must equal the grounded least fixpoint,
-/// agree with each other on `work` and `steps` across thread counts, and
-/// count every visited entry into join_batched_rows.
+/// SemiNaive must equal the grounded least fixpoint and count every
+/// visited entry into join_batched_rows.
 template <NaturallyOrderedSemiring P, typename Lift>
   requires CompleteDistributiveDioid<P>
 void ExpectBatchedJoinMatchesGrounded(const Program& prog, const Graph& g,
@@ -317,27 +287,13 @@ void ExpectBatchedJoinMatchesGrounded(const Program& prog, const Graph& g,
   LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
   std::optional<IdbInstance<P>> grounded = GroundedFixpoint<P>(prog, edb);
   ASSERT_TRUE(grounded.has_value());
-  EvalResult<P> ref_naive{IdbInstance<P>(prog)};
-  EvalResult<P> ref_semi{IdbInstance<P>(prog)};
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    Engine<P> engine(prog, edb, EngineOptions{.num_threads = threads});
-    auto naive = engine.Naive(100000);
-    auto semi = engine.SemiNaive(100000);
-    ASSERT_TRUE(naive.converged && semi.converged);
-    EXPECT_TRUE(naive.idb.Equals(*grounded));
-    EXPECT_TRUE(semi.idb.Equals(*grounded));
-    EXPECT_EQ(engine.join_batched_rows(), naive.work + semi.work);
-    if (threads == 1) {
-      ref_naive = std::move(naive);
-      ref_semi = std::move(semi);
-      continue;
-    }
-    EXPECT_EQ(naive.work, ref_naive.work);
-    EXPECT_EQ(semi.work, ref_semi.work);
-    EXPECT_EQ(naive.steps, ref_naive.steps);
-    EXPECT_EQ(semi.steps, ref_semi.steps);
-  }
+  Engine<P> engine(prog, edb);
+  auto naive = engine.Naive(100000);
+  auto semi = engine.SemiNaive(100000);
+  ASSERT_TRUE(naive.converged && semi.converged);
+  EXPECT_TRUE(naive.idb.Equals(*grounded));
+  EXPECT_TRUE(semi.idb.Equals(*grounded));
+  EXPECT_EQ(engine.join_batched_rows(), naive.work + semi.work);
 }
 
 TEST(EngineStress, BatchedJoinKernelMatchesGroundedOnRandomPrograms) {
@@ -383,10 +339,8 @@ TEST(EngineStress, SemiNaiveMatchesNaiveOnRandomMultiGroupPrograms) {
   // Randomized stratified/mutually recursive programs over randomized
   // EDBs: semi-naive evaluation (reliance SCC groups, triggered-rule
   // local fixpoints) must reproduce the global naive fixpoint — itself
-  // checked against the grounded semantics — serially and in parallel,
-  // with thread-invariant steps and work.
+  // checked against the grounded semantics.
   const int cases = CiIterations(12, 4);
-  const int env_threads = StressThreads();
   std::mt19937_64 rng(0x5CC0DE01u);
   for (int c = 0; c < cases; ++c) {
     std::ostringstream text;
@@ -430,17 +384,6 @@ TEST(EngineStress, SemiNaiveMatchesNaiveOnRandomMultiGroupPrograms) {
     ASSERT_TRUE(grounded.has_value());
     EXPECT_TRUE(naive.idb.Equals(*grounded));
     EXPECT_TRUE(semi.idb.Equals(naive.idb));
-
-    const int threads =
-        c % 2 == 0 ? 1 : std::max(2, env_threads % 8);
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    Engine<TropS> par(prog.value(), edb,
-                      EngineOptions{.num_threads = threads});
-    auto par_semi = par.SemiNaive(100000);
-    ASSERT_TRUE(par_semi.converged);
-    EXPECT_TRUE(par_semi.idb.Equals(naive.idb));
-    EXPECT_EQ(par_semi.steps, semi.steps);
-    EXPECT_EQ(par_semi.work, semi.work);
     // Base/step rule split guarantees multiple groups whenever any
     // recursive or downstream rule was sampled.
     if (mutual || closure) {

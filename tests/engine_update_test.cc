@@ -1,7 +1,7 @@
 // Tests for Engine::Update — incremental maintenance against the one
 // oracle that matters: a full recompute from the mutated EDB must be
-// bit-identical to the warm Update result, across carriers, thread
-// counts and index tiers.
+// bit-identical to the warm Update result, across carriers and index
+// tiers.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -23,28 +23,17 @@ constexpr const char* kTc = R"(
 )";
 
 /// The engine configurations the bit-identity contract is checked over:
-/// threads, plus each forced index tier.
+/// the three index tiers.
 std::vector<EngineOptions> ConfigMatrix() {
-  std::vector<EngineOptions> out;
-  for (int threads : {1, 4}) {
-    EngineOptions o;
-    o.num_threads = threads;
-    out.push_back(o);
-  }
-  for (IndexKind kind : {IndexKind::kHash, IndexKind::kDirect}) {
-    EngineOptions o;
-    o.index_kind = kind;
-    out.push_back(o);
-  }
-  return out;
+  return {EngineOptions{.index_kind = IndexKind::kAuto},
+          EngineOptions{.index_kind = IndexKind::kHash},
+          EngineOptions{.index_kind = IndexKind::kDirect}};
 }
 
 std::string ConfigName(const EngineOptions& o) {
-  std::string s = "t" + std::to_string(o.num_threads);
-  s += o.index_kind == IndexKind::kHash     ? "/hash"
-       : o.index_kind == IndexKind::kDirect ? "/direct"
-                                            : "/auto";
-  return s;
+  return o.index_kind == IndexKind::kHash     ? "hash"
+         : o.index_kind == IndexKind::kDirect ? "direct"
+                                              : "auto";
 }
 
 /// Full recompute from `edb` with a FRESH engine (cold caches): the
