@@ -98,73 +98,6 @@ void PrintTables() {
       " iteration depth — the paper's motivation for Algorithm 3)\n");
 }
 
-// Index tiers: the hash index is the general tier; dense single-column
-// keys get an offset-addressed direct tier (kAuto detects density,
-// kDirect forces it). Index-build column scans run through the SIMD
-// kernels in src/core/simd.h. Every tier is pinned to the same fixpoint,
-// work counter and four index counters, and the batched join kernel
-// decodes exactly `work` rows under each — only wall time and the probe
-// counters (hash vs direct lookups) move.
-void PrintIndexTierTable() {
-  Banner("index tiers (EngineOptions::index_kind)",
-         "dense-id direct indexes + SIMD column scans, bit-identical");
-  const bool smoke = BenchSmokeMode();
-  const int reps = smoke ? 1 : 3;
-  const int n = smoke ? 48 : 128;
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  // Reference: the pre-tier behaviour (hash everywhere).
-  Engine<TropS> ref(prog, edb, EngineOptions{.index_kind = IndexKind::kHash});
-  auto base = ref.SemiNaive(1 << 20);
-  std::printf("%-14s %-10s %-12s %-13s %-12s %-7s %-6s (APSP/Trop random-%d"
-              ", simd=%s)\n",
-              "index", "semi-ms", "hash-probes", "direct-probes",
-              "incr-appends", "pinned", "agree", n, simd::IsaName());
-  for (IndexKind kind : {IndexKind::kHash, IndexKind::kDirect,
-                         IndexKind::kAuto}) {
-    const EngineOptions opts{.index_kind = kind};
-    double best_ms = 1e300;
-    EvalResult<TropS> r{IdbInstance<TropS>(prog)};
-    uint64_t hash_probes = 0, direct_probes = 0, incr = 0;
-    bool pinned = false;
-    for (int rep = 0; rep < reps; ++rep) {
-      Engine<TropS> engine(prog, edb, opts);
-      EvalResult<TropS> cur{IdbInstance<TropS>(prog)};
-      double ms = WallMs([&] { cur = engine.SemiNaive(1 << 20); });
-      if (ms < best_ms) {
-        best_ms = ms;
-        hash_probes = engine.hash_probes();
-        direct_probes = engine.direct_probes();
-        incr = engine.idx_incremental_appends();
-        pinned = cur.work == base.work &&
-                 engine.join_batched_rows() == cur.work &&
-                 engine.index_builds() == ref.index_builds() &&
-                 engine.index_hits() == ref.index_hits() &&
-                 engine.idb_index_builds() == ref.idb_index_builds() &&
-                 engine.idb_index_hits() == ref.idb_index_hits();
-        r = std::move(cur);
-      }
-    }
-    std::printf("%-14s %-10.2f %-12llu %-13llu %-12llu %-7s %-6s\n",
-                IndexKindName(kind), best_ms,
-                static_cast<unsigned long long>(hash_probes),
-                static_cast<unsigned long long>(direct_probes),
-                static_cast<unsigned long long>(incr), pinned ? "yes" : "NO",
-                r.idb.Equals(base.idb) ? "yes" : "NO");
-  }
-  std::printf(
-      "(direct/auto route the dense APSP key lookups off the hash map —\n"
-      " hash-probes drops to the Boolean-condition remainder — and the\n"
-      " Clear+append delta cycle keeps incr-appends nonzero; `work`,\n"
-      " join_batched_rows and the four index counters are pinned across\n"
-      " every tier)\n");
-}
-
 // Parity-split shortest paths: a wide multi-SCC stratified program — a
 // base group, a mutually recursive Odd/Even group (whose deltas drain in
 // alternation, so the triggered set skips one rule per round), and a
@@ -266,38 +199,6 @@ BENCHMARK(BM_QuadraticTc<false>)->Name("quad_tc_naive")->Arg(32)->Arg(64);
 BENCHMARK(BM_QuadraticTc<true>)->Name("quad_tc_seminaive")->Arg(32)->Arg(64);
 BENCHMARK(BM_ApspCached)->Name("apsp_cached")->Arg(64)->Arg(128);
 
-/// APSP semi-naive per index tier: range(0) = n, range(1) = IndexKind —
-/// each piece of the tiered-index subsystem benchmarkable in isolation.
-void BM_ApspIndexTier(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto kind = static_cast<IndexKind>(state.range(1));
-  Domain dom;
-  auto prog = ApspProgram(&dom).value();
-  Graph g = RandomGraph(n, 3 * n, /*seed=*/9);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-  Engine<TropS> engine(prog, edb, EngineOptions{.index_kind = kind});
-  for (auto _ : state) {
-    auto r = engine.SemiNaive(1 << 20);
-    benchmark::DoNotOptimize(r.idb.TotalSupport());
-  }
-  state.SetLabel(IndexKindName(kind));
-  state.counters["hash_probes"] =
-      benchmark::Counter(static_cast<double>(engine.hash_probes()),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["direct_probes"] =
-      benchmark::Counter(static_cast<double>(engine.direct_probes()),
-                         benchmark::Counter::kAvgIterations);
-}
-
-BENCHMARK(BM_ApspIndexTier)
-    ->Name("apsp_seminaive_index")
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kHash)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kDirect)})
-    ->Args({128, static_cast<int>(datalogo::IndexKind::kAuto)});
-
 // Machine-readable perf journal: BENCH_seminaive.json in the working
 // directory, with wall ms / iterations / work / index builds (total and
 // IDB/delta-attributed) per engine, so perf regressions surface in the
@@ -326,7 +227,6 @@ void WriteJson() {
 
 int main(int argc, char** argv) {
   datalogo::PrintTables();
-  datalogo::PrintIndexTierTable();
   datalogo::WriteJson();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

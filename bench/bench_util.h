@@ -138,19 +138,6 @@ class BenchJson {
   bool first_field_ = true;
 };
 
-/// Journal spelling of the engine's index-tier knob.
-inline const char* IndexKindName(IndexKind k) {
-  switch (k) {
-    case IndexKind::kHash:
-      return "hash";
-    case IndexKind::kDirect:
-      return "direct";
-    case IndexKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
 /// Host metadata for every BENCH_*.json: hardware concurrency (the PR-5
 /// single-core-host caveat, machine-readable) and the SIMD instruction
 /// set the binary's vectorized scan paths compile to.
@@ -193,9 +180,8 @@ void WriteEngineJson(const std::string& bench_name,
       uint64_t groups = 0, group_iters = 0, skipped = 0;
       uint64_t incr_appends = 0, hash_probes = 0, direct_probes = 0;
       uint64_t join_batched = 0;
-      const EngineOptions opts;
       for (int rep = 0; rep < reps; ++rep) {
-        Engine<P> engine(prog, edb, opts);
+        Engine<P> engine(prog, edb);
         EvalResult<P> r{IdbInstance<P>(prog)};
         double ms = WallMs([&] {
           if constexpr (CompleteDistributiveDioid<P>) {
@@ -233,7 +219,6 @@ void WriteEngineJson(const std::string& bench_name,
           .Int("groups", groups)
           .Int("group_iterations", group_iters)
           .Int("rules_skipped", skipped)
-          .Str("index_kind", IndexKindName(opts.index_kind))
           .Int("join_batched_rows", join_batched)
           .Int("idx_incremental_appends", incr_appends)
           .Int("hash_probes", hash_probes)

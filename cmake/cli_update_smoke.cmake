@@ -52,21 +52,12 @@ run_cli(${ref_out} ${PROGRAM} ${base_args} --edb E=${EDGES_UPDATED})
 strip_comments(${ref_out} "${ref_out}.stripped")
 
 # Incremental: fixpoint over the original edges, then the batch through
-# Engine::Update — default config and a deliberately different one
-# (index tier changed); every variant must match the recompute
-# byte-for-byte.
+# Engine::Update; must match the recompute byte-for-byte.
 set(upd_out "${OUT_DIR}/cli_update_inc.out")
 run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
         --update=${BATCH})
 strip_comments(${upd_out} "${upd_out}.stripped")
 require_identical("${ref_out}.stripped" "${upd_out}.stripped"
                   "full recompute and --update output")
-
-set(upd_direct_out "${OUT_DIR}/cli_update_inc_direct.out")
-run_cli(${upd_direct_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
-        --update=${BATCH} --index=direct)
-strip_comments(${upd_direct_out} "${upd_direct_out}.stripped")
-require_identical("${ref_out}.stripped" "${upd_direct_out}.stripped"
-                  "full recompute and --index=direct --update output")
 
 message(STATUS "update smoke: incremental maintenance byte-identical")

@@ -2,7 +2,7 @@
 //
 //   datalogo_cli PROGRAM.dl --semiring=trop
 //       --edb E=edges.tsv --bedb G=flags.tsv [--seminaive] [--advise]
-//       [--max-steps=N] [--index=hash|direct|auto] [--update=BATCH]
+//       [--max-steps=N] [--update=BATCH]
 //
 // Semirings: bool, nat, trop, tropnat, fuzzy, viterbi.
 // POPS EDB TSVs carry the value in the last column; Boolean EDB TSVs are
@@ -41,10 +41,6 @@ struct CliOptions {
   bool seminaive = false;
   bool advise = false;
   int max_steps = 100000;
-  // Index tier (engine.h / relation.h). Output is identical for every
-  // tier — the flag exists for benchmarking and the byte-identity smoke
-  // test.
-  IndexKind index_kind = IndexKind::kAuto;
   // --update=FILE: mutation batch serviced by Engine::Update after the
   // initial fixpoint; the printed tables are the maintained result.
   std::string update_path;
@@ -110,18 +106,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg.rfind("--max-steps=", 0) == 0) {
       if (!ParseIntFlag("--max-steps", value_of("--max-steps="), 1,
                         &opt->max_steps)) {
-        return false;
-      }
-    } else if (arg.rfind("--index=", 0) == 0) {
-      std::string name = value_of("--index=");
-      if (name == "hash") {
-        opt->index_kind = IndexKind::kHash;
-      } else if (name == "direct") {
-        opt->index_kind = IndexKind::kDirect;
-      } else if (name == "auto") {
-        opt->index_kind = IndexKind::kAuto;
-      } else {
-        std::fprintf(stderr, "unknown index kind: %s\n", name.c_str());
         return false;
       }
     } else if (arg.rfind("--update=", 0) == 0) {
@@ -205,8 +189,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
                 report.linear, report.recursive, report.num_vars);
   }
 
-  Engine<P> engine(prog.value(), edb,
-                   EngineOptions{.index_kind = opt.index_kind});
+  Engine<P> engine(prog.value(), edb);
   EvalResult<P> result = [&] {
     if constexpr (CompleteDistributiveDioid<P>) {
       if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
@@ -272,8 +255,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "
-                 "[--advise] [--max-steps=N] "
-                 "[--index=hash|direct|auto] [--update=BATCH]\n"
+                 "[--advise] [--max-steps=N] [--update=BATCH]\n"
                  "semirings: bool nat trop tropnat fuzzy viterbi\n"
                  "--max-steps >= 1; the stability-index line sums "
                  "group-local rounds under --seminaive\n");
@@ -286,7 +268,7 @@ int main(int argc, char** argv) {
   }
   const std::string& s = opt.semiring;
   if (s == "trop") {
-    return RunAs<TropS>(opt, text, ParseDoubleValue);
+    return RunAs<TropS>(opt, text, ParseTropValue);
   } else if (s == "bool") {
     return RunAs<BoolS>(opt, text, ParseBoolValue);
   } else if (s == "nat") {
@@ -294,9 +276,9 @@ int main(int argc, char** argv) {
   } else if (s == "tropnat") {
     return RunAs<TropNatS>(opt, text, ParseUintValue);
   } else if (s == "fuzzy") {
-    return RunAs<FuzzyS>(opt, text, ParseDoubleValue);
+    return RunAs<FuzzyS>(opt, text, ParseUnitValue);
   } else if (s == "viterbi") {
-    return RunAs<ViterbiS>(opt, text, ParseDoubleValue);
+    return RunAs<ViterbiS>(opt, text, ParseUnitValue);
   }
   std::fprintf(stderr, "unknown semiring '%s'\n", s.c_str());
   return 1;

@@ -41,16 +41,6 @@ struct EvalResult {
   uint64_t work = 0;
 };
 
-/// Tuning knobs for Engine.
-struct EngineOptions {
-  /// Index-tier policy (relation.h): kAuto picks a direct (offset-
-  /// addressed) index per (relation, key-spec) when the key column is a
-  /// dense ConstId range, else hash; kHash/kDirect force one tier.
-  /// Fixpoints, `work` and all four index counters are bit-identical
-  /// across tiers — only probe cost and the new probe counters move.
-  IndexKind index_kind = IndexKind::kAuto;
-};
-
 /// How Engine::Update serviced one batch (reported for tests/benches).
 enum class UpdateStrategy {
   kNoop,           ///< empty batch: nothing ran
@@ -92,12 +82,8 @@ struct UpdateResult {
 template <NaturallyOrderedSemiring P>
 class Engine {
  public:
-  Engine(const Program& prog, const EdbInstance<P>& edb,
-         EngineOptions options = {})
+  Engine(const Program& prog, const EdbInstance<P>& edb)
       : prog_(&prog), edb_(&edb) {
-    const IndexConfig idx_cfg{options.index_kind};
-    pops_cache_.set_config(idx_cfg);
-    bool_cache_.set_config(idx_cfg);
     reliance_ = BuildRelianceGroups(prog);
     Compile();
   }
@@ -119,9 +105,9 @@ class Engine {
 
   /// Join-kernel lookups served by hash-map indexes (key-Tuple hash +
   /// probe each) vs direct offset-addressed indexes (one bounds-checked
-  /// array access each). Tier selection shifts traffic between the two —
-  /// the bench evidence that kDirect/kAuto removes hashing from the hot
-  /// path. Deterministic, but NOT pinned across index kinds by design.
+  /// array access each). The tier is picked from each relation's content
+  /// (RelationIndex), so the split moves with the id layout while `work`,
+  /// the fixpoint and the four build/hit counters do not.
   uint64_t hash_probes() const { return hash_probes_; }
   uint64_t direct_probes() const { return direct_probes_; }
   /// Entry-list rows decoded through the batched join kernel — the only

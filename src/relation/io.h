@@ -23,9 +23,9 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -202,17 +202,41 @@ inline Status LoadTsvBool(const std::string& text, Domain* dom,
       });
 }
 
+namespace io_internal {
+
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Parses a whole std::stod token into [lo, hi]. NaN fails the range
+/// compare, so it is rejected even when the range is the whole line.
+inline bool ParseDoubleIn(const std::string& s, double lo, double hi,
+                          double* out) {
+  try {
+    std::size_t pos = 0;
+    *out = std::stod(s, &pos);
+    return pos == s.size() && *out >= lo && *out <= hi;
+  } catch (...) {
+    return false;
+  }
+}
+
+}  // namespace io_internal
+
 /// Standard value parsers for the common carriers. ParseDoubleValue takes
 /// a whole std::stod token and rejects NaN: no carrier orders it, so ⊕
 /// would silently drop the fact (min(∞, NaN) = ∞ = ⊥ on Trop+).
 inline bool ParseDoubleValue(const std::string& s, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return pos == s.size() && !std::isnan(*out);
-  } catch (...) {
-    return false;
-  }
+  return io_internal::ParseDoubleIn(s, -io_internal::kInf, io_internal::kInf,
+                                   out);
+}
+/// Trop+ carrier: v >= 0, inf (= ⊥) allowed. A negative weight has no
+/// place in Trop+ and makes any cycle through it diverge.
+inline bool ParseTropValue(const std::string& s, double* out) {
+  return io_internal::ParseDoubleIn(s, 0.0, io_internal::kInf, out);
+}
+/// Fuzzy and Viterbi carriers: 0 <= v <= 1. Outside it a fuzzy value
+/// would be clamped and a Viterbi product would grow without bound.
+inline bool ParseUnitValue(const std::string& s, double* out) {
+  return io_internal::ParseDoubleIn(s, 0.0, 1.0, out);
 }
 inline bool ParseUintValue(const std::string& s, uint64_t* out) {
   if (!io_internal::LooksLikeInt(s) || s[0] == '-') return false;

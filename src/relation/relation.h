@@ -65,7 +65,7 @@ inline constexpr uint32_t kNoRow = 0xFFFFFFFFu;
 
 /// Span cap for direct addressing. For the direct index tier: above
 /// this, bucket storage (one vector header per id in [min, max]) stops
-/// being worth skipping the hash; applies even under IndexKind::kDirect.
+/// being worth skipping the hash, however dense the ids are.
 /// For a relation's direct row-id table: the largest slot array
 /// (2^(b0+b1) slots) it may use. A power of two.
 inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
@@ -73,18 +73,6 @@ inline constexpr uint64_t kDirectSpanCap = uint64_t{1} << 20;
 /// A list of row ids into one relation's columnar storage — the currency
 /// of RelationIndex lookups and the engine's join programs.
 using RowIdList = std::vector<uint32_t>;
-
-/// Index-tier selection policy (per (relation, key-spec); see
-/// RelationIndex). kAuto picks per key column: direct when the live key
-/// range is dense enough, hash otherwise. kDirect forces the direct tier
-/// whenever the key span fits the hard cap; kHash forces hashing
-/// everywhere — the pre-tier behaviour, kept as the reference.
-enum class IndexKind : uint8_t { kHash = 0, kDirect = 1, kAuto = 2 };
-
-/// Knobs threaded from EngineOptions into every index build.
-struct IndexConfig {
-  IndexKind kind = IndexKind::kAuto;
-};
 
 /// Non-owning view of one row's key columns in a columnar store. Usable
 /// as a probe/upsert key against any Relation (of any value space)
@@ -666,9 +654,8 @@ class Relation {
 };
 
 /// How one RelationIndex actually serves lookups. Tier choice is a pure
-/// function of (key positions, IndexConfig, live key-column min/max and
-/// support size), so the same relation state always gets the same tier —
-/// a prerequisite for the engine's cross-configuration determinism pins.
+/// function of (key positions, live key-column min/max and support size),
+/// so the same relation state always gets the same tier.
 enum class IndexRepr : uint8_t {
   kHashMap,      ///< Tuple-keyed unordered_map — the general tier
   kDirectArray,  ///< single key column, dense ids: offset-indexed buckets
@@ -687,20 +674,18 @@ inline constexpr uint64_t kFilterBuildSpanCap = 8;
 /// the tier — Lookup results are bit-identical across representations.
 ///
 /// Tiers: multi-column keys always hash. Single-column keys use the
-/// direct tier when the live ids are dense (kAuto: span <= 4*live + 256,
-/// always under kDirectSpanCap) — Lookup is then one subtraction and a
-/// bounds check, with no hashing and no key-Tuple walk. Empty keys (full
-/// scans) keep the single live-row list directly. IndexKind::kHash
-/// forces the general tier everywhere.
+/// direct tier when the live ids are dense (span <= 4*live + 256 and
+/// span <= kDirectSpanCap) — Lookup is then one subtraction and a bounds
+/// check, with no hashing and no key-Tuple walk. Empty keys (full scans)
+/// keep the single live-row list directly.
 template <Pops P>
 class RelationIndex {
  public:
   using EntryList = RowIdList;
 
   /// Builds an index of `rel` on the given positions.
-  explicit RelationIndex(const Relation<P>& rel, std::vector<int> positions,
-                         IndexConfig cfg = {})
-      : rel_(&rel), positions_(std::move(positions)), cfg_(cfg) {
+  explicit RelationIndex(const Relation<P>& rel, std::vector<int> positions)
+      : rel_(&rel), positions_(std::move(positions)) {
     ChooseRepr();
     if (repr_ == IndexRepr::kDirectArray) {
       buckets_.assign(static_cast<std::size_t>(span_), EntryList{});
@@ -773,13 +758,7 @@ class RelationIndex {
   /// the relation's current content.
   void ChooseRepr() {
     if (positions_.size() != 1) {
-      repr_ = (positions_.empty() && cfg_.kind != IndexKind::kHash)
-                  ? IndexRepr::kAllRows
-                  : IndexRepr::kHashMap;
-      return;
-    }
-    if (cfg_.kind == IndexKind::kHash) {
-      repr_ = IndexRepr::kHashMap;
+      repr_ = positions_.empty() ? IndexRepr::kAllRows : IndexRepr::kHashMap;
       return;
     }
     const std::size_t live = rel_->support_size();
@@ -804,10 +783,8 @@ class RelationIndex {
     }
     rows_scanned_ += rel_->num_rows();  // the min/max detection pass
     const uint64_t span = static_cast<uint64_t>(hi) - lo + 1;
-    const bool dense =
-        cfg_.kind == IndexKind::kDirect ||
-        span <= 4 * static_cast<uint64_t>(live) + 256;
-    if (span <= kDirectSpanCap && dense) {
+    if (span <= 4 * static_cast<uint64_t>(live) + 256 &&
+        span <= kDirectSpanCap) {
       repr_ = IndexRepr::kDirectArray;
       base_ = lo;
       span_ = span;
@@ -877,7 +854,6 @@ class RelationIndex {
 
   const Relation<P>* rel_;
   std::vector<int> positions_;
-  IndexConfig cfg_;
   IndexRepr repr_ = IndexRepr::kHashMap;
   // General tier.
   std::unordered_map<Tuple, EntryList, TupleHash> index_;
@@ -903,11 +879,6 @@ class RelationIndex {
 template <Pops P>
 class IndexCache {
  public:
-  /// Index-tier knobs for every index built through this
-  /// cache. Set before the first Get (the engine does, at construction).
-  void set_config(IndexConfig cfg) { config_ = cfg; }
-  IndexConfig config() const { return config_; }
-
   /// Returns an index of `rel` on `positions`, building it if no current
   /// one is cached. The reference stays valid until `rel` is mutated, the
   /// cache is cleared, or MaybeEvict() runs — Get itself never evicts, so
@@ -946,7 +917,7 @@ class IndexCache {
         // Build before updating the entry: a throwing constructor must
         // not leave the stale index tagged with the fresh version.
         auto rebuilt =
-            std::make_unique<RelationIndex<P>>(rel, positions, config_);
+            std::make_unique<RelationIndex<P>>(rel, positions);
         scan_rows_ += rebuilt->rows_scanned();
         e.index = std::move(rebuilt);
       }
@@ -959,7 +930,7 @@ class IndexCache {
     // heap RelationIndexes that outstanding Get() references point to.
     entries.push_back(
         Entry{positions, rel.version(),
-              std::make_unique<RelationIndex<P>>(rel, positions, config_),
+              std::make_unique<RelationIndex<P>>(rel, positions),
               sweep_, pin});
     scan_rows_ += entries.back().index->rows_scanned();
     return *entries.back().index;
@@ -1027,7 +998,6 @@ class IndexCache {
     return ok;
   }
 
-  IndexConfig config_;
   std::unordered_map<uint64_t, std::vector<Entry>> cache_;
   uint64_t sweep_ = 0;
   uint64_t builds_ = 0;

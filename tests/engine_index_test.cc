@@ -1,16 +1,24 @@
-// Tiered-index determinism: the engine's fixpoints, `work`, and all four
-// index-cache counters must be bit-identical across every index tier
-// (--index=hash|direct|auto) — the tiers may only move probe *cost*
-// (visible through the separate hash_probes/direct_probes counters). Workloads
-// are the equivalence-suite goldens (Boolean / Tropical / PosBool
-// provenance), each run naive and semi-naive.
+// Tiered-index invariance: the index tier is picked from the data alone
+// (RelationIndex), so the same program over the same graph must give the
+// same fixpoint (up to renaming), `steps`, `work` and all four
+// index-cache counters however its constants are numbered. Each golden
+// graph runs twice — vertex ids interned densely (single-column keys take
+// the direct tier) and interned with unused constants padded between
+// vertices (the same keys go sparse and take the hash tier) — naive and
+// semi-naive, and both runs must equal the grounded least fixpoint
+// (tests/grounded_oracle.h). Only probe *cost* may move, visible through
+// the separate hash_probes/direct_probes counters. Workloads are the
+// equivalence-suite goldens (Boolean / Tropical / PosBool provenance).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/datalogo.h"
 #include "src/semiring/provenance.h"
+#include "tests/grounded_oracle.h"
 
 namespace datalogo {
 namespace {
@@ -39,8 +47,9 @@ Graph ChainGraph(int n) {
   return g;
 }
 
-/// The counters that must be pinned across every engine configuration.
+/// The counters that must be pinned across both id layouts.
 struct PinnedCounters {
+  int steps = 0;
   uint64_t work = 0;
   uint64_t index_builds = 0;
   uint64_t index_hits = 0;
@@ -50,8 +59,9 @@ struct PinnedCounters {
 };
 
 std::ostream& operator<<(std::ostream& os, const PinnedCounters& c) {
-  return os << "{work=" << c.work << " builds=" << c.index_builds
-            << " hits=" << c.index_hits << " idb_builds=" << c.idb_index_builds
+  return os << "{steps=" << c.steps << " work=" << c.work
+            << " builds=" << c.index_builds << " hits=" << c.index_hits
+            << " idb_builds=" << c.idb_index_builds
             << " idb_hits=" << c.idb_index_hits << "}";
 }
 
@@ -67,10 +77,11 @@ struct RunResult {
 
 template <Pops P>
 RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
-                     bool semi, const EngineOptions& opts) {
-  Engine<P> engine(prog, edb, opts);
+                     bool semi) {
+  Engine<P> engine(prog, edb);
   RunResult<P> out{semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20)};
-  out.pinned = {out.eval.work, engine.index_builds(), engine.index_hits(),
+  out.pinned = {out.eval.steps,           out.eval.work,
+                engine.index_builds(),    engine.index_hits(),
                 engine.idb_index_builds(), engine.idb_index_hits()};
   out.hash_probes = engine.hash_probes();
   out.direct_probes = engine.direct_probes();
@@ -82,51 +93,103 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   return out;
 }
 
-std::string ConfigName(IndexKind kind) {
-  return kind == IndexKind::kHash     ? "hash"
-         : kind == IndexKind::kDirect ? "direct"
-                                      : "auto";
-}
+/// Unused constants interned after each vertex of the padded layout:
+/// enough that every golden's single-column keys span more than
+/// 4·live + 256 ids, the density rule's bound.
+constexpr int kPad = 1000;
 
-/// Runs the reference configuration (hash tier), then every tier of
-/// {hash,direct,auto} on a fresh engine, asserting each run's fixpoint
-/// and pinned counters match the reference exactly — for naive AND
-/// semi-naive.
-template <Pops P>
-  requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
-void ExpectBitIdenticalAcrossConfigs(const Program& prog,
-                                     const EdbInstance<P>& edb,
-                                     uint64_t golden_naive_work,
-                                     uint64_t golden_semi_work) {
-  const EngineOptions ref_opts{.index_kind = IndexKind::kHash};
-  RunResult<P> ref_naive = RunOnce(prog, edb, /*semi=*/false, ref_opts);
-  RunResult<P> ref_semi = RunOnce(prog, edb, /*semi=*/true, ref_opts);
-  ASSERT_TRUE(ref_naive.eval.converged);
-  ASSERT_TRUE(ref_semi.eval.converged);
-  EXPECT_EQ(ref_naive.pinned.work, golden_naive_work);
-  EXPECT_EQ(ref_semi.pinned.work, golden_semi_work);
-  // The reference tier hashes everything — including driver lookups.
-  EXPECT_EQ(ref_naive.direct_probes, 0u);
-  EXPECT_EQ(ref_semi.direct_probes, 0u);
-
-  for (IndexKind kind :
-       {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
-    SCOPED_TRACE(ConfigName(kind));
-    const EngineOptions opts{.index_kind = kind};
-    RunResult<P> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-    RunResult<P> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-    ASSERT_TRUE(naive.eval.converged);
-    ASSERT_TRUE(semi.eval.converged);
-    EXPECT_TRUE(naive.eval.idb.Equals(ref_naive.eval.idb));
-    EXPECT_TRUE(semi.eval.idb.Equals(ref_semi.eval.idb));
-    EXPECT_EQ(naive.pinned, ref_naive.pinned);
-    EXPECT_EQ(semi.pinned, ref_semi.pinned);
-    if (kind == IndexKind::kHash) {
-      // Forced hash must never take the offset-addressed path.
-      EXPECT_EQ(naive.direct_probes, 0u);
-      EXPECT_EQ(semi.direct_probes, 0u);
+/// Interns vertices 0..n-1 as InternVertices does, but follows each with
+/// kPad unused constants, so vertex ids are kPad + 1 apart.
+std::vector<ConstId> InternPaddedVertices(int n, Domain* dom) {
+  std::vector<ConstId> ids;
+  for (int i = 0; i < n; ++i) {
+    ids.push_back(dom->InternSymbol("v" + std::to_string(i)));
+    for (int j = 0; j < kPad; ++j) {
+      dom->InternSymbol("pad" + std::to_string(i) + "_" + std::to_string(j));
     }
   }
+  return ids;
+}
+
+/// One workload with its vertices interned one way.
+template <Pops P>
+struct Layout {
+  template <typename FillEdb>
+  Layout(const char* text, int n, bool padded, FillEdb&& fill)
+      : prog(ParseProgram(text, &dom).value()),
+        ids(padded ? InternPaddedVertices(n, &dom) : InternVertices(n, &dom)),
+        edb(prog) {
+    fill(prog, ids, &edb);
+  }
+  Domain dom;
+  Program prog;
+  std::vector<ConstId> ids;
+  EdbInstance<P> edb;
+};
+
+/// `idb` with every constant renamed through `to`, as an instance of
+/// `prog` (same predicate numbering).
+template <Pops P>
+IdbInstance<P> Renamed(const Program& prog, const IdbInstance<P>& idb,
+                       const std::unordered_map<ConstId, ConstId>& to) {
+  IdbInstance<P> out(prog);
+  for (int pred : prog.IdbPredicates()) {
+    const Relation<P>& rel = idb.idb(pred);
+    rel.ForEachRow([&](uint32_t r) {
+      Tuple t(rel.arity(), 0);
+      for (int i = 0; i < rel.arity(); ++i) t[i] = to.at(rel.Cell(r, i));
+      out.idb(pred).Set(t, rel.ValueAt(r));
+    });
+  }
+  return out;
+}
+
+/// Runs the workload on the dense and the padded layout, naive and
+/// semi-naive, and checks: the dense run hits the `work` goldens; both
+/// runs equal their grounded fixpoint; the padded fixpoint renamed to
+/// dense ids equals the dense one; steps, work and the four index-cache
+/// counters match; the dense run probes direct indexes and the padded
+/// run hashes more.
+template <Pops P, typename FillEdb>
+  requires CompleteDistributiveDioid<P> && NaturallyOrderedSemiring<P>
+void ExpectTierInvariant(const char* text, int n, FillEdb&& fill,
+                         uint64_t golden_naive_work,
+                         uint64_t golden_semi_work) {
+  const Layout<P> dense(text, n, /*padded=*/false, fill);
+  const Layout<P> sparse(text, n, /*padded=*/true, fill);
+  std::unordered_map<ConstId, ConstId> to_dense;
+  for (int i = 0; i < n; ++i) to_dense[sparse.ids[i]] = dense.ids[i];
+  const std::optional<IdbInstance<P>> dense_ground =
+      GroundedFixpoint<P>(dense.prog, dense.edb);
+  const std::optional<IdbInstance<P>> sparse_ground =
+      GroundedFixpoint<P>(sparse.prog, sparse.edb);
+  ASSERT_TRUE(dense_ground.has_value());
+  ASSERT_TRUE(sparse_ground.has_value());
+
+  for (bool semi : {false, true}) {
+    SCOPED_TRACE(semi ? "semi-naive" : "naive");
+    RunResult<P> d = RunOnce(dense.prog, dense.edb, semi);
+    RunResult<P> s = RunOnce(sparse.prog, sparse.edb, semi);
+    ASSERT_TRUE(d.eval.converged);
+    ASSERT_TRUE(s.eval.converged);
+    EXPECT_EQ(d.pinned.work, semi ? golden_semi_work : golden_naive_work);
+    EXPECT_EQ(d.pinned, s.pinned);
+    EXPECT_TRUE(d.eval.idb.Equals(*dense_ground));
+    EXPECT_TRUE(s.eval.idb.Equals(*sparse_ground));
+    EXPECT_TRUE(
+        Renamed(dense.prog, s.eval.idb, to_dense).Equals(d.eval.idb));
+    EXPECT_GT(d.direct_probes, 0u);
+    EXPECT_GT(s.hash_probes, d.hash_probes);
+  }
+}
+
+/// Loads `g`'s edges into E, valued by `lift`.
+template <Pops P>
+auto GraphEdges(const Graph& g, auto lift) {
+  return [g, lift](const Program& prog, const std::vector<ConstId>& ids,
+                   EdbInstance<P>* edb) {
+    LoadEdges<P>(g, ids, lift, &edb->pops(prog.FindPredicate("E")));
+  };
 }
 
 template <Pops P>
@@ -134,13 +197,8 @@ template <Pops P>
 void ExpectBitIdenticalOnGraph(const char* text, const Graph& g, auto&& lift,
                                uint64_t golden_naive_work,
                                uint64_t golden_semi_work) {
-  Domain dom;
-  auto prog = ParseProgram(text, &dom).value();
-  std::vector<ConstId> ids = InternVertices(g.num_vertices(), &dom);
-  EdbInstance<P> edb(prog);
-  LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
-  ExpectBitIdenticalAcrossConfigs(prog, edb, golden_naive_work,
-                                  golden_semi_work);
+  ExpectTierInvariant<P>(text, g.num_vertices(), GraphEdges<P>(g, lift),
+                         golden_naive_work, golden_semi_work);
 }
 
 TEST(EngineIndexTiers, BooleanLinearTcChain80) {
@@ -152,7 +210,7 @@ TEST(EngineIndexTiers, BooleanLinearTcChain80) {
 
 TEST(EngineIndexTiers, BooleanQuadraticTcChain80) {
   // Two IDB occurrences: exercises the t_new/t_old/delta index triple
-  // (and its incremental refresh) under every tier.
+  // (and its incremental refresh) under both tiers.
   ExpectBitIdenticalOnGraph<BoolS>(kQuadraticTc, ChainGraph(80),
                                    [](const Edge&) { return true; },
                                    /*golden_naive_work=*/244823,
@@ -174,29 +232,27 @@ TEST(EngineIndexTiers, TropicalApspGrid8x8) {
 }
 
 TEST(EngineIndexTiers, ProvenancePosBoolChain6) {
-  Domain dom;
-  auto prog = ParseProgram(kLinearTc, &dom).value();
   const int n = 6;
-  Graph g = ChainGraph(n);
-  std::vector<ConstId> ids = InternVertices(n, &dom);
-  EdbInstance<PosBoolS> edb(prog);
-  {
-    int i = 0;
-    for (const Edge& e : g.edges()) {
-      edb.pops(prog.FindPredicate("E"))
-          .Merge({ids[e.src], ids[e.dst]},
-                 PosBoolS::Var("x" + std::to_string(i++)));
-    }
-  }
-  ExpectBitIdenticalAcrossConfigs(prog, edb, /*golden_naive_work=*/125,
-                                  /*golden_semi_work=*/30);
+  const Graph g = ChainGraph(n);
+  ExpectTierInvariant<PosBoolS>(
+      kLinearTc, n,
+      [&](const Program& prog, const std::vector<ConstId>& ids,
+          EdbInstance<PosBoolS>* edb) {
+        int i = 0;
+        for (const Edge& e : g.edges()) {
+          edb->pops(prog.FindPredicate("E"))
+              .Merge({ids[e.src], ids[e.dst]},
+                     PosBoolS::Var("x" + std::to_string(i++)));
+        }
+      },
+      /*golden_naive_work=*/125, /*golden_semi_work=*/30);
 }
 
 TEST(EngineIndexTiers, RepeatedVariableChecksChordalCycle12) {
   // Repeated-variable atoms (T(X,X), E(X,X)) compile to check ops — the
   // one join-program construct where the batched kernel's vector
   // compare/compress path does real filtering work, so this golden pins
-  // `work` (which counts check-failing entries too) across every tier.
+  // `work` (which counts check-failing entries too) across both tiers.
   // The chordal-cycle EDB gets explicit self-loops so the checks both
   // pass and fail.
   constexpr const char* kSelfLoopTc = R"(
@@ -213,53 +269,22 @@ TEST(EngineIndexTiers, RepeatedVariableChecksChordalCycle12) {
                                    /*golden_semi_work=*/554);
 }
 
-TEST(EngineIndexTiers, DirectTierReplacesHashProbesOnDenseKeys) {
-  // Vertex ids are interned densely, so the auto policy must route the
-  // E(Z,Y) generator lookups through the offset-addressed tier: the
-  // hash-probe count drops (to the hash-forced run's driver-only share)
-  // while the total visit trace — `work` — stays pinned.
-  Domain dom;
-  auto prog = ParseProgram(kLinearTc, &dom).value();
-  Graph g = GridGraph(8, 8);
-  std::vector<ConstId> ids = InternVertices(g.num_vertices(), &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-
-  const EngineOptions hash_opts{.index_kind = IndexKind::kHash};
-  const EngineOptions auto_opts{.index_kind = IndexKind::kAuto};
-  RunResult<TropS> hashed = RunOnce(prog, edb, /*semi=*/true, hash_opts);
-  RunResult<TropS> tiered = RunOnce(prog, edb, /*semi=*/true, auto_opts);
-
-  EXPECT_EQ(hashed.pinned, tiered.pinned);
-  EXPECT_GT(hashed.hash_probes, 0u);
-  EXPECT_GT(tiered.direct_probes, 0u);
-  EXPECT_LT(tiered.hash_probes, hashed.hash_probes);
-  EXPECT_EQ(hashed.direct_probes, 0u);
-}
-
 TEST(EngineIndexTiers, SemiNaiveRefreshesDeltaIndexesIncrementally) {
   // Each semi-naive round clears and refills delta; the cache must
   // refresh its delta indexes by re-appending rows, not by rebuilding
-  // from scratch — visible as a nonzero incremental-append counter under
-  // every tier (and a zero one for single-shot naive evaluation, whose
-  // EDB indexes are built once and only ever hit).
-  Domain dom;
-  auto prog = ParseProgram(kLinearTc, &dom).value();
-  Graph g = GridGraph(8, 8);
-  std::vector<ConstId> ids = InternVertices(g.num_vertices(), &dom);
-  EdbInstance<TropS> edb(prog);
-  LoadEdges<TropS>(g, ids, [](const Edge& e) { return e.weight; },
-                   &edb.pops(prog.FindPredicate("E")));
-
-  for (IndexKind kind :
-       {IndexKind::kHash, IndexKind::kDirect, IndexKind::kAuto}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    const EngineOptions opts{.index_kind = kind};
-    RunResult<TropS> semi = RunOnce(prog, edb, /*semi=*/true, opts);
-    EXPECT_GT(semi.incremental_appends, 0u);
-    RunResult<TropS> naive = RunOnce(prog, edb, /*semi=*/false, opts);
-    EXPECT_EQ(naive.incremental_appends, 0u);
+  // from scratch — visible as a nonzero incremental-append counter on
+  // both id layouts (and a zero one for single-shot naive evaluation,
+  // whose EDB indexes are built once and only ever hit).
+  const Graph g = GridGraph(8, 8);
+  for (bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "padded ids" : "dense ids");
+    const Layout<TropS> l(kLinearTc, g.num_vertices(), padded,
+                          GraphEdges<TropS>(g, [](const Edge& e) {
+                            return e.weight;
+                          }));
+    EXPECT_GT(RunOnce(l.prog, l.edb, /*semi=*/true).incremental_appends, 0u);
+    EXPECT_EQ(RunOnce(l.prog, l.edb, /*semi=*/false).incremental_appends,
+              0u);
   }
 }
 

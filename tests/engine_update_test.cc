@@ -1,7 +1,7 @@
 // Tests for Engine::Update — incremental maintenance against the one
 // oracle that matters: a full recompute from the mutated EDB must be
-// bit-identical to the warm Update result, across carriers and index
-// tiers.
+// bit-identical to the warm Update result, across carriers and across id
+// layouts that put the join indexes on either index tier.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -22,26 +22,18 @@ constexpr const char* kTc = R"(
   T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
 )";
 
-/// The engine configurations the bit-identity contract is checked over:
-/// the three index tiers.
-std::vector<EngineOptions> ConfigMatrix() {
-  return {EngineOptions{.index_kind = IndexKind::kAuto},
-          EngineOptions{.index_kind = IndexKind::kHash},
-          EngineOptions{.index_kind = IndexKind::kDirect}};
-}
-
-std::string ConfigName(const EngineOptions& o) {
-  return o.index_kind == IndexKind::kHash     ? "hash"
-         : o.index_kind == IndexKind::kDirect ? "direct"
-                                              : "auto";
-}
+/// The id layouts the bit-identity contract is checked over: the gap
+/// between consecutive vertex ids. Gap 1 interns vertices densely, so
+/// single-column keys take the direct index tier; gap 101 pads the
+/// Domain with unused constants, so the same keys span far more ids than
+/// 4·live + 256 and take the hash tier.
+constexpr int kIdGaps[] = {1, 101};
 
 /// Full recompute from `edb` with a FRESH engine (cold caches): the
 /// golden result Update must match bit-for-bit.
 template <Pops P>
-EvalResult<P> Golden(const Program& prog, const EdbInstance<P>& edb,
-                     const EngineOptions& opts) {
-  Engine<P> eng(prog, edb, opts);
+EvalResult<P> Golden(const Program& prog, const EdbInstance<P>& edb) {
+  Engine<P> eng(prog, edb);
   if constexpr (CompleteDistributiveDioid<P>) return eng.SemiNaive(1000);
   return eng.Naive(1000);
 }
@@ -65,9 +57,9 @@ std::vector<Tuple> LiveTuples(const Relation<P>& rel) {
 /// DumpTsvChecked string equality of every IDB — byte-level, catching any
 /// value formatting drift too. `program` must declare `edb E/2`, the only
 /// relation the batches mutate; its Boolean EDBs get random tuples once,
-/// before the first fixpoint.
+/// before the first fixpoint. Vertex ids are `id_gap` apart.
 template <Pops P, typename MakeValue>
-void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
+void ChurnAgainstRecompute(int id_gap, MakeValue make_value,
                            int rounds, unsigned seed,
                            bool acyclic = false,
                            const char* program = kTc) {
@@ -83,6 +75,9 @@ void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
   std::vector<ConstId> ids;
   for (int v = 0; v < n; ++v) {
     ids.push_back(dom.InternSymbol("v" + std::to_string(v)));
+    for (int pad = 1; pad < id_gap; ++pad) {
+      dom.InternSymbol("pad" + std::to_string(v) + "_" + std::to_string(pad));
+    }
   }
 
   // Carriers whose fixpoint only exists on DAGs (provenance polynomials
@@ -113,10 +108,10 @@ void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
     }
   }
 
-  Engine<P> eng(prog, edb, opts);
+  Engine<P> eng(prog, edb);
   IdbInstance<P> idb(prog);
   {
-    EvalResult<P> r0 = Golden<P>(prog, edb, opts);
+    EvalResult<P> r0 = Golden<P>(prog, edb);
     ASSERT_TRUE(r0.converged);
     idb.CopyContentsFrom(r0.idb);
   }
@@ -135,60 +130,59 @@ void ChurnAgainstRecompute(const EngineOptions& opts, MakeValue make_value,
     }
 
     UpdateResult ur = eng.Update(batch, &edb, &idb, 1000);
-    ASSERT_TRUE(ur.converged) << ConfigName(opts) << " round " << round;
+    ASSERT_TRUE(ur.converged) << "id gap " << id_gap << " round " << round;
 
     EdbInstance<P> gold_edb(prog);
     gold_edb.pops(e) = edb.pops(e);
     for (int pred : bool_preds) gold_edb.boolean(pred) = edb.boolean(pred);
-    EvalResult<P> gold = Golden<P>(prog, gold_edb, opts);
+    EvalResult<P> gold = Golden<P>(prog, gold_edb);
     ASSERT_TRUE(gold.converged);
     ASSERT_TRUE(idb.Equals(gold.idb))
-        << ConfigName(opts) << " round " << round
+        << "id gap " << id_gap << " round " << round
         << ": Update diverged from full recompute";
     for (int pred : prog.IdbPredicates()) {
       std::string got, want;
       ASSERT_TRUE(DumpTsvChecked(idb.idb(pred), dom, &got).ok());
       ASSERT_TRUE(DumpTsvChecked(gold.idb.idb(pred), dom, &want).ok());
-      EXPECT_EQ(got, want) << ConfigName(opts) << " round " << round << " "
-                           << prog.predicate(pred).name;
+      EXPECT_EQ(got, want) << "id gap " << id_gap << " round " << round
+                           << " " << prog.predicate(pred).name;
     }
   }
 }
 
 TEST(EngineUpdate, BoolChurnMatchesRecompute) {
   int rounds = CiIterations(8, 3);
-  for (const EngineOptions& o : ConfigMatrix()) {
+  for (int gap : kIdGaps) {
     ChurnAgainstRecompute<BoolS>(
-        o, [](std::mt19937&) { return true; }, rounds, 11);
+        gap, [](std::mt19937&) { return true; }, rounds, 11);
   }
 }
 
 TEST(EngineUpdate, TropChurnMatchesRecompute) {
   int rounds = CiIterations(8, 3);
-  for (const EngineOptions& o : ConfigMatrix()) {
+  for (int gap : kIdGaps) {
     // Weights exact in binary (k/8), so recompute and cascade sums are
     // comparable bit-for-bit.
     ChurnAgainstRecompute<TropS>(
-        o, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
+        gap, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
         rounds, 23);
   }
 }
 
 TEST(EngineUpdate, NaturalsChurnMatchesRecompute) {
   int rounds = CiIterations(6, 2);
-  for (const EngineOptions& o : ConfigMatrix()) {
+  for (int gap : kIdGaps) {
     ChurnAgainstRecompute<NatS>(
-        o, [](std::mt19937& rng) { return uint64_t{1} + rng() % 3; }, rounds,
+        gap, [](std::mt19937& rng) { return uint64_t{1} + rng() % 3; }, rounds,
         37);
   }
 }
 
 TEST(EngineUpdate, ProvenanceChurnMatchesRecompute) {
   int rounds = CiIterations(4, 2);
-  EngineOptions o;
   int edge = 0;
   ChurnAgainstRecompute<ProvPolyS>(
-      o,
+      /*id_gap=*/1,
       [&edge](std::mt19937&) {
         return ProvPolyS::Var("e" + std::to_string(edge++));
       },
@@ -247,17 +241,18 @@ constexpr const char* kGuarded = R"(
 )";
 
 /// DRed churn of `program` against a cold recompute over B, Trop (k/8
-/// weights, exact in binary) and Fuzzy, on every ConfigMatrix() config.
+/// weights, exact in binary) and Fuzzy, on every id layout in kIdGaps.
 void DredChurnAllCarriers(const char* program, unsigned seed) {
   const int rounds = CiIterations(6, 2);
-  for (const EngineOptions& o : ConfigMatrix()) {
+  for (int gap : kIdGaps) {
     ChurnAgainstRecompute<BoolS>(
-        o, [](std::mt19937&) { return true; }, rounds, seed, false, program);
+        gap, [](std::mt19937&) { return true; }, rounds, seed, false,
+        program);
     ChurnAgainstRecompute<TropS>(
-        o, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
+        gap, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
         rounds, seed + 1, false, program);
     ChurnAgainstRecompute<FuzzyS>(
-        o, [](std::mt19937& rng) { return double(1 + rng() % 8) / 8.0; },
+        gap, [](std::mt19937& rng) { return double(1 + rng() % 8) / 8.0; },
         rounds, seed + 2, false, program);
   }
 }
@@ -289,9 +284,9 @@ TEST(EngineUpdate, TropInexactWeightsMatchRecompute) {
   // of E(X,Z) * T(Z,W) * E(W,Y) in atom order.
   const int rounds = CiIterations(8, 3);
   auto tenths = [](std::mt19937& rng) { return 0.1 * double(1 + rng() % 9); };
-  for (const EngineOptions& o : ConfigMatrix()) {
-    ChurnAgainstRecompute<TropS>(o, tenths, rounds, 601, false, kTc);
-    ChurnAgainstRecompute<TropS>(o, tenths, rounds, 607, false,
+  for (int gap : kIdGaps) {
+    ChurnAgainstRecompute<TropS>(gap, tenths, rounds, 601, false, kTc);
+    ChurnAgainstRecompute<TropS>(gap, tenths, rounds, 607, false,
                                  kThreeAtomBody);
   }
 }
@@ -507,7 +502,7 @@ TEST(EngineUpdate, NaturalsSaturationFallsBackToRecompute) {
 
   EdbInstance<NatS> gold_edb(f.prog);
   gold_edb.pops(f.e) = edb.pops(f.e);
-  EXPECT_TRUE(idb.Equals(Golden<NatS>(f.prog, gold_edb, {}).idb));
+  EXPECT_TRUE(idb.Equals(Golden<NatS>(f.prog, gold_edb).idb));
 }
 
 TEST(EngineUpdate, BoolEdbDeltaForcesRecompute) {

@@ -14,6 +14,9 @@
 namespace datalogo {
 namespace {
 
+constexpr const char* kBatchProgram =
+    "edb E/2. bedb G/1. idb T/2. T(X,Y) :- E(X,Y).";
+
 TEST(Io, LoadTropRelation) {
   Domain dom;
   Relation<TropS> rel(2);
@@ -85,6 +88,57 @@ TEST(Io, NanValueIsLoadError) {
   Relation<TropS> rel(1);
   ASSERT_TRUE(LoadTsv<TropS>("a inf\n", &dom, &rel, ParseDoubleValue).ok());
   EXPECT_EQ(rel.support_size(), 0u);  // ∞ = ⊥ is not stored
+}
+
+TEST(Io, CarrierParsersAcceptExactlyTheCarrier) {
+  // Trop+ is [0, ∞]; Fuzzy and Viterbi are [0, 1]. A value outside its
+  // carrier is a parse failure, not a clamp or a silent drop.
+  const struct {
+    const char* text;
+    bool trop;  // ParseTropValue accepts
+    bool unit;  // ParseUnitValue accepts
+  } cases[] = {
+      {"0", true, true},      {"-0", true, true},     {"0.25", true, true},
+      {"1", true, true},      {"1.0000001", true, false},
+      {"2.5", true, false},   {"20", true, false},    {"inf", true, false},
+      {"-1", false, false},   {"-0.5", false, false}, {"-3", false, false},
+      {"-inf", false, false}, {"nan", false, false},  {"1e400", false, false},
+      {"0.5x", false, false}, {"", false, false},
+  };
+  for (const auto& c : cases) {
+    double v = -42.0;
+    EXPECT_EQ(ParseTropValue(c.text, &v), c.trop) << c.text;
+    EXPECT_EQ(ParseUnitValue(c.text, &v), c.unit) << c.text;
+    EXPECT_TRUE(ParseDoubleValue(c.text, &v) || !c.trop) << c.text;
+  }
+}
+
+TEST(Io, OutOfCarrierValuesNameTheLine) {
+  // The loaders report an out-of-carrier value like any unparsable one:
+  // InvalidArgument naming the line, on the TSV and the --update paths.
+  Domain dom;
+  Relation<TropS> trop(2);
+  Status s = LoadTsv<TropS>("a b 1\nb a -1\n", &dom, &trop, ParseTropValue);
+  EXPECT_EQ(s.code(), Code::kInvalidArgument);
+  EXPECT_EQ(s.message(), "line 2: cannot parse value '-1'");
+  for (const char* text :
+       {"a b 2\n", "a b 2.5\n", "a b -3\n", "a b -0.5\n"}) {
+    Relation<FuzzyS> fuzzy(2);
+    Status fs = LoadTsv<FuzzyS>(text, &dom, &fuzzy, ParseUnitValue);
+    EXPECT_EQ(fs.code(), Code::kInvalidArgument) << text;
+    EXPECT_NE(fs.message().find("line 1: cannot parse value"),
+              std::string::npos)
+        << fs.message();
+    Relation<ViterbiS> viterbi(2);
+    Status vs = LoadTsv<ViterbiS>(text, &dom, &viterbi, ParseUnitValue);
+    EXPECT_EQ(vs.code(), Code::kInvalidArgument) << text;
+  }
+  Program prog = ParseProgram(kBatchProgram, &dom).value();
+  EdbDelta<TropS> batch;
+  Status bs = LoadUpdateBatch<TropS>("+ E a b 1\n+ E b a -2\n", prog, &dom,
+                                     ParseTropValue, &batch);
+  EXPECT_EQ(bs.code(), Code::kInvalidArgument);
+  EXPECT_EQ(bs.message(), "line 2: cannot parse value");
 }
 
 TEST(Io, BoolRelationAllColumnsAreKeys) {
@@ -380,9 +434,6 @@ TEST(Io, SplitLineMatchesStreamExtraction) {
     EXPECT_EQ(io_internal::SplitLine(line), want) << line;
   }
 }
-
-constexpr const char* kBatchProgram =
-    "edb E/2. bedb G/1. idb T/2. T(X,Y) :- E(X,Y).";
 
 TEST(Io, LoadUpdateBatchParsesEveryMutationKind) {
   Domain dom;

@@ -1,15 +1,17 @@
-// Tiered RelationIndex (relation.h): the direct (offset-addressed) and
-// all-rows tiers must serve exactly the entry lists of the hash tier —
-// same row ids, same order — over randomized id distributions, forced
-// and auto selection, tombstoned rows and post-Compact rebuilds. Plus the IndexCache refresh ladder: cache hits
-// scan nothing, soft mutations refresh incrementally (counted into
-// incremental_appends with builds/hits unchanged relative to the
-// rebuild-everything behaviour), hard mutations rebuild and re-pick the
-// tier.
+// Tiered RelationIndex (relation.h): whichever tier the data picks —
+// direct (offset-addressed), hash or all-rows — an index must serve
+// exactly the live rows whose key columns equal the probe, in ascending
+// row order, over randomized id distributions, both sides of the density
+// rule, the span cap, tombstoned rows and post-Compact rebuilds. Plus the
+// IndexCache refresh ladder: cache hits scan nothing, soft mutations
+// refresh incrementally (counted into incremental_appends with
+// builds/hits unchanged relative to the rebuild-everything behaviour),
+// hard mutations rebuild and re-pick the tier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/relation/relation.h"
@@ -17,9 +19,6 @@
 
 namespace datalogo {
 namespace {
-
-constexpr IndexKind kAllKinds[] = {IndexKind::kHash, IndexKind::kDirect,
-                                   IndexKind::kAuto};
 
 /// Probes: every id in [0, max_id], a band beyond it, and extremes —
 /// covers present keys, absent in-range keys, and the direct tier's
@@ -32,100 +31,123 @@ std::vector<Tuple> SingleColumnProbes(uint32_t max_id) {
   return probes;
 }
 
-/// Every index kind must agree with the hash reference on every probe,
-/// list order included.
-void ExpectTiersEquivalent(const Relation<TropS>& rel,
-                           const std::vector<int>& positions,
-                           const std::vector<Tuple>& probes) {
-  RelationIndex<TropS> ref(rel, positions, {IndexKind::kHash});
-  for (IndexKind kind : kAllKinds) {
-    RelationIndex<TropS> idx(rel, positions, {kind});
-    for (const Tuple& key : probes) {
-      EXPECT_EQ(ref.Lookup(key), idx.Lookup(key))
-          << "kind=" << static_cast<int>(kind)
-          << " key0=" << (key.size() ? key[0] : 0);
+/// Brute-force reference lookup: the live rows whose key columns equal
+/// `key`, ascending.
+RowIdList ScanLookup(const Relation<TropS>& rel,
+                     const std::vector<int>& positions, const Tuple& key) {
+  RowIdList rows;
+  for (uint32_t r = 0; r < rel.num_rows(); ++r) {
+    if (!rel.RowLive(r)) continue;
+    bool match = true;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      match = match && rel.Cell(r, positions[i]) == key[i];
     }
+    if (match) rows.push_back(r);
+  }
+  return rows;
+}
+
+/// The index the data picks must agree with the scan on every probe,
+/// list order included.
+void ExpectIndexMatchesScan(const Relation<TropS>& rel,
+                            const std::vector<int>& positions,
+                            const std::vector<Tuple>& probes) {
+  RelationIndex<TropS> idx(rel, positions);
+  for (const Tuple& key : probes) {
+    EXPECT_EQ(ScanLookup(rel, positions, key), idx.Lookup(key))
+        << "repr=" << static_cast<int>(idx.repr())
+        << " key0=" << (key.size() ? key[0] : 0);
   }
 }
 
-TEST(RelationIndex, DenseIdsSelectDirectAndAgreeWithHash) {
+TEST(RelationIndex, DenseIdsSelectDirectAndMatchScan) {
   std::mt19937 rng(11);
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 200; ++i) {
     r.Set({i % 64, static_cast<uint32_t>(rng() % 64)},
           static_cast<double>(rng() % 100));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto});
-  EXPECT_EQ(auto_idx.repr(), IndexRepr::kDirectArray);
-  EXPECT_FALSE(auto_idx.is_hash());
-  ExpectTiersEquivalent(r, {0}, SingleColumnProbes(63));
-  ExpectTiersEquivalent(r, {1}, SingleColumnProbes(63));
+  RelationIndex<TropS> idx(r, {0});
+  EXPECT_EQ(idx.repr(), IndexRepr::kDirectArray);
+  EXPECT_FALSE(idx.is_hash());
+  ExpectIndexMatchesScan(r, {0}, SingleColumnProbes(63));
+  ExpectIndexMatchesScan(r, {1}, SingleColumnProbes(63));
 }
 
-TEST(RelationIndex, SparseIdsSelectHashAndAgreeWithForcedDirect) {
+TEST(RelationIndex, SparseIdsSelectHashAndMatchScan) {
   std::mt19937 rng(12);
   Relation<TropS> r(2);
-  std::vector<uint32_t> keys;
+  std::vector<Tuple> probes;
   for (int i = 0; i < 40; ++i) {
     uint32_t k = rng() % (1u << 19);  // sparse but under kDirectSpanCap
-    keys.push_back(k);
+    probes.push_back({k});
+    probes.push_back({k + 1});
     r.Set({k, static_cast<uint32_t>(rng() % 8)}, static_cast<double>(i));
   }
-  RelationIndex<TropS> auto_idx(r, {0}, {IndexKind::kAuto});
-  EXPECT_EQ(auto_idx.repr(), IndexRepr::kHashMap);
-  // Forced direct on a sparse-but-in-cap column: wasteful, still exact.
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect});
-  EXPECT_EQ(forced.repr(), IndexRepr::kDirectArray);
-  RelationIndex<TropS> ref(r, {0}, {IndexKind::kHash});
-  for (uint32_t k : keys) {
-    EXPECT_EQ(ref.Lookup({k}), forced.Lookup({k}));
-    EXPECT_EQ(ref.Lookup({k}), auto_idx.Lookup({k}));
-    EXPECT_EQ(ref.Lookup({k + 1}), forced.Lookup({k + 1}));
-  }
+  RelationIndex<TropS> idx(r, {0});
+  EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
+  EXPECT_TRUE(idx.is_hash());
+  ExpectIndexMatchesScan(r, {0}, probes);
 }
 
-TEST(RelationIndex, SpanBeyondCapFallsBackToHashEvenWhenForced) {
+TEST(RelationIndex, SpanBeyondCapFallsBackToHashEvenWhenDense) {
+  // 300000 keys at stride 3: span 899998 <= 4*live + 256 and under
+  // kDirectSpanCap = 2^20, so the column is direct. One more key just
+  // above 2^20 keeps it dense by the 4*live + 256 rule (1200260 >= span)
+  // but pushes the span past the cap: only the cap can make it hash.
   Relation<TropS> r(1);
-  r.Set({0}, 1.0);
-  r.Set({(1u << 20) + 5}, 2.0);  // span exceeds kDirectSpanCap
-  RelationIndex<TropS> forced(r, {0}, {IndexKind::kDirect});
-  EXPECT_EQ(forced.repr(), IndexRepr::kHashMap);
-  EXPECT_EQ(forced.Lookup({0}).size(), 1u);
-  EXPECT_EQ(forced.Lookup({(1u << 20) + 5}).size(), 1u);
-  EXPECT_EQ(forced.Lookup({17}).size(), 0u);
+  for (uint32_t i = 0; i < 300000; ++i) r.Set({3 * i}, 1.0);
+  EXPECT_EQ(RelationIndex<TropS>(r, {0}).repr(), IndexRepr::kDirectArray);
+  const uint32_t far = (1u << 20) + 4;
+  r.Set({far}, 2.0);
+  ASSERT_LE(uint64_t{far} + 1, 4 * uint64_t{r.support_size()} + 256);
+  ASSERT_GT(uint64_t{far} + 1, kDirectSpanCap);
+  RelationIndex<TropS> idx(r, {0});
+  EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
+  for (uint32_t k : {0u, 3u, 17u, 899997u, 899998u, far - 1, far, far + 1}) {
+    EXPECT_EQ(ScanLookup(r, {0}, {k}), idx.Lookup({k})) << k;
+  }
 }
 
 TEST(RelationIndex, AutoThresholdStraddle) {
   // 50 dense keys 0..49 plus one outlier K: live = 51, span = K + 1,
-  // and the kAuto density rule is span <= 4*live + 256 = 460. K = 459
+  // and the density rule is span <= 4*live + 256 = 460. K = 459
   // sits exactly on the boundary (direct); K = 460 tips it to hash.
   for (uint32_t outlier : {459u, 460u}) {
     Relation<TropS> r(2);
     for (uint32_t i = 0; i < 50; ++i) r.Set({i, i}, 1.0);
     r.Set({outlier, 7}, 2.0);
-    RelationIndex<TropS> idx(r, {0}, {IndexKind::kAuto});
+    RelationIndex<TropS> idx(r, {0});
     EXPECT_EQ(idx.repr(), outlier == 459u ? IndexRepr::kDirectArray
                                           : IndexRepr::kHashMap)
         << "outlier=" << outlier;
-    ExpectTiersEquivalent(r, {0}, SingleColumnProbes(outlier));
+    ExpectIndexMatchesScan(r, {0}, SingleColumnProbes(outlier));
   }
 }
 
 TEST(RelationIndex, TombstonedRowsExcludedFromEveryTier) {
-  Relation<TropS> r(2);
-  for (uint32_t i = 0; i < 32; ++i) r.Set({i % 8, i}, 1.0);
-  for (uint32_t i = 0; i < 32; i += 3) {
-    r.Set({i % 8, i}, TropS::Inf());  // ⊥ tombstones the row
+  // Stride 1 keeps column 0 dense (direct tier); stride 1000 spreads its
+  // 8 keys over a span of 7001 > 4*live + 256 (hash tier).
+  for (uint32_t stride : {1u, 1000u}) {
+    SCOPED_TRACE(stride);
+    Relation<TropS> r(2);
+    for (uint32_t i = 0; i < 32; ++i) r.Set({i % 8 * stride, i}, 1.0);
+    for (uint32_t i = 0; i < 32; i += 3) {
+      r.Set({i % 8 * stride, i}, TropS::Inf());  // ⊥ tombstones the row
+    }
+    ASSERT_GT(r.tombstones(), 0u);
+    EXPECT_EQ(RelationIndex<TropS>(r, {0}).is_hash(), stride != 1);
+    std::vector<Tuple> probes = SingleColumnProbes(8);
+    for (uint32_t k = 0; k < 9; ++k) probes.push_back({k * stride});
+    ExpectIndexMatchesScan(r, {0}, probes);
+    ExpectIndexMatchesScan(r, {}, {Tuple{}});
+    // Post-Compact the surviving rows are renumbered; the index agrees
+    // on the new ids too.
+    r.Compact();
+    ASSERT_EQ(r.tombstones(), 0u);
+    ExpectIndexMatchesScan(r, {0}, probes);
+    ExpectIndexMatchesScan(r, {}, {Tuple{}});
   }
-  ASSERT_GT(r.tombstones(), 0u);
-  ExpectTiersEquivalent(r, {0}, SingleColumnProbes(8));
-  ExpectTiersEquivalent(r, {}, {Tuple{}});
-  // Post-Compact the surviving rows are renumbered; all tiers agree on
-  // the new ids too.
-  r.Compact();
-  ASSERT_EQ(r.tombstones(), 0u);
-  ExpectTiersEquivalent(r, {0}, SingleColumnProbes(8));
-  ExpectTiersEquivalent(r, {}, {Tuple{}});
 }
 
 TEST(RelationIndex, RandomizedMutationEquivalence) {
@@ -154,23 +176,28 @@ TEST(RelationIndex, RandomizedMutationEquivalence) {
     for (int i = 0; i < 64; ++i) {
       probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8))});
     }
-    ExpectTiersEquivalent(r, {0}, probes);
+    ExpectIndexMatchesScan(r, {0}, probes);
     std::vector<Tuple> pair_probes;
     for (int i = 0; i < 64; ++i) {
       pair_probes.push_back({static_cast<uint32_t>(rng() % (id_range + 8)),
                              static_cast<uint32_t>(rng() % 18)});
     }
-    ExpectTiersEquivalent(r, {0, 1}, pair_probes);  // multi-col: hash tier
+    ExpectIndexMatchesScan(r, {0, 1}, pair_probes);  // multi-col: hash tier
   }
 }
 
 TEST(RelationIndex, EmptyRelationEveryTier) {
   Relation<TropS> r(2);
-  for (IndexKind kind : kAllKinds) {
-    RelationIndex<TropS> idx(r, {0}, {kind});
-    EXPECT_EQ(idx.Lookup({0}).size(), 0u);
-    EXPECT_EQ(idx.Lookup({12345}).size(), 0u);
-  }
+  RelationIndex<TropS> direct(r, {0});
+  EXPECT_EQ(direct.repr(), IndexRepr::kDirectArray);
+  EXPECT_EQ(direct.Lookup({0}).size(), 0u);
+  EXPECT_EQ(direct.Lookup({12345}).size(), 0u);
+  RelationIndex<TropS> hash(r, {0, 1});
+  EXPECT_EQ(hash.repr(), IndexRepr::kHashMap);
+  EXPECT_EQ(hash.Lookup({0, 0}).size(), 0u);
+  RelationIndex<TropS> all(r, {});
+  EXPECT_EQ(all.repr(), IndexRepr::kAllRows);
+  EXPECT_EQ(all.Lookup({}).size(), 0u);
 }
 
 // ------------------------------------------------------------ IndexCache
@@ -189,19 +216,20 @@ TEST(IndexCache, HitPathScansNothing) {
 }
 
 TEST(IndexCache, AppendOnlyMutationRefreshesIncrementally) {
+  // Keys 1000 apart: the column is sparse, so the hash tier serves it.
   Relation<TropS> r(2);
-  for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
+  for (uint32_t i = 0; i < 10; ++i) r.Set({i * 1000, i}, 1.0);
   IndexCache<TropS> cache;
-  cache.set_config({IndexKind::kHash});
   const RelationIndex<TropS>* idx = &cache.Get(r, {0});
-  for (uint32_t i = 10; i < 15; ++i) r.Set({i, i}, 1.0);  // soft appends
+  ASSERT_EQ(idx->repr(), IndexRepr::kHashMap);
+  for (uint32_t i = 10; i < 15; ++i) r.Set({i * 1000, i}, 1.0);  // soft
   const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
   EXPECT_EQ(idx, idx2);  // refreshed in place, not replaced
   EXPECT_EQ(cache.builds(), 2u);  // refresh still counts as a build
   EXPECT_EQ(cache.incremental_appends(), 5u);
-  RelationIndex<TropS> fresh(r, {0});
   for (uint32_t v = 0; v < 20; ++v) {
-    EXPECT_EQ(fresh.Lookup({v}), idx2->Lookup({v})) << v;
+    EXPECT_EQ(ScanLookup(r, {0}, {v * 1000}), idx2->Lookup({v * 1000})) << v;
+    EXPECT_EQ(idx2->Lookup({v * 1000 + 1}).size(), 0u) << v;
   }
 }
 
@@ -272,28 +300,27 @@ TEST(IndexCache, RangeEscapingAppendRebuildsAndRepicksTier) {
   EXPECT_EQ(cache.incremental_appends(), 0u);
 }
 
-TEST(IndexCache, BuildAndHitCountersIdenticalAcrossKinds) {
+TEST(IndexCache, BuildAndHitCountersIdenticalAcrossTiers) {
   // The four pinned engine counters derive from builds()/hits(); they
-  // must not depend on which tier serves the lookups.
-  auto run = [](IndexKind kind) {
+  // must not depend on which tier serves the lookups. The same mutation
+  // sequence runs over a dense relation (direct tier) and over a sparse
+  // one (keys `stride` apart, hash tier).
+  auto run = [](uint32_t stride, IndexRepr want) {
     Relation<TropS> r(2);
     IndexCache<TropS> cache;
-    cache.set_config({kind});
-    for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
+    for (uint32_t i = 0; i < 10; ++i) r.Set({i * stride, i}, 1.0);
+    EXPECT_EQ(cache.Get(r, {0}).repr(), want) << stride;
     cache.Get(r, {0});
-    cache.Get(r, {0});
-    for (uint32_t i = 10; i < 14; ++i) r.Set({i, i}, 1.0);
+    for (uint32_t i = 10; i < 14; ++i) r.Set({i * stride, i}, 1.0);
     cache.Get(r, {0});
     r.Clear();
-    for (uint32_t i = 0; i < 6; ++i) r.Set({i, i}, 2.0);
+    for (uint32_t i = 0; i < 6; ++i) r.Set({i * stride, i}, 2.0);
     cache.Get(r, {0});
-    r.Set({2, 2}, TropS::Inf());
+    r.Set({2 * stride, 2}, TropS::Inf());
     cache.Get(r, {0});
     return std::pair<uint64_t, uint64_t>(cache.builds(), cache.hits());
   };
-  const auto hash_counts = run(IndexKind::kHash);
-  EXPECT_EQ(hash_counts, run(IndexKind::kDirect));
-  EXPECT_EQ(hash_counts, run(IndexKind::kAuto));
+  EXPECT_EQ(run(1, IndexRepr::kDirectArray), run(1000, IndexRepr::kHashMap));
 }
 
 TEST(IndexCache, PinnedEntriesSurviveEviction) {
