@@ -1,17 +1,22 @@
 # Incremental-maintenance byte-identity smoke at the CLI surface: running
 # the fixpoint on the ORIGINAL edges and servicing a mutation batch with
-# --update= (Engine::Update — delete cascade + insert cascade, no full
-# re-run) must print tables byte-identical to a cold full run over the
-# PRE-MUTATED edge file. The leading '# ...' status comment legitimately
-# differs between the two modes ("update applied via ..." vs "converged,
-# stability index ..."), so comment lines are stripped before comparing;
-# the '## PRED' table headers and every fact row must match exactly.
+# --update= (Engine::Update, no full re-run) must print tables
+# byte-identical to a cold full run over the post-batch edge file. Two
+# batches: BATCH deletes and inserts, so it takes DRed (over-delete,
+# re-derive, insert seed); INSERT_BATCH only inserts, so it takes the
+# insert cascade. Each runs under trop, tropnat and bool. The leading
+# '# ...' status comment legitimately differs between the two modes
+# ("update applied via ..." vs "converged, stability index ..."), so it
+# is checked for the expected strategy and then stripped; the '## PRED'
+# table headers and every fact row must match exactly.
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
-#         -DBATCH=<.batch> -DEDGES_UPDATED=<.tsv> -DOUT_DIR=<dir>
+#         -DBATCH=<.batch> -DEDGES_UPDATED=<.tsv>
+#         -DINSERT_BATCH=<.batch> -DEDGES_INSERTED=<.tsv> -DOUT_DIR=<dir>
 #         -P cli_update_smoke.cmake
-foreach(var CLI PROGRAM EDGES BATCH EDGES_UPDATED OUT_DIR)
+foreach(var CLI PROGRAM EDGES BATCH EDGES_UPDATED INSERT_BATCH EDGES_INSERTED
+            OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_update_smoke: missing -D${var}=...")
   endif()
@@ -44,20 +49,56 @@ function(require_identical a b what)
   endif()
 endfunction()
 
-set(base_args --semiring=trop --seminaive)
+# Writes `in_file` to `out_file` with its weights in `semiring`'s carrier:
+# trop keeps them, tropnat truncates each to its integer part, bool makes
+# each one 1. Only a number ending a line changes, so keys, comments and
+# the value-less "- PRED key..." delete lines pass through.
+function(revalue in_file semiring out_file)
+  file(READ ${in_file} text)
+  if(semiring STREQUAL "tropnat")
+    string(REGEX REPLACE "([ \t][0-9]+)\\.[0-9]+(\n|$)" "\\1\\2" text
+           "${text}")
+  elseif(semiring STREQUAL "bool")
+    string(REGEX REPLACE "([ \t])[0-9]+(\\.[0-9]+)?(\n|$)" "\\11\\3" text
+           "${text}")
+  endif()
+  file(WRITE ${out_file} "${text}")
+endfunction()
 
-# Reference: cold full run over the post-batch edge file.
-set(ref_out "${OUT_DIR}/cli_update_ref.out")
-run_cli(${ref_out} ${PROGRAM} ${base_args} --edb E=${EDGES_UPDATED})
-strip_comments(${ref_out} "${ref_out}.stripped")
+set(batches ${BATCH} ${INSERT_BATCH})
+set(post_batch_edges ${EDGES_UPDATED} ${EDGES_INSERTED})
+set(strategies dred insert-cascade)
+foreach(semiring trop tropnat bool)
+  set(dir "${OUT_DIR}/cli_update_${semiring}")
+  file(MAKE_DIRECTORY ${dir})
+  revalue(${EDGES} ${semiring} "${dir}/edges.tsv")
+  foreach(k 0 1)
+    list(GET batches ${k} batch_in)
+    list(GET post_batch_edges ${k} post_in)
+    list(GET strategies ${k} strategy)
+    revalue(${batch_in} ${semiring} "${dir}/${k}.batch")
+    revalue(${post_in} ${semiring} "${dir}/${k}_post.tsv")
+    set(base_args --semiring=${semiring} --seminaive)
 
-# Incremental: fixpoint over the original edges, then the batch through
-# Engine::Update; must match the recompute byte-for-byte.
-set(upd_out "${OUT_DIR}/cli_update_inc.out")
-run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${EDGES}
-        --update=${BATCH})
-strip_comments(${upd_out} "${upd_out}.stripped")
-require_identical("${ref_out}.stripped" "${upd_out}.stripped"
-                  "full recompute and --update output")
+    # Reference: cold full run over the post-batch edge file.
+    set(ref_out "${dir}/${k}_ref.out")
+    run_cli(${ref_out} ${PROGRAM} ${base_args} --edb E=${dir}/${k}_post.tsv)
+    strip_comments(${ref_out} "${ref_out}.stripped")
+
+    # Incremental: fixpoint over the original edges, then the batch
+    # through Engine::Update; must match the recompute byte-for-byte.
+    set(upd_out "${dir}/${k}_inc.out")
+    run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${dir}/edges.tsv
+            --update=${dir}/${k}.batch)
+    file(READ ${upd_out} upd_text)
+    if(NOT upd_text MATCHES "^# update applied via ${strategy},")
+      message(FATAL_ERROR "${semiring} ${batch_in}: expected the update "
+                          "to run via ${strategy}: ${upd_out}")
+    endif()
+    strip_comments(${upd_out} "${upd_out}.stripped")
+    require_identical("${ref_out}.stripped" "${upd_out}.stripped"
+                      "${semiring} full recompute and --update output")
+  endforeach()
+endforeach()
 
 message(STATUS "update smoke: incremental maintenance byte-identical")

@@ -60,21 +60,22 @@ bool ReadFile(const std::string& path, std::string* out) {
 
 /// Parses a whole flag value as a base-10 int in [min, INT_MAX]: no sign
 /// other than a leading '-', no trailing junk, no overflow.
-bool ParseIntFlag(const std::string& flag, const std::string& text, int min,
-                  int* out) {
+Status ParseIntFlag(const std::string& flag, const std::string& text, int min,
+                    int* out) {
   int v = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc() || ptr != end || v < min) {
-    std::fprintf(stderr, "%s expects an integer >= %d, got '%s'\n",
-                 flag.c_str(), min, text.c_str());
-    return false;
+    return InvalidArgument(flag + " expects an integer >= " +
+                           std::to_string(min) + ", got '" + text + "'");
   }
   *out = v;
-  return true;
+  return Status::Ok();
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions* opt) {
+/// Fills `opt` from the command line. A usage error's message is the line
+/// main prints above the usage text; a missing program path has none.
+Status ParseArgs(int argc, char** argv, CliOptions* opt) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value_of = [&](const std::string& prefix) {
@@ -87,15 +88,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       // Spec as the next argument (--edb P=FILE) or inline (--edb=P=FILE).
       const std::string flag = arg.rfind("--bedb", 0) == 0 ? "--bedb" : "--edb";
       if (arg == flag && i + 1 >= argc) {
-        std::fprintf(stderr, "%s expects P=FILE\n", flag.c_str());
-        return false;
+        return InvalidArgument(flag + " expects P=FILE");
       }
       const std::string spec = arg == flag ? argv[++i] : value_of(flag + "=");
       const auto eq = spec.find('=');
       if (eq == std::string::npos) {
-        std::fprintf(stderr, "%s expects P=FILE, got '%s'\n", flag.c_str(),
-                     spec.c_str());
-        return false;
+        return InvalidArgument(flag + " expects P=FILE, got '" + spec + "'");
       }
       (flag == "--bedb" ? opt->bedbs : opt->edbs)
           .emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
@@ -104,29 +102,26 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--advise") {
       opt->advise = true;
     } else if (arg.rfind("--max-steps=", 0) == 0) {
-      if (!ParseIntFlag("--max-steps", value_of("--max-steps="), 1,
-                        &opt->max_steps)) {
-        return false;
-      }
+      Status s = ParseIntFlag("--max-steps", value_of("--max-steps="), 1,
+                              &opt->max_steps);
+      if (!s.ok()) return s;
     } else if (arg.rfind("--update=", 0) == 0) {
       opt->update_path = value_of("--update=");
       if (opt->update_path.empty()) {
-        std::fprintf(stderr, "--update expects a batch file path\n");
-        return false;
+        return InvalidArgument("--update expects a batch file path");
       }
     } else if (arg.rfind("--", 0) != 0) {
       if (!opt->program_path.empty()) {
-        std::fprintf(stderr, "more than one program path: %s and %s\n",
-                     opt->program_path.c_str(), arg.c_str());
-        return false;
+        return InvalidArgument("more than one program path: " +
+                               opt->program_path + " and " + arg);
       }
       opt->program_path = arg;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
+      return InvalidArgument("unknown flag: " + arg);
     }
   }
-  return !opt->program_path.empty();
+  if (opt->program_path.empty()) return InvalidArgument("");
+  return Status::Ok();
 }
 
 template <NaturallyOrderedSemiring P, typename ParseFn>
@@ -251,7 +246,10 @@ int RunAs(const CliOptions& opt, const std::string& text,
 
 int main(int argc, char** argv) {
   CliOptions opt;
-  if (!ParseArgs(argc, argv, &opt)) {
+  if (Status s = ParseArgs(argc, argv, &opt); !s.ok()) {
+    if (!s.message().empty()) {
+      std::fprintf(stderr, "%s\n", s.message().c_str());
+    }
     std::fprintf(stderr,
                  "usage: datalogo_cli PROGRAM.dl [--semiring=NAME] "
                  "[--edb P=FILE]... [--bedb P=FILE]... [--seminaive] "

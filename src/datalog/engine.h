@@ -493,7 +493,7 @@ class Engine {
     };
     std::vector<CheckPair> check_pairs;
     std::vector<BindOp> bind_ops;  ///< first occurrences, in arg order
-    /// Every position is a key (re-derive programs only, never level 0):
+    /// Every position is a key (planned programs only, never level 0):
     /// the level probes the relation's own row-id table for its 0 or 1
     /// matching row instead of going through an index.
     bool point = false;
@@ -519,6 +519,9 @@ class Engine {
     std::vector<int> group_occ_of_atom;  ///< atom index → group occ, or -1
     std::vector<ValueSource> head_sources;  ///< one per head argument
     int scratch_id = -1;  ///< into scratch_ (reusable per-disjunct buffers)
+    /// Into planned_: the slot of driver d is plan_slot + 1 + d (Π, then
+    /// one per atom).
+    int plan_slot = -1;
   };
 
   struct CompiledRule {
@@ -526,19 +529,24 @@ class Engine {
     std::vector<CompiledDisjunct> disjuncts;
   };
 
-  /// Generator atom index of a re-derive program's driver Π.
+  /// Driver of a re-derive program, and the generator atom index of its
+  /// level 0: DRed's pruned head tuples Π.
   static constexpr int kPrunedAtom = -1;
 
-  /// DRed's re-derive program for one compiled disjunct: the forward join
-  /// Π(head args) ∧ body. Π is the head predicate's pruned tuples, valued
-  /// One, and drives level 0, so head constants and repeated head
-  /// variables become its key positions and check pairs. The body follows
-  /// in the GreedyJoinOrder (join_plan.h) of the live row counts it was
-  /// last planned under; a DRed update re-plans and rebuilds it only when
-  /// that order changes. Slots are made by the first DRed update.
-  struct RederiveProgram {
-    int rule = 0;
-    int disjunct = 0;
+  /// One of Engine::Update's planned join programs for a compiled
+  /// disjunct, keyed by (rule, disjunct, driver):
+  ///  * driver kPrunedAtom — DRed's re-derive program Π(head args) ∧ body.
+  ///    Π is the head predicate's pruned tuples, valued One, and drives
+  ///    level 0, so head constants and repeated head variables become its
+  ///    key positions and check pairs.
+  ///  * driver ℓ ≥ 0 — the EDB cross-term seed whose changed occurrence
+  ///    (atom index) ℓ reads Δ. Its whole body is planned, so the few Δ
+  ///    rows normally drive level 0.
+  /// The body (after Π) follows the GreedyJoinOrder (join_plan.h) of the
+  /// live row counts it was last planned under; Planned() rebuilds it only
+  /// when that order changes. Slots are made by the first Update that
+  /// needs one, each with its own scratch slot.
+  struct PlannedProgram {
     bool built = false;
     std::vector<JoinStep> order;
     CompiledDisjunct cd;
@@ -547,7 +555,7 @@ class Engine {
   /// Reusable join-state buffers for one disjunct evaluation, sized by
   /// SizeScratch(). Executing a disjunct allocates nothing: bindings,
   /// per-level join keys, per-level accumulators and the head tuple all
-  /// live here. The engine keeps one per forward and re-derive program.
+  /// live here. The engine keeps one per forward and planned program.
   struct Scratch {
     std::vector<ConstId> binding;          ///< rule-variable slots
     std::vector<typename P::Value> acc;    ///< acc[g] = value entering level g
@@ -725,6 +733,8 @@ class Engine {
         SizeScratch(rule, cd, &sc);
         scratch_.push_back(std::move(sc));
         prepared_.emplace_back();
+        cd.plan_slot = num_plan_slots_;
+        num_plan_slots_ += static_cast<int>(sp.atoms.size()) + 1;
 
         cr.disjuncts.push_back(std::move(cd));
       }
@@ -849,21 +859,24 @@ class Engine {
   /// realized as fresh mass (multilinearity — no subtraction happens, so
   /// it is valid in any carrier); with hi = live it evaluates the
   /// one-step mass through the delta, the DRed affected seed.
+  ///
+  /// Which relation each atom reads is fixed by atom order, but the join
+  /// order is not: every cross term runs as the planned program of its
+  /// changed occurrence (Planned), so the few Δ rows drive level 0 and
+  /// APSP's T(X,Z) * Δ(Z,Y) probes T(·,Z) once per Δ row instead of
+  /// scanning all of T.
   void EvalEdbCrossTerms(const std::vector<const Relation<P>*>& delta_by_pred,
                          const std::vector<const Relation<P>*>& hi_by_pred,
                          const IdbInstance<P>& idb, IdbInstance<P>* out,
                          uint64_t* work) const {
-    std::vector<int> changed;
     for (const CompiledRule& cr : compiled_) {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
-        changed.clear();
         for (std::size_t i = 0; i < cd.sp->atoms.size(); ++i) {
-          if (cd.occ_of_atom[i] < 0 &&
-              delta_by_pred[cd.sp->atoms[i].pred] != nullptr) {
-            changed.push_back(static_cast<int>(i));
+          const int ell_atom = static_cast<int>(i);
+          if (cd.occ_of_atom[i] >= 0 ||
+              delta_by_pred[cd.sp->atoms[i].pred] == nullptr) {
+            continue;
           }
-        }
-        for (int ell_atom : changed) {
           auto resolver = [&](int atom_index) -> const Relation<P>& {
             const int pred = cd.sp->atoms[atom_index].pred;
             if (cd.occ_of_atom[atom_index] >= 0) return idb.idb(pred);
@@ -874,7 +887,8 @@ class Engine {
             const Relation<P>* hi = hi_by_pred[pred];
             return hi != nullptr ? *hi : edb_->pops(pred);
           };
-          EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
+          EvalDisjunct(Planned(cr, cd, ell_atom, resolver), resolver,
+                       &out->idb(cr.rule->head.pred), work);
         }
       }
     }
@@ -1267,7 +1281,7 @@ class Engine {
   }
 
   /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, merged into
-  /// `out`. Runs the re-derive program (RederiveProgram) of every
+  /// `out`. Runs the re-derive program (PlannedProgram, driver Π) of every
   /// disjunct whose head lost tuples through the ordinary join kernel,
   /// reading `pruned` for Π, `idb` for the body's IDB atoms and the live
   /// (mutated) EDB. Emission order differs from a recompute's, which is
@@ -1275,63 +1289,54 @@ class Engine {
   /// carrier (min/max/or/antichain union); ⊗ order is GreedyJoinOrder's.
   void RederivePruned(const IdbInstance<P>& pruned, const IdbInstance<P>& idb,
                       IdbInstance<P>* out, uint64_t* work) const {
-    if (rederive_.empty()) {
-      // First DRed update: one program slot per disjunct, each planned
-      // and sized when its head first loses tuples. Engines that never
-      // re-derive allocate none of this.
-      for (std::size_t r = 0; r < compiled_.size(); ++r) {
-        for (std::size_t d = 0; d < compiled_[r].disjuncts.size(); ++d) {
-          RederiveProgram rp;
-          rp.rule = static_cast<int>(r);
-          rp.disjunct = static_cast<int>(d);
-          rp.cd.scratch_id = static_cast<int>(scratch_.size());
-          scratch_.emplace_back();
-          prepared_.emplace_back();
-          rederive_.push_back(std::move(rp));
-        }
-      }
-    }
-    for (RederiveProgram& rp : rederive_) {
-      const CompiledRule& cr = compiled_[static_cast<std::size_t>(rp.rule)];
+    for (const CompiledRule& cr : compiled_) {
       const int head = cr.rule->head.pred;
       if (pruned.idb(head).empty()) continue;
-      PlanRederive(idb, &rp);
-      const CompiledDisjunct& cd = rp.cd;
-      auto resolver = [&](int atom_index) -> const Relation<P>& {
-        if (atom_index == kPrunedAtom) return pruned.idb(head);
-        const int pred = cd.sp->atoms[atom_index].pred;
-        if (prog_->predicate(pred).kind == PredKind::kIdb) {
-          return idb.idb(pred);
-        }
-        return edb_->pops(pred);
-      };
-      EvalDisjunct(cd, resolver, &out->idb(head), work);
+      for (const CompiledDisjunct& cd : cr.disjuncts) {
+        auto resolver = [&](int atom_index) -> const Relation<P>& {
+          if (atom_index == kPrunedAtom) return pruned.idb(head);
+          const int pred = cd.sp->atoms[atom_index].pred;
+          if (prog_->predicate(pred).kind == PredKind::kIdb) {
+            return idb.idb(pred);
+          }
+          return edb_->pops(pred);
+        };
+        EvalDisjunct(Planned(cr, cd, kPrunedAtom, resolver), resolver,
+                     &out->idb(head), work);
+      }
     }
   }
 
-  /// Plans `rp`'s body for the current live row counts (head variables
-  /// and prebindings bound) and rebuilds its program if the order moved.
-  /// Positive Boolean condition atoms all become generators here (a fully
-  /// bound one filters as a point probe), so only compares and negated
-  /// atoms stay residual.
-  void PlanRederive(const IdbInstance<P>& idb, RederiveProgram* rp) const {
-    const CompiledRule& cr = compiled_[static_cast<std::size_t>(rp->rule)];
-    const CompiledDisjunct& fwd =
-        cr.disjuncts[static_cast<std::size_t>(rp->disjunct)];
+  /// The planned program of (cr, fwd, driver) — see PlannedProgram — for
+  /// the live row counts of the relations `resolver` returns, planned with
+  /// the prebindings (and, under Π, the head variables) bound. Rebuilt
+  /// only when its GreedyJoinOrder moved. Positive Boolean condition atoms
+  /// all become generators here, so only compares and negated atoms stay
+  /// residual. Every level after level 0 whose key covers the whole atom
+  /// is a point probe; level 0 never is, since PrepareGens looks the
+  /// driver up through an index.
+  template <typename Resolver>
+  const CompiledDisjunct& Planned(const CompiledRule& cr,
+                                  const CompiledDisjunct& fwd, int driver,
+                                  Resolver&& resolver) const {
+    if (planned_.empty()) {
+      planned_.resize(static_cast<std::size_t>(num_plan_slots_));
+    }
+    PlannedProgram& pp =
+        planned_[static_cast<std::size_t>(fwd.plan_slot + 1 + driver)];
     const Rule& rule = *cr.rule;
     const SumProduct& sp = *fwd.sp;
     std::vector<bool> bound(static_cast<std::size_t>(rule.num_vars), false);
     for (const auto& [v, c] : fwd.prebindings) bound[v] = true;
-    std::vector<bool> after_head = bound;
-    for (const Term& t : rule.head.args) {
-      if (t.IsVar()) after_head[t.var] = true;
+    std::vector<bool> body_bound = bound;
+    if (driver == kPrunedAtom) {
+      for (const Term& t : rule.head.args) {
+        if (t.IsVar()) body_bound[t.var] = true;
+      }
     }
     std::vector<std::size_t> atom_rows(sp.atoms.size(), 0);
     for (std::size_t i = 0; i < sp.atoms.size(); ++i) {
-      const int pred = sp.atoms[i].pred;
-      atom_rows[i] = prog_->predicate(pred).kind == PredKind::kIdb
-                         ? idb.idb(pred).support_size()
-                         : edb_->pops(pred).support_size();
+      atom_rows[i] = resolver(static_cast<int>(i)).support_size();
     }
     std::vector<std::size_t> cond_rows(sp.conditions.size(), 0);
     for (std::size_t j = 0; j < sp.conditions.size(); ++j) {
@@ -1341,8 +1346,8 @@ class Engine {
       }
     }
     std::vector<JoinStep> order =
-        GreedyJoinOrder(sp, after_head, atom_rows, cond_rows);
-    if (rp->built && order == rp->order) return;
+        GreedyJoinOrder(sp, body_bound, atom_rows, cond_rows);
+    if (pp.built && order == pp.order) return pp.cd;
 
     CompiledDisjunct cd;
     cd.disjunct_index = fwd.disjunct_index;
@@ -1350,22 +1355,31 @@ class Engine {
     cd.prebindings = fwd.prebindings;
     cd.always_false = fwd.always_false;
     cd.head_sources = fwd.head_sources;
-    cd.scratch_id = rp->cd.scratch_id;
-    AddGenerator(false, kPrunedAtom, rule.head, &bound, &cd);
+    cd.scratch_id = pp.cd.scratch_id;
+    if (cd.scratch_id < 0) {
+      cd.scratch_id = static_cast<int>(scratch_.size());
+      scratch_.emplace_back();
+      prepared_.emplace_back();
+    }
+    if (driver == kPrunedAtom) {
+      AddGenerator(false, kPrunedAtom, rule.head, &bound, &cd);
+    }
     for (const JoinStep& step : order) {
       const Atom& a = step.is_bool ? sp.conditions[step.index].atom
                                    : sp.atoms[step.index];
       AddGenerator(step.is_bool, step.index, a, &bound, &cd);
       Generator& g = cd.generators.back();
-      g.point = g.key_positions.size() == a.args.size();
+      g.point = cd.generators.size() > 1 &&
+                g.key_positions.size() == a.args.size();
     }
     for (const Condition* c : fwd.residual) {
       if (c->kind != Condition::Kind::kBoolAtom) cd.residual.push_back(c);
     }
     SizeScratch(rule, cd, &scratch_[static_cast<std::size_t>(cd.scratch_id)]);
-    rp->cd = std::move(cd);
-    rp->order = std::move(order);
-    rp->built = true;
+    pp.cd = std::move(cd);
+    pp.order = std::move(order);
+    pp.built = true;
+    return pp.cd;
   }
 
   /// One rule's contribution to F(J), merged into `out`.
@@ -1469,7 +1483,7 @@ class Engine {
   }
 
   /// Sizes a Scratch's buffers for one disjunct (idempotent; reuses
-  /// capacity when a re-derive program is rebuilt).
+  /// capacity when a planned program is rebuilt).
   void SizeScratch(const Rule& rule, const CompiledDisjunct& cd,
                    Scratch* sc) const {
     sc->binding.assign(static_cast<std::size_t>(rule.num_vars), kUnbound);
@@ -1831,9 +1845,12 @@ class Engine {
   // counting builds, and reusing evaluation buffers are all invisible to
   // callers — and why one Engine object is not shareable across threads
   // (see the class comment).
-  mutable std::vector<Scratch> scratch_;  ///< one per forward/re-derive
+  mutable std::vector<Scratch> scratch_;  ///< one per forward/planned
                                           ///< program
-  mutable std::vector<RederiveProgram> rederive_;  ///< one per disjunct
+  /// Update's planned programs, num_plan_slots_ of them once the first
+  /// Update plans one (CompiledDisjunct::plan_slot); empty before that.
+  mutable std::vector<PlannedProgram> planned_;
+  int num_plan_slots_ = 0;
   mutable std::vector<PreparedGens> prepared_;  ///< parallel to scratch_
   mutable IndexCache<P> pops_cache_;
   mutable IndexCache<BoolS> bool_cache_;

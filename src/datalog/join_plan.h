@@ -1,7 +1,9 @@
-// Greedy join ordering for one sum-product whose head is already bound —
-// the order DRed re-derivation (Engine::Update) joins a rule body in when
-// it is driven by the pruned head tuples instead of by the body's first
-// atom.
+// Greedy join ordering for one sum-product, from the variables bound
+// before it and the live row counts of the relations it reads — the order
+// every planned program of Engine::Update joins a rule body in: DRed's
+// re-derive programs (head bound, driven by the pruned head tuples) and
+// the EDB cross-term seeds (nothing but the prebindings bound, so the
+// few Δ rows of the changed occurrence normally go first).
 #ifndef DATALOGO_DATALOG_JOIN_PLAN_H_
 #define DATALOGO_DATALOG_JOIN_PLAN_H_
 

@@ -56,13 +56,14 @@ std::vector<Tuple> LiveTuples(const Relation<P>& rel) {
 /// comparison is Relation::Equals (same support, P::Eq values) plus
 /// DumpTsvChecked string equality of every IDB — byte-level, catching any
 /// value formatting drift too. `program` must declare `edb E/2`, the only
-/// relation the batches mutate; its Boolean EDBs get random tuples once,
-/// before the first fixpoint. Vertex ids are `id_gap` apart.
+/// relation the batches mutate; each of its Boolean EDBs gets, once before
+/// the first fixpoint, the facts `bool_facts` (vertex indexes) or, when
+/// that is empty, random tuples. Vertex ids are `id_gap` apart.
 template <Pops P, typename MakeValue>
-void ChurnAgainstRecompute(int id_gap, MakeValue make_value,
-                           int rounds, unsigned seed,
-                           bool acyclic = false,
-                           const char* program = kTc) {
+void ChurnAgainstRecompute(
+    int id_gap, MakeValue make_value, int rounds, unsigned seed,
+    bool acyclic = false, const char* program = kTc,
+    const std::vector<std::vector<int>>& bool_facts = {}) {
   Domain dom;
   auto prog_or = ParseProgram(program, &dom);
   ASSERT_TRUE(prog_or.ok()) << prog_or.status().ToString();
@@ -99,7 +100,12 @@ void ChurnAgainstRecompute(int id_gap, MakeValue make_value,
   for (int pred = 0; pred < prog.num_predicates(); ++pred) {
     if (prog.predicate(pred).kind != PredKind::kBoolEdb) continue;
     bool_preds.push_back(pred);
-    for (int i = 0; i < n; ++i) {
+    for (const std::vector<int>& fact : bool_facts) {
+      Tuple tup;
+      for (int v : fact) tup.push_back(ids[v]);
+      edb.boolean(pred).Set(tup, true);
+    }
+    for (int i = 0; bool_facts.empty() && i < n; ++i) {
       Tuple tup;
       for (int p = 0; p < prog.predicate(pred).arity; ++p) {
         tup.push_back(ids[rng() % n]);
@@ -334,6 +340,121 @@ TEST(RederivePlan, ThreeAtomBodyKeepsPopsAtomsInAtomOrder) {
                             {5}),
             (std::vector<JoinStep>{
                 {false, 0}, {true, 0}, {false, 1}, {false, 2}}));
+}
+
+// -------- Seed plans: every EDB cross term starts from its Δ --------
+
+TEST(SeedPlan, DeltaAtomDrivesTheApspCrossTerm) {
+  // T(X,Z) * Δ(Z,Y) with nothing bound: neither atom has a bound
+  // position, so the fewer rows (Δ's) drive and T is probed on Z.
+  Domain dom;
+  const Program prog = ParseProgram(kTc, &dom).value();
+  const Rule& rule = prog.rules()[0];
+  const std::vector<bool> none(static_cast<std::size_t>(rule.num_vars), false);
+  EXPECT_EQ(GreedyJoinOrder(rule.disjuncts[1], none, {1000, 3}, {}),
+            (std::vector<JoinStep>{{false, 1}, {false, 0}}));
+}
+
+TEST(SeedPlan, OneEdgeUpdateVisitsFewerEntriesThanTheClosure) {
+  // A ring v0 → v1 → … → v39 → v0 of unit Trop edges, whose closure holds
+  // all 1600 pairs, and a chord v0 → v20 of weight 100 that no shortest
+  // path takes. Inserting the chord and then deleting it must each visit
+  // fewer join entries than T has rows: both seeds start from the one Δ
+  // row and probe T's 40 paths into v0, where a seed in atom order would
+  // scan all of T(X,Z) first.
+  for (int gap : kIdGaps) {
+    Domain dom;
+    const Program prog = ParseProgram(kTc, &dom).value();
+    const int e = prog.FindPredicate("E");
+    const int t = prog.FindPredicate("T");
+    constexpr int kRing = 40;
+    std::vector<ConstId> ids;
+    for (int v = 0; v < kRing; ++v) {
+      ids.push_back(dom.InternSymbol("v" + std::to_string(v)));
+      for (int pad = 1; pad < gap; ++pad) {
+        dom.InternSymbol("pad" + std::to_string(v) + "_" +
+                         std::to_string(pad));
+      }
+    }
+    EdbInstance<TropS> edb(prog);
+    for (int v = 0; v < kRing; ++v) {
+      edb.pops(e).Set({ids[v], ids[(v + 1) % kRing]}, 1.0);
+    }
+    Engine<TropS> eng(prog, edb);
+    IdbInstance<TropS> idb(prog);
+    idb.CopyContentsFrom(eng.SemiNaive(1000).idb);
+    const uint64_t closure_rows = idb.idb(t).support_size();
+    ASSERT_EQ(closure_rows, uint64_t{kRing * kRing});
+
+    const Tuple chord = {ids[0], ids[kRing / 2]};
+    EdbDelta<TropS> insert;
+    insert.Add(e, chord, 100.0);
+    EdbDelta<TropS> erase;
+    erase.Delete(e, chord);
+    for (const EdbDelta<TropS>* batch : {&insert, &erase}) {
+      const UpdateResult r = eng.Update(*batch, &edb, &idb, 1000);
+      ASSERT_TRUE(r.converged);
+      EXPECT_EQ(r.strategy, batch == &insert ? UpdateStrategy::kInsertOnly
+                                             : UpdateStrategy::kDred);
+      EXPECT_LT(r.work, closure_rows) << "id gap " << gap;
+      EdbInstance<TropS> cold(prog);
+      cold.pops(e) = edb.pops(e);
+      EXPECT_TRUE(idb.Equals(Golden<TropS>(prog, cold).idb))
+          << "id gap " << gap;
+    }
+  }
+}
+
+// An `X = v0` prebinding and a Boolean guard Hot(X,W). In the seed of Δ at
+// E(X,Z), Δ and the guard each have one bound position (X), so whichever
+// holds fewer rows drives level 0: with one Hot fact, the guard beats any
+// Δ of two or more edges and is looked up on the prebinding alone, a
+// level 0 the forward compile never produces.
+constexpr const char* kPreboundGuard = R"(
+  edb E/2.
+  bedb Hot/2.
+  idb T/2.
+  idb R/2.
+  T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+  R(X,Y) :- { E(X,Z) * T(Z,Y) | X = v0, Hot(X,W) }.
+)";
+
+TEST(SeedPlan, GuardSmallerThanDeltaDrivesLevelZero) {
+  Domain dom;
+  const Program prog = ParseProgram(kPreboundGuard, &dom).value();
+  const Rule& rule = prog.rules()[1];
+  const SumProduct& sp = rule.disjuncts[0];
+  ASSERT_EQ(sp.conditions.size(), 2u);  // X = v0, Hot(X,W)
+  std::vector<bool> prebound(static_cast<std::size_t>(rule.num_vars), false);
+  prebound[static_cast<std::size_t>(sp.atoms[0].args[0].var)] = true;
+  EXPECT_EQ(GreedyJoinOrder(sp, prebound, {3, 1000}, {0, 1}),
+            (std::vector<JoinStep>{{true, 1}, {false, 0}, {false, 1}}));
+  // A one-row Δ ties the guard on rows, and POPS atoms win ties.
+  EXPECT_EQ(GreedyJoinOrder(sp, prebound, {1, 1000}, {0, 1}),
+            (std::vector<JoinStep>{{false, 0}, {true, 1}, {false, 1}}));
+}
+
+TEST(SeedPlan, PreboundGuardChurnMatchesRecompute) {
+  // Batches of 1–3 inserts and 0–2 deletes: the one-fact guard drives the
+  // seeds of every Δ with two or more rows, Δ drives the rest. B, Trop and
+  // Fuzzy take DRed and the insert cascade; ℕ, on acyclic edges so that
+  // its counts stay finite, takes the exact-delete cascade.
+  const int rounds = CiIterations(6, 2);
+  const std::vector<std::vector<int>> hot = {{0, 5}};
+  for (int gap : kIdGaps) {
+    ChurnAgainstRecompute<BoolS>(
+        gap, [](std::mt19937&) { return true; }, rounds, 701, false,
+        kPreboundGuard, hot);
+    ChurnAgainstRecompute<TropS>(
+        gap, [](std::mt19937& rng) { return double(1 + rng() % 64) / 8.0; },
+        rounds, 702, false, kPreboundGuard, hot);
+    ChurnAgainstRecompute<FuzzyS>(
+        gap, [](std::mt19937& rng) { return double(1 + rng() % 8) / 8.0; },
+        rounds, 703, false, kPreboundGuard, hot);
+    ChurnAgainstRecompute<NatS>(
+        gap, [](std::mt19937& rng) { return uint64_t{1} + rng() % 3; },
+        rounds, 704, /*acyclic=*/true, kPreboundGuard, hot);
+  }
 }
 
 // -------- Targeted scenarios --------
