@@ -1,10 +1,12 @@
 // The TSV I/O layer on its own: LoadTsv of 64k integer-keyed weighted
 // edges (split, integer interning, Merge) and DumpTsv of a 64k-row Trop
 // relation over symbol keys (sorted scan, symbol checks, double
-// formatting). The table and the BENCH_io.json journal report the best
-// wall time of a few reps and the cost per row, so a change to the
-// tokenizer, the interning table or the value formatter is attributed to
-// this layer rather than read off an end-to-end CLI time.
+// formatting), once with fractional values and once with whole-number
+// ones — the shape shortest-path tables print. The table and the
+// BENCH_io.json journal report the best wall time of a few reps and the
+// cost per row, so a change to the tokenizer, the interning table or the
+// value formatter is attributed to this layer rather than read off an
+// end-to-end CLI time.
 #include "bench/bench_util.h"
 
 #include <random>
@@ -31,13 +33,15 @@ std::string EdgeTsv() {
   return text;
 }
 
-/// All pairs over kDumpSide symbol vertices, with non-integral values.
-Relation<TropS> DumpRelation(Domain* dom) {
+/// All pairs over kDumpSide symbol vertices, valued k/8 (mostly
+/// non-integral) or, with `whole`, k itself (whole numbers, 0..996).
+Relation<TropS> DumpRelation(Domain* dom, bool whole) {
   std::vector<ConstId> ids = InternVertices(kDumpSide, dom);
   Relation<TropS> rel(2);
   for (int i = 0; i < kDumpSide; ++i) {
     for (int j = 0; j < kDumpSide; ++j) {
-      rel.Set({ids[i], ids[j]}, ((i * 131 + j * 17) % 997) / 8.0);
+      const double k = (i * 131 + j * 17) % 997;
+      rel.Set({ids[i], ids[j]}, whole ? k : k / 8.0);
     }
   }
   return rel;
@@ -77,23 +81,28 @@ void WriteJson() {
   const int reps = smoke ? 1 : 5;
   const std::string tsv = EdgeTsv();
   Domain dom;
-  const Relation<TropS> rel = DumpRelation(&dom);
+  const Relation<TropS> rel = DumpRelation(&dom, /*whole=*/false);
+  const Relation<TropS> whole_rel = DumpRelation(&dom, /*whole=*/true);
   const LayerTime load = TimeLoad(tsv, reps);
   const LayerTime dump = TimeDump(rel, dom, reps);
+  const LayerTime dump_whole = TimeDump(whole_rel, dom, reps);
 
   Banner("bench_io", "TSV load/dump and interning, per row");
-  std::printf("%-6s %8s %10s %12s\n", "layer", "rows", "best_ms",
+  std::printf("%-10s %8s %10s %12s\n", "layer", "rows", "best_ms",
               "ns_per_row");
   BenchJson json("io");
   json.MetaBool("smoke", smoke);
   json.MetaInt("reps", static_cast<uint64_t>(reps));
   json.Meta("workload",
             "LoadTsv: 64k integer-keyed trop edges over 8000 vertices; "
-            "DumpTsv: 256x256 symbol-keyed trop pairs");
+            "DumpTsv: 256x256 symbol-keyed trop pairs valued k/8 (dump) "
+            "or whole k (dump_whole)");
   AddHostMeta(&json);
-  for (const auto& [layer, t] : {std::pair{"load", load}, {"dump", dump}}) {
+  for (const auto& [layer, t] : {std::pair{"load", load},
+                                 {"dump", dump},
+                                 {"dump_whole", dump_whole}}) {
     const double ns_per_row = t.best_ms * 1e6 / static_cast<double>(t.rows);
-    std::printf("%-6s %8zu %10.2f %12.1f\n", layer, t.rows, t.best_ms,
+    std::printf("%-10s %8zu %10.2f %12.1f\n", layer, t.rows, t.best_ms,
                 ns_per_row);
     json.BeginRow()
         .Str("layer", layer)
@@ -118,7 +127,7 @@ void BM_LoadTsv(benchmark::State& state) {
 
 void BM_DumpTsv(benchmark::State& state) {
   Domain dom;
-  const Relation<TropS> rel = DumpRelation(&dom);
+  const Relation<TropS> rel = DumpRelation(&dom, state.range(0) != 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(DumpTsv(rel, dom).size());
   }
@@ -127,7 +136,12 @@ void BM_DumpTsv(benchmark::State& state) {
 }
 
 BENCHMARK(BM_LoadTsv)->Name("io_load_tsv")->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DumpTsv)->Name("io_dump_tsv")->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DumpTsv)
+    ->Name("io_dump_tsv")
+    ->ArgName("whole")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace datalogo

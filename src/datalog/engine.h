@@ -167,7 +167,7 @@ class Engine {
       if (t > 0) next.CopyContentsFrom(frozen);
       for (int r : rule_ids) {
         DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
-        ApplyRule(compiled_[r], j, &next, &work);
+        ApplyRule(compiled_[r], j, &next, /*base=*/nullptr, &work);
       }
       if (next.Equals(j)) {
         return {std::move(j), t, true, work};
@@ -228,6 +228,12 @@ class Engine {
   /// instance; rules whose inputs have drained count into rules_skipped()
   /// instead of being evaluated.
   ///
+  /// δ is formed at emission: every head contribution c leaves the join
+  /// as c ⊖ T(u) (EmitHead), so no whole F_g(T) is ever materialized and
+  /// nothing is diffed afterwards. Exact because ⊖ distributes over ⊕ on
+  /// a complete distributive dioid, (x ⊕ y) ⊖ a = (x ⊖ a) ⊕ (y ⊖ a)
+  /// (Eq. 58), and because T is not written while a round runs.
+  ///
   /// Soundness: lower-group predicates are constants of F_g by the
   /// condensation order, so the differential expansion over group
   /// occurrences is exactly Eq. (64) for F_g; the warm-start invariant
@@ -235,7 +241,7 @@ class Engine {
   /// maintained as in the global algorithm (Theorem 6.4). When the
   /// program is one recursive rule (every golden recursion) the schedule
   /// is exactly the global semi-naive loop: one seed δ(0) = F(0), then one
-  /// differential round per step, with the same ⊖ scan and merge orders.
+  /// differential round per step, with the same emission and merge orders.
   ///
   /// `steps` sums the group-local rounds (each group's seed plus its
   /// differential rounds); max_steps is a TOTAL budget across groups.
@@ -248,14 +254,14 @@ class Engine {
     // (group_reads_old_), so it is stale for every other group's heads.
     IdbInstance<P> t_old(*prog_);
     IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
-    // Live deltas of the running group. Every δ — the seed's and each
-    // local round's — is diffed directly into `delta` (ClearPreds +
-    // DiffRows; safe: the candidate is fully computed before the old
-    // deltas are cleared), keeping the delta relations on the
-    // Clear-plus-append mutation pattern the index cache refreshes
-    // incrementally instead of rebuilding.
+    // Live deltas of the running group, which its rounds read. The seed
+    // emits straight into `delta` (it reads only T); a local round emits
+    // into `next` while it reads `delta`, and SwapRows then hands the
+    // fresh δ over. Both are soft (Clear + append, or a swap recorded as
+    // a Clear), so delta's cached indexes refresh incrementally instead
+    // of rebuilding.
     IdbInstance<P> delta(*prog_);
-    IdbInstance<P> candidate(*prog_);
+    IdbInstance<P> next(*prog_);
     std::vector<int> triggered;
 
     for (int g = 0; g < reliance_.num_groups(); ++g) {
@@ -265,21 +271,15 @@ class Engine {
         return {std::move(t_new), max_steps, false, work};
       }
 
-      // Seed: C = F_g(T), δ = C ⊖ T over the group's heads. For the
-      // first group T = 0, making this exactly the global t = 0 step.
-      candidate.ClearPreds(heads);
-      for (int r : rules) ApplyRule(compiled_[r], t_new, &candidate, &work);
+      // Seed: δ = F_g(T) ⊖ T over the group's heads. For the first group
+      // T = 0, making this exactly the global t = 0 step.
+      delta.ClearPreds(heads);  // may hold stale rows of a shared head
+      for (int r : rules) {
+        ApplyRule(compiled_[r], t_new, &delta, &t_new, &work);
+      }
       ++steps;
       ++group_iterations_;
-      delta.ClearPreds(heads);  // may hold stale rows of a shared head
-      bool any_delta = false;
-      for (int pred : heads) {
-        if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                     &delta.idb(pred))) {
-          any_delta = true;
-        }
-      }
-      if (!any_delta) continue;
+      if (!delta.AnySupport(heads)) continue;
       const bool keep_old = group_reads_old_[g];
       if (keep_old) t_old.CopyPredsFrom(t_new, heads);
       for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
@@ -311,7 +311,7 @@ class Engine {
         }
         ++steps;
         ++group_iterations_;
-        candidate.ClearPreds(heads);
+        next.ClearPreds(heads);
         for (int r : triggered) {
           const CompiledRule& cr = compiled_[r];
           for (const CompiledDisjunct& cd : cr.disjuncts) {
@@ -329,24 +329,18 @@ class Engine {
                 if (occ == ell) return delta.idb(pred);
                 return t_old.idb(pred);
               };
-              EvalDisjunct(cd, resolver, &candidate.idb(cr.rule->head.pred),
+              const int head = cr.rule->head.pred;
+              EvalDisjunct(cd, resolver, &next.idb(head), &t_new.idb(head),
                            &work);
             }
           }
         }
-        // δ(t) = C ⊖ T(t) over the group's heads — into `delta` itself.
-        delta.ClearPreds(heads);
-        bool all_empty = true;
-        for (int pred : heads) {
-          if (DiffRows(candidate.idb(pred), t_new.idb(pred),
-                       &delta.idb(pred))) {
-            all_empty = false;
-          }
-        }
-        if (all_empty) {
+        // `next` holds δ(t) = F_g(T(t)) ⊖ T(t) over the group's heads.
+        if (!next.AnySupport(heads)) {
           drained = true;
           break;
         }
+        delta.SwapRows(&next, heads);
         if (keep_old) t_old.CopyPredsFrom(t_new, heads);
         for (int pred : heads) {
           MergeRows(delta.idb(pred), &t_new.idb(pred));
@@ -598,6 +592,8 @@ class Engine {
   void Compile() {
     group_reads_old_.assign(static_cast<std::size_t>(reliance_.num_groups()),
                             false);
+    reads_snapshot_.assign(static_cast<std::size_t>(prog_->num_predicates()),
+                           false);
     for (std::size_t rule_index = 0; rule_index < prog_->rules().size();
          ++rule_index) {
       const Rule& rule = prog_->rules()[rule_index];
@@ -715,6 +711,15 @@ class Engine {
               reliance_.group_of_rule[rule_index])] = true;
         }
         if (cd.idb_atoms.size() >= 2) reads_old_ = true;
+        // An EDB cross term reads the pre-mutation snapshot of a changed
+        // predicate only at an atom after its Δ atom, which is an EDB
+        // atom itself (EvalEdbCrossTerms).
+        bool after_edb = false;
+        for (const Atom& a : sp.atoms) {
+          if (prog_->predicate(a.pred).kind == PredKind::kIdb) continue;
+          if (after_edb) reads_snapshot_[a.pred] = true;
+          after_edb = true;
+        }
 
         // Head slots: range restriction (validate.cc) guarantees every
         // head variable is bound once all generators have run.
@@ -795,29 +800,8 @@ class Engine {
   void ApplyIco(const IdbInstance<P>& j, IdbInstance<P>* out,
                 uint64_t* work) const {
     for (const CompiledRule& cr : compiled_) {
-      ApplyRule(cr, j, out, work);
+      ApplyRule(cr, j, out, /*base=*/nullptr, work);
     }
-  }
-
-  /// δ = candidate ⊖ base for one predicate, appended into *out in
-  /// candidate's row order; returns true iff any nonzero difference was
-  /// stored. The ⊖ scan shared by SemiNaive and the Update cascades.
-  bool DiffRows(const Relation<P>& candidate, const Relation<P>& base,
-                Relation<P>* out) const
-    requires CompleteDistributiveDioid<P>
-  {
-    bool any = false;
-    const uint32_t rows = candidate.num_rows();
-    for (uint32_t r = 0; r < rows; ++r) {
-      if (!candidate.RowLive(r)) continue;
-      typename P::Value d =
-          P::Minus(candidate.ValueAt(r), base.Get(candidate.View(r)));
-      if (!P::Eq(d, P::Zero())) {
-        out->Set(candidate.View(r), d);
-        any = true;
-      }
-    }
-    return any;
   }
 
   /// T ⊕= δ row-wise for one predicate, in δ's row order.
@@ -850,7 +834,8 @@ class Engine {
   }
 
   /// Evaluates the multilinear EDB cross terms of F(T) over a set of
-  /// changed EDB predicates, merging into `out`: for every disjunct and
+  /// changed EDB predicates, emitting into `out` (as δ relative to `base`
+  /// when it is set, see EmitHead): for every disjunct and
   /// every occurrence ℓ of a changed predicate (in atom order), one
   /// sum-product with occurrence ℓ reading delta_by_pred, earlier changed
   /// occurrences reading the live EDB, later ones reading hi_by_pred
@@ -868,7 +853,7 @@ class Engine {
   void EvalEdbCrossTerms(const std::vector<const Relation<P>*>& delta_by_pred,
                          const std::vector<const Relation<P>*>& hi_by_pred,
                          const IdbInstance<P>& idb, IdbInstance<P>* out,
-                         uint64_t* work) const {
+                         const IdbInstance<P>* base, uint64_t* work) const {
     for (const CompiledRule& cr : compiled_) {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
         for (std::size_t i = 0; i < cd.sp->atoms.size(); ++i) {
@@ -887,21 +872,23 @@ class Engine {
             const Relation<P>* hi = hi_by_pred[pred];
             return hi != nullptr ? *hi : edb_->pops(pred);
           };
+          const int head = cr.rule->head.pred;
           EvalDisjunct(Planned(cr, cd, ell_atom, resolver), resolver,
-                       &out->idb(cr.rule->head.pred), work);
+                       &out->idb(head), BaseOf(base, head), work);
         }
       }
     }
   }
 
   /// One differential round body (Eq. 64 with caller-supplied instances):
-  /// candidate ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB
-  /// atoms reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ)
-  /// order.
+  /// out ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB atoms
+  /// reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ) order;
+  /// each contribution is emitted as δ relative to `base` when it is set
+  /// (EmitHead).
   void EvalDifferentialRound(const IdbInstance<P>& cur,
                              const IdbInstance<P>& delta,
-                             const IdbInstance<P>& prev,
-                             IdbInstance<P>* candidate,
+                             const IdbInstance<P>& prev, IdbInstance<P>* out,
+                             const IdbInstance<P>* base,
                              uint64_t* work) const {
     for (const CompiledRule& cr : compiled_) {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
@@ -915,76 +902,65 @@ class Engine {
             if (occ == ell) return delta.idb(pred);
             return prev.idb(pred);
           };
-          EvalDisjunct(cd, resolver, &candidate->idb(cr.rule->head.pred),
+          const int head = cr.rule->head.pred;
+          EvalDisjunct(cd, resolver, &out->idb(head), BaseOf(base, head),
                        work);
         }
       }
     }
   }
 
-  /// δ = candidate relative to base, per IDB predicate: ⊖ on dioids. On
-  /// carriers without ⊖ the candidate rows ARE the fresh derivation mass
-  /// (the cross terms never double-count, by multilinearity), so each row
-  /// is kept verbatim — unless the base already ⊕-absorbs it, which in
-  /// the shipped carriers means a saturated value (ℕ's ∞, saturated
-  /// polynomial coefficients). Dropping absorbed rows is what makes
-  /// cascades through saturated cycles terminate, and is sound because an
-  /// absorbed row can only produce further absorbed mass downstream: any
-  /// one-step image a ⊗ c ⊗ b of mass c absorbed at a saturated tuple is
-  /// itself absorbed by the a ⊗ T(u) ⊗ b mass the target already holds.
-  bool DeltaFromCandidate(const IdbInstance<P>& candidate,
-                          const IdbInstance<P>& base,
-                          IdbInstance<P>* delta) const {
-    bool any = false;
-    for (int pred : prog_->IdbPredicates()) {
-      const Relation<P>& c = candidate.idb(pred);
-      if constexpr (CompleteDistributiveDioid<P>) {
-        if (DiffRows(c, base.idb(pred), &delta->idb(pred))) any = true;
-      } else {
-        const Relation<P>& b = base.idb(pred);
-        Relation<P>& out = delta->idb(pred);
-        const uint32_t rows = c.num_rows();
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (!c.RowLive(r)) continue;
-          const typename P::Value bv = b.Get(c.View(r));
-          if (P::Eq(P::Plus(bv, c.ValueAt(r)), bv)) continue;
-          out.Set(c.View(r), c.ValueAt(r));
-          any = true;
-        }
-      }
-    }
-    return any;
+  /// `base`'s relation for `pred`, or null when there is no base.
+  static const Relation<P>* BaseOf(const IdbInstance<P>* base, int pred) {
+    return base != nullptr ? &base->idb(pred) : nullptr;
   }
 
-  /// Differential rounds of a warm cascade: repeat candidate = Eq. (64)
-  /// cross terms, δ = candidate relative to T, T ⊕= δ, until δ drains or
-  /// the budget runs out (converged=false, T left mid-cascade).
+  /// Differential rounds of a warm cascade, starting from the δ the seed
+  /// left in `delta` (already merged into T): each round emits the Eq.
+  /// (64) cross terms as δ relative to T into `next`, then SwapRows hands
+  /// it to `delta` and T ⊕= δ — until δ drains or the budget runs out
+  /// (converged=false, T left mid-cascade).
   void RunMergeRounds(IdbInstance<P>* t_new, IdbInstance<P>* delta,
-                      IdbInstance<P>* t_old, IdbInstance<P>* candidate,
+                      IdbInstance<P>* t_old, IdbInstance<P>* next,
                       int max_steps, UpdateResult* res,
                       uint64_t* work) const {
+    const std::vector<int> preds = prog_->IdbPredicates();
     while (true) {
       if (res->rounds >= max_steps) {
         res->converged = false;
         return;
       }
       SweepCaches();
-      candidate->ClearAll();
-      EvalDifferentialRound(*t_new, *delta, *t_old, candidate, work);
+      next->ClearAll();
+      EvalDifferentialRound(*t_new, *delta, *t_old, next, t_new, work);
       ++res->rounds;
-      delta->ClearAll();
-      if (!DeltaFromCandidate(*candidate, *t_new, delta)) return;
+      if (!next->AnySupport(preds)) return;
+      delta->SwapRows(next, preds);
       if (reads_old_) t_old->CopyContentsFrom(*t_new);
-      for (int pred : prog_->IdbPredicates()) {
-        MergeRows(delta->idb(pred), &t_new->idb(pred));
-      }
+      for (int pred : preds) MergeRows(delta->idb(pred), &t_new->idb(pred));
       t_new->CompactAll();
     }
   }
 
-  /// Insert-only cascade: snapshot the changed predicates, ⊕-merge the
-  /// added facts into the live EDB, seed with the EDB cross terms, then
-  /// run ordinary differential rounds from the warm T.
+  /// T ⊕= the seed's δ, then the differential rounds (RunMergeRounds).
+  /// The shared tail of the insert cascade and DRed's re-derivation;
+  /// `next` is any instance the rounds may overwrite.
+  void CascadeFromSeed(IdbInstance<P>* idb, IdbInstance<P>* delta,
+                       IdbInstance<P>* next, int max_steps, UpdateResult* res,
+                       uint64_t* work) const {
+    const std::vector<int> preds = prog_->IdbPredicates();
+    if (!delta->AnySupport(preds)) return;
+    IdbInstance<P> t_old(*prog_);
+    if (reads_old_) t_old.CopyContentsFrom(*idb);
+    for (int pred : preds) MergeRows(delta->idb(pred), &idb->idb(pred));
+    idb->CompactAll();
+    RunMergeRounds(idb, delta, &t_old, next, max_steps, res, work);
+  }
+
+  /// Insert-only cascade: snapshot the changed predicates a cross term
+  /// can read (reads_snapshot_), ⊕-merge the added facts into the live
+  /// EDB, seed with the EDB cross terms — emitted as δ relative to T, see
+  /// EmitHead — then run ordinary differential rounds from the warm T.
   void InsertCascade(const EdbDelta<P>& batch, EdbInstance<P>* edb,
                      IdbInstance<P>* idb, int max_steps,
                      UpdateResult* res) const {
@@ -996,8 +972,10 @@ class Engine {
       if (delta_rel[add.pred] != nullptr) continue;
       // Snapshot BEFORE the merges below: the seed's later-occurrence
       // slots must read the pre-mutation contents.
-      owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
-      snap[add.pred] = owned.back().get();
+      if (reads_snapshot_[add.pred]) {
+        owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
+        snap[add.pred] = owned.back().get();
+      }
       owned.push_back(
           std::make_unique<Relation<P>>(edb->pops(add.pred).arity()));
       delta_rel[add.pred] = owned.back().get();
@@ -1019,20 +997,12 @@ class Engine {
     std::vector<const Relation<P>*> delta_cv(delta_rel.begin(),
                                              delta_rel.end());
     SweepCaches();
-    IdbInstance<P> candidate(*prog_);
-    uint64_t work = 0;
-    EvalEdbCrossTerms(delta_cv, snap, *idb, &candidate, &work);
-    ++res->rounds;
     IdbInstance<P> delta(*prog_);
-    if (DeltaFromCandidate(candidate, *idb, &delta)) {
-      IdbInstance<P> t_old(*prog_);
-      if (reads_old_) t_old.CopyContentsFrom(*idb);
-      for (int pred : prog_->IdbPredicates()) {
-        MergeRows(delta.idb(pred), &idb->idb(pred));
-      }
-      idb->CompactAll();
-      RunMergeRounds(idb, &delta, &t_old, &candidate, max_steps, res, &work);
-    }
+    uint64_t work = 0;
+    EvalEdbCrossTerms(delta_cv, snap, *idb, &delta, /*base=*/idb, &work);
+    ++res->rounds;
+    IdbInstance<P> next(*prog_);
+    CascadeFromSeed(idb, &delta, &next, max_steps, res, &work);
     res->work += work;
   }
 
@@ -1058,8 +1028,10 @@ class Engine {
     std::vector<Relation<P>*> delta_rel(n, nullptr);
     for (const auto& del : batch.pops_deletes) {
       if (delta_rel[del.pred] != nullptr) continue;
-      owned.push_back(std::make_unique<Relation<P>>(edb->pops(del.pred)));
-      snap[del.pred] = owned.back().get();
+      if (reads_snapshot_[del.pred]) {
+        owned.push_back(std::make_unique<Relation<P>>(edb->pops(del.pred)));
+        snap[del.pred] = owned.back().get();
+      }
       owned.push_back(
           std::make_unique<Relation<P>>(edb->pops(del.pred).arity()));
       delta_rel[del.pred] = owned.back().get();
@@ -1079,30 +1051,22 @@ class Engine {
     SweepCaches();
     IdbInstance<P> candidate(*prog_);
     uint64_t work = 0;
-    EvalEdbCrossTerms(delta_cv, snap, *idb, &candidate, &work);
+    EvalEdbCrossTerms(delta_cv, snap, *idb, &candidate, /*base=*/nullptr,
+                      &work);
     ++res->rounds;
     IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
     IdbInstance<P> t_prev(*prog_);
+    const std::vector<int> preds = prog_->IdbPredicates();
     while (true) {
-      removed.ClearAll();
-      bool any = false;
-      for (int pred : prog_->IdbPredicates()) {
-        const Relation<P>& c = candidate.idb(pred);
-        const uint32_t rows = c.num_rows();
-        for (uint32_t r = 0; r < rows; ++r) {
-          if (!c.RowLive(r)) continue;
-          removed.idb(pred).Set(c.View(r), c.ValueAt(r));
-          any = true;
-        }
-      }
-      if (!any) {
+      if (!candidate.AnySupport(preds)) {
         res->work += work;
         return CascadeOutcome::kConverged;
       }
+      removed.SwapRows(&candidate, preds);
       // T_prev ← T (when a disjunct reads it), then T ⊖= removed (exact,
       // or bail out).
       if (reads_old_) t_prev.CopyContentsFrom(*idb);
-      for (int pred : prog_->IdbPredicates()) {
+      for (int pred : preds) {
         const Relation<P>& rem = removed.idb(pred);
         Relation<P>& t = idb->idb(pred);
         const uint32_t rows = rem.num_rows();
@@ -1124,7 +1088,8 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, removed, t_prev, &candidate, &work);
+      EvalDifferentialRound(*idb, removed, t_prev, &candidate,
+                            /*base=*/nullptr, &work);
       ++res->rounds;
     }
   }
@@ -1169,7 +1134,8 @@ class Engine {
     IdbInstance<P> affected(*prog_);   // accumulated affected mass
     IdbInstance<P> aff_delta(*prog_);  // last round's fresh mass
     SweepCaches();
-    EvalEdbCrossTerms(del_cv, no_snap, *idb, &candidate, &work);
+    EvalEdbCrossTerms(del_cv, no_snap, *idb, &candidate, /*base=*/nullptr,
+                      &work);
     ++res->rounds;
     while (true) {
       aff_delta.ClearAll();
@@ -1215,7 +1181,8 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, aff_delta, *idb, &candidate, &work);
+      EvalDifferentialRound(*idb, aff_delta, *idb, &candidate,
+                            /*base=*/nullptr, &work);
       ++res->rounds;
     }
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
@@ -1239,8 +1206,10 @@ class Engine {
       if (add_rel[add.pred] != nullptr) continue;
       // Snapshot AFTER the deletes, BEFORE the adds: the insert seed's
       // later-occurrence slots read the mid-mutation contents.
-      owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
-      add_snap[add.pred] = owned.back().get();
+      if (reads_snapshot_[add.pred]) {
+        owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
+        add_snap[add.pred] = owned.back().get();
+      }
       owned.push_back(
           std::make_unique<Relation<P>>(edb->pops(add.pred).arity()));
       add_rel[add.pred] = owned.back().get();
@@ -1252,24 +1221,16 @@ class Engine {
       if (!add_rel[add.pred]->empty()) have_adds = true;
     }
     std::vector<const Relation<P>*> add_cv(add_rel.begin(), add_rel.end());
-    // ---- Phase 3: re-derive. ----
+    // ---- Phase 3: re-derive, emitting δ relative to the pruned T. ----
     SweepCaches();
-    candidate.ClearAll();
-    if (have_adds) {
-      EvalEdbCrossTerms(add_cv, add_snap, *idb, &candidate, &work);
-    }
-    RederivePruned(pruned, *idb, &candidate, &work);
-    ++res->rounds;
     IdbInstance<P> delta(*prog_);
-    if (DeltaFromCandidate(candidate, *idb, &delta)) {
-      IdbInstance<P> t_old(*prog_);
-      if (reads_old_) t_old.CopyContentsFrom(*idb);
-      for (int pred : prog_->IdbPredicates()) {
-        MergeRows(delta.idb(pred), &idb->idb(pred));
-      }
-      idb->CompactAll();
-      RunMergeRounds(idb, &delta, &t_old, &candidate, max_steps, res, &work);
+    if (have_adds) {
+      EvalEdbCrossTerms(add_cv, add_snap, *idb, &delta, /*base=*/idb, &work);
     }
+    RederivePruned(pruned, *idb, &delta, &work);
+    ++res->rounds;
+    // Phase 1's candidate is spent: the rounds reuse it as their `next`.
+    CascadeFromSeed(idb, &delta, &candidate, max_steps, res, &work);
     for (int pred : prog_->IdbPredicates()) {
       const Relation<P>& p = pruned.idb(pred);
       const Relation<P>& t = idb->idb(pred);
@@ -1280,13 +1241,14 @@ class Engine {
     res->work += work;
   }
 
-  /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, merged into
-  /// `out`. Runs the re-derive program (PlannedProgram, driver Π) of every
-  /// disjunct whose head lost tuples through the ordinary join kernel,
-  /// reading `pruned` for Π, `idb` for the body's IDB atoms and the live
-  /// (mutated) EDB. Emission order differs from a recompute's, which is
-  /// sound because ⊕ is exactly associative and commutative on every DRed
-  /// carrier (min/max/or/antichain union); ⊗ order is GreedyJoinOrder's.
+  /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, emitted into
+  /// `out` as δ relative to `idb` (EmitHead). Runs the re-derive program
+  /// (PlannedProgram, driver Π) of every disjunct whose head lost tuples
+  /// through the ordinary join kernel, reading `pruned` for Π, `idb` for
+  /// the body's IDB atoms and the live (mutated) EDB. Emission order
+  /// differs from a recompute's, which is sound because ⊕ is exactly
+  /// associative and commutative on every DRed carrier
+  /// (min/max/or/antichain union); ⊗ order is GreedyJoinOrder's.
   void RederivePruned(const IdbInstance<P>& pruned, const IdbInstance<P>& idb,
                       IdbInstance<P>* out, uint64_t* work) const {
     for (const CompiledRule& cr : compiled_) {
@@ -1302,7 +1264,7 @@ class Engine {
           return edb_->pops(pred);
         };
         EvalDisjunct(Planned(cr, cd, kPrunedAtom, resolver), resolver,
-                     &out->idb(head), work);
+                     &out->idb(head), &idb.idb(head), work);
       }
     }
   }
@@ -1382,9 +1344,11 @@ class Engine {
     return pp.cd;
   }
 
-  /// One rule's contribution to F(J), merged into `out`.
+  /// One rule's contribution to F(J), emitted into `out` (as δ relative
+  /// to `base` when it is set, see EmitHead).
   void ApplyRule(const CompiledRule& cr, const IdbInstance<P>& j,
-                 IdbInstance<P>* out, uint64_t* work) const {
+                 IdbInstance<P>* out, const IdbInstance<P>* base,
+                 uint64_t* work) const {
     for (const CompiledDisjunct& cd : cr.disjuncts) {
       auto resolver = [&](int atom_index) -> const Relation<P>& {
         const int pred = cd.sp->atoms[atom_index].pred;
@@ -1393,7 +1357,8 @@ class Engine {
         }
         return j.idb(pred);
       };
-      EvalDisjunct(cd, resolver, &out->idb(cr.rule->head.pred), work);
+      const int head = cr.rule->head.pred;
+      EvalDisjunct(cd, resolver, &out->idb(head), BaseOf(base, head), work);
     }
   }
 
@@ -1506,10 +1471,29 @@ class Engine {
   }
 
   /// Residual checks + zero filter + head construction for one complete
-  /// join binding; merges the result into `out`. Uses the scratch's
-  /// preallocated head buffer — no allocation on this path.
+  /// join binding, then the contribution c = acc goes into `out`. Uses
+  /// the scratch's preallocated head buffer — no allocation on this path.
+  ///
+  /// With `base` null, c is merged as is. Otherwise `out` is the next δ
+  /// and `base` the head's current T, which nothing writes while a round
+  /// runs. On a complete distributive dioid c ⊖ T(u) is merged and ⊥
+  /// skipped: since (x ⊕ y) ⊖ a = (x ⊖ a) ⊕ (y ⊖ a) (Eq. 58), δ(u) is
+  /// F(T)(u) ⊖ T(u), bit for bit on every shipped dioid, whose ⊕ is exact
+  /// (min, max, or, antichain union).
+  /// On other carriers the contributions ARE the fresh derivation mass
+  /// (the cross terms never double-count, by multilinearity), so c is
+  /// merged verbatim — unless T(u) already ⊕-absorbs it, which in the
+  /// shipped carriers means a saturated value (ℕ's ∞, saturated
+  /// polynomial coefficients). A row's sum is absorbed iff each of its
+  /// contributions is, so this drops exactly the absorbed rows. Dropping
+  /// them is what makes cascades through saturated cycles terminate, and
+  /// is sound because an absorbed row can only produce further absorbed
+  /// mass downstream: any one-step image a ⊗ c ⊗ b of mass c absorbed at
+  /// a saturated tuple is itself absorbed by the a ⊗ T(u) ⊗ b mass the
+  /// target already holds.
   void EmitHead(const CompiledDisjunct& cd, Scratch& sc,
-                const typename P::Value& acc, Relation<P>* out) const {
+                const typename P::Value& acc, Relation<P>* out,
+                const Relation<P>* base) const {
     for (const Condition* c : cd.residual) {
       if (!CheckCondition(*c, sc.binding)) return;
     }
@@ -1518,19 +1502,31 @@ class Engine {
       const ValueSource& s = cd.head_sources[i];
       sc.head[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
     }
-    out->Merge(sc.head, acc);
+    if (base == nullptr) {
+      out->Merge(sc.head, acc);
+      return;
+    }
+    const typename P::Value t = base->Get(sc.head);
+    if constexpr (CompleteDistributiveDioid<P>) {
+      const typename P::Value d = P::Minus(acc, t);
+      if (!P::Eq(d, P::Zero())) out->Merge(sc.head, d);
+    } else {
+      if (!P::Eq(P::Plus(t, acc), t)) out->Merge(sc.head, acc);
+    }
   }
 
   /// Evaluates one sum-product under `resolver` (mapping IDB atom indexes
-  /// to the relation instance to read), merging results into `out`:
-  /// prepare, then execute the driver with the disjunct's own scratch slot.
+  /// to the relation instance to read), emitting results into `out` (as
+  /// δ relative to `base` when it is set, see EmitHead): prepare, then
+  /// execute the driver with the disjunct's own scratch slot.
   template <typename Resolver>
   void EvalDisjunct(const CompiledDisjunct& cd, Resolver&& resolver,
-                    Relation<P>* out, uint64_t* work) const {
+                    Relation<P>* out, const Relation<P>* base,
+                    uint64_t* work) const {
     PreparedGens& prep = prepared_[static_cast<std::size_t>(cd.scratch_id)];
     PrepareGens(cd, resolver, &prep);
     ExecuteShard(cd, prep, scratch_[static_cast<std::size_t>(cd.scratch_id)],
-                 out, work);
+                 out, base, work);
   }
 
   /// Prepare step of one disjunct evaluation: resolves every generator's
@@ -1628,11 +1624,11 @@ class Engine {
   }
 
   /// Execute step: joins every driver entry of a prepared disjunct into
-  /// `out`, counting visited entries into `work` — the
-  /// batched join kernel. Per level, entry-list row ids are decoded
-  /// simd::kJoinBatch at a time: the level's check ops run first as
-  /// vector compares over the gathered column pairs (Generator::
-  /// CheckPair), the survivor mask is compressed into the level's
+  /// `out` (through EmitHead, relative to `base`), counting visited
+  /// entries into `work` — the batched join kernel. Per level, entry-list
+  /// row ids are decoded simd::kJoinBatch at a time: the level's check
+  /// ops run first as vector compares over the gathered column pairs
+  /// (Generator::CheckPair), the survivor mask is compressed into the level's
   /// Scratch batch slice, and only then do the bind ops touch the
   /// surviving rows — check-free levels alias the batch pointer straight
   /// into the entry list (zero copy). Descending a level leaves the
@@ -1646,11 +1642,12 @@ class Engine {
   /// Relation::Merge for every carrier. join_batched_rows_ counts the
   /// decoded rows (always equal to the work added).
   void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
-                    Scratch& sc, Relation<P>* out, uint64_t* work) const {
+                    Scratch& sc, Relation<P>* out, const Relation<P>* base,
+                    uint64_t* work) const {
     for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
     const std::size_t levels = cd.generators.size();
     if (levels == 0) {
-      EmitHead(cd, sc, P::One(), out);
+      EmitHead(cd, sc, P::One(), out, base);
       return;
     }
     const RowIdList& driver = *prep.level0;
@@ -1752,7 +1749,7 @@ class Engine {
           for (const BindOp& op : gen.bind_ops) {
             sc.binding[op.var] = rel.Cell(row, op.pos);
           }
-          EmitHead(cd, sc, acc_in, out);
+          EmitHead(cd, sc, acc_in, out, base);
         }
       } else if (gen.bind_ops.size() == 1) {
         // The dominant shape (e.g. TC's E(Z,Y) level): one bound column,
@@ -1763,7 +1760,7 @@ class Engine {
         for (std::size_t i = 0; i < n; ++i) {
           const uint32_t row = rows[i];
           sc.binding[var] = col[row];
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out);
+          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out, base);
         }
       } else {
         const Relation<P>& rel = *prep.pops_rel[g];
@@ -1772,7 +1769,7 @@ class Engine {
           for (const BindOp& op : gen.bind_ops) {
             sc.binding[op.var] = rel.Cell(row, op.pos);
           }
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out);
+          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out, base);
         }
       }
     };
@@ -1841,6 +1838,11 @@ class Engine {
   /// whose Update-cascade differential rounds read T(t-1) (`t_old`,
   /// `t_prev`). The cascades keep it current only when this is set.
   bool reads_old_ = false;
+  /// Per predicate: whether some disjunct has an atom of it after another
+  /// EDB atom — the only place an EDB cross term reads a changed
+  /// predicate's pre-mutation snapshot. The Update cascades copy the
+  /// snapshot only for these.
+  std::vector<bool> reads_snapshot_;
   // Mutable: evaluation entry points are const, but memoizing indexes,
   // counting builds, and reusing evaluation buffers are all invisible to
   // callers — and why one Engine object is not shareable across threads

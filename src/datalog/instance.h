@@ -167,15 +167,15 @@ class IdbInstance {
   /// model: cached indexes of a cleared-then-refilled relation are
   /// refreshed by reset-and-reappend (no per-row hash-map teardown, no
   /// tier re-detection) rather than rebuilt — which is why the engine
-  /// routes every per-round delta through Clear + Set/Merge instead of
-  /// whole-object moves.
+  /// hands every per-round δ over by Clear + Merge or SwapRows instead
+  /// of whole-object moves.
   void ClearAll() {
     for (int pred : prog_->IdbPredicates()) rels_[pred].Clear();
   }
 
   /// ClearAll restricted to a predicate subset — Engine::SemiNaive
-  /// recycles one candidate/delta instance across group-local fixpoints
-  /// and only ever touches the running group's head predicates.
+  /// recycles its two δ instances across group-local fixpoints and only
+  /// ever touches the running group's head predicates.
   void ClearPreds(const std::vector<int>& preds) {
     for (int pred : preds) rels_[pred].Clear();
   }
@@ -218,10 +218,21 @@ class IdbInstance {
     }
   }
 
-  /// TakeContentsFrom restricted to a predicate subset.
-  void TakePredsFrom(IdbInstance* other, const std::vector<int>& preds) {
+  /// Relation::SwapRows per predicate of `preds`: this instance takes
+  /// `other`'s rows and `other` gets this one's, each side recording a
+  /// Clear (soft — see ClearAll). The engine's δ hand-off between
+  /// semi-naive rounds.
+  void SwapRows(IdbInstance* other, const std::vector<int>& preds) {
     DLO_CHECK(rels_.size() == other->rels_.size());
-    for (int pred : preds) rels_[pred] = std::move(other->rels_[pred]);
+    for (int pred : preds) rels_[pred].SwapRows(&other->rels_[pred]);
+  }
+
+  /// True iff any relation of `preds` has support.
+  bool AnySupport(const std::vector<int>& preds) const {
+    for (int pred : preds) {
+      if (!rels_[pred].empty()) return true;
+    }
+    return false;
   }
 
   /// Total support size across IDB relations.

@@ -269,17 +269,24 @@ template <Pops P>
 Status DumpTsvChecked(const Relation<P>& rel, const Domain& dom,
                       std::string* out) {
   std::string text;
+  // Per symbol id: already found dumpable in this call. Sized on the
+  // first symbol, so integer-keyed relations never allocate it.
+  std::vector<uint8_t> dumpable;
   for (uint32_t row : rel.SortedLiveRows()) {
     for (int p = 0; p < rel.arity(); ++p) {
       const ConstId id = rel.Cell(row, p);
       if (p) text += '\t';
       const std::size_t start = text.size();
       dom.AppendTo(id, &text);
-      if (!dom.IsInt(id) && !io_internal::IsDumpableSymbol(
-                                std::string_view(text).substr(start))) {
+      if (dom.IsInt(id)) continue;
+      if (dumpable.empty()) dumpable.assign(dom.size(), 0);
+      if (dumpable[id]) continue;
+      if (!io_internal::IsDumpableSymbol(
+              std::string_view(text).substr(start))) {
         return InvalidArgument("symbol not representable as a TSV token: '" +
                                text.substr(start) + "'");
       }
+      dumpable[id] = 1;
     }
     text += '\t';
     text += P::ToString(rel.ValueAt(row));

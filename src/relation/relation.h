@@ -254,34 +254,32 @@ class Relation {
   bool Erase(const Tuple& t) { return EraseKey(t); }
   bool Erase(const RowView& key) { return EraseKey(key); }
 
-  /// r ← r ⊕ other, consuming `other` (left empty but structurally valid):
-  /// the reduce primitive for the engine's parallel per-task partials.
-  /// When this relation holds no rows at all the partial's storage is
-  /// adopted wholesale — one move, with the uid (and therefore cached-
-  /// index identity) of *this preserved. Otherwise every live row of
-  /// `other` is upserted in row order, which is exactly the Merge-call
-  /// sequence a sequential evaluation of the same contributions would
-  /// have issued — the foundation of the parallel step's determinism.
-  void MergeFrom(Relation&& other) {
-    DLO_CHECK(arity_ == other.arity_);
-    if (this == &other || other.live_ == 0) return;
-    if (values_.empty()) {
-      *this = std::move(other);  // keeps this->uid_, bumps both versions
-      return;
-    }
-    const uint32_t n = other.num_rows();
-    for (uint32_t r = 0; r < n; ++r) {
-      if (!other.live_flags_[r]) continue;
-      MergeKey(other.View(r), other.values_[r].v);
-    }
-    other.Clear();
+  /// Exchanges rows with `other` (same arity): each relation ends up with
+  /// the other's columns, values and row-id table, while uids and version
+  /// counters stay with the objects. Both sides record a Clear() rather
+  /// than a hard discontinuity, so an index cached for either relation is
+  /// refreshed by reset-and-reappend over its new rows, not rebuilt. This
+  /// is how a semi-naive round hands the δ it just wrote to the relation
+  /// the next round reads, without copying a row.
+  void SwapRows(Relation* other) {
+    DLO_CHECK(arity_ == other->arity_);
+    if (this == other) return;
+    cols_.swap(other->cols_);
+    values_.swap(other->values_);
+    live_flags_.swap(other->live_flags_);
+    std::swap(live_, other->live_);
+    slots_.swap(other->slots_);
+    std::swap(mask_, other->mask_);
+    std::swap(direct_, other->direct_);
+    std::swap(shift_, other->shift_);
+    RecordClear();
+    other->RecordClear();
   }
 
   /// Empties the relation but keeps column/slot capacity, so a Clear +
   /// refill cycle (persistent delta relations) does not reallocate.
   void Clear() {
-    ++version_;
-    clear_version_ = version_;
+    RecordClear();
     for (auto& col : cols_) col.clear();
     values_.clear();
     live_flags_.clear();
@@ -327,9 +325,10 @@ class Relation {
   /// rows, so an index built at version v with hard_version() <= v can be
   /// refreshed by appending rows added since v instead of rebuilding.
   uint64_t hard_version() const { return hard_version_; }
-  /// Version of the last Clear(). A Clear between an index's version and
-  /// now means "reset the entry lists, then re-append from row 0" — still
-  /// no re-hash of retained structure, and no allocation churn.
+  /// Version of the last Clear() or SwapRows(). A Clear between an
+  /// index's version and now means "reset the entry lists, then re-append
+  /// from row 0" — still no re-hash of retained structure, and no
+  /// allocation churn.
   uint64_t clear_version() const { return clear_version_; }
 
   bool Equals(const Relation& other) const {
@@ -608,6 +607,13 @@ class Relation {
       ++live_;
       ++version_;
     }
+  }
+
+  /// Bumps the version and marks it a Clear (see clear_version()): cached
+  /// indexes reset and re-append from row 0.
+  void RecordClear() {
+    ++version_;
+    clear_version_ = version_;
   }
 
   /// Bumps the version and marks it a hard discontinuity (see

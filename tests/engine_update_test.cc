@@ -626,6 +626,105 @@ TEST(EngineUpdate, NaturalsSaturationFallsBackToRecompute) {
   EXPECT_TRUE(idb.Equals(Golden<NatS>(f.prog, gold_edb).idb));
 }
 
+TEST(EngineUpdate, NaturalsInsertIntoSaturatedCycleTerminates) {
+  // E(a,a) = ∞ and the cycle a→b→c→a make every T tuple on the cycle ∞.
+  // The new edge b→a sends fresh mass into those ∞ tuples, where T(u)
+  // ⊕-absorbs it: the cascade must drop it, or it would circle forever.
+  // The new edge c→d sends mass into fresh tuples, which it must keep.
+  Fixture f;
+  EdbInstance<NatS> edb(f.prog);
+  edb.pops(f.e).Set({f.a, f.a}, NatS::kInf);
+  edb.pops(f.e).Set({f.a, f.b}, uint64_t{1});
+  edb.pops(f.e).Set({f.b, f.c}, uint64_t{1});
+  edb.pops(f.e).Set({f.c, f.a}, uint64_t{1});
+  Engine<NatS> eng(f.prog, edb);
+  IdbInstance<NatS> idb(f.prog);
+  idb.CopyContentsFrom(eng.Naive(100).idb);
+  ASSERT_EQ(idb.idb(f.t).Get({f.b, f.a}), NatS::kInf);
+
+  EdbDelta<NatS> batch;
+  batch.Add(f.e, {f.b, f.a}, uint64_t{2});
+  batch.Add(f.e, {f.c, f.d}, uint64_t{1});
+  UpdateResult r = eng.Update(batch, &edb, &idb, 100);
+  EXPECT_EQ(r.strategy, UpdateStrategy::kInsertOnly);
+  EXPECT_TRUE(r.converged);
+  // Seed plus one round, as when δ was diffed from a whole candidate.
+  EXPECT_EQ(r.rounds, 2);
+  EXPECT_EQ(r.work, 13u);
+  EXPECT_EQ(idb.idb(f.t).Get({f.a, f.d}), NatS::kInf);
+
+  EdbInstance<NatS> gold_edb(f.prog);
+  gold_edb.pops(f.e) = edb.pops(f.e);
+  EXPECT_TRUE(idb.Equals(Golden<NatS>(f.prog, gold_edb).idb));
+}
+
+TEST(EngineUpdate, NaturalsRepeatedEdbAtomChurnMatchesRecompute) {
+  // E occurs twice in one disjunct, so a cross term reads E's
+  // pre-mutation snapshot at the later occurrence: the insert and
+  // exact-delete cascades must still count each derivation once. Seed
+  // 802's first batch adds two edges joined by a path, so reading the
+  // live E there instead double-counts ΔE * T * ΔE.
+  const int rounds = CiIterations(6, 2);
+  for (int gap : kIdGaps) {
+    ChurnAgainstRecompute<NatS>(
+        gap, [](std::mt19937& rng) { return uint64_t{1} + rng() % 3; },
+        rounds, 802, /*acyclic=*/true, kThreeAtomBody);
+  }
+}
+
+TEST(EngineUpdate, TwoChangedEdbPredicatesInOneBodyMatchRecompute) {
+  // E and F both change in one batch and meet in one disjunct: the cross
+  // term driven by E's Δ must read F's pre-mutation snapshot, the one
+  // driven by F's Δ the live E. Over ℕ a wrong snapshot double-counts.
+  constexpr const char* kTwoEdbs = R"(
+    edb E/2.
+    edb F/2.
+    idb T/2.
+    T(X,Y) :- E(X,Y) ; E(X,Z) * F(Z,Y) ; T(X,Z) * E(Z,W) * F(W,Y).
+  )";
+  Domain dom;
+  const Program prog = ParseProgram(kTwoEdbs, &dom).value();
+  const int e = prog.FindPredicate("E");
+  const int fp = prog.FindPredicate("F");
+  std::vector<ConstId> v;
+  for (int i = 0; i < 6; ++i) {
+    v.push_back(dom.InternSymbol("v" + std::to_string(i)));
+  }
+  EdbInstance<NatS> edb(prog);
+  for (int i = 0; i + 1 < 6; ++i) {  // a DAG: every edge ascends
+    edb.pops(e).Set({v[i], v[i + 1]}, uint64_t{1});
+    edb.pops(fp).Set({v[i], v[i + 1]}, uint64_t{2});
+  }
+  Engine<NatS> eng(prog, edb);
+  IdbInstance<NatS> idb(prog);
+  idb.CopyContentsFrom(eng.Naive(100).idb);
+  auto expect_recompute = [&](const char* what) {
+    EdbInstance<NatS> gold_edb(prog);
+    gold_edb.pops(e) = edb.pops(e);
+    gold_edb.pops(fp) = edb.pops(fp);
+    EXPECT_TRUE(idb.Equals(Golden<NatS>(prog, gold_edb).idb)) << what;
+  };
+
+  EdbDelta<NatS> adds;
+  adds.Add(e, {v[0], v[2]}, uint64_t{1});
+  adds.Add(e, {v[1], v[3]}, uint64_t{3});
+  adds.Add(fp, {v[2], v[4]}, uint64_t{1});
+  adds.Add(fp, {v[3], v[4]}, uint64_t{2});
+  UpdateResult r = eng.Update(adds, &edb, &idb, 100);
+  EXPECT_EQ(r.strategy, UpdateStrategy::kInsertOnly);
+  EXPECT_TRUE(r.converged);
+  expect_recompute("insert");
+
+  EdbDelta<NatS> dels;
+  dels.Delete(e, {v[1], v[3]});
+  dels.Delete(fp, {v[3], v[4]});
+  dels.Delete(e, {v[2], v[3]});
+  r = eng.Update(dels, &edb, &idb, 100);
+  EXPECT_EQ(r.strategy, UpdateStrategy::kExactDeletion);
+  EXPECT_TRUE(r.converged);
+  expect_recompute("delete");
+}
+
 TEST(EngineUpdate, BoolEdbDeltaForcesRecompute) {
   constexpr const char* kGuarded = R"(
     edb E/2.

@@ -335,28 +335,44 @@ void RunTwinOps(int arity, int steps, unsigned seed) {
       starget = std::move(smoved);
       dense = dtarget;
       sparse = starget;
-    } else if (op < 80) {  // MergeFrom a partial, via an empty relation
+    } else if (op < 80) {  // SwapRows: take over a partial's rows
       Relation<TropS> dpart(arity), spart(arity);
       RefMap part;
-      for (int i = 0, n = 1 + static_cast<int>(rng() % 5); i < n; ++i) {
+      for (int i = 0, n = static_cast<int>(rng() % 6); i < n; ++i) {
         const RefKey k = random_key(rng() % 4 == 0 ? 1 : 0);
         const double v = random_value();
         dpart.Merge(ToTuple(k, false), v);
         spart.Merge(ToTuple(k, true), v);
         ref_merge(&part, k, v);
       }
-      if (rng() % 2) {
+      if (rng() % 2) {  // relay the partial through an empty relation
         Relation<TropS> dempty(arity), sempty(arity);
-        dempty.MergeFrom(std::move(dpart));  // adopts the storage
-        sempty.MergeFrom(std::move(spart));
+        dempty.SwapRows(&dpart);
+        sempty.SwapRows(&spart);
         EXPECT_EQ(dempty.support_size(), part.size());
-        dense.MergeFrom(std::move(dempty));
-        sparse.MergeFrom(std::move(sempty));
-      } else {
-        dense.MergeFrom(std::move(dpart));
-        sparse.MergeFrom(std::move(spart));
+        EXPECT_EQ(dpart.support_size(), 0u);
+        dpart.SwapRows(&dempty);
+        spart.SwapRows(&sempty);
       }
-      for (const auto& [k, v] : part) ref_merge(&ref, k, v);
+      const uint64_t hard = dense.hard_version();
+      dense.SwapRows(&dpart);
+      sparse.SwapRows(&spart);
+      // Soft on both sides: recorded as a Clear, never a hard bump.
+      EXPECT_EQ(dense.hard_version(), hard) << "step " << step;
+      EXPECT_EQ(dense.clear_version(), dense.version()) << "step " << step;
+      EXPECT_EQ(dpart.clear_version(), dpart.version()) << "step " << step;
+      // The partial now holds our old rows, and stays usable.
+      const RefKey k = random_key(0);
+      const double v = random_value();
+      dpart.Merge(ToTuple(k, false), v);
+      spart.Merge(ToTuple(k, true), v);
+      RefMap old = ref;
+      ref_merge(&old, k, v);
+      EXPECT_TRUE(dpart.Equals(FromReference(old, arity, false)))
+          << "step " << step;
+      EXPECT_TRUE(spart.Equals(FromReference(old, arity, true)))
+          << "step " << step;
+      ref = std::move(part);
     } else if (op < 86) {  // a RowView of the relation's own row
       if (dense.num_rows() != 0) {
         const uint32_t r = rng() % dense.num_rows();
@@ -412,7 +428,7 @@ void RunTwinOps(int arity, int steps, unsigned seed) {
 
 TEST(ColumnarRelation, RandomizedOpsMatchReferenceMap) {
   // Property test: random interleavings of Set, Set(⊥), Erase, revival,
-  // Merge, Clear, Compact, copy, move, MergeFrom, own-row RowViews, late
+  // Merge, Clear, Compact, copy, move, SwapRows, own-row RowViews, late
   // and sparse keys, at arities 0–3. Each sequence runs twice — on dense
   // ids (direct row-id table) and on far-sparse ids (hashed) — and both
   // runs must match the reference map and each other at every step.
