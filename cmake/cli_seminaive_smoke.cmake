@@ -1,14 +1,16 @@
 # Semi-naive smoke at the CLI surface, over a single-group program
-# (PROGRAM) and a multi-group one (MULTI_PROGRAM): after stripping '#'
-# comment lines, each program's --seminaive rows must equal its naive
-# rows — naive (the global Algorithm-1 loop) is the reference; the
-# stability index legitimately differs, since semi-naive sums group-local
-# rounds.
+# (PROGRAM) and a multi-group one (MULTI_PROGRAM), each under trop (on
+# EDGES) and under fuzzy and viterbi (on UNIT_EDGES, the same graph with
+# weights in (0, 1]): after stripping '#' comment lines, each run's
+# --seminaive rows must equal its naive rows — naive (the global
+# Algorithm-1 loop) is the reference; the stability index legitimately
+# differs, since semi-naive sums group-local rounds.
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DMULTI_PROGRAM=<.dl>
-#         -DEDGES=<.tsv> -DOUT_DIR=<dir> -P cli_seminaive_smoke.cmake
-foreach(var CLI PROGRAM MULTI_PROGRAM EDGES OUT_DIR)
+#         -DEDGES=<.tsv> -DUNIT_EDGES=<.tsv> -DOUT_DIR=<dir>
+#         -P cli_seminaive_smoke.cmake
+foreach(var CLI PROGRAM MULTI_PROGRAM EDGES UNIT_EDGES OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_seminaive_smoke: missing -D${var}=...")
   endif()
@@ -45,17 +47,22 @@ function(require_identical a b what)
   endif()
 endfunction()
 
-set(base_args --semiring=trop --edb E=${EDGES})
-foreach(tag_program "single;${PROGRAM}" "multi;${MULTI_PROGRAM}")
-  list(GET tag_program 0 tag)
-  list(GET tag_program 1 program)
-  set(semi_out "${OUT_DIR}/cli_smoke_${tag}_seminaive.out")
-  set(naive_out "${OUT_DIR}/cli_smoke_${tag}_naive.out")
-  run_cli(${semi_out} ${program} ${base_args} --seminaive)
-  run_cli(${naive_out} ${program} ${base_args})
-  strip_comments(${naive_out} "${naive_out}.rows")
-  strip_comments(${semi_out} "${semi_out}.rows")
-  require_identical("${naive_out}.rows" "${semi_out}.rows"
-                    "${tag}-group naive and --seminaive fixpoints")
+foreach(carrier_edges "trop;${EDGES}" "fuzzy;${UNIT_EDGES}"
+                      "viterbi;${UNIT_EDGES}")
+  list(GET carrier_edges 0 carrier)
+  list(GET carrier_edges 1 edges)
+  set(base_args --semiring=${carrier} --edb E=${edges})
+  foreach(tag_program "single;${PROGRAM}" "multi;${MULTI_PROGRAM}")
+    list(GET tag_program 0 tag)
+    list(GET tag_program 1 program)
+    set(semi_out "${OUT_DIR}/cli_smoke_${tag}_${carrier}_seminaive.out")
+    set(naive_out "${OUT_DIR}/cli_smoke_${tag}_${carrier}_naive.out")
+    run_cli(${semi_out} ${program} ${base_args} --seminaive)
+    run_cli(${naive_out} ${program} ${base_args})
+    strip_comments(${naive_out} "${naive_out}.rows")
+    strip_comments(${semi_out} "${semi_out}.rows")
+    require_identical("${naive_out}.rows" "${semi_out}.rows"
+                      "${tag}-group ${carrier} naive and --seminaive fixpoints")
+  endforeach()
 endforeach()
 message(STATUS "seminaive smoke: naive and --seminaive rows agree")

@@ -229,7 +229,7 @@ class Engine {
   /// instead of being evaluated.
   ///
   /// δ is formed at emission: every head contribution c leaves the join
-  /// as c ⊖ T(u) (EmitHead), so no whole F_g(T) is ever materialized and
+  /// as c ⊖ T(u) (EmitRow), so no whole F_g(T) is ever materialized and
   /// nothing is diffed afterwards. Exact because ⊖ distributes over ⊕ on
   /// a complete distributive dioid, (x ⊕ y) ⊖ a = (x ⊖ a) ⊕ (y ⊖ a)
   /// (Eq. 58), and because T is not written while a round runs.
@@ -493,6 +493,13 @@ class Engine {
     bool point = false;
   };
 
+  /// One head position filled by the innermost generator: head[head_pos]
+  /// is that generator's column `col` at the drained row.
+  struct HeadColumn {
+    int head_pos = 0;
+    int col = 0;
+  };
+
   struct CompiledDisjunct {
     int disjunct_index = 0;
     const SumProduct* sp = nullptr;
@@ -512,6 +519,12 @@ class Engine {
     std::vector<int> group_atoms;
     std::vector<int> group_occ_of_atom;  ///< atom index → group occ, or -1
     std::vector<ValueSource> head_sources;  ///< one per head argument
+    /// The head positions the innermost generator's bind ops fill (a
+    /// repeated head variable fills several). Every other head position
+    /// is a constant or a variable bound above the innermost level, fixed
+    /// for a whole drained batch. Set by SplitHead for each generator
+    /// order; empty without generators.
+    std::vector<HeadColumn> head_inner;
     int scratch_id = -1;  ///< into scratch_ (reusable per-disjunct buffers)
     /// Into planned_: the slot of driver d is plan_slot + 1 + d (Π, then
     /// one per atom).
@@ -555,6 +568,9 @@ class Engine {
     std::vector<typename P::Value> acc;    ///< acc[g] = value entering level g
     std::vector<Tuple> keys;               ///< per-level key buffers
     Tuple head;                            ///< head tuple buffer
+    /// Per head position: the innermost column that fills it during the
+    /// current drain (CompiledDisjunct::head_inner), else null.
+    std::vector<const ConstId*> head_cols;
     std::vector<const RowIdList*> entries;  ///< per-level matched row ids
     std::vector<std::size_t> next;         ///< per-level entry cursor
     // Batched join kernel state. Each level owns a kJoinBatch-wide slice
@@ -731,6 +747,7 @@ class Engine {
             cd.head_sources.push_back(ValueSource{-1, t.constant});
           }
         }
+        SplitHead(&cd);
 
         // Reusable evaluation buffers, exactly sized for this disjunct.
         cd.scratch_id = static_cast<int>(scratch_.size());
@@ -744,6 +761,21 @@ class Engine {
         cr.disjuncts.push_back(std::move(cd));
       }
       compiled_.push_back(std::move(cr));
+    }
+  }
+
+  /// Sets cd->head_inner from the head sources and the innermost
+  /// generator's bind ops (run after the generators are final).
+  static void SplitHead(CompiledDisjunct* cd) {
+    cd->head_inner.clear();
+    if (cd->generators.empty()) return;
+    const Generator& inner = cd->generators.back();
+    for (std::size_t i = 0; i < cd->head_sources.size(); ++i) {
+      for (const BindOp& op : inner.bind_ops) {
+        if (op.var == cd->head_sources[i].var) {
+          cd->head_inner.push_back(HeadColumn{static_cast<int>(i), op.pos});
+        }
+      }
     }
   }
 
@@ -835,7 +867,7 @@ class Engine {
 
   /// Evaluates the multilinear EDB cross terms of F(T) over a set of
   /// changed EDB predicates, emitting into `out` (as δ relative to `base`
-  /// when it is set, see EmitHead): for every disjunct and
+  /// when it is set, see EmitRow): for every disjunct and
   /// every occurrence ℓ of a changed predicate (in atom order), one
   /// sum-product with occurrence ℓ reading delta_by_pred, earlier changed
   /// occurrences reading the live EDB, later ones reading hi_by_pred
@@ -884,7 +916,7 @@ class Engine {
   /// out ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB atoms
   /// reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ) order;
   /// each contribution is emitted as δ relative to `base` when it is set
-  /// (EmitHead).
+  /// (EmitRow).
   void EvalDifferentialRound(const IdbInstance<P>& cur,
                              const IdbInstance<P>& delta,
                              const IdbInstance<P>& prev, IdbInstance<P>* out,
@@ -960,7 +992,7 @@ class Engine {
   /// Insert-only cascade: snapshot the changed predicates a cross term
   /// can read (reads_snapshot_), ⊕-merge the added facts into the live
   /// EDB, seed with the EDB cross terms — emitted as δ relative to T, see
-  /// EmitHead — then run ordinary differential rounds from the warm T.
+  /// EmitRow — then run ordinary differential rounds from the warm T.
   void InsertCascade(const EdbDelta<P>& batch, EdbInstance<P>* edb,
                      IdbInstance<P>* idb, int max_steps,
                      UpdateResult* res) const {
@@ -1242,7 +1274,7 @@ class Engine {
   }
 
   /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, emitted into
-  /// `out` as δ relative to `idb` (EmitHead). Runs the re-derive program
+  /// `out` as δ relative to `idb` (EmitRow). Runs the re-derive program
   /// (PlannedProgram, driver Π) of every disjunct whose head lost tuples
   /// through the ordinary join kernel, reading `pruned` for Π, `idb` for
   /// the body's IDB atoms and the live (mutated) EDB. Emission order
@@ -1337,6 +1369,7 @@ class Engine {
     for (const Condition* c : fwd.residual) {
       if (c->kind != Condition::Kind::kBoolAtom) cd.residual.push_back(c);
     }
+    SplitHead(&cd);
     SizeScratch(rule, cd, &scratch_[static_cast<std::size_t>(cd.scratch_id)]);
     pp.cd = std::move(cd);
     pp.order = std::move(order);
@@ -1345,7 +1378,7 @@ class Engine {
   }
 
   /// One rule's contribution to F(J), emitted into `out` (as δ relative
-  /// to `base` when it is set, see EmitHead).
+  /// to `base` when it is set, see EmitRow).
   void ApplyRule(const CompiledRule& cr, const IdbInstance<P>& j,
                  IdbInstance<P>* out, const IdbInstance<P>* base,
                  uint64_t* work) const {
@@ -1368,9 +1401,9 @@ class Engine {
     return binding[t.var];
   }
 
-  /// Out of line on purpose: EmitHead is its only caller, and inlined
-  /// there this body makes EmitHead too big for GCC to inline into the
-  /// join kernel's per-row drain loops — a measured 4% on parity_paths.
+  /// Out of line on purpose: inlined into ResidualHolds, its only
+  /// caller, this body would bloat the join kernel's per-row drain loop
+  /// (DrainRows) for the many disjuncts that have no residual at all.
   [[gnu::noinline]] bool CheckCondition(
       const Condition& c, const std::vector<ConstId>& binding) const {
     switch (c.kind) {
@@ -1459,6 +1492,7 @@ class Engine {
       sc->keys.emplace_back(g.key_positions.size(), 0);
     }
     sc->head = Tuple(rule.head.args.size(), 0);
+    sc->head_cols.assign(rule.head.args.size(), nullptr);
     sc->entries.assign(cd.generators.size(), nullptr);
     sc->next.assign(cd.generators.size(), 0);
     sc->survivors.assign(cd.generators.size() * simd::kJoinBatch, 0);
@@ -1470,9 +1504,55 @@ class Engine {
     sc->point_rows.resize(cd.generators.size());
   }
 
-  /// Residual checks + zero filter + head construction for one complete
-  /// join binding, then the contribution c = acc goes into `out`. Uses
-  /// the scratch's preallocated head buffer — no allocation on this path.
+  /// The head key of one drained row, read in place: position p is the
+  /// innermost column cols[p] at `row` when that level fills it, else
+  /// the head buffer's id, written once per drain (BeginDrain).
+  struct DrainedHeadKey {
+    const ConstId* head;
+    const ConstId* const* cols;
+    std::size_t n;
+    uint32_t row = 0;
+    std::size_t size() const { return n; }
+    ConstId operator[](std::size_t p) const {
+      return cols[p] != nullptr ? cols[p][row] : head[p];
+    }
+  };
+
+  /// Once per drained batch: writes the head positions fixed for the
+  /// whole batch (constants, variables bound above the innermost level)
+  /// into the head buffer, points the positions the innermost level
+  /// fills at its columns (`col(pos)` is that level's column span) and
+  /// returns the batch's head key.
+  template <typename ColumnOf>
+  static DrainedHeadKey BeginDrain(const CompiledDisjunct& cd, Scratch& sc,
+                                   ColumnOf&& col) {
+    for (std::size_t i = 0; i < cd.head_sources.size(); ++i) {
+      const ValueSource& s = cd.head_sources[i];
+      sc.head[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
+    }
+    for (const HeadColumn& h : cd.head_inner) {
+      sc.head_cols[static_cast<std::size_t>(h.head_pos)] = col(h.col);
+    }
+    return DrainedHeadKey{sc.head.data(), sc.head_cols.data(),
+                          sc.head.size()};
+  }
+
+  /// Whether every residual condition holds under the current bindings.
+  bool ResidualHolds(const CompiledDisjunct& cd, const Scratch& sc) const {
+    for (const Condition* c : cd.residual) {
+      if (!CheckCondition(*c, sc.binding)) return false;
+    }
+    return true;
+  }
+
+  /// The per-row emission step for a join result of value c ≠ 0 whose
+  /// residual conditions hold, at head key `key` (BeginDrain, `key.row`
+  /// set to the row): relative to `base`, one probe of T's row for the
+  /// key; only a surviving contribution writes the row's head positions
+  /// into the head buffer and reaches `out`. `bottom` is P::Bottom(),
+  /// hoisted out of the drain. Forced inline: GCC otherwise leaves it out
+  /// of line in DrainRows, which costs parity_paths' fuzzy fixpoint about
+  /// a sixth of its time.
   ///
   /// With `base` null, c is merged as is. Otherwise `out` is the next δ
   /// and `base` the head's current T, which nothing writes while a round
@@ -1491,33 +1571,73 @@ class Engine {
   /// mass downstream: any one-step image a ⊗ c ⊗ b of mass c absorbed at
   /// a saturated tuple is itself absorbed by the a ⊗ T(u) ⊗ b mass the
   /// target already holds.
-  void EmitHead(const CompiledDisjunct& cd, Scratch& sc,
-                const typename P::Value& acc, Relation<P>* out,
-                const Relation<P>* base) const {
-    for (const Condition* c : cd.residual) {
-      if (!CheckCondition(*c, sc.binding)) return;
-    }
-    if (P::Eq(acc, P::Zero())) return;
-    for (std::size_t i = 0; i < cd.head_sources.size(); ++i) {
-      const ValueSource& s = cd.head_sources[i];
-      sc.head[i] = s.var >= 0 ? sc.binding[s.var] : s.constant;
-    }
-    if (base == nullptr) {
-      out->Merge(sc.head, acc);
-      return;
-    }
-    const typename P::Value t = base->Get(sc.head);
+  [[gnu::always_inline]] void EmitRow(const CompiledDisjunct& cd,
+                                      Scratch& sc, const DrainedHeadKey& key,
+                                      const typename P::Value& c,
+                                      const typename P::Value& bottom,
+                                      Relation<P>* out,
+                                      const Relation<P>* base) const {
+    auto merge = [&](const typename P::Value& v) {
+      for (const HeadColumn& h : cd.head_inner) {
+        const std::size_t p = static_cast<std::size_t>(h.head_pos);
+        sc.head[p] = key.cols[p][key.row];
+      }
+      out->Merge(sc.head, v);
+    };
+    if (base == nullptr) return merge(c);
+    const typename P::Value* tp = base->LiveValue(key);
+    const typename P::Value& t = tp != nullptr ? *tp : bottom;
     if constexpr (CompleteDistributiveDioid<P>) {
-      const typename P::Value d = P::Minus(acc, t);
-      if (!P::Eq(d, P::Zero())) out->Merge(sc.head, d);
+      const typename P::Value d = P::Minus(c, t);
+      if (!P::Eq(d, P::Zero())) merge(d);
     } else {
-      if (!P::Eq(P::Plus(t, acc), t)) out->Merge(sc.head, acc);
+      if (!P::Eq(P::Plus(t, c), t)) merge(c);
+    }
+  }
+
+  /// Emits one innermost-level batch `rows` of `rel` (level `gen`,
+  /// entered with acc_in) into `out`, relative to `base`: the head set-up
+  /// runs once (BeginDrain), then per row only ⊗, the ⊥ test on c, the
+  /// innermost bindings and residual checks when the disjunct has
+  /// residual conditions, and EmitRow. Without residual conditions the
+  /// innermost bind ops never run: the head key reads the columns.
+  template <typename Rel>
+  void DrainRows(const CompiledDisjunct& cd, const Generator& gen,
+                 const Rel& rel, const uint32_t* rows, std::size_t n,
+                 const typename P::Value& acc_in, Scratch& sc,
+                 Relation<P>* out, const Relation<P>* base) const {
+    constexpr bool kBoolLevel = std::is_same_v<Rel, Relation<BoolS>>;
+    // A Boolean level keeps acc_in: ⊥ for one row is ⊥ for the batch.
+    if constexpr (kBoolLevel) {
+      if (P::Eq(acc_in, P::Zero())) return;
+    }
+    DrainedHeadKey key =
+        BeginDrain(cd, sc, [&](int pos) { return rel.column_data(pos); });
+    const bool residual = !cd.residual.empty();
+    const typename P::Value bottom = P::Bottom();
+    for (std::size_t i = 0; i < n; ++i) {
+      key.row = rows[i];
+      auto emit = [&](const typename P::Value& c) {
+        if (residual) {
+          for (const BindOp& op : gen.bind_ops) {
+            sc.binding[op.var] = rel.Cell(key.row, op.pos);
+          }
+          if (!ResidualHolds(cd, sc)) return;
+        }
+        EmitRow(cd, sc, key, c, bottom, out, base);
+      };
+      if constexpr (kBoolLevel) {
+        emit(acc_in);
+      } else {
+        const typename P::Value c = P::Times(acc_in, rel.ValueAt(key.row));
+        if (!P::Eq(c, P::Zero())) emit(c);
+      }
     }
   }
 
   /// Evaluates one sum-product under `resolver` (mapping IDB atom indexes
   /// to the relation instance to read), emitting results into `out` (as
-  /// δ relative to `base` when it is set, see EmitHead): prepare, then
+  /// δ relative to `base` when it is set, see EmitRow): prepare, then
   /// execute the driver with the disjunct's own scratch slot.
   template <typename Resolver>
   void EvalDisjunct(const CompiledDisjunct& cd, Resolver&& resolver,
@@ -1624,7 +1744,7 @@ class Engine {
   }
 
   /// Execute step: joins every driver entry of a prepared disjunct into
-  /// `out` (through EmitHead, relative to `base`), counting visited
+  /// `out` (through DrainRows, relative to `base`), counting visited
   /// entries into `work` — the batched join kernel. Per level, entry-list
   /// row ids are decoded simd::kJoinBatch at a time: the level's check
   /// ops run first as vector compares over the gathered column pairs
@@ -1634,11 +1754,13 @@ class Engine {
   /// into the entry list (zero copy). Descending a level leaves the
   /// parent's batch half-consumed, which is why every level owns its own
   /// survivor slice; the innermost level drains whole batches in one
-  /// tight loop. Work accounting is per chunk (`work += chunk` on
-  /// refill) and covers every decoded row, so `work` counts exactly the
-  /// entries the join visits; survivor order is entry-list order, so
-  /// head merges follow the row-at-a-time definition's sequence
-  /// bit-for-bit. ⊗ and ⊕ run per surviving row through P::Times and
+  /// tight loop (DrainRows) that sets the head up once per batch and, per
+  /// row, probes T's row for the head key in place, writing the head
+  /// tuple only for a contribution that survives. Work accounting is per
+  /// chunk (`work += chunk` on refill) and covers every decoded row, so
+  /// `work` counts exactly the entries the join visits; survivor order is
+  /// entry-list order, so head merges follow the row-at-a-time
+  /// definition's sequence bit-for-bit. ⊗ and ⊕ run per surviving row through P::Times and
   /// Relation::Merge for every carrier. join_batched_rows_ counts the
   /// decoded rows (always equal to the work added).
   void ExecuteShard(const CompiledDisjunct& cd, const PreparedGens& prep,
@@ -1647,7 +1769,11 @@ class Engine {
     for (const auto& [v, c] : cd.prebindings) sc.binding[v] = c;
     const std::size_t levels = cd.generators.size();
     if (levels == 0) {
-      EmitHead(cd, sc, P::One(), out, base);
+      const DrainedHeadKey key =
+          BeginDrain(cd, sc, [](int) -> const ConstId* { return nullptr; });
+      if (ResidualHolds(cd, sc)) {
+        EmitRow(cd, sc, key, P::One(), P::Bottom(), out, base);
+      }
       return;
     }
     const RowIdList& driver = *prep.level0;
@@ -1732,8 +1858,8 @@ class Engine {
       return filled != 0;
     };
 
-    // Drains one innermost-level row batch: binds, accumulate, emit —
-    // no state-machine dispatch per row.
+    // Drains one innermost-level row batch (DrainRows) — no state-machine
+    // dispatch per row.
     auto drain = [&](std::size_t g, const uint32_t* rows, std::size_t n) {
       // A compile-time-false residual can never emit: the callers have
       // already counted this batch's work/decode (and the descent above
@@ -1741,36 +1867,12 @@ class Engine {
       // pure waste — skip the drain body entirely.
       if (cd.always_false) return;
       const Generator& gen = cd.generators[g];
-      const typename P::Value& acc_in = sc.acc[g];
       if (gen.is_bool) {
-        const Relation<BoolS>& rel = *prep.bool_rel[g];
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          for (const BindOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          EmitHead(cd, sc, acc_in, out, base);
-        }
-      } else if (gen.bind_ops.size() == 1) {
-        // The dominant shape (e.g. TC's E(Z,Y) level): one bound column,
-        // hoisted to a raw span outside the loop.
-        const Relation<P>& rel = *prep.pops_rel[g];
-        const ConstId* col = rel.column_data(gen.bind_ops[0].pos);
-        const int var = gen.bind_ops[0].var;
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          sc.binding[var] = col[row];
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out, base);
-        }
+        DrainRows(cd, gen, *prep.bool_rel[g], rows, n, sc.acc[g], sc, out,
+                  base);
       } else {
-        const Relation<P>& rel = *prep.pops_rel[g];
-        for (std::size_t i = 0; i < n; ++i) {
-          const uint32_t row = rows[i];
-          for (const BindOp& op : gen.bind_ops) {
-            sc.binding[op.var] = rel.Cell(row, op.pos);
-          }
-          EmitHead(cd, sc, P::Times(acc_in, rel.ValueAt(row)), out, base);
-        }
+        DrainRows(cd, gen, *prep.pops_rel[g], rows, n, sc.acc[g], sc, out,
+                  base);
       }
     };
 

@@ -223,6 +223,17 @@ class Relation {
   /// Same, keyed by another relation's row — no Tuple materialized.
   Value Get(const RowView& key) const { return GetKey(key); }
 
+  /// The live value of `key`, or nullptr when `key` is outside the
+  /// support: Get without a Tuple and without the arity check. `key` is
+  /// any view of raw ids with operator[] and size() (a RowView, a
+  /// std::span, the join kernel's drained-row head key) and must have
+  /// this relation's arity. One probe of the row-id table, either form.
+  template <typename Key>
+  const Value* LiveValue(const Key& key) const {
+    const uint32_t r = FindRow(key);
+    return r != kNoRow && live_flags_[r] != 0 ? &values_[r].v : nullptr;
+  }
+
   bool Contains(const Tuple& t) const {
     if (static_cast<int>(t.size()) != arity_) return false;
     return LiveRow(t) != kNoRow;
@@ -530,8 +541,8 @@ class Relation {
   template <typename Key>
   Value GetKey(const Key& key) const {
     if (static_cast<int>(key.size()) != arity_) return P::Bottom();
-    uint32_t r = FindRow(key);
-    return (r == kNoRow || !live_flags_[r]) ? P::Bottom() : values_[r].v;
+    const Value* v = LiveValue(key);
+    return v != nullptr ? *v : P::Bottom();
   }
 
   template <typename Key>

@@ -15,6 +15,7 @@
 #include "src/datalogo.h"
 #include "src/semiring/provenance.h"
 #include "tests/grounded_oracle.h"
+#include "tests/step_bound.h"
 
 namespace datalogo {
 namespace {
@@ -66,6 +67,8 @@ void ExpectSeedBehaviour(const char* text, const Graph& g, auto&& lift,
   ASSERT_TRUE(grounded.has_value());
   EXPECT_TRUE(naive.idb.Equals(*grounded));
   EXPECT_TRUE(semi.idb.Equals(*grounded));
+  ExpectStepBound(prog, naive, /*semi=*/false);
+  ExpectStepBound(prog, semi, /*semi=*/true);
 
   EXPECT_EQ(naive.work, golden_naive_work);
   EXPECT_EQ(semi.work, golden_semi_work);
@@ -125,12 +128,14 @@ GridRun ExpectGroundedOnGrid(const char* text, auto&& lift) {
   auto naive = engine.Naive(1 << 20);
   EXPECT_TRUE(naive.converged);
   EXPECT_TRUE(naive.idb.Equals(*grounded));
+  ExpectStepBound(prog, naive, /*semi=*/false);
   GridRun last{naive.work, naive.idb.TotalSupport()};
   uint64_t total = naive.work;
   if constexpr (CompleteDistributiveDioid<P>) {
     auto semi = engine.SemiNaive(1 << 20);
     EXPECT_TRUE(semi.converged);
     EXPECT_TRUE(semi.idb.Equals(*grounded));
+    ExpectStepBound(prog, semi, /*semi=*/true);
     last = {semi.work, semi.idb.TotalSupport()};
     total += semi.work;
   }
@@ -204,6 +209,8 @@ IdbInstance<P> ExpectGrounded(const Program& prog, const EdbInstance<P>& edb) {
   auto semi = engine.SemiNaive(1 << 20);
   EXPECT_TRUE(naive.converged);
   EXPECT_TRUE(semi.converged);
+  ExpectStepBound(prog, naive, /*semi=*/false);
+  ExpectStepBound(prog, semi, /*semi=*/true);
   if (grounded.has_value()) {
     EXPECT_TRUE(naive.idb.Equals(*grounded));
     EXPECT_TRUE(semi.idb.Equals(*grounded));
@@ -308,6 +315,8 @@ TEST(EngineEquivalence, ProvenancePosBoolChain6) {
   ASSERT_TRUE(naive.converged);
   ASSERT_TRUE(semi.converged);
   EXPECT_TRUE(naive.idb.Equals(semi.idb));
+  ExpectStepBound(prog, naive, /*semi=*/false);
+  ExpectStepBound(prog, semi, /*semi=*/true);
 
   PosBoolS::Clause all;
   for (int i = 0; i < n - 1; ++i) all.insert("x" + std::to_string(i));

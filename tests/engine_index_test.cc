@@ -19,6 +19,7 @@
 #include "src/datalogo.h"
 #include "src/semiring/provenance.h"
 #include "tests/grounded_oracle.h"
+#include "tests/step_bound.h"
 
 namespace datalogo {
 namespace {
@@ -90,6 +91,7 @@ RunResult<P> RunOnce(const Program& prog, const EdbInstance<P>& edb,
   // The join-kernel totality invariant: every visited entry is decoded
   // through the batched kernel.
   EXPECT_EQ(out.join_batched_rows, out.eval.work);
+  ExpectStepBound(prog, out.eval, semi);
   return out;
 }
 

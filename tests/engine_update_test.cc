@@ -4,6 +4,8 @@
 // layouts that put the join indexes on either index tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 #include <string>
 #include <utility>
@@ -52,13 +54,17 @@ std::vector<Tuple> LiveTuples(const Relation<P>& rel) {
 }
 
 /// Drives `rounds` random mixed batches through one warm engine and
-/// checks each against a cold full recompute of the mutated EDB. The
-/// comparison is Relation::Equals (same support, P::Eq values) plus
-/// DumpTsvChecked string equality of every IDB — byte-level, catching any
-/// value formatting drift too. `program` must declare `edb E/2`, the only
-/// relation the batches mutate; each of its Boolean EDBs gets, once before
-/// the first fixpoint, the facts `bool_facts` (vertex indexes) or, when
-/// that is empty, random tuples. Vertex ids are `id_gap` apart.
+/// checks each against a cold full recompute of the mutated EDB. Every
+/// batch deletes 0–2 live edges and adds a joined pair of edges (see
+/// joined_pair) plus 0–2 random ones, so some derivation can use two
+/// added edges at once — the only case in which an EDB cross term's
+/// pre-batch snapshot matters. The comparison is Relation::Equals (same
+/// support, P::Eq values) plus DumpTsvChecked string equality of every
+/// IDB — byte-level, catching any value formatting drift too. `program`
+/// must declare `edb E/2`, the only relation the batches mutate; each of
+/// its Boolean EDBs gets, once before the first fixpoint, the facts
+/// `bool_facts` (vertex indexes) or, when that is empty, random tuples.
+/// Vertex ids are `id_gap` apart.
 template <Pops P, typename MakeValue>
 void ChurnAgainstRecompute(
     int id_gap, MakeValue make_value, int rounds, unsigned seed,
@@ -90,6 +96,33 @@ void ChurnAgainstRecompute(
       if (a > b) std::swap(a, b);
     }
     return {ids[a], ids[b]};
+  };
+  // Two edges to add that one derivation uses together: a→b and w→c
+  // around a random live edge b→w, which T(X,Y) :- E(X,Y) puts in T, so
+  // E(a,b) * T(b,w) * E(w,c) joins them; or, when that edge leaves no
+  // room for an ascending a or c, the chain a→b, b→c. Ascending when
+  // `acyclic`, where the chain alone could never feed a T(b,b).
+  auto index_of = [&](ConstId id) {
+    return static_cast<int>(std::find(ids.begin(), ids.end(), id) -
+                            ids.begin());
+  };
+  auto joined_pair = [&](const std::vector<Tuple>& live) {
+    int b = 0, w = 0;
+    if (!live.empty()) {
+      const Tuple& edge = live[rng() % live.size()];
+      b = index_of(edge[0]);
+      w = index_of(edge[1]);
+    }
+    if (live.empty() || (acyclic && (b == 0 || w == n - 1))) {
+      b = acyclic ? 1 + static_cast<int>(rng() % (n - 2))
+                  : static_cast<int>(rng() % n);
+      w = b;
+    }
+    const int a = acyclic ? static_cast<int>(rng() % b)
+                          : static_cast<int>(rng() % n);
+    const int c = acyclic ? w + 1 + static_cast<int>(rng() % (n - 1 - w))
+                          : static_cast<int>(rng() % n);
+    return std::array<Tuple, 2>{Tuple{ids[a], ids[b]}, Tuple{ids[w], ids[c]}};
   };
   EdbInstance<P> edb(prog);
   for (int i = 0; i < 2 * n; ++i) {
@@ -124,12 +157,13 @@ void ChurnAgainstRecompute(
 
   for (int round = 0; round < rounds; ++round) {
     EdbDelta<P> batch;
-    const int adds = 1 + static_cast<int>(rng() % 3);
+    const int adds = static_cast<int>(rng() % 3);
     const int dels = static_cast<int>(rng() % 3);
     std::vector<Tuple> live = LiveTuples(edb.pops(e));
     for (int i = 0; i < dels && !live.empty(); ++i) {
       batch.Delete(e, live[rng() % live.size()]);
     }
+    for (const Tuple& t : joined_pair(live)) batch.Add(e, t, make_value(rng));
     for (int i = 0; i < adds; ++i) {
       auto [a, b] = random_edge();
       batch.Add(e, Tuple{a, b}, make_value(rng));
@@ -435,7 +469,7 @@ TEST(SeedPlan, GuardSmallerThanDeltaDrivesLevelZero) {
 }
 
 TEST(SeedPlan, PreboundGuardChurnMatchesRecompute) {
-  // Batches of 1–3 inserts and 0–2 deletes: the one-fact guard drives the
+  // Batches of 2–4 inserts and 0–2 deletes: the one-fact guard drives the
   // seeds of every Δ with two or more rows, Δ drives the rest. B, Trop and
   // Fuzzy take DRed and the insert cascade; ℕ, on acyclic edges so that
   // its counts stay finite, takes the exact-delete cascade.
@@ -661,9 +695,9 @@ TEST(EngineUpdate, NaturalsInsertIntoSaturatedCycleTerminates) {
 TEST(EngineUpdate, NaturalsRepeatedEdbAtomChurnMatchesRecompute) {
   // E occurs twice in one disjunct, so a cross term reads E's
   // pre-mutation snapshot at the later occurrence: the insert and
-  // exact-delete cascades must still count each derivation once. Seed
-  // 802's first batch adds two edges joined by a path, so reading the
-  // live E there instead double-counts ΔE * T * ΔE.
+  // exact-delete cascades must still count each derivation once. Every
+  // batch adds two edges joined by a path, so reading the live E there
+  // instead double-counts ΔE * T * ΔE.
   const int rounds = CiIterations(6, 2);
   for (int gap : kIdGaps) {
     ChurnAgainstRecompute<NatS>(

@@ -3,7 +3,14 @@
 // that motivates the optimization.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "src/datalogo.h"
+#include "tests/grounded_oracle.h"
+#include "tests/step_bound.h"
 
 namespace datalogo {
 namespace {
@@ -36,6 +43,8 @@ void ExpectSameFixpoint(const Program& prog, const EdbInstance<P>& edb)
   ASSERT_TRUE(naive.converged);
   ASSERT_TRUE(semi.converged);
   EXPECT_TRUE(naive.idb.Equals(semi.idb));
+  ExpectStepBound(prog, naive, /*semi=*/false);
+  ExpectStepBound(prog, semi, /*semi=*/true);
 }
 
 TEST(SemiNaive, MatchesNaiveOnBooleanTransitiveClosure) {
@@ -237,6 +246,8 @@ uint64_t SharedHeadSemiNaiveWork(Value value) {
   EXPECT_TRUE(naive.converged);
   EXPECT_TRUE(semi.converged);
   EXPECT_TRUE(naive.idb.Equals(semi.idb)) << P::kName;
+  ExpectStepBound(prog.value(), naive, /*semi=*/false);
+  ExpectStepBound(prog.value(), semi, /*semi=*/true);
   return semi.work;
 }
 
@@ -268,6 +279,200 @@ TEST(SemiNaive, SharedHeadContributionsMatchNaiveOnEveryDioid) {
               return PosBoolS::Var((f ? "f" : "e") + std::to_string(var++));
             }),
             280u);
+}
+
+// -------- Emission shapes --------
+//
+// The innermost join level emits through one per-drain head probe: head
+// positions bound above it are written once per drained batch, the
+// positions it binds are read from its columns, and T is probed per row
+// before any head tuple is written. Each program puts a different kind
+// of head position at that level (the forward program joins in atom
+// order, so the last atom is the innermost level).
+struct EmissionShape {
+  const char* name;
+  const char* text;
+  const char* head;  ///< the predicate whose emission the shape exercises
+};
+
+constexpr EmissionShape kEmissionShapes[] = {
+    {"innermost level binds head position 1", R"(
+      edb E/2.
+      idb T/2.
+      T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+    )", "T"},
+    {"innermost level binds head position 0", R"(
+      edb E/2.
+      idb T/2.
+      T(X,Y) :- E(X,Y) ; T(Z,Y) * E(X,Z).
+    )", "T"},
+    {"constant head column", R"(
+      edb E/2.
+      idb H/2.
+      H(v4,Y) :- E(v4,Y) ; H(v4,Z) * E(Z,Y).
+    )", "H"},
+    {"repeated head variable", R"(
+      edb E/2.
+      idb T/2.
+      idb L/2.
+      T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+      L(Y,Y) :- T(X,Z) * E(Z,Y) ; L(Z,Z) * E(Z,Y).
+    )", "L"},
+    {"residual condition", R"(
+      edb E/2.
+      idb T/2.
+      T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y) * [Y != X].
+    )", "T"},
+    {"arity-1 head", R"(
+      edb E/2.
+      idb L/1.
+      L(X) :- [X = v4] ; L(Z) * E(Z,X).
+    )", "L"},
+    {"arity-3 head", R"(
+      edb E/2.
+      idb P/3.
+      P(X,Z,Y) :- E(X,Z) * E(Z,Y) ; P(X,Z,W) * E(W,Y).
+    )", "P"},
+};
+
+/// The id layouts: the gap between consecutive vertex ids. Gap 1 keeps
+/// an arity-2 head's row-id table direct-addressed; gap 101 spreads the
+/// ids far enough that it hashes.
+constexpr int kIdGaps[] = {1, 101};
+
+/// The join trace of one shape on one carrier: pinned per carrier, and
+/// equal on both id layouts.
+struct ShapeCounters {
+  uint64_t naive_work = 0;
+  uint64_t semi_work = 0;
+  int naive_steps = 0;
+  int semi_steps = 0;
+  bool operator==(const ShapeCounters&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ShapeCounters& c) {
+  return os << "{" << c.naive_work << ", " << c.semi_work << ", "
+            << c.naive_steps << ", " << c.semi_steps << "}";
+}
+
+/// Runs `shape` over a 6-vertex random graph (v4 reaches every other
+/// vertex) with vertex ids `gap` apart, E valued by `value(w, i)` (w in
+/// 1..10 the edge's whole weight, i its index). Naive and SemiNaive must
+/// both equal the grounded least fixpoint and keep the step bound; the
+/// head relation must be non-empty, and an arity-2 head direct-addressed
+/// exactly on the dense layout.
+template <Pops P, typename Value>
+ShapeCounters RunEmissionShape(const EmissionShape& shape, int gap,
+                               Value value) {
+  SCOPED_TRACE(std::string(P::kName) + ", id gap " + std::to_string(gap));
+  // Vertices first, so a head constant (v4) has its layout's id too.
+  Domain dom;
+  const int n = 6;
+  std::vector<ConstId> ids;
+  for (int v = 0; v < n; ++v) {
+    ids.push_back(dom.InternSymbol("v" + std::to_string(v)));
+    for (int pad = 1; pad < gap; ++pad) {
+      dom.InternSymbol("pad" + std::to_string(v) + "_" + std::to_string(pad));
+    }
+  }
+  auto prog_or = ParseProgram(shape.text, &dom);
+  EXPECT_TRUE(prog_or.ok());
+  if (!prog_or.ok()) return {};
+  const Program& prog = prog_or.value();
+  const Graph g = RandomGraph(n, 12, /*seed=*/3);
+  EdbInstance<P> edb(prog);
+  int edge = 0;
+  LoadEdges<P>(
+      g, ids,
+      [&](const Edge& e) {
+        return value(1 + static_cast<int>(e.weight), edge++);
+      },
+      &edb.pops(prog.FindPredicate("E")));
+  const std::optional<IdbInstance<P>> grounded = GroundedFixpoint<P>(prog, edb);
+  EXPECT_TRUE(grounded.has_value());
+  if (!grounded.has_value()) return {};
+
+  Engine<P> engine(prog, edb);
+  const EvalResult<P> naive = engine.Naive(1 << 20);
+  const EvalResult<P> semi = engine.SemiNaive(1 << 20);
+  EXPECT_TRUE(naive.converged);
+  EXPECT_TRUE(semi.converged);
+  EXPECT_TRUE(naive.idb.Equals(*grounded));
+  EXPECT_TRUE(semi.idb.Equals(*grounded));
+  EXPECT_TRUE(semi.idb.Equals(naive.idb));
+  ExpectStepBound(prog, naive, /*semi=*/false);
+  ExpectStepBound(prog, semi, /*semi=*/true);
+  const Relation<P>& head = semi.idb.idb(prog.FindPredicate(shape.head));
+  EXPECT_GT(head.support_size(), 0u);
+  if (head.arity() == 2) {
+    EXPECT_EQ(head.direct_slots(), gap == 1);
+  }
+  return {naive.work, semi.work, naive.steps, semi.steps};
+}
+
+TEST(SemiNaive, EmissionShapesMatchNaiveAndGroundedOnEveryDioid) {
+  // {naive work, semi work, naive steps, semi steps} per shape (rows, in
+  // kEmissionShapes order) and carrier (B, Trop, TropNat, Fuzzy, Viterbi,
+  // PosBool), taken with the per-row EmitHead emission that the per-drain
+  // head probe replaced.
+  constexpr ShapeCounters kGolden[][6] = {
+      // innermost level binds head position 1
+      {{213, 77, 3, 4}, {213, 77, 3, 4}, {213, 77, 3, 4},
+       {290, 103, 4, 5}, {213, 91, 3, 4}, {367, 133, 5, 6}},
+      // innermost level binds head position 0
+      {{218, 79, 3, 4}, {218, 79, 3, 4}, {218, 79, 3, 4},
+       {297, 102, 4, 5}, {218, 93, 3, 4}, {376, 127, 5, 6}},
+      // constant head column
+      {{43, 17, 3, 4}, {43, 17, 3, 4}, {43, 17, 3, 4},
+       {60, 26, 4, 5}, {43, 22, 3, 4}, {77, 39, 5, 6}},
+      // repeated head variable
+      {{408, 157, 3, 6}, {408, 157, 3, 6}, {408, 157, 3, 6},
+       {565, 183, 4, 7}, {408, 171, 3, 6}, {722, 213, 5, 8}},
+      // residual condition
+      {{205, 72, 3, 4}, {205, 72, 3, 4}, {205, 72, 3, 4},
+       {277, 91, 4, 5}, {205, 83, 3, 4}, {349, 117, 5, 6}},
+      // arity-1 head
+      {{47, 18, 4, 5}, {47, 18, 4, 5}, {47, 18, 4, 5},
+       {65, 27, 5, 6}, {47, 23, 4, 5}, {83, 40, 6, 7}},
+      // arity-3 head
+      {{482, 161, 3, 4}, {482, 161, 3, 4}, {482, 161, 3, 4},
+       {482, 191, 3, 4}, {482, 188, 3, 4}, {643, 242, 4, 5}},
+  };
+  static_assert(std::size(kGolden) == std::size(kEmissionShapes));
+  for (std::size_t s = 0; s < std::size(kEmissionShapes); ++s) {
+    const EmissionShape& shape = kEmissionShapes[s];
+    SCOPED_TRACE(shape.name);
+    auto expect = [&](int carrier, auto run) {
+      const ShapeCounters dense = run(kIdGaps[0]);
+      EXPECT_EQ(dense, run(kIdGaps[1]));
+      EXPECT_EQ(dense, kGolden[s][carrier]) << "carrier " << carrier;
+    };
+    expect(0, [&](int gap) {
+      return RunEmissionShape<BoolS>(shape, gap,
+                                     [](int, int) { return true; });
+    });
+    expect(1, [&](int gap) {
+      return RunEmissionShape<TropS>(
+          shape, gap, [](int w, int) { return static_cast<double>(w); });
+    });
+    expect(2, [&](int gap) {
+      return RunEmissionShape<TropNatS>(
+          shape, gap, [](int w, int) { return static_cast<uint64_t>(w); });
+    });
+    expect(3, [&](int gap) {
+      return RunEmissionShape<FuzzyS>(shape, gap,
+                                      [](int w, int) { return w / 16.0; });
+    });
+    expect(4, [&](int gap) {
+      return RunEmissionShape<ViterbiS>(shape, gap,
+                                        [](int w, int) { return w / 16.0; });
+    });
+    expect(5, [&](int gap) {
+      return RunEmissionShape<PosBoolS>(shape, gap, [](int, int i) {
+        return PosBoolS::Var("e" + std::to_string(i));
+      });
+    });
+  }
 }
 
 }  // namespace
