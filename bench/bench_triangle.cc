@@ -78,7 +78,7 @@ void BM_Triangle(benchmark::State& state) {
 BENCHMARK(BM_Triangle)->Name("triangle_naive")->Arg(64)->Arg(128)->Arg(256);
 
 // Machine-readable perf journal, same BENCH_*.json schema as the other
-// engine benches. N has no ⊖, so only naive rows are journaled.
+// engine benches, with a naive and a seminaive row per size.
 void WriteJson() {
   const bool smoke = BenchSmokeMode();
   WriteEngineJson<NatS>("triangle",

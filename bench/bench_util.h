@@ -151,8 +151,7 @@ inline void AddHostMeta(BenchJson* json) {
 /// every journaled counter describes exactly the one run whose wall
 /// time is reported (the best rep) rather than mixing best-of wall with
 /// lifetime-accumulated index counters. Works over any naturally ordered
-/// semiring; the seminaive rows are emitted only when P supports ⊖
-/// (e.g. the Naturals lack it — those workloads journal naive rows).
+/// semiring: every workload journals a naive and a seminaive row.
 template <NaturallyOrderedSemiring P, typename MakeProgram,
           typename MakeGraph, typename Lift>
 void WriteEngineJson(const std::string& bench_name,
@@ -173,7 +172,6 @@ void WriteEngineJson(const std::string& bench_name,
     EdbInstance<P> edb(prog);
     LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
     for (bool semi : {false, true}) {
-      if (semi && !CompleteDistributiveDioid<P>) continue;
       double best_ms = -1.0;
       EvalResult<P> best{IdbInstance<P>(prog)};
       uint64_t builds = 0, hits = 0, idb_builds = 0, idb_hits = 0;
@@ -184,11 +182,7 @@ void WriteEngineJson(const std::string& bench_name,
         Engine<P> engine(prog, edb);
         EvalResult<P> r{IdbInstance<P>(prog)};
         double ms = WallMs([&] {
-          if constexpr (CompleteDistributiveDioid<P>) {
-            r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
-          } else {
-            r = engine.Naive(1 << 20);
-          }
+          r = semi ? engine.SemiNaive(1 << 20) : engine.Naive(1 << 20);
         });
         if (best_ms < 0 || ms < best_ms) {
           best_ms = ms;

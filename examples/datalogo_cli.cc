@@ -185,14 +185,8 @@ int RunAs(const CliOptions& opt, const std::string& text,
   }
 
   Engine<P> engine(prog.value(), edb);
-  EvalResult<P> result = [&] {
-    if constexpr (CompleteDistributiveDioid<P>) {
-      if (opt.seminaive) return engine.SemiNaive(opt.max_steps);
-      return engine.Naive(opt.max_steps);
-    } else {
-      return engine.Naive(opt.max_steps);
-    }
-  }();
+  EvalResult<P> result = opt.seminaive ? engine.SemiNaive(opt.max_steps)
+                                       : engine.Naive(opt.max_steps);
   if (!result.converged) {
     std::fprintf(stderr,
                  "did not converge within %d steps (diverging program?)\n",

@@ -36,14 +36,7 @@ void Run(const char* title, const datalogo::Graph& g, F&& lift) {
   LoadEdges<P>(g, ids, lift, &edb.pops(prog.value().FindPredicate("E")));
 
   Engine<P> engine(prog.value(), edb);
-  // Semi-naive needs a dioid (for ⊖); N falls back to naive evaluation.
-  EvalResult<P> result = [&] {
-    if constexpr (CompleteDistributiveDioid<P>) {
-      return engine.SemiNaive(1000);
-    } else {
-      return engine.Naive(1000);
-    }
-  }();
+  EvalResult<P> result = engine.SemiNaive(1000);
   std::printf("=== %s (POPS %s) — converged=%d, %d iterations, %zu facts\n",
               title, P::kName, result.converged, result.steps,
               result.idb.TotalSupport());

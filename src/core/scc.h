@@ -1,6 +1,5 @@
-// Strongly connected components by Tarjan's algorithm, shared by the
-// predicate-level stratifier (src/datalog/stratify.cc) and the rule-level
-// reliance scheduler (src/datalog/reliance.h).
+// Strongly connected components by Tarjan's algorithm, used by the
+// rule-level reliance scheduler (src/datalog/reliance.h).
 //
 // The traversal is fully iterative (explicit DFS frames, no recursion), so
 // component extraction is safe on adversarially deep graphs — a linear

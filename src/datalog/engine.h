@@ -1,9 +1,12 @@
 // The support-based relational engine: naive evaluation (Algorithm 1) and
 // semi-naive evaluation with the differential rule (Algorithm 3, Theorems
-// 6.4/6.5). Sound for naturally ordered semirings, where ⊥ = 0 is both the
-// additive identity and absorbing, so tuples outside the stored support can
-// never influence a result. For general POPS use the grounded engine
-// (grounder.h).
+// 6.4/6.5) on every carrier, δ formed at emission by ⊖ on complete
+// distributive dioids and by dropping ⊕-absorbed mass elsewhere. One round
+// body (EvalRound) and one seed-then-rounds loop (Cascade) serve SemiNaive
+// and Engine::Update alike. Sound for naturally ordered semirings, where
+// ⊥ = 0 is both the additive identity and absorbing, so tuples outside the
+// stored support can never influence a result. For general POPS use the
+// grounded engine (grounder.h).
 #ifndef DATALOGO_DATALOG_ENGINE_H_
 #define DATALOGO_DATALOG_ENGINE_H_
 
@@ -138,37 +141,23 @@ class Engine {
   /// Local fixpoint rounds SemiNaive executed so far: seed applications
   /// plus differential rounds, summed over groups (the `steps` it reports).
   uint64_t group_iterations() const { return group_iterations_; }
-  /// Triggered-set savings: rule evaluations SemiNaive skipped because
+  /// Triggered-set savings: rule evaluations a differential round
+  /// (EvalRound — SemiNaive's and the Update cascades') skipped because
   /// none of the rule's body predicates held a live delta.
   uint64_t rules_skipped() const { return rules_skipped_; }
 
-  /// Algorithm 1: J ← F(J) from ⊥ until fixpoint (or budget).
+  /// Algorithm 1: J ← F(J) from ⊥ until fixpoint (or budget). The
+  /// reference every other evaluation is checked against.
   EvalResult<P> Naive(int max_steps) const {
-    std::vector<int> all(compiled_.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-    return NaiveWithRules(all, IdbInstance<P>(*prog_), max_steps);
-  }
-
-  /// Naive evaluation restricted to a rule subset, iterating from (and
-  /// re-seeding each round with) `frozen` — the building block for
-  /// stratified evaluation (Sec. 4.5 "Multiple Value Spaces", Sec. 6.4):
-  /// lower-stratum relations live in `frozen` and stay fixed.
-  EvalResult<P> NaiveWithRules(const std::vector<int>& rule_ids,
-                               const IdbInstance<P>& frozen,
-                               int max_steps) const {
-    IdbInstance<P> j = frozen;
+    IdbInstance<P> j(*prog_);
     // `next` persists across iterations: content moves into `j` through
     // the stable Relation objects (TakeContentsFrom), so the index cache
     // stays keyed to live uids instead of orphaning entries every round.
-    IdbInstance<P> next = frozen;
+    IdbInstance<P> next(*prog_);
     uint64_t work = 0;
     for (int t = 0; t < max_steps; ++t) {
       SweepCaches();
-      if (t > 0) next.CopyContentsFrom(frozen);
-      for (int r : rule_ids) {
-        DLO_CHECK(r >= 0 && r < static_cast<int>(compiled_.size()));
-        ApplyRule(compiled_[r], j, &next, /*base=*/nullptr, &work);
-      }
+      ApplyIco(j, &next, &work);
       if (next.Equals(j)) {
         return {std::move(j), t, true, work};
       }
@@ -215,141 +204,62 @@ class Engine {
     return {std::move(j), max_steps, false, work};
   }
 
-  /// Algorithm 3 with the differential rule (Eq. 65): requires a complete
-  /// distributive dioid for ⊖. Returns the same fixpoint as Naive
-  /// (Theorem 6.4). Rules are scheduled by reliance (reliance.h): per
-  /// reliance group, in topological (producers-first) order, a seed
-  /// application of the group's rules over the accumulated T
-  /// (δ_g = F_g(T) ⊖ T over the group's heads), then — for recursive
-  /// groups only — local semi-naive rounds (Eq. 64/65 restricted to the
-  /// occurrences of the group's own heads) in which only TRIGGERED rules
-  /// run: a rule re-evaluates iff some group-head predicate it reads
-  /// still holds a live delta. Deltas drain through the shared `delta`
-  /// instance; rules whose inputs have drained count into rules_skipped()
-  /// instead of being evaluated.
+  /// Algorithm 3 with the differential rule (Eq. 64/65), on every carrier;
+  /// returns the same fixpoint as Naive (Theorem 6.4). Rules are scheduled
+  /// by reliance (reliance.h): per reliance group, in topological
+  /// (producers-first) order, a seed application of the group's rules
+  /// over the accumulated T, emitted as δ relative to T, then the one
+  /// cascade loop (Cascade): T ⊕= δ and local differential rounds
+  /// (EvalRound — Eq. 64 restricted to the occurrences of the group's own
+  /// heads) until δ drains. Only TRIGGERED rules run: a rule re-evaluates
+  /// iff some group-head predicate it reads holds a live delta, and the
+  /// others count into rules_skipped(). A non-recursive group's seed
+  /// triggers nothing, so it never runs a round.
   ///
-  /// δ is formed at emission: every head contribution c leaves the join
-  /// as c ⊖ T(u) (EmitRow), so no whole F_g(T) is ever materialized and
-  /// nothing is diffed afterwards. Exact because ⊖ distributes over ⊕ on
-  /// a complete distributive dioid, (x ⊕ y) ⊖ a = (x ⊖ a) ⊕ (y ⊖ a)
-  /// (Eq. 58), and because T is not written while a round runs.
+  /// δ is formed at emission (EmitRow), so no whole F_g(T) is ever
+  /// materialized and nothing is diffed afterwards. On a complete
+  /// distributive dioid each contribution c leaves the join as c ⊖ T(u),
+  /// exact because (x ⊕ y) ⊖ a = (x ⊖ a) ⊕ (y ⊖ a) (Eq. 58) and T is not
+  /// written while a round runs. On other carriers (ℕ, provenance, R+) c
+  /// is the fresh derivation mass itself — the differential terms never
+  /// double-count, by multilinearity — and is dropped only where T(u)
+  /// ⊕-absorbs it.
   ///
   /// Soundness: lower-group predicates are constants of F_g by the
   /// condensation order, so the differential expansion over group
   /// occurrences is exactly Eq. (64) for F_g; the warm-start invariant
   /// F_g(T_prev) ≼ T holds after the seed by x ⊕ (y ⊖ x) ⊒ y and is then
-  /// maintained as in the global algorithm (Theorem 6.4). When the
+  /// maintained as in the global algorithm (Theorem 6.4). Without ⊖, with
+  /// C what T held before the group: the seed makes T = C ⊕ F_g(C), and
+  /// each round adds F_g(T(t)) − F_g(T(t-1)) exactly (multilinearity), so
+  /// T(t+1) = C ⊕ F_g(T(t)) — the Kleene iterates of the group's system,
+  /// from C, which reach its least fixpoint. When the
   /// program is one recursive rule (every golden recursion) the schedule
   /// is exactly the global semi-naive loop: one seed δ(0) = F(0), then one
   /// differential round per step, with the same emission and merge orders.
   ///
   /// `steps` sums the group-local rounds (each group's seed plus its
   /// differential rounds); max_steps is a TOTAL budget across groups.
-  EvalResult<P> SemiNaive(int max_steps) const
-    requires CompleteDistributiveDioid<P>
-  {
+  EvalResult<P> SemiNaive(int max_steps) const {
     uint64_t work = 0;
     int steps = 0;
-    // T before the last local merge — kept only for groups that read it
-    // (group_reads_old_), so it is stale for every other group's heads.
-    IdbInstance<P> t_old(*prog_);
-    IdbInstance<P> t_new(*prog_);  // the accumulated T across groups
-    // Live deltas of the running group, which its rounds read. The seed
-    // emits straight into `delta` (it reads only T); a local round emits
-    // into `next` while it reads `delta`, and SwapRows then hands the
-    // fresh δ over. Both are soft (Clear + append, or a swap recorded as
-    // a Clear), so delta's cached indexes refresh incrementally instead
-    // of rebuilding.
-    IdbInstance<P> delta(*prog_);
-    IdbInstance<P> next(*prog_);
-    std::vector<int> triggered;
-
-    for (int g = 0; g < reliance_.num_groups(); ++g) {
-      const std::vector<int>& rules = reliance_.groups[g];
-      const std::vector<int>& heads = reliance_.group_heads[g];
+    bool converged = true;
+    IdbInstance<P> t(*prog_);  // the accumulated T across groups
+    for (int g = 0; g < reliance_.num_groups() && converged; ++g) {
       if (steps >= max_steps) {
-        return {std::move(t_new), max_steps, false, work};
+        converged = false;
+        break;
       }
-
-      // Seed: δ = F_g(T) ⊖ T over the group's heads. For the first group
-      // T = 0, making this exactly the global t = 0 step.
-      delta.ClearPreds(heads);  // may hold stale rows of a shared head
-      for (int r : rules) {
-        ApplyRule(compiled_[r], t_new, &delta, &t_new, &work);
-      }
+      // Seed: δ = F_g(T) relative to T over the group's heads. For the
+      // first group T = 0, making this exactly the global t = 0 step.
+      const Schedule& s = group_schedules_[g];
+      IdbInstance<P> delta(*prog_);
+      for (int r : s.rules) ApplyRule(compiled_[r], t, &delta, &t, &work);
       ++steps;
-      ++group_iterations_;
-      if (!delta.AnySupport(heads)) continue;
-      const bool keep_old = group_reads_old_[g];
-      if (keep_old) t_old.CopyPredsFrom(t_new, heads);
-      for (int pred : heads) MergeRows(delta.idb(pred), &t_new.idb(pred));
-      if (!reliance_.group_recursive[g]) continue;  // nothing can retrigger
-
-      // Local differential rounds over the group.
-      bool drained = false;
-      while (steps < max_steps) {
-        SweepCaches();
-        triggered.clear();
-        for (int r : rules) {
-          bool fire = false;
-          for (int pred : reliance_.rule_body_idb[r]) {
-            if (delta.HasSupport(pred) &&
-                std::binary_search(heads.begin(), heads.end(), pred)) {
-              fire = true;
-              break;
-            }
-          }
-          if (fire) {
-            triggered.push_back(r);
-          } else {
-            ++rules_skipped_;
-          }
-        }
-        if (triggered.empty()) {  // live deltas feed no rule of this group
-          drained = true;
-          break;
-        }
-        ++steps;
-        ++group_iterations_;
-        next.ClearPreds(heads);
-        for (int r : triggered) {
-          const CompiledRule& cr = compiled_[r];
-          for (const CompiledDisjunct& cd : cr.disjuncts) {
-            // occurrences == 0: the disjunct reads nothing the group still
-            // moves — its one-shot contribution was the seed's.
-            const int occurrences = static_cast<int>(cd.group_atoms.size());
-            for (int ell = 0; ell < occurrences; ++ell) {
-              auto resolver = [&](int atom_index) -> const Relation<P>& {
-                const int pred = cd.sp->atoms[atom_index].pred;
-                if (prog_->predicate(pred).kind != PredKind::kIdb) {
-                  return edb_->pops(pred);
-                }
-                const int occ = cd.group_occ_of_atom[atom_index];
-                if (occ < 0 || occ < ell) return t_new.idb(pred);
-                if (occ == ell) return delta.idb(pred);
-                return t_old.idb(pred);
-              };
-              const int head = cr.rule->head.pred;
-              EvalDisjunct(cd, resolver, &next.idb(head), &t_new.idb(head),
-                           &work);
-            }
-          }
-        }
-        // `next` holds δ(t) = F_g(T(t)) ⊖ T(t) over the group's heads.
-        if (!next.AnySupport(heads)) {
-          drained = true;
-          break;
-        }
-        delta.SwapRows(&next, heads);
-        if (keep_old) t_old.CopyPredsFrom(t_new, heads);
-        for (int pred : heads) {
-          MergeRows(delta.idb(pred), &t_new.idb(pred));
-        }
-        t_new.CompactPreds(heads);
-      }
-      if (!drained) return {std::move(t_new), max_steps, false, work};
+      converged = Cascade(s, &t, &delta, max_steps, &steps, &work);
     }
-    return {std::move(t_new), steps, true, work};
+    group_iterations_ += static_cast<uint64_t>(steps);
+    return {std::move(t), steps, converged, work};
   }
 
   /// Incremental maintenance — the warm-continuation entry point. Given
@@ -362,10 +272,12 @@ class Engine {
   ///    new facts: the seed evaluates the multilinear cross terms of every
   ///    rule body over the added mass (Δ at one changed-EDB occurrence,
   ///    the post-mutation EDB before it, pre-mutation snapshots after it —
-  ///    the EDB transposition of Eq. (64)); the rounds are the ordinary
-  ///    differential rule. Valid in ANY carrier: E_new = E_old ⊕ Δ holds
-  ///    by definition of the ⊕-merge, and multilinearity makes the cross
-  ///    terms exactly the fresh one-step mass, no ⊖ required.
+  ///    the EDB transposition of Eq. (64)); the rounds are SemiNaive's own
+  ///    cascade loop (Cascade) over the whole program, δ formed at
+  ///    emission by ⊖ or by absorption (EmitRow). Valid in ANY carrier:
+  ///    E_new = E_old ⊕ Δ holds by definition of the ⊕-merge, and
+  ///    multilinearity makes the cross terms exactly the fresh one-step
+  ///    mass, no ⊖ required.
   ///  * Deletes go through support counting where the carrier supports it
   ///    (SupportsExactDeletion — ℕ, ℕ[X], products of such: the removed
   ///    derivation mass is subtracted back out row by row, so
@@ -510,14 +422,6 @@ class Engine {
     /// runs with its exact work/probe trace; the innermost drain is
     /// skipped instead of failing the condition per row.
     bool always_false = false;
-    std::vector<int> idb_atoms;  ///< indexes of IDB atoms in sp->atoms
-    std::vector<int> occ_of_atom;  ///< atom index → IDB occurrence, or -1
-    /// Like idb_atoms/occ_of_atom, restricted to atoms whose predicate is
-    /// a head of this rule's own reliance group — the only atoms that can
-    /// carry a delta during the group's local fixpoint (everything else a
-    /// group reads is already converged, so it resolves to T(t)).
-    std::vector<int> group_atoms;
-    std::vector<int> group_occ_of_atom;  ///< atom index → group occ, or -1
     std::vector<ValueSource> head_sources;  ///< one per head argument
     /// The head positions the innermost generator's bind ops fill (a
     /// repeated head variable fills several). Every other head position
@@ -534,6 +438,29 @@ class Engine {
   struct CompiledRule {
     const Rule* rule = nullptr;
     std::vector<CompiledDisjunct> disjuncts;
+  };
+
+  /// One disjunct's moving occurrences under a Schedule: atom index →
+  /// occurrence (its atoms of a predicate that carries δ, numbered in
+  /// atom order), or -1.
+  struct MovingAtoms {
+    int count = 0;
+    std::vector<int> occ_of_atom;
+  };
+
+  /// What one differential round (EvalRound) evaluates: a rule set and
+  /// the predicates whose δ it reads. SemiNaive runs one schedule per
+  /// reliance group (the group's rules and heads); the Update cascades run
+  /// the whole program's (every rule with an IDB body atom, every IDB
+  /// predicate). Every atom of any other predicate is converged for the
+  /// round and reads T.
+  struct Schedule {
+    std::vector<int> rules;  ///< ascending
+    std::vector<int> heads;  ///< the predicates that carry δ, ascending
+    std::vector<std::vector<MovingAtoms>> moving;  ///< per rule, disjunct
+    /// Some disjunct has two or more moving occurrences — the only kind
+    /// whose rounds read T(t-1), so Cascade keeps a copy only then.
+    bool reads_old = false;
   };
 
   /// Driver of a re-derive program, and the generator atom index of its
@@ -606,15 +533,9 @@ class Engine {
   };
 
   void Compile() {
-    group_reads_old_.assign(static_cast<std::size_t>(reliance_.num_groups()),
-                            false);
     reads_snapshot_.assign(static_cast<std::size_t>(prog_->num_predicates()),
                            false);
-    for (std::size_t rule_index = 0; rule_index < prog_->rules().size();
-         ++rule_index) {
-      const Rule& rule = prog_->rules()[rule_index];
-      const std::vector<int>& own_group_heads =
-          reliance_.group_heads[reliance_.group_of_rule[rule_index]];
+    for (const Rule& rule : prog_->rules()) {
       CompiledRule cr;
       cr.rule = &rule;
       for (std::size_t d = 0; d < rule.disjuncts.size(); ++d) {
@@ -660,9 +581,6 @@ class Engine {
           DLO_CHECK_MSG(!a.negated,
                         "negated POPS atoms require the grounded engine");
           AddGenerator(false, static_cast<int>(i), a, &bound, &cd);
-          if (prog_->predicate(a.pred).kind == PredKind::kIdb) {
-            cd.idb_atoms.push_back(static_cast<int>(i));
-          }
         }
         for (std::size_t i = 0; i < sp.conditions.size(); ++i) {
           const Condition& c = sp.conditions[i];
@@ -701,38 +619,12 @@ class Engine {
           }
           cd.residual.push_back(&c);
         }
-        // O(1) atom-index → IDB-occurrence map for the semi-naive
-        // differential rule (Eq. 64): the resolver must not re-scan
-        // idb_atoms on every atom resolution of every iteration.
-        cd.occ_of_atom.assign(sp.atoms.size(), -1);
-        for (std::size_t k = 0; k < cd.idb_atoms.size(); ++k) {
-          cd.occ_of_atom[cd.idb_atoms[k]] = static_cast<int>(k);
-        }
-        // Group-restricted occurrence map for SemiNaive's group-local
-        // differential rounds (group_heads are sorted).
-        cd.group_occ_of_atom.assign(sp.atoms.size(), -1);
-        for (int atom : cd.idb_atoms) {
-          if (std::binary_search(own_group_heads.begin(),
-                                 own_group_heads.end(),
-                                 sp.atoms[atom].pred)) {
-            cd.group_occ_of_atom[atom] = static_cast<int>(cd.group_atoms.size());
-            cd.group_atoms.push_back(atom);
-          }
-        }
-        // Occurrence ell resolves occurrences after it to t_old, so only
-        // a disjunct with two or more group occurrences ever reads it —
-        // and, in the Update cascades, two or more IDB occurrences.
-        if (cd.group_atoms.size() >= 2) {
-          group_reads_old_[static_cast<std::size_t>(
-              reliance_.group_of_rule[rule_index])] = true;
-        }
-        if (cd.idb_atoms.size() >= 2) reads_old_ = true;
         // An EDB cross term reads the pre-mutation snapshot of a changed
         // predicate only at an atom after its Δ atom, which is an EDB
         // atom itself (EvalEdbCrossTerms).
         bool after_edb = false;
         for (const Atom& a : sp.atoms) {
-          if (prog_->predicate(a.pred).kind == PredKind::kIdb) continue;
+          if (IsIdb(a.pred)) continue;
           if (after_edb) reads_snapshot_[a.pred] = true;
           after_edb = true;
         }
@@ -762,6 +654,43 @@ class Engine {
       }
       compiled_.push_back(std::move(cr));
     }
+    for (int g = 0; g < reliance_.num_groups(); ++g) {
+      group_schedules_.push_back(
+          MakeSchedule(reliance_.groups[g], reliance_.group_heads[g]));
+    }
+    std::vector<int> readers;  // the rules a δ can trigger
+    for (std::size_t r = 0; r < compiled_.size(); ++r) {
+      if (!reliance_.rule_body_idb[r].empty()) {
+        readers.push_back(static_cast<int>(r));
+      }
+    }
+    program_schedule_ =
+        MakeSchedule(std::move(readers), prog_->IdbPredicates());
+  }
+
+  /// The schedule of `rules` with δ carried by `heads` (both ascending):
+  /// each disjunct's moving occurrences are its atoms of a `heads`
+  /// predicate, numbered in atom order.
+  Schedule MakeSchedule(std::vector<int> rules, std::vector<int> heads) const {
+    Schedule s;
+    for (int r : rules) {
+      std::vector<MovingAtoms>& per_rule = s.moving.emplace_back();
+      for (const SumProduct& sp : prog_->rules()[r].disjuncts) {
+        MovingAtoms& m = per_rule.emplace_back();
+        m.occ_of_atom.assign(sp.atoms.size(), -1);
+        for (std::size_t i = 0; i < sp.atoms.size(); ++i) {
+          if (std::binary_search(heads.begin(), heads.end(),
+                                 sp.atoms[i].pred)) {
+            m.occ_of_atom[i] = m.count++;
+          }
+        }
+        // Occurrence ell reads T(t-1) at the moving occurrences after it.
+        if (m.count >= 2) s.reads_old = true;
+      }
+    }
+    s.rules = std::move(rules);
+    s.heads = std::move(heads);
+    return s;
   }
 
   /// Sets cd->head_inner from the head sources and the innermost
@@ -794,7 +723,7 @@ class Engine {
     g.is_bool = is_bool;
     g.atom_index = index;
     g.pred = a.pred;
-    g.is_idb = !is_bool && prog_->predicate(a.pred).kind == PredKind::kIdb;
+    g.is_idb = !is_bool && IsIdb(a.pred);
     const std::vector<bool> bound_before = *bound;
     for (std::size_t p = 0; p < a.args.size(); ++p) {
       const Term& t = a.args[p];
@@ -819,6 +748,10 @@ class Engine {
       }
     }
     cd->generators.push_back(std::move(g));
+  }
+
+  bool IsIdb(int pred) const {
+    return prog_->predicate(pred).kind == PredKind::kIdb;
   }
 
   /// Bounds cache memory between joining steps — the only time no
@@ -855,10 +788,7 @@ class Engine {
   /// any cached indexes) survive even the fallback.
   void Recompute(IdbInstance<P>* idb, int max_steps,
                  UpdateResult* res) const {
-    EvalResult<P> r = [&] {
-      if constexpr (CompleteDistributiveDioid<P>) return SemiNaive(max_steps);
-      return Naive(max_steps);
-    }();
+    EvalResult<P> r = SemiNaive(max_steps);
     idb->CopyContentsFrom(r.idb);
     res->rounds += r.steps;
     res->work += r.work;
@@ -890,13 +820,10 @@ class Engine {
       for (const CompiledDisjunct& cd : cr.disjuncts) {
         for (std::size_t i = 0; i < cd.sp->atoms.size(); ++i) {
           const int ell_atom = static_cast<int>(i);
-          if (cd.occ_of_atom[i] >= 0 ||
-              delta_by_pred[cd.sp->atoms[i].pred] == nullptr) {
-            continue;
-          }
+          if (delta_by_pred[cd.sp->atoms[i].pred] == nullptr) continue;
           auto resolver = [&](int atom_index) -> const Relation<P>& {
             const int pred = cd.sp->atoms[atom_index].pred;
-            if (cd.occ_of_atom[atom_index] >= 0) return idb.idb(pred);
+            if (IsIdb(pred)) return idb.idb(pred);
             const Relation<P>* d = delta_by_pred[pred];
             if (d == nullptr) return edb_->pops(pred);  // unchanged
             if (atom_index < ell_atom) return edb_->pops(pred);
@@ -912,29 +839,50 @@ class Engine {
     }
   }
 
-  /// One differential round body (Eq. 64 with caller-supplied instances):
-  /// out ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ, prev >ℓ), EDB atoms
-  /// reading the live EDB, in SemiNaive's exact (rule, disjunct, ℓ) order;
-  /// each contribution is emitted as δ relative to `base` when it is set
-  /// (EmitRow).
-  void EvalDifferentialRound(const IdbInstance<P>& cur,
-                             const IdbInstance<P>& delta,
-                             const IdbInstance<P>& prev, IdbInstance<P>* out,
-                             const IdbInstance<P>* base,
-                             uint64_t* work) const {
-    for (const CompiledRule& cr : compiled_) {
-      for (const CompiledDisjunct& cd : cr.disjuncts) {
-        const int occurrences = static_cast<int>(cd.idb_atoms.size());
-        for (int ell = 0; ell < occurrences; ++ell) {
+  /// Whether rule `r` of schedule `s` reads a δ predicate of `s` that
+  /// holds a live delta — i.e. whether a round must evaluate it.
+  bool Triggered(const Schedule& s, int r, const IdbInstance<P>& delta) const {
+    for (int pred : reliance_.rule_body_idb[r]) {
+      if (delta.HasSupport(pred) &&
+          std::binary_search(s.heads.begin(), s.heads.end(), pred)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// One differential round (Eq. 64 with caller-supplied instances), the
+  /// only one there is: out ⊕= Σ_disjuncts Σ_ℓ G(cur <ℓ, delta at ℓ,
+  /// prev >ℓ) over the triggered rules of `s`, ℓ ranging over each
+  /// disjunct's moving occurrences, every other atom reading `cur` or the
+  /// live EDB, in (rule, disjunct, ℓ) order. A rule with no live δ to read
+  /// adds nothing and counts into rules_skipped(). Each contribution is
+  /// emitted as δ relative to `base` when it is set (EmitRow).
+  void EvalRound(const Schedule& s, const IdbInstance<P>& cur,
+                 const IdbInstance<P>& delta, const IdbInstance<P>& prev,
+                 IdbInstance<P>* out, const IdbInstance<P>* base,
+                 uint64_t* work) const {
+    for (std::size_t i = 0; i < s.rules.size(); ++i) {
+      if (!Triggered(s, s.rules[i], delta)) {
+        ++rules_skipped_;
+        continue;
+      }
+      const CompiledRule& cr = compiled_[s.rules[i]];
+      const int head = cr.rule->head.pred;
+      for (std::size_t d = 0; d < cr.disjuncts.size(); ++d) {
+        const CompiledDisjunct& cd = cr.disjuncts[d];
+        const MovingAtoms& m = s.moving[i][d];
+        // count == 0: the disjunct reads nothing that still moves — its
+        // one-shot contribution was the seed's.
+        for (int ell = 0; ell < m.count; ++ell) {
           auto resolver = [&](int atom_index) -> const Relation<P>& {
             const int pred = cd.sp->atoms[atom_index].pred;
-            const int occ = cd.occ_of_atom[atom_index];
-            if (occ < 0) return edb_->pops(pred);
-            if (occ < ell) return cur.idb(pred);
+            if (!IsIdb(pred)) return edb_->pops(pred);
+            const int occ = m.occ_of_atom[atom_index];
+            if (occ < 0 || occ < ell) return cur.idb(pred);
             if (occ == ell) return delta.idb(pred);
             return prev.idb(pred);
           };
-          const int head = cr.rule->head.pred;
           EvalDisjunct(cd, resolver, &out->idb(head), BaseOf(base, head),
                        work);
         }
@@ -947,46 +895,36 @@ class Engine {
     return base != nullptr ? &base->idb(pred) : nullptr;
   }
 
-  /// Differential rounds of a warm cascade, starting from the δ the seed
-  /// left in `delta` (already merged into T): each round emits the Eq.
-  /// (64) cross terms as δ relative to T into `next`, then SwapRows hands
-  /// it to `delta` and T ⊕= δ — until δ drains or the budget runs out
-  /// (converged=false, T left mid-cascade).
-  void RunMergeRounds(IdbInstance<P>* t_new, IdbInstance<P>* delta,
-                      IdbInstance<P>* t_old, IdbInstance<P>* next,
-                      int max_steps, UpdateResult* res,
-                      uint64_t* work) const {
-    const std::vector<int> preds = prog_->IdbPredicates();
-    while (true) {
-      if (res->rounds >= max_steps) {
-        res->converged = false;
-        return;
+  /// The one semi-naive cascade loop, shared by SemiNaive (per reliance
+  /// group) and the Update insert and re-derive cascades (whole program):
+  /// T ⊕= the seed's δ, which the caller left in `delta` relative to T,
+  /// then differential rounds (EvalRound, each counted into `*rounds`)
+  /// whose δ relative to T is emitted into `next`, handed to `delta` by
+  /// SwapRows (a soft Clear, so δ's cached indexes refresh incrementally)
+  /// and merged into T — until δ drains or triggers no rule. Returns
+  /// false when the budget (`*rounds` reaching max_steps) runs out first,
+  /// leaving T mid-cascade.
+  bool Cascade(const Schedule& s, IdbInstance<P>* t, IdbInstance<P>* delta,
+               int max_steps, int* rounds, uint64_t* work) const {
+    if (!delta->AnySupport(s.heads)) return true;
+    IdbInstance<P> t_old(*prog_);  // T before the last merge (s.reads_old)
+    IdbInstance<P> next(*prog_);
+    for (;;) {
+      if (s.reads_old) t_old.CopyPredsFrom(*t, s.heads);
+      for (int pred : s.heads) MergeRows(delta->idb(pred), &t->idb(pred));
+      t->CompactPreds(s.heads);
+      if (std::none_of(s.rules.begin(), s.rules.end(),
+                       [&](int r) { return Triggered(s, r, *delta); })) {
+        return true;
       }
+      if (*rounds >= max_steps) return false;
       SweepCaches();
-      next->ClearAll();
-      EvalDifferentialRound(*t_new, *delta, *t_old, next, t_new, work);
-      ++res->rounds;
-      if (!next->AnySupport(preds)) return;
-      delta->SwapRows(next, preds);
-      if (reads_old_) t_old->CopyContentsFrom(*t_new);
-      for (int pred : preds) MergeRows(delta->idb(pred), &t_new->idb(pred));
-      t_new->CompactAll();
+      next.ClearPreds(s.heads);
+      EvalRound(s, *t, *delta, t_old, &next, /*base=*/t, work);
+      ++*rounds;
+      if (!next.AnySupport(s.heads)) return true;
+      delta->SwapRows(&next, s.heads);
     }
-  }
-
-  /// T ⊕= the seed's δ, then the differential rounds (RunMergeRounds).
-  /// The shared tail of the insert cascade and DRed's re-derivation;
-  /// `next` is any instance the rounds may overwrite.
-  void CascadeFromSeed(IdbInstance<P>* idb, IdbInstance<P>* delta,
-                       IdbInstance<P>* next, int max_steps, UpdateResult* res,
-                       uint64_t* work) const {
-    const std::vector<int> preds = prog_->IdbPredicates();
-    if (!delta->AnySupport(preds)) return;
-    IdbInstance<P> t_old(*prog_);
-    if (reads_old_) t_old.CopyContentsFrom(*idb);
-    for (int pred : preds) MergeRows(delta->idb(pred), &idb->idb(pred));
-    idb->CompactAll();
-    RunMergeRounds(idb, delta, &t_old, next, max_steps, res, work);
   }
 
   /// Insert-only cascade: snapshot the changed predicates a cross term
@@ -1033,8 +971,10 @@ class Engine {
     uint64_t work = 0;
     EvalEdbCrossTerms(delta_cv, snap, *idb, &delta, /*base=*/idb, &work);
     ++res->rounds;
-    IdbInstance<P> next(*prog_);
-    CascadeFromSeed(idb, &delta, &next, max_steps, res, &work);
+    if (!Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
+                 &work)) {
+      res->converged = false;
+    }
     res->work += work;
   }
 
@@ -1088,7 +1028,7 @@ class Engine {
     ++res->rounds;
     IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
     IdbInstance<P> t_prev(*prog_);
-    const std::vector<int> preds = prog_->IdbPredicates();
+    const std::vector<int>& preds = program_schedule_.heads;
     while (true) {
       if (!candidate.AnySupport(preds)) {
         res->work += work;
@@ -1097,7 +1037,7 @@ class Engine {
       removed.SwapRows(&candidate, preds);
       // T_prev ← T (when a disjunct reads it), then T ⊖= removed (exact,
       // or bail out).
-      if (reads_old_) t_prev.CopyContentsFrom(*idb);
+      if (program_schedule_.reads_old) t_prev.CopyContentsFrom(*idb);
       for (int pred : preds) {
         const Relation<P>& rem = removed.idb(pred);
         Relation<P>& t = idb->idb(pred);
@@ -1120,8 +1060,8 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, removed, t_prev, &candidate,
-                            /*base=*/nullptr, &work);
+      EvalRound(program_schedule_, *idb, removed, t_prev, &candidate,
+                /*base=*/nullptr, &work);
       ++res->rounds;
     }
   }
@@ -1213,8 +1153,8 @@ class Engine {
       }
       SweepCaches();
       candidate.ClearAll();
-      EvalDifferentialRound(*idb, aff_delta, *idb, &candidate,
-                            /*base=*/nullptr, &work);
+      EvalRound(program_schedule_, *idb, aff_delta, *idb, &candidate,
+                /*base=*/nullptr, &work);
       ++res->rounds;
     }
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
@@ -1261,8 +1201,10 @@ class Engine {
     }
     RederivePruned(pruned, *idb, &delta, &work);
     ++res->rounds;
-    // Phase 1's candidate is spent: the rounds reuse it as their `next`.
-    CascadeFromSeed(idb, &delta, &candidate, max_steps, res, &work);
+    if (!Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
+                 &work)) {
+      res->converged = false;
+    }
     for (int pred : prog_->IdbPredicates()) {
       const Relation<P>& p = pruned.idb(pred);
       const Relation<P>& t = idb->idb(pred);
@@ -1290,10 +1232,7 @@ class Engine {
         auto resolver = [&](int atom_index) -> const Relation<P>& {
           if (atom_index == kPrunedAtom) return pruned.idb(head);
           const int pred = cd.sp->atoms[atom_index].pred;
-          if (prog_->predicate(pred).kind == PredKind::kIdb) {
-            return idb.idb(pred);
-          }
-          return edb_->pops(pred);
+          return IsIdb(pred) ? idb.idb(pred) : edb_->pops(pred);
         };
         EvalDisjunct(Planned(cr, cd, kPrunedAtom, resolver), resolver,
                      &out->idb(head), &idb.idb(head), work);
@@ -1385,10 +1324,7 @@ class Engine {
     for (const CompiledDisjunct& cd : cr.disjuncts) {
       auto resolver = [&](int atom_index) -> const Relation<P>& {
         const int pred = cd.sp->atoms[atom_index].pred;
-        if (prog_->predicate(pred).kind != PredKind::kIdb) {
-          return edb_->pops(pred);
-        }
-        return j.idb(pred);
+        return IsIdb(pred) ? j.idb(pred) : edb_->pops(pred);
       };
       const int head = cr.rule->head.pred;
       EvalDisjunct(cd, resolver, &out->idb(head), BaseOf(base, head), work);
@@ -1932,14 +1868,8 @@ class Engine {
   const EdbInstance<P>* edb_;
   RelianceGroups reliance_;  ///< computed before Compile() (group maps)
   std::vector<CompiledRule> compiled_;
-  /// Per reliance group: whether a disjunct of its rules has two or more
-  /// group occurrences — the only kind whose differential rounds read
-  /// T(t-1). SemiNaive keeps t_old current for exactly these groups.
-  std::vector<bool> group_reads_old_;
-  /// Whether any disjunct has two or more IDB occurrences — the only kind
-  /// whose Update-cascade differential rounds read T(t-1) (`t_old`,
-  /// `t_prev`). The cascades keep it current only when this is set.
-  bool reads_old_ = false;
+  std::vector<Schedule> group_schedules_;  ///< SemiNaive's, per group
+  Schedule program_schedule_;              ///< the Update cascades'
   /// Per predicate: whether some disjunct has an atom of it after another
   /// EDB atom — the only place an EDB cross term reads a changed
   /// predicate's pre-mutation snapshot. The Update cascades copy the

@@ -3,17 +3,18 @@
 //
 // The reliance graph has one node per rule and an edge r → s whenever the
 // head predicate of r occurs as a body (POPS) atom of s — r's output can
-// trigger s. Condensing it with the shared Tarjan utility (src/core/scc.h)
+// trigger s. Condensing it with the Tarjan utility (src/core/scc.h)
 // yields *rule groups*: maximal sets of mutually recursive rules, ordered
 // so every producer group precedes its consumers. Engine::SemiNaive runs
 // one LOCAL fixpoint per group in this order; inside a group only rules
 // whose body predicates actually received a delta are re-evaluated.
 //
-// This is the classical refinement of predicate-level stratification
-// (stratify.h): two rules with the same head predicate may land in
-// different groups (e.g. a non-recursive base rule and a recursive step
-// rule for the same IDB), which is exactly what lets the scheduler stop
-// re-sweeping base rules once their one-shot contribution is in. The
+// This is the classical refinement of predicate-level stratification:
+// two rules with the same head predicate may land in different groups
+// (e.g. a non-recursive base rule and a recursive step rule for the same
+// IDB), which is exactly what lets the scheduler stop re-sweeping base
+// rules once their one-shot contribution is in. The engine has no other
+// SCC scheduler. The
 // design follows VLog's SemiNaiverOrdered/PositiveGroup reliance model,
 // restricted to positive reliances (this engine has no existential rules,
 // so there are no restraint edges).
@@ -45,10 +46,6 @@ struct RelianceGroups {
   /// predicates that can receive deltas while the group's local fixpoint
   /// runs; every other predicate a group reads is already converged.
   std::vector<std::vector<int>> group_heads;
-  /// True iff the group has an internal reliance edge (a self-recursive
-  /// rule or a mutual-recursion cycle). Non-recursive groups are always
-  /// singletons and converge in one application.
-  std::vector<bool> group_recursive;
   /// Per rule: distinct body IDB predicates across all disjuncts,
   /// ascending — the predicates whose deltas can trigger the rule.
   std::vector<std::vector<int>> rule_body_idb;
@@ -111,15 +108,9 @@ inline RelianceGroups BuildRelianceGroups(const Program& prog) {
   }
 
   out.group_heads.assign(num_comps, {});
-  out.group_recursive.assign(num_comps, false);
   for (int g = 0; g < num_comps; ++g) {
     std::vector<int>& heads = out.group_heads[g];
-    for (int r : out.groups[g]) {
-      heads.push_back(prog.rules()[r].head.pred);
-      for (int s : out.rule_adj[r]) {
-        if (out.group_of_rule[s] == g) out.group_recursive[g] = true;
-      }
-    }
+    for (int r : out.groups[g]) heads.push_back(prog.rules()[r].head.pred);
     std::sort(heads.begin(), heads.end());
     heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
   }

@@ -21,8 +21,6 @@
 #include "src/datalog/loader.h"
 #include "src/datalog/parser.h"
 #include "src/datalog/reliance.h"
-#include "src/datalog/stratified.h"
-#include "src/datalog/stratify.h"
 #include "src/datalog/validate.h"
 #include "src/fixpoint/fixpoint.h"
 #include "src/graph/generators.h"

@@ -129,6 +129,11 @@ TEST(EngineStress, DivergenceBudgetIsRespected) {
   auto r = engine.Naive(17);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.steps, 17);
+  // Semi-naive on ℕ: every round's δ is fresh path mass, so it never
+  // drains either, and the budget stops it at exactly 17 rounds.
+  auto semi = engine.SemiNaive(17);
+  EXPECT_FALSE(semi.converged);
+  EXPECT_EQ(semi.steps, 17);
 }
 
 TEST(EngineStress, SelfLoopsAndParallelEdges) {

@@ -1,5 +1,5 @@
 // Tests for the rule-reliance analysis (src/datalog/reliance.h): group
-// membership, topological execution order, recursive flags and the
+// membership, topological execution order, recursion and the
 // triggered-set inputs (rule_body_idb) on the program shapes the ordered
 // scheduler has to get right — linear chains, diamonds, mutual recursion,
 // several rules sharing one head predicate, and BEDB-only bodies.
@@ -49,6 +49,18 @@ void CheckInvariants(const Program& prog, const RelianceGroups& rg) {
   }
 }
 
+/// Whether group g has an internal reliance edge (a self-recursive rule
+/// or a mutual-recursion cycle) — what lets a δ of the group's own heads
+/// retrigger one of its rules.
+bool Recursive(const RelianceGroups& rg, int g) {
+  for (int r : rg.groups[g]) {
+    for (int s : rg.rule_adj[r]) {
+      if (rg.group_of_rule[s] == g) return true;
+    }
+  }
+  return false;
+}
+
 TEST(Reliance, LinearChainGetsOneGroupPerRuleInOrder) {
   Domain dom;
   Program prog = Parse(R"(
@@ -66,7 +78,7 @@ TEST(Reliance, LinearChainGetsOneGroupPerRuleInOrder) {
   EXPECT_EQ(rg.groups[0], std::vector<int>{0});
   EXPECT_EQ(rg.groups[1], std::vector<int>{1});
   EXPECT_EQ(rg.groups[2], std::vector<int>{2});
-  for (int g = 0; g < 3; ++g) EXPECT_FALSE(rg.group_recursive[g]);
+  for (int g = 0; g < 3; ++g) EXPECT_FALSE(Recursive(rg, g));
   // Triggered-set inputs: the A rule reads no IDB, B reads A, C reads B.
   EXPECT_TRUE(rg.rule_body_idb[0].empty());
   EXPECT_EQ(rg.rule_body_idb[1], std::vector<int>{prog.FindPredicate("A")});
@@ -111,9 +123,9 @@ TEST(Reliance, MutualRecursionCollapsesIntoOneRecursiveGroup) {
   ASSERT_EQ(rg.num_groups(), 2);
   // The base rule feeds the cycle but is not part of it.
   EXPECT_EQ(rg.groups[0], std::vector<int>{0});
-  EXPECT_FALSE(rg.group_recursive[0]);
+  EXPECT_FALSE(Recursive(rg, 0));
   EXPECT_EQ(rg.groups[1], (std::vector<int>{1, 2}));
-  EXPECT_TRUE(rg.group_recursive[1]);
+  EXPECT_TRUE(Recursive(rg, 1));
   // The cycle group's heads are both predicates, ascending.
   std::vector<int> expect = {prog.FindPredicate("P"),
                              prog.FindPredicate("Q")};
@@ -132,7 +144,7 @@ TEST(Reliance, SelfRecursiveSingletonIsMarkedRecursive) {
   RelianceGroups rg = BuildRelianceGroups(prog);
   CheckInvariants(prog, rg);
   ASSERT_EQ(rg.num_groups(), 1);
-  EXPECT_TRUE(rg.group_recursive[0]);
+  EXPECT_TRUE(Recursive(rg, 0));
   EXPECT_EQ(rg.rule_body_idb[0], std::vector<int>{prog.FindPredicate("T")});
 }
 
@@ -153,9 +165,9 @@ TEST(Reliance, MultiHeadRulesSplitBaseFromRecursiveStep) {
   CheckInvariants(prog, rg);
   ASSERT_EQ(rg.num_groups(), 2);
   EXPECT_EQ(rg.groups[0], std::vector<int>{0});
-  EXPECT_FALSE(rg.group_recursive[0]);
+  EXPECT_FALSE(Recursive(rg, 0));
   EXPECT_EQ(rg.groups[1], std::vector<int>{1});
-  EXPECT_TRUE(rg.group_recursive[1]);
+  EXPECT_TRUE(Recursive(rg, 1));
   // Both groups share the head predicate T.
   EXPECT_EQ(rg.group_heads[0], rg.group_heads[1]);
 }
@@ -179,8 +191,8 @@ TEST(Reliance, BedbOnlyBodiesCreateNoRelianceEdges) {
   EXPECT_TRUE(rg.rule_body_idb[0].empty());
   EXPECT_TRUE(rg.rule_adj[1].empty());
   EXPECT_EQ(rg.rule_adj[0], std::vector<int>{1});
-  EXPECT_FALSE(rg.group_recursive[0]);
-  EXPECT_FALSE(rg.group_recursive[1]);
+  EXPECT_FALSE(Recursive(rg, 0));
+  EXPECT_FALSE(Recursive(rg, 1));
 }
 
 TEST(Reliance, DisjunctsContributeAllTheirBodyPredicates) {

@@ -1,7 +1,6 @@
-// Unit tests for the shared Tarjan SCC utility (src/core/scc.h): exact
+// Unit tests for the Tarjan SCC utility (src/core/scc.h): exact
 // component structure on handcrafted graphs, the reverse-topological
-// numbering contract both the stratifier and the reliance scheduler rely
-// on, agreement with a brute-force mutual-reachability oracle on random
+// numbering contract the reliance scheduler relies on, agreement with a brute-force mutual-reachability oracle on random
 // graphs, and iterative-traversal depth safety on a pathological chain.
 #include "src/core/scc.h"
 
