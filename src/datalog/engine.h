@@ -11,14 +11,15 @@
 #define DATALOGO_DATALOG_ENGINE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/core/check.h"
-#include "src/core/simd.h"
 #include "src/core/status.h"
 #include "src/datalog/ast.h"
 #include "src/datalog/instance.h"
@@ -85,6 +86,10 @@ struct UpdateResult {
 template <NaturallyOrderedSemiring P>
 class Engine {
  public:
+  /// Entry-list row ids the batched join kernel decodes per step
+  /// (ExecuteShard); a batch's survivor mask fits in a uint32_t.
+  static constexpr uint32_t kJoinBatch = 8;
+
   Engine(const Program& prog, const EdbInstance<P>& edb)
       : prog_(&prog), edb_(&edb) {
     reliance_ = BuildRelianceGroups(prog);
@@ -391,7 +396,7 @@ class Engine {
     /// atom becomes a key position), so it lowers to a same-row
     /// column-pair equality: the entry survives iff its `pos` cell equals
     /// its `first_pos` cell. Checks run first over the whole batch
-    /// (vector compare + survivor compress), then the binds run per
+    /// (one survivor mask, then a compress), then the binds run per
     /// survivor — rows failing a check never touch the bind columns.
     struct CheckPair {
       int pos = 0;        ///< position carrying the repeated variable
@@ -509,8 +514,6 @@ class Engine {
     std::vector<const uint32_t*> batch;    ///< per-level current batch
     std::vector<uint32_t> batch_pos;       ///< per-level batch cursor
     std::vector<uint32_t> batch_len;       ///< per-level batch fill
-    std::vector<uint32_t> gather_a;        ///< check-gather buffer (lhs)
-    std::vector<uint32_t> gather_b;        ///< check-gather buffer (rhs)
     std::vector<RowIdList> point_rows;     ///< per-level point-probe hit
   };
 
@@ -927,49 +930,74 @@ class Engine {
     }
   }
 
-  /// Insert-only cascade: snapshot the changed predicates a cross term
-  /// can read (reads_snapshot_), ⊕-merge the added facts into the live
-  /// EDB, seed with the EDB cross terms — emitted as δ relative to T, see
-  /// EmitRow — then run ordinary differential rounds from the warm T.
+  /// One side of an update batch, staged for EvalEdbCrossTerms: Δ per
+  /// EDB predicate, and the pre-mutation copy a cross term reads after
+  /// its Δ occurrence (reads_snapshot_).
+  struct StagedDelta {
+    std::vector<std::unique_ptr<Relation<P>>> owned;
+    std::vector<const Relation<P>*> delta;  ///< null: unchanged predicate
+    std::vector<const Relation<P>*> snap;   ///< null: read the live EDB
+    bool any = false;                       ///< some Δ is non-empty
+  };
+
+  /// Stages `changes` (the batch's pops_adds or pops_deletes): a fresh Δ
+  /// per changed predicate, holding each add's value or each present
+  /// deleted fact's stored value; a Δ that ends empty is nulled. With
+  /// `mutate`, the changes are also applied to the live EDB (⊕-merge or
+  /// Erase), and every changed predicate in reads_snapshot_ is first
+  /// copied, so its snapshot is the EDB as of this call.
+  template <typename Change>
+  StagedDelta StageDelta(const std::vector<Change>& changes, bool mutate,
+                         EdbInstance<P>* edb) const {
+    const auto n = static_cast<std::size_t>(prog_->num_predicates());
+    StagedDelta st;
+    st.snap.assign(n, nullptr);
+    std::vector<Relation<P>*> rel(n, nullptr);
+    for (const Change& c : changes) {
+      if (rel[c.pred] != nullptr) continue;
+      const Relation<P>& live = edb->pops(c.pred);
+      if (mutate && reads_snapshot_[c.pred]) {
+        st.owned.push_back(std::make_unique<Relation<P>>(live));
+        st.snap[c.pred] = st.owned.back().get();
+      }
+      st.owned.push_back(std::make_unique<Relation<P>>(live.arity()));
+      rel[c.pred] = st.owned.back().get();
+    }
+    for (const Change& c : changes) {
+      Relation<P>& live = edb->pops(c.pred);
+      if constexpr (std::is_same_v<Change, typename EdbDelta<P>::PopsAdd>) {
+        rel[c.pred]->Merge(c.tuple, c.value);
+        if (mutate) live.Merge(c.tuple, c.value);
+      } else {
+        const typename P::Value old_v = live.Get(c.tuple);
+        if (P::Eq(old_v, P::Zero())) continue;  // absent: a no-op delete
+        rel[c.pred]->Set(c.tuple, old_v);
+        if (mutate) live.Erase(c.tuple);
+      }
+    }
+    st.delta.assign(n, nullptr);
+    for (std::size_t p = 0; p < n; ++p) {
+      if (rel[p] == nullptr || rel[p]->empty()) continue;
+      st.delta[p] = rel[p];
+      st.any = true;
+    }
+    return st;
+  }
+
+  /// Insert-only cascade: stage the adds (snapshots first, then ⊕-merge
+  /// into the live EDB), seed with the EDB cross terms — emitted as δ
+  /// relative to T, see EmitRow — then run ordinary differential rounds
+  /// from the warm T.
   void InsertCascade(const EdbDelta<P>& batch, EdbInstance<P>* edb,
                      IdbInstance<P>* idb, int max_steps,
                      UpdateResult* res) const {
-    const int n = prog_->num_predicates();
-    std::vector<std::unique_ptr<Relation<P>>> owned;
-    std::vector<const Relation<P>*> snap(n, nullptr);
-    std::vector<Relation<P>*> delta_rel(n, nullptr);
-    for (const auto& add : batch.pops_adds) {
-      if (delta_rel[add.pred] != nullptr) continue;
-      // Snapshot BEFORE the merges below: the seed's later-occurrence
-      // slots must read the pre-mutation contents.
-      if (reads_snapshot_[add.pred]) {
-        owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
-        snap[add.pred] = owned.back().get();
-      }
-      owned.push_back(
-          std::make_unique<Relation<P>>(edb->pops(add.pred).arity()));
-      delta_rel[add.pred] = owned.back().get();
-    }
-    for (const auto& add : batch.pops_adds) {
-      delta_rel[add.pred]->Merge(add.tuple, add.value);
-      edb->pops(add.pred).Merge(add.tuple, add.value);
-    }
-    bool have_delta = false;
-    for (int p = 0; p < n; ++p) {
-      if (delta_rel[p] == nullptr) continue;
-      if (delta_rel[p]->empty()) {
-        delta_rel[p] = nullptr;  // all-⊥ adds: nothing actually changed
-      } else {
-        have_delta = true;
-      }
-    }
-    if (!have_delta) return;
-    std::vector<const Relation<P>*> delta_cv(delta_rel.begin(),
-                                             delta_rel.end());
+    const StagedDelta adds = StageDelta(batch.pops_adds, /*mutate=*/true, edb);
+    if (!adds.any) return;  // all-⊥ adds: nothing actually changed
     SweepCaches();
     IdbInstance<P> delta(*prog_);
     uint64_t work = 0;
-    EvalEdbCrossTerms(delta_cv, snap, *idb, &delta, /*base=*/idb, &work);
+    EvalEdbCrossTerms(adds.delta, adds.snap, *idb, &delta, /*base=*/idb,
+                      &work);
     ++res->rounds;
     if (!Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
                  &work)) {
@@ -978,8 +1006,8 @@ class Engine {
     res->work += work;
   }
 
-  /// Exact-deletion cascade for count-carrying carriers: snapshot the
-  /// deleted predicates, Erase the facts (E_new), then subtract the
+  /// Exact-deletion cascade for count-carrying carriers: stage the deletes
+  /// (snapshots first, then Erase the facts: E_new), then subtract the
   /// removed derivation mass back out of T round by round. The seed is
   /// the same cross-term evaluator as the insert cascade — the removed
   /// mass of one ICO step; each round retracts the previous round's rows
@@ -994,37 +1022,14 @@ class Engine {
                                     int max_steps, UpdateResult* res) const
     requires SupportsExactDeletion<P>
   {
-    const int n = prog_->num_predicates();
-    std::vector<std::unique_ptr<Relation<P>>> owned;
-    std::vector<const Relation<P>*> snap(n, nullptr);
-    std::vector<Relation<P>*> delta_rel(n, nullptr);
-    for (const auto& del : batch.pops_deletes) {
-      if (delta_rel[del.pred] != nullptr) continue;
-      if (reads_snapshot_[del.pred]) {
-        owned.push_back(std::make_unique<Relation<P>>(edb->pops(del.pred)));
-        snap[del.pred] = owned.back().get();
-      }
-      owned.push_back(
-          std::make_unique<Relation<P>>(edb->pops(del.pred).arity()));
-      delta_rel[del.pred] = owned.back().get();
-    }
-    bool any_removed = false;
-    for (const auto& del : batch.pops_deletes) {
-      Relation<P>& rel = edb->pops(del.pred);
-      const typename P::Value old_v = rel.Get(del.tuple);
-      if (P::Eq(old_v, P::Zero())) continue;  // absent: deleting is a no-op
-      delta_rel[del.pred]->Set(del.tuple, old_v);
-      rel.Erase(del.tuple);
-      any_removed = true;
-    }
-    if (!any_removed) return CascadeOutcome::kConverged;
-    std::vector<const Relation<P>*> delta_cv(delta_rel.begin(),
-                                             delta_rel.end());
+    const StagedDelta dels =
+        StageDelta(batch.pops_deletes, /*mutate=*/true, edb);
+    if (!dels.any) return CascadeOutcome::kConverged;
     SweepCaches();
     IdbInstance<P> candidate(*prog_);
     uint64_t work = 0;
-    EvalEdbCrossTerms(delta_cv, snap, *idb, &candidate, /*base=*/nullptr,
-                      &work);
+    EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &candidate,
+                      /*base=*/nullptr, &work);
     ++res->rounds;
     IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
     IdbInstance<P> t_prev(*prog_);
@@ -1086,28 +1091,16 @@ class Engine {
                   UpdateResult* res) const
     requires CompleteDistributiveDioid<P>
   {
-    const int n = prog_->num_predicates();
     uint64_t work = 0;
     // ---- Phase 1: affected cascade (EDB not yet mutated). ----
-    std::vector<std::unique_ptr<Relation<P>>> owned;
-    std::vector<const Relation<P>*> no_snap(n, nullptr);
-    std::vector<Relation<P>*> del_rel(n, nullptr);
-    for (const auto& del : batch.pops_deletes) {
-      if (del_rel[del.pred] == nullptr) {
-        owned.push_back(
-            std::make_unique<Relation<P>>(edb->pops(del.pred).arity()));
-        del_rel[del.pred] = owned.back().get();
-      }
-      const typename P::Value old_v = edb->pops(del.pred).Get(del.tuple);
-      if (!P::Eq(old_v, P::Zero())) del_rel[del.pred]->Set(del.tuple, old_v);
-    }
-    std::vector<const Relation<P>*> del_cv(del_rel.begin(), del_rel.end());
+    const StagedDelta dels =
+        StageDelta(batch.pops_deletes, /*mutate=*/false, edb);
     IdbInstance<P> candidate(*prog_);
     IdbInstance<P> affected(*prog_);   // accumulated affected mass
     IdbInstance<P> aff_delta(*prog_);  // last round's fresh mass
     SweepCaches();
-    EvalEdbCrossTerms(del_cv, no_snap, *idb, &candidate, /*base=*/nullptr,
-                      &work);
+    EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &candidate,
+                      /*base=*/nullptr, &work);
     ++res->rounds;
     while (true) {
       aff_delta.ClearAll();
@@ -1172,32 +1165,15 @@ class Engine {
     for (const auto& del : batch.pops_deletes) {
       edb->pops(del.pred).Erase(del.tuple);
     }
-    std::vector<const Relation<P>*> add_snap(n, nullptr);
-    std::vector<Relation<P>*> add_rel(n, nullptr);
-    for (const auto& add : batch.pops_adds) {
-      if (add_rel[add.pred] != nullptr) continue;
-      // Snapshot AFTER the deletes, BEFORE the adds: the insert seed's
-      // later-occurrence slots read the mid-mutation contents.
-      if (reads_snapshot_[add.pred]) {
-        owned.push_back(std::make_unique<Relation<P>>(edb->pops(add.pred)));
-        add_snap[add.pred] = owned.back().get();
-      }
-      owned.push_back(
-          std::make_unique<Relation<P>>(edb->pops(add.pred).arity()));
-      add_rel[add.pred] = owned.back().get();
-    }
-    bool have_adds = false;
-    for (const auto& add : batch.pops_adds) {
-      add_rel[add.pred]->Merge(add.tuple, add.value);
-      edb->pops(add.pred).Merge(add.tuple, add.value);
-      if (!add_rel[add.pred]->empty()) have_adds = true;
-    }
-    std::vector<const Relation<P>*> add_cv(add_rel.begin(), add_rel.end());
+    // Staged AFTER the deletes, so the insert seed's later-occurrence
+    // slots read the mid-mutation snapshot.
+    const StagedDelta adds = StageDelta(batch.pops_adds, /*mutate=*/true, edb);
     // ---- Phase 3: re-derive, emitting δ relative to the pruned T. ----
     SweepCaches();
     IdbInstance<P> delta(*prog_);
-    if (have_adds) {
-      EvalEdbCrossTerms(add_cv, add_snap, *idb, &delta, /*base=*/idb, &work);
+    if (adds.any) {
+      EvalEdbCrossTerms(adds.delta, adds.snap, *idb, &delta, /*base=*/idb,
+                        &work);
     }
     RederivePruned(pruned, *idb, &delta, &work);
     ++res->rounds;
@@ -1431,12 +1407,10 @@ class Engine {
     sc->head_cols.assign(rule.head.args.size(), nullptr);
     sc->entries.assign(cd.generators.size(), nullptr);
     sc->next.assign(cd.generators.size(), 0);
-    sc->survivors.assign(cd.generators.size() * simd::kJoinBatch, 0);
+    sc->survivors.assign(cd.generators.size() * kJoinBatch, 0);
     sc->batch.assign(cd.generators.size(), nullptr);
     sc->batch_pos.assign(cd.generators.size(), 0);
     sc->batch_len.assign(cd.generators.size(), 0);
-    sc->gather_a.assign(simd::kJoinBatch, 0);
-    sc->gather_b.assign(simd::kJoinBatch, 0);
     sc->point_rows.resize(cd.generators.size());
   }
 
@@ -1682,11 +1656,11 @@ class Engine {
   /// Execute step: joins every driver entry of a prepared disjunct into
   /// `out` (through DrainRows, relative to `base`), counting visited
   /// entries into `work` — the batched join kernel. Per level, entry-list
-  /// row ids are decoded simd::kJoinBatch at a time: the level's check
-  /// ops run first as vector compares over the gathered column pairs
-  /// (Generator::CheckPair), the survivor mask is compressed into the level's
-  /// Scratch batch slice, and only then do the bind ops touch the
-  /// surviving rows — check-free levels alias the batch pointer straight
+  /// row ids are decoded kJoinBatch at a time: the level's check ops
+  /// (Generator::CheckPair) run first, each comparing its column pair
+  /// row by row into one survivor mask; the survivors are compressed into
+  /// the level's Scratch batch slice, and only then do the bind ops touch
+  /// the surviving rows — check-free levels alias the batch pointer straight
   /// into the entry list (zero copy). Descending a level leaves the
   /// parent's batch half-consumed, which is why every level owns its own
   /// survivor slice; the innermost level drains whole batches in one
@@ -1750,15 +1724,14 @@ class Engine {
     // false when the list is exhausted without survivors (pop a level).
     // Chunks that fail every check refill again immediately, so one
     // call always leaves either a non-empty batch or a spent cursor.
-    constexpr uint32_t kB = simd::kJoinBatch;
     auto refill = [&](std::size_t g) {
       const Generator& gen = cd.generators[g];
       const RowIdList& entries = *sc.entries[g];
       const std::size_t limit = entries.size();
       uint32_t filled = 0;
       while (filled == 0 && sc.next[g] < limit) {
-        const uint32_t chunk =
-            static_cast<uint32_t>(std::min<std::size_t>(kB, limit - sc.next[g]));
+        const uint32_t chunk = static_cast<uint32_t>(
+            std::min<std::size_t>(kJoinBatch, limit - sc.next[g]));
         const uint32_t* rows = entries.data() + sc.next[g];
         sc.next[g] += chunk;
         *work += chunk;
@@ -1768,7 +1741,7 @@ class Engine {
           filled = chunk;
           continue;
         }
-        uint32_t mask = (1u << chunk) - 1;  // chunk <= kB < 32
+        uint32_t mask = (1u << chunk) - 1;  // chunk <= kJoinBatch < 32
         for (const typename Generator::CheckPair& cp : gen.check_pairs) {
           const ConstId* ca;
           const ConstId* cb;
@@ -1779,14 +1752,18 @@ class Engine {
             ca = prep.pops_rel[g]->column_data(cp.pos);
             cb = prep.pops_rel[g]->column_data(cp.first_pos);
           }
-          simd::GatherU32(ca, rows, chunk, sc.gather_a.data());
-          simd::GatherU32(cb, rows, chunk, sc.gather_b.data());
-          mask &= simd::MaskEqU32(sc.gather_a.data(), sc.gather_b.data(),
-                                  chunk);
+          uint32_t m = 0;
+          for (uint32_t i = 0; i < chunk; ++i) {
+            m |= static_cast<uint32_t>(ca[rows[i]] == cb[rows[i]]) << i;
+          }
+          mask &= m;
           if (mask == 0) break;
         }
-        uint32_t* surv = sc.survivors.data() + g * kB;
-        filled = simd::CompressRowIds(rows, mask, surv);
+        // Compress: survivors in ascending lane (= entry-list) order.
+        uint32_t* surv = sc.survivors.data() + g * kJoinBatch;
+        for (; mask != 0; mask &= mask - 1) {
+          surv[filled++] = rows[std::countr_zero(mask)];
+        }
         sc.batch[g] = surv;
       }
       sc.batch_len[g] = filled;
@@ -1892,7 +1869,7 @@ class Engine {
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups
   mutable uint64_t direct_probes_ = 0;  ///< direct-array index lookups
-  mutable uint64_t join_batched_rows_ = 0;  ///< rows through vector join
+  mutable uint64_t join_batched_rows_ = 0;  ///< rows through batched join
   mutable uint64_t edb_index_scan_rows_ = 0;  ///< EDB build-scan rows
   mutable uint64_t group_iterations_ = 0;  ///< SemiNaive: local rounds run
   mutable uint64_t rules_skipped_ = 0;     ///< SemiNaive: triggered skips

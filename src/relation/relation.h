@@ -45,12 +45,18 @@
 
 #include "src/core/check.h"
 #include "src/core/hash.h"
-#include "src/core/simd.h"
 #include "src/relation/domain.h"
 #include "src/relation/tuple.h"
 #include "src/semiring/traits.h"
 
 namespace datalogo {
+
+namespace simd {
+/// The instruction set of the column scans and join checks: there is one
+/// scalar path. Kept only for the `simd_isa` field that
+/// perfbench/runner.cc and bench/bench_util.h write into their journals.
+inline const char* IsaName() { return "scalar"; }
+}  // namespace simd
 
 /// Process-unique id for one Relation object; never reused, so a cache
 /// entry keyed by a dead relation's id can never match a live relation.
@@ -174,13 +180,10 @@ class Relation {
   RowView View(uint32_t row) const { return RowView(&cols_, row); }
   /// One whole key column — the sequential-scan surface for index builds.
   const std::vector<ConstId>& column(int pos) const { return cols_[pos]; }
-  /// Raw span of one key column, indexable by row id — the gather
-  /// surface of the batched join kernel (simd::GatherU32 decodes entry
-  /// batches straight from it). Valid until the columns mutate.
+  /// Raw span of one key column, indexable by row id — what the batched
+  /// join kernel's repeated-variable checks read per entry batch. Valid
+  /// until the columns mutate.
   const ConstId* column_data(int pos) const { return cols_[pos].data(); }
-  /// Raw live-flag bytes (parallel to the columns) — the SIMD-scan
-  /// surface for live-row compaction during index builds.
-  const uint8_t* live_data() const { return live_flags_.data(); }
   std::size_t tombstones() const { return values_.size() - live_; }
   /// True when the row-id table is in its direct-addressed form (see the
   /// storage-layout comment at the top of this file).
@@ -482,10 +485,9 @@ class Relation {
   /// what the direct form must cover. Zeros unless the arity is 1 or 2.
   std::array<ConstId, 2> DirectMaxima() const {
     std::array<ConstId, 2> hi = {0, 0};
-    if ((arity_ == 1 || arity_ == 2) && !values_.empty()) {
+    if (arity_ == 1 || arity_ == 2) {
       for (int p = 0; p < arity_; ++p) {
-        uint32_t lo = 0;
-        simd::MinMaxU32(cols_[p].data(), num_rows(), &lo, &hi[p]);
+        for (ConstId c : cols_[p]) hi[p] = std::max(hi[p], c);
       }
     }
     return hi;
@@ -679,11 +681,6 @@ enum class IndexRepr : uint8_t {
   kAllRows,      ///< empty key: one list of all live rows
 };
 
-/// Direct-build strategy bound: tombstone-free columns whose span is at
-/// most this are built by one vectorized FilterEqRows pass per key
-/// instead of a scalar scatter.
-inline constexpr uint64_t kFilterBuildSpanCap = 8;
-
 /// An index over a relation keyed by a subset of argument positions;
 /// built on demand by the engine (index nested-loop joins) and reused
 /// across joining steps through IndexCache below. Entries are row ids
@@ -786,17 +783,11 @@ class RelationIndex {
       return;
     }
     const std::vector<ConstId>& col = rel_->column(positions_[0]);
-    uint32_t lo = 0, hi = 0;
-    if (rel_->tombstones() == 0) {
-      simd::MinMaxU32(col.data(), rel_->num_rows(), &lo, &hi);
-    } else {
-      bool first = true;
-      for (uint32_t r = 0; r < rel_->num_rows(); ++r) {
-        if (!rel_->RowLive(r)) continue;
-        if (first || col[r] < lo) lo = col[r];
-        if (first || col[r] > hi) hi = col[r];
-        first = false;
-      }
+    ConstId lo = UINT32_MAX, hi = 0;  // live > 0: both get set
+    for (uint32_t r = 0; r < rel_->num_rows(); ++r) {
+      if (!rel_->RowLive(r)) continue;
+      lo = std::min(lo, col[r]);
+      hi = std::max(hi, col[r]);
     }
     rows_scanned_ += rel_->num_rows();  // the min/max detection pass
     const uint64_t span = static_cast<uint64_t>(hi) - lo + 1;
@@ -816,11 +807,9 @@ class RelationIndex {
     const bool may_have_dead = from == 0 && rel_->tombstones() != 0;
     switch (repr_) {
       case IndexRepr::kAllRows:
-        // The entry list IS the live-row compaction — one SIMD pass.
-        if (from == 0) {
-          simd::CollectLiveRows(rel_->live_data(), to, &all_);
-        } else {
-          for (uint32_t r = from; r < to; ++r) all_.push_back(r);
+        for (uint32_t r = from; r < to; ++r) {
+          if (may_have_dead && !rel_->RowLive(r)) continue;
+          all_.push_back(r);
         }
         break;
       case IndexRepr::kDirectArray: {
@@ -832,21 +821,9 @@ class RelationIndex {
           if (may_have_dead && !rel_->RowLive(r)) continue;
           if (static_cast<uint32_t>(col[r]) - base_ >= span_) return false;
         }
-        if (from == 0 && !may_have_dead && span_ != 0 &&
-            span_ <= kFilterBuildSpanCap) {
-          // Small-span full build: one vectorized equality pass per key
-          // fills each bucket in ascending row order.
-          for (uint64_t k = 0; k < span_; ++k) {
-            FilterScans(to);
-            simd::FilterEqRows(col.data(), to,
-                               base_ + static_cast<uint32_t>(k),
-                               &buckets_[static_cast<std::size_t>(k)]);
-          }
-        } else {
-          for (uint32_t r = from; r < to; ++r) {
-            if (may_have_dead && !rel_->RowLive(r)) continue;
-            buckets_[col[r] - base_].push_back(r);
-          }
+        for (uint32_t r = from; r < to; ++r) {
+          if (may_have_dead && !rel_->RowLive(r)) continue;
+          buckets_[col[r] - base_].push_back(r);
         }
         break;
       }
@@ -866,8 +843,6 @@ class RelationIndex {
     indexed_rows_ = to;
     return true;
   }
-
-  void FilterScans(uint32_t n) { rows_scanned_ += n; }
 
   const Relation<P>* rel_;
   std::vector<int> positions_;

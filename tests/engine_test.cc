@@ -82,26 +82,51 @@ TEST(Engine, ConstantsInRuleAtoms) {
 }
 
 TEST(Engine, RepeatedVariableInAtom) {
-  // Self-loops: S(X) :- E(X, X).
+  // Self-loops: S(X) :- E(X, X). The join checks E's two columns in
+  // kJoinBatch-row chunks, so E's size sweeps across two chunk boundaries
+  // under four self-loop patterns, and S is checked against a scan of E.
   constexpr const char* kText = R"(
     edb E/2.
     idb S/1.
     S(X) :- E(X, X).
   )";
+  constexpr uint32_t kB = Engine<BoolS>::kJoinBatch;
   Domain dom;
   auto prog = ParseProgram(kText, &dom);
   ASSERT_TRUE(prog.ok());
-  EdbInstance<BoolS> edb(prog.value());
-  ConstId a = dom.InternSymbol("a"), b = dom.InternSymbol("b");
-  auto& e = edb.pops(prog.value().FindPredicate("E"));
-  e.Set({a, a}, true);
-  e.Set({a, b}, true);
-  Engine<BoolS> engine(prog.value(), edb);
-  auto result = engine.Naive(10);
-  ASSERT_TRUE(result.converged);
-  int s = prog.value().FindPredicate("S");
-  EXPECT_TRUE(result.idb.idb(s).Get({a}));
-  EXPECT_FALSE(result.idb.idb(s).Get({b}));
+  const int e_pred = prog.value().FindPredicate("E");
+  const int s_pred = prog.value().FindPredicate("S");
+  auto self_loop = [&](int pattern, uint32_t i) {
+    switch (pattern) {
+      case 0: return false;               // none
+      case 1: return true;                // all
+      case 2: return i % 2 == 0;          // alternating
+      default: return i % kB == kB - 1;   // last row of each chunk
+    }
+  };
+  for (uint32_t n = 0; n <= 2 * kB + 3; ++n) {
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      EdbInstance<BoolS> edb(prog.value());
+      Relation<BoolS>& e = edb.pops(e_pred);
+      for (uint32_t i = 0; i < n; ++i) {
+        const ConstId x = dom.InternInt(i);
+        e.Set({x, self_loop(pattern, i) ? x : dom.InternInt(1000 + i)}, true);
+      }
+      std::vector<ConstId> expected;
+      e.ForEachRow([&](uint32_t r) {
+        if (e.Cell(r, 0) == e.Cell(r, 1)) expected.push_back(e.Cell(r, 0));
+      });
+      Engine<BoolS> engine(prog.value(), edb);
+      auto result = engine.Naive(10);
+      ASSERT_TRUE(result.converged);
+      const Relation<BoolS>& s = result.idb.idb(s_pred);
+      EXPECT_EQ(s.support_size(), expected.size())
+          << "n=" << n << " pattern=" << pattern;
+      for (ConstId x : expected) {
+        EXPECT_TRUE(s.Get({x})) << "n=" << n << " pattern=" << pattern;
+      }
+    }
+  }
 }
 
 TEST(Engine, ComparisonConditionsFilter) {
