@@ -1,22 +1,25 @@
 # Incremental-maintenance byte-identity smoke at the CLI surface: running
 # the fixpoint on the ORIGINAL edges and servicing a mutation batch with
 # --update= (Engine::Update, no full re-run) must print tables
-# byte-identical to a cold full run over the post-batch edge file. Two
+# byte-identical to a cold full run over the post-batch edge file. Three
 # batches: BATCH deletes and inserts, so it takes DRed (over-delete,
 # re-derive, insert seed); INSERT_BATCH only inserts, so it takes the
-# insert cascade. Each runs under trop, tropnat and bool. The leading
-# '# ...' status comment legitimately differs between the two modes
-# ("update applied via ..." vs "converged, stability index ..."), so it
-# is checked for the expected strategy and then stripped; the '## PRED'
-# table headers and every fact row must match exactly.
+# insert cascade. Each runs under trop, tropnat and bool. DAG_BATCH
+# deletes and inserts on the DAG DAG_EDGES under nat, so it takes exact
+# deletion and then the insert cascade. The leading '# ...' status
+# comment legitimately differs between the two modes ("update applied
+# via ..." vs "converged, stability index ..."), so it is checked for
+# the expected strategy and then stripped; the '## PRED' table headers
+# and every fact row must match exactly.
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
 #         -DBATCH=<.batch> -DEDGES_UPDATED=<.tsv>
-#         -DINSERT_BATCH=<.batch> -DEDGES_INSERTED=<.tsv> -DOUT_DIR=<dir>
-#         -P cli_update_smoke.cmake
+#         -DINSERT_BATCH=<.batch> -DEDGES_INSERTED=<.tsv>
+#         -DDAG_EDGES=<.tsv> -DDAG_BATCH=<.batch> -DDAG_EDGES_UPDATED=<.tsv>
+#         -DOUT_DIR=<dir> -P cli_update_smoke.cmake
 foreach(var CLI PROGRAM EDGES BATCH EDGES_UPDATED INSERT_BATCH EDGES_INSERTED
-            OUT_DIR)
+            DAG_EDGES DAG_BATCH DAG_EDGES_UPDATED OUT_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "cli_update_smoke: missing -D${var}=...")
   endif()
@@ -65,6 +68,32 @@ function(revalue in_file semiring out_file)
   file(WRITE ${out_file} "${text}")
 endfunction()
 
+# Runs `batch` under `semiring` over `edges` with --update= and checks
+# that it took `strategy` and printed what a cold full run over `post`
+# prints. Outputs go to `dir`, named after `tag`.
+function(check_update semiring dir tag edges batch post strategy)
+  set(base_args --semiring=${semiring} --seminaive)
+
+  # Reference: cold full run over the post-batch edge file.
+  set(ref_out "${dir}/${tag}_ref.out")
+  run_cli(${ref_out} ${PROGRAM} ${base_args} --edb E=${post})
+  strip_comments(${ref_out} "${ref_out}.stripped")
+
+  # Incremental: fixpoint over the original edges, then the batch
+  # through Engine::Update; must match the recompute byte-for-byte.
+  set(upd_out "${dir}/${tag}_inc.out")
+  run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${edges}
+          --update=${batch})
+  file(READ ${upd_out} upd_text)
+  if(NOT upd_text MATCHES "^# update applied via ${strategy},")
+    message(FATAL_ERROR "${semiring} ${batch}: expected the update "
+                        "to run via ${strategy}: ${upd_out}")
+  endif()
+  strip_comments(${upd_out} "${upd_out}.stripped")
+  require_identical("${ref_out}.stripped" "${upd_out}.stripped"
+                    "${semiring} full recompute and --update output")
+endfunction()
+
 set(batches ${BATCH} ${INSERT_BATCH})
 set(post_batch_edges ${EDGES_UPDATED} ${EDGES_INSERTED})
 set(strategies dred insert-cascade)
@@ -78,27 +107,15 @@ foreach(semiring trop tropnat bool)
     list(GET strategies ${k} strategy)
     revalue(${batch_in} ${semiring} "${dir}/${k}.batch")
     revalue(${post_in} ${semiring} "${dir}/${k}_post.tsv")
-    set(base_args --semiring=${semiring} --seminaive)
-
-    # Reference: cold full run over the post-batch edge file.
-    set(ref_out "${dir}/${k}_ref.out")
-    run_cli(${ref_out} ${PROGRAM} ${base_args} --edb E=${dir}/${k}_post.tsv)
-    strip_comments(${ref_out} "${ref_out}.stripped")
-
-    # Incremental: fixpoint over the original edges, then the batch
-    # through Engine::Update; must match the recompute byte-for-byte.
-    set(upd_out "${dir}/${k}_inc.out")
-    run_cli(${upd_out} ${PROGRAM} ${base_args} --edb E=${dir}/edges.tsv
-            --update=${dir}/${k}.batch)
-    file(READ ${upd_out} upd_text)
-    if(NOT upd_text MATCHES "^# update applied via ${strategy},")
-      message(FATAL_ERROR "${semiring} ${batch_in}: expected the update "
-                          "to run via ${strategy}: ${upd_out}")
-    endif()
-    strip_comments(${upd_out} "${upd_out}.stripped")
-    require_identical("${ref_out}.stripped" "${upd_out}.stripped"
-                      "${semiring} full recompute and --update output")
+    check_update(${semiring} ${dir} ${k} "${dir}/edges.tsv" "${dir}/${k}.batch"
+                 "${dir}/${k}_post.tsv" ${strategy})
   endforeach()
 endforeach()
+
+# nat keeps the DAG's integer weights as they are.
+set(dir "${OUT_DIR}/cli_update_nat")
+file(MAKE_DIRECTORY ${dir})
+check_update(nat ${dir} dag ${DAG_EDGES} ${DAG_BATCH} ${DAG_EDGES_UPDATED}
+             exact-deletion)
 
 message(STATUS "update smoke: incremental maintenance byte-identical")

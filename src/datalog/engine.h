@@ -57,11 +57,13 @@ enum class UpdateStrategy {
 
 /// Outcome of one Engine::Update call.
 struct UpdateResult {
-  /// Cascade rounds run, seed evaluations included (for kRecompute: the
-  /// fallback run's steps).
+  /// Cascade rounds run, seed evaluations included. For kRecompute: the
+  /// fallback run's steps, plus the rounds of an exact-deletion cascade
+  /// that ended as inexact before it.
   int rounds = 0;
   bool converged = false;
-  /// Generator entries visited servicing the batch.
+  /// Generator entries visited servicing the batch, an abandoned
+  /// exact-deletion cascade's included.
   uint64_t work = 0;
   /// DRed only: pruned tuples the re-derivation brought back — each had a
   /// surviving derivation that avoided every deleted fact.
@@ -261,7 +263,8 @@ class Engine {
       IdbInstance<P> delta(*prog_);
       for (int r : s.rules) ApplyRule(compiled_[r], t, &delta, &t, &work);
       ++steps;
-      converged = Cascade(s, &t, &delta, max_steps, &steps, &work);
+      converged = Cascade(s, &t, &delta, max_steps, &steps, &work) ==
+                  CascadeOutcome::kConverged;
     }
     group_iterations_ += static_cast<uint64_t>(steps);
     return {std::move(t), steps, converged, work};
@@ -290,7 +293,9 @@ class Engine {
   ///    (over-delete the affected cone, then re-derive) on complete
   ///    distributive dioids. Selective-⊕ dioids (min/max/or) prune only
   ///    tuples whose removed mass ties the stored optimum — what keeps the
-  ///    affected cone small. Carriers with neither capability recompute.
+  ///    affected cone small. Both run the same cascade loop with their own
+  ///    fold step (retraction; the affected filter over the pre-mutation
+  ///    T). Carriers with neither capability recompute.
   ///  * Boolean-EDB changes always recompute: Boolean facts appear as
   ///    (possibly negated) residual conditions, outside the ⊕-linear
   ///    differential algebra.
@@ -303,7 +308,8 @@ class Engine {
   /// deleted and re-added ends up with exactly the added value). The
   /// converged result is bit-identical to a full recompute from the
   /// mutated EDB; on a blown budget, converged=false and `idb` is left
-  /// mid-cascade like the fixpoint entry points' partial results.
+  /// mid-cascade like the fixpoint entry points' partial results, while
+  /// the EDB holds the whole batch (ApplyRest) on every path.
   UpdateResult Update(const EdbDelta<P>& batch, EdbInstance<P>* edb,
                       IdbInstance<P>* idb, int max_steps) const {
     DLO_CHECK_MSG(edb == edb_, "Update must mutate the engine's own EDB");
@@ -312,53 +318,42 @@ class Engine {
     if (batch.empty()) return res;
 
     bool recompute = !batch.bool_adds.empty() || !batch.bool_deletes.empty();
+    // Which sides of the batch the EDB holds already; ApplyRest applies
+    // the others on a recompute and on every budget exit.
     bool deletes_applied = false;
-
+    bool adds_applied = false;
+    CascadeOutcome oc = CascadeOutcome::kConverged;
     if (!recompute && !batch.pops_deletes.empty()) {
       if constexpr (SupportsExactDeletion<P>) {
         res.strategy = UpdateStrategy::kExactDeletion;
-        const CascadeOutcome oc =
-            ExactDeleteCascade(batch, edb, idb, max_steps, &res);
-        if (oc == CascadeOutcome::kBudget) {
-          res.converged = false;
-          return res;
-        }
+        oc = ExactDeleteCascade(batch, edb, idb, max_steps, &res);
         deletes_applied = true;
-        if (oc == CascadeOutcome::kInexact) recompute = true;
       } else if constexpr (CompleteDistributiveDioid<P>) {
         // DRed folds the batch's adds into its re-derivation seed, so it
         // services the whole batch in one warm continuation.
         res.strategy = UpdateStrategy::kDred;
-        DredUpdate(batch, edb, idb, max_steps, &res);
-        return res;
+        oc = DredUpdate(batch, edb, idb, max_steps, &res, &deletes_applied);
+        adds_applied = deletes_applied;
       } else {
         recompute = true;  // no exact counts, no ⊖: nothing cheaper exists
       }
     }
-    if (recompute) {
-      res.strategy = UpdateStrategy::kRecompute;
-      for (const auto& d : batch.bool_deletes) {
-        edb->boolean(d.pred).Erase(d.tuple);
-      }
-      for (const auto& a : batch.bool_adds) {
-        edb->boolean(a.pred).Set(a.tuple, true);
-      }
-      if (!deletes_applied) {
-        for (const auto& d : batch.pops_deletes) {
-          edb->pops(d.pred).Erase(d.tuple);
-        }
-      }
-      for (const auto& a : batch.pops_adds) {
-        edb->pops(a.pred).Merge(a.tuple, a.value);
-      }
-      Recompute(idb, max_steps, &res);
-      return res;
-    }
-    if (!batch.pops_adds.empty()) {
+    if (!recompute && oc == CascadeOutcome::kConverged && !adds_applied &&
+        !batch.pops_adds.empty()) {
       if (res.strategy == UpdateStrategy::kNoop) {
         res.strategy = UpdateStrategy::kInsertOnly;
       }
-      InsertCascade(batch, edb, idb, max_steps, &res);
+      oc = EdbCascade(batch.pops_adds, edb, idb, max_steps, &res);
+      adds_applied = true;
+    }
+    if (oc == CascadeOutcome::kInexact) recompute = true;
+    if (oc == CascadeOutcome::kBudget) res.converged = false;
+    if (recompute || !res.converged) {
+      ApplyRest(batch, deletes_applied, adds_applied, edb);
+    }
+    if (recompute) {
+      res.strategy = UpdateStrategy::kRecompute;
+      Recompute(idb, max_steps, &res);
     }
     return res;
   }
@@ -798,6 +793,30 @@ class Engine {
     if (!r.converged) res->converged = false;
   }
 
+  /// Applies to the EDB what an Update path has not: the Boolean changes,
+  /// then the ⊕-carrier deletes and adds unless already applied. Update
+  /// calls it before a recompute and on every budget exit, so the EDB
+  /// always ends holding the whole batch.
+  void ApplyRest(const EdbDelta<P>& batch, bool deletes_applied,
+                 bool adds_applied, EdbInstance<P>* edb) const {
+    for (const auto& d : batch.bool_deletes) {
+      edb->boolean(d.pred).Erase(d.tuple);
+    }
+    for (const auto& a : batch.bool_adds) {
+      edb->boolean(a.pred).Set(a.tuple, true);
+    }
+    if (!deletes_applied) {
+      for (const auto& d : batch.pops_deletes) {
+        edb->pops(d.pred).Erase(d.tuple);
+      }
+    }
+    if (!adds_applied) {
+      for (const auto& a : batch.pops_adds) {
+        edb->pops(a.pred).Merge(a.tuple, a.value);
+      }
+    }
+  }
+
   /// Evaluates the multilinear EDB cross terms of F(T) over a set of
   /// changed EDB predicates, emitting into `out` (as δ relative to `base`
   /// when it is set, see EmitRow): for every disjunct and
@@ -898,34 +917,57 @@ class Engine {
     return base != nullptr ? &base->idb(pred) : nullptr;
   }
 
+  /// Cascade's default fold step: T ⊕= δ.
+  struct MergeFold {};
+
   /// The one semi-naive cascade loop, shared by SemiNaive (per reliance
-  /// group) and the Update insert and re-derive cascades (whole program):
-  /// T ⊕= the seed's δ, which the caller left in `delta` relative to T,
-  /// then differential rounds (EvalRound, each counted into `*rounds`)
-  /// whose δ relative to T is emitted into `next`, handed to `delta` by
-  /// SwapRows (a soft Clear, so δ's cached indexes refresh incrementally)
-  /// and merged into T — until δ drains or triggers no rule. Returns
-  /// false when the budget (`*rounds` reaching max_steps) runs out first,
-  /// leaving T mid-cascade.
-  bool Cascade(const Schedule& s, IdbInstance<P>* t, IdbInstance<P>* delta,
-               int max_steps, int* rounds, uint64_t* work) const {
-    if (!delta->AnySupport(s.heads)) return true;
-    IdbInstance<P> t_old(*prog_);  // T before the last merge (s.reads_old)
+  /// group) and every Update path (whole program): fold the seed's δ,
+  /// which the caller left in `delta`, into the accumulator `t`, then
+  /// differential rounds (EvalRound, each counted into `*rounds`) whose δ
+  /// is emitted into `next`, handed to `delta` by SwapRows (a soft Clear,
+  /// so δ's cached indexes refresh incrementally) and folded in turn —
+  /// until δ drains or triggers no rule. Callers differ in two things:
+  ///  * The fold step. MergeFold is T ⊕= δ, and rounds emit δ relative to
+  ///    T (EmitRow). Any other fold is a callable bool(IdbInstance<P>* δ)
+  ///    that moves δ into `t` — it may first narrow δ to what the next
+  ///    round propagates, and returns false when it cannot (kInexact) —
+  ///    and rounds emit raw mass: exact deletion's retraction, DRed's
+  ///    affected filter.
+  ///  * The read instance, what non-δ atoms read: `t` itself unless
+  ///    `read` is set. Since folds move `t`, T(t-1) is then kept for the
+  ///    disjuncts that read it (s.reads_old); a fixed `read` (DRed's
+  ///    pre-mutation T) is its own T(t-1).
+  /// kBudget when `*rounds` reaches max_steps first, leaving `t`
+  /// mid-cascade.
+  template <typename Fold = MergeFold>
+  CascadeOutcome Cascade(const Schedule& s, IdbInstance<P>* t,
+                         IdbInstance<P>* delta, int max_steps, int* rounds,
+                         uint64_t* work, Fold fold = {},
+                         const IdbInstance<P>* read = nullptr) const {
+    constexpr bool kMerge = std::is_same_v<Fold, MergeFold>;
+    if (!delta->AnySupport(s.heads)) return CascadeOutcome::kConverged;
+    IdbInstance<P> t_old(*prog_);  // T before the last fold (s.reads_old)
     IdbInstance<P> next(*prog_);
+    const IdbInstance<P>& cur = read != nullptr ? *read : *t;
+    const IdbInstance<P>& prev = read != nullptr ? *read : t_old;
     for (;;) {
-      if (s.reads_old) t_old.CopyPredsFrom(*t, s.heads);
-      for (int pred : s.heads) MergeRows(delta->idb(pred), &t->idb(pred));
+      if (s.reads_old && read == nullptr) t_old.CopyPredsFrom(*t, s.heads);
+      if constexpr (kMerge) {
+        for (int pred : s.heads) MergeRows(delta->idb(pred), &t->idb(pred));
+      } else if (!fold(delta)) {
+        return CascadeOutcome::kInexact;
+      }
       t->CompactPreds(s.heads);
       if (std::none_of(s.rules.begin(), s.rules.end(),
                        [&](int r) { return Triggered(s, r, *delta); })) {
-        return true;
+        return CascadeOutcome::kConverged;
       }
-      if (*rounds >= max_steps) return false;
+      if (*rounds >= max_steps) return CascadeOutcome::kBudget;
       SweepCaches();
       next.ClearPreds(s.heads);
-      EvalRound(s, *t, *delta, t_old, &next, /*base=*/t, work);
+      EvalRound(s, cur, *delta, prev, &next, kMerge ? t : nullptr, work);
       ++*rounds;
-      if (!next.AnySupport(s.heads)) return true;
+      if (!next.AnySupport(s.heads)) return CascadeOutcome::kConverged;
       delta->SwapRows(&next, s.heads);
     }
   }
@@ -984,98 +1026,69 @@ class Engine {
     return st;
   }
 
-  /// Insert-only cascade: stage the adds (snapshots first, then ⊕-merge
-  /// into the live EDB), seed with the EDB cross terms — emitted as δ
-  /// relative to T, see EmitRow — then run ordinary differential rounds
-  /// from the warm T.
-  void InsertCascade(const EdbDelta<P>& batch, EdbInstance<P>* edb,
-                     IdbInstance<P>* idb, int max_steps,
-                     UpdateResult* res) const {
-    const StagedDelta adds = StageDelta(batch.pops_adds, /*mutate=*/true, edb);
-    if (!adds.any) return;  // all-⊥ adds: nothing actually changed
+  /// One side of a batch as a warm cascade: stage `changes` (snapshots
+  /// first, then apply them to the live EDB), seed with the EDB cross
+  /// terms — the fresh or removed mass of one ICO step — and run Cascade
+  /// with `fold` from the warm T. The seed is emitted as the rounds are:
+  /// as δ relative to T under MergeFold (EmitRow), raw otherwise. Under
+  /// MergeFold on the adds this is the insert cascade: valid in any
+  /// carrier, since the cross terms are exactly the fresh mass.
+  template <typename Change, typename Fold = MergeFold>
+  CascadeOutcome EdbCascade(const std::vector<Change>& changes,
+                            EdbInstance<P>* edb, IdbInstance<P>* idb,
+                            int max_steps, UpdateResult* res,
+                            Fold fold = {}) const {
+    const StagedDelta st = StageDelta(changes, /*mutate=*/true, edb);
+    if (!st.any) return CascadeOutcome::kConverged;  // nothing changed
     SweepCaches();
     IdbInstance<P> delta(*prog_);
-    uint64_t work = 0;
-    EvalEdbCrossTerms(adds.delta, adds.snap, *idb, &delta, /*base=*/idb,
-                      &work);
+    EvalEdbCrossTerms(st.delta, st.snap, *idb, &delta,
+                      std::is_same_v<Fold, MergeFold> ? idb : nullptr,
+                      &res->work);
     ++res->rounds;
-    if (!Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
-                 &work)) {
-      res->converged = false;
-    }
-    res->work += work;
+    return Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
+                   &res->work, fold);
   }
 
-  /// Exact-deletion cascade for count-carrying carriers: stage the deletes
-  /// (snapshots first, then Erase the facts: E_new), then subtract the
-  /// removed derivation mass back out of T round by round. The seed is
-  /// the same cross-term evaluator as the insert cascade — the removed
-  /// mass of one ICO step; each round retracts the previous round's rows
-  /// from T (DeletionTraits::Retract — exact) and evaluates the next
-  /// cross terms over the (retracted, previous) pair. Terminates when no
-  /// mass is left to remove. Any Retract failure — a saturated value has
-  /// forgotten its count — aborts with kInexact: the EDB deletes are
-  /// already applied and `idb`'s contents are garbage until the caller's
-  /// recompute overwrites them (Recompute ignores prior contents).
+  /// Exact-deletion cascade for count-carrying carriers: EdbCascade over
+  /// the deletes (E_new = E minus the deleted facts), whose fold step
+  /// retracts each round's removed mass from T (DeletionTraits::Retract —
+  /// exact), so the next round evaluates the cross terms over the
+  /// (retracted, previous) pair, until no mass is left to remove. A
+  /// Retract failure — a saturated value has forgotten its count — ends
+  /// the run as kInexact: the EDB deletes are applied and `idb`'s
+  /// contents are garbage until the caller's recompute overwrites them
+  /// (Recompute ignores prior contents).
   CascadeOutcome ExactDeleteCascade(const EdbDelta<P>& batch,
                                     EdbInstance<P>* edb, IdbInstance<P>* idb,
                                     int max_steps, UpdateResult* res) const
     requires SupportsExactDeletion<P>
   {
-    const StagedDelta dels =
-        StageDelta(batch.pops_deletes, /*mutate=*/true, edb);
-    if (!dels.any) return CascadeOutcome::kConverged;
-    SweepCaches();
-    IdbInstance<P> candidate(*prog_);
-    uint64_t work = 0;
-    EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &candidate,
-                      /*base=*/nullptr, &work);
-    ++res->rounds;
-    IdbInstance<P> removed(*prog_);  // δ⁻ the next round propagates
-    IdbInstance<P> t_prev(*prog_);
-    const std::vector<int>& preds = program_schedule_.heads;
-    while (true) {
-      if (!candidate.AnySupport(preds)) {
-        res->work += work;
-        return CascadeOutcome::kConverged;
-      }
-      removed.SwapRows(&candidate, preds);
-      // T_prev ← T (when a disjunct reads it), then T ⊖= removed (exact,
-      // or bail out).
-      if (program_schedule_.reads_old) t_prev.CopyContentsFrom(*idb);
-      for (int pred : preds) {
-        const Relation<P>& rem = removed.idb(pred);
+    auto retract = [&](IdbInstance<P>* delta) {
+      for (int pred : program_schedule_.heads) {
+        const Relation<P>& rem = delta->idb(pred);
         Relation<P>& t = idb->idb(pred);
-        const uint32_t rows = rem.num_rows();
-        for (uint32_t r = 0; r < rows; ++r) {
+        for (uint32_t r = 0; r < rem.num_rows(); ++r) {
           if (!rem.RowLive(r)) continue;
           typename P::Value left;
           if (!DeletionTraits<P>::Retract(t.Get(rem.View(r)), rem.ValueAt(r),
                                           &left)) {
-            res->work += work;
-            return CascadeOutcome::kInexact;
+            return false;
           }
           t.Set(rem.View(r), left);  // ⊥ tombstones the row
         }
       }
-      idb->CompactAll();
-      if (res->rounds >= max_steps) {
-        res->work += work;
-        return CascadeOutcome::kBudget;
-      }
-      SweepCaches();
-      candidate.ClearAll();
-      EvalRound(program_schedule_, *idb, removed, t_prev, &candidate,
-                /*base=*/nullptr, &work);
-      ++res->rounds;
-    }
+      return true;
+    };
+    return EdbCascade(batch.pops_deletes, edb, idb, max_steps, res, retract);
   }
 
   /// DRed for complete distributive dioids, in three phases. (1) AFFECTED
-  /// cascade over the pre-mutation instance: a semi-naive fixpoint of the
-  /// one-step mass through the deleted facts, carrying the real removed
-  /// ⊕-values so selective-⊕ carriers (min/max/or) can drop tuples whose
-  /// stored optimum beats every deleted-using derivation. Correctness of
+  /// cascade over the pre-mutation instance: Cascade from the one-step
+  /// mass through the deleted facts, reading the fixed pre-mutation T and
+  /// carrying the real removed ⊕-values, so that its fold step lets
+  /// selective-⊕ carriers (min/max/or) drop tuples whose stored optimum
+  /// beats every deleted-using derivation. Correctness of
   /// that filter is optimal substructure: subtrees of an optimal
   /// deleted-using tree are optimal deleted-using at their own roots, so
   /// every truly affected tuple — ties included — survives. Non-selective
@@ -1085,33 +1098,33 @@ class Engine {
   /// tuple u (RederivePruned: forward join programs driven by the pruned
   /// set), then ordinary differential rounds. Unpruned rows need no seed
   /// slot — they satisfy F_new(T_start)(u) ⊑ T_start(u), so their diff is
-  /// ⊥.
-  void DredUpdate(const EdbDelta<P>& batch, EdbInstance<P>* edb,
-                  IdbInstance<P>* idb, int max_steps,
-                  UpdateResult* res) const
+  /// ⊥. `*applied` is set once the EDB holds the batch: a budget exit in
+  /// phase 1 leaves it untouched.
+  CascadeOutcome DredUpdate(const EdbDelta<P>& batch, EdbInstance<P>* edb,
+                            IdbInstance<P>* idb, int max_steps,
+                            UpdateResult* res, bool* applied) const
     requires CompleteDistributiveDioid<P>
   {
-    uint64_t work = 0;
     // ---- Phase 1: affected cascade (EDB not yet mutated). ----
     const StagedDelta dels =
         StageDelta(batch.pops_deletes, /*mutate=*/false, edb);
-    IdbInstance<P> candidate(*prog_);
     IdbInstance<P> affected(*prog_);   // accumulated affected mass
-    IdbInstance<P> aff_delta(*prog_);  // last round's fresh mass
+    IdbInstance<P> aff_delta(*prog_);  // the mass a round propagates
+    IdbInstance<P> kept(*prog_);       // the fold step's filtered δ
     SweepCaches();
-    EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &candidate,
-                      /*base=*/nullptr, &work);
+    EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &aff_delta,
+                      /*base=*/nullptr, &res->work);
     ++res->rounds;
-    while (true) {
-      aff_delta.ClearAll();
-      bool any = false;
-      for (int pred : prog_->IdbPredicates()) {
-        const Relation<P>& c = candidate.idb(pred);
+    // Fold step: keep the rows that can still be affected, less the mass
+    // the cone already holds, and merge them into `affected`.
+    auto filter = [&](IdbInstance<P>* delta) {
+      kept.ClearAll();
+      for (int pred : program_schedule_.heads) {
+        const Relation<P>& c = delta->idb(pred);
         const Relation<P>& told = idb->idb(pred);
-        const Relation<P>& acc = affected.idb(pred);
-        Relation<P>& out = aff_delta.idb(pred);
-        const uint32_t rows = c.num_rows();
-        for (uint32_t r = 0; r < rows; ++r) {
+        Relation<P>& acc = affected.idb(pred);
+        Relation<P>& out = kept.idb(pred);
+        for (uint32_t r = 0; r < c.num_rows(); ++r) {
           if (!c.RowLive(r)) continue;
           const typename P::Value cv = c.ValueAt(r);
           if constexpr (DeletionTraits<P>::kSelectivePlus) {
@@ -1121,35 +1134,17 @@ class Engine {
             if (!P::Eq(P::Plus(cv, told.Get(c.View(r))), cv)) continue;
           }
           const typename P::Value d = P::Minus(cv, acc.Get(c.View(r)));
-          if (P::Eq(d, P::Zero())) continue;
-          out.Set(c.View(r), d);
-          any = true;
+          if (!P::Eq(d, P::Zero())) out.Set(c.View(r), d);
         }
+        MergeRows(out, &acc);
       }
-      if (!any) break;
-      for (int pred : prog_->IdbPredicates()) {
-        MergeRows(aff_delta.idb(pred), &affected.idb(pred));
-      }
-      if (res->rounds >= max_steps) {
-        // Budget blew inside the affected cascade: apply the EDB batch so
-        // the instance at least reflects it, and report non-convergence
-        // (idb is stale, like any non-converged run's partial output).
-        for (const auto& del : batch.pops_deletes) {
-          edb->pops(del.pred).Erase(del.tuple);
-        }
-        for (const auto& add : batch.pops_adds) {
-          edb->pops(add.pred).Merge(add.tuple, add.value);
-        }
-        res->converged = false;
-        res->work += work;
-        return;
-      }
-      SweepCaches();
-      candidate.ClearAll();
-      EvalRound(program_schedule_, *idb, aff_delta, *idb, &candidate,
-                /*base=*/nullptr, &work);
-      ++res->rounds;
-    }
+      delta->SwapRows(&kept, program_schedule_.heads);
+      return true;
+    };
+    const CascadeOutcome cone =
+        Cascade(program_schedule_, &affected, &aff_delta, max_steps,
+                &res->rounds, &res->work, filter, /*read=*/idb);
+    if (cone != CascadeOutcome::kConverged) return cone;
     // ---- Phase 2: prune the cone, apply the EDB batch. ----
     IdbInstance<P> pruned(*prog_);  // the re-derive drivers Π, valued One
     for (int pred : prog_->IdbPredicates()) {
@@ -1168,19 +1163,18 @@ class Engine {
     // Staged AFTER the deletes, so the insert seed's later-occurrence
     // slots read the mid-mutation snapshot.
     const StagedDelta adds = StageDelta(batch.pops_adds, /*mutate=*/true, edb);
+    *applied = true;
     // ---- Phase 3: re-derive, emitting δ relative to the pruned T. ----
     SweepCaches();
     IdbInstance<P> delta(*prog_);
     if (adds.any) {
       EvalEdbCrossTerms(adds.delta, adds.snap, *idb, &delta, /*base=*/idb,
-                        &work);
+                        &res->work);
     }
-    RederivePruned(pruned, *idb, &delta, &work);
+    RederivePruned(pruned, *idb, &delta, &res->work);
     ++res->rounds;
-    if (!Cascade(program_schedule_, idb, &delta, max_steps, &res->rounds,
-                 &work)) {
-      res->converged = false;
-    }
+    const CascadeOutcome oc = Cascade(program_schedule_, idb, &delta,
+                                      max_steps, &res->rounds, &res->work);
     for (int pred : prog_->IdbPredicates()) {
       const Relation<P>& p = pruned.idb(pred);
       const Relation<P>& t = idb->idb(pred);
@@ -1188,7 +1182,7 @@ class Engine {
         if (!P::Eq(t.Get(p.View(r)), P::Zero())) ++res->deleted_rederived;
       }
     }
-    res->work += work;
+    return oc;
   }
 
   /// DRed's re-derive seed: F(T)(u) for every pruned tuple u, emitted into

@@ -658,6 +658,12 @@ TEST(EngineUpdate, NaturalsSaturationFallsBackToRecompute) {
   EdbInstance<NatS> gold_edb(f.prog);
   gold_edb.pops(f.e) = edb.pops(f.e);
   EXPECT_TRUE(idb.Equals(Golden<NatS>(f.prog, gold_edb).idb));
+  // rounds and work count the abandoned cascade on top of the fallback
+  // run's: its seed (one round, 3 entries), whose first retraction met ∞.
+  const EvalResult<NatS> fallback =
+      Engine<NatS>(f.prog, gold_edb).SemiNaive(100);
+  EXPECT_EQ(r.rounds, fallback.steps + 1);
+  EXPECT_EQ(r.work, fallback.work + 3);
 }
 
 TEST(EngineUpdate, NaturalsInsertIntoSaturatedCycleTerminates) {
@@ -822,6 +828,126 @@ TEST(EngineUpdate, DeleteAbsentFactIsNoop) {
   UpdateResult r = eng.Update(batch, &edb, &idb, 100);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(idb.idb(f.t).Get({f.a, f.b}));
+}
+
+/// The chain a→b→c→d, each edge valued `one`.
+template <Pops P>
+EdbInstance<P> Chain(const Fixture& f, typename P::Value one) {
+  EdbInstance<P> edb(f.prog);
+  edb.pops(f.e).Set({f.a, f.b}, one);
+  edb.pops(f.e).Set({f.b, f.c}, one);
+  edb.pops(f.e).Set({f.c, f.d}, one);
+  return edb;
+}
+
+/// Runs the batch `make_batch(f)` through a warm engine over Chain on a
+/// budget of `max_steps`, expects the run to stop early, and checks that
+/// the EDB still ends holding the whole batch: its deletes, then its
+/// adds.
+template <Pops P, typename MakeBatch>
+UpdateResult ChainUpdateOverBudget(MakeBatch make_batch, int max_steps,
+                                   typename P::Value one) {
+  Fixture f;
+  EdbInstance<P> edb = Chain<P>(f, one);
+  const EdbDelta<P> batch = make_batch(f);
+  Relation<P> want = edb.pops(f.e);
+  for (const auto& del : batch.pops_deletes) want.Erase(del.tuple);
+  for (const auto& add : batch.pops_adds) want.Merge(add.tuple, add.value);
+
+  Engine<P> eng(f.prog, edb);
+  IdbInstance<P> idb(f.prog);
+  idb.CopyContentsFrom(eng.SemiNaive(100).idb);
+  const UpdateResult r = eng.Update(batch, &edb, &idb, max_steps);
+  EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(edb.pops(f.e).Equals(want));
+  return r;
+}
+
+TEST(EngineUpdate, EveryBudgetExitAppliesTheWholeBatch) {
+  {
+    SCOPED_TRACE("insert cascade");  // d→a closes a cycle: rounds remain
+    const UpdateResult r = ChainUpdateOverBudget<TropS>(
+        [](const Fixture& f) {
+          EdbDelta<TropS> batch;
+          batch.Add(f.e, Tuple{f.d, f.a}, 1.0);
+          return batch;
+        },
+        1, 1.0);
+    EXPECT_EQ(r.strategy, UpdateStrategy::kInsertOnly);
+    EXPECT_EQ(r.rounds, 1);  // the seed alone
+  }
+  {
+    // The budget runs out inside the exact-deletion cascade, before the
+    // batch's insert cascade starts: the add must still reach the EDB.
+    SCOPED_TRACE("exact deletion");
+    const UpdateResult r = ChainUpdateOverBudget<NatS>(
+        [](const Fixture& f) {
+          EdbDelta<NatS> batch;
+          batch.Delete(f.e, {f.a, f.b});
+          batch.Add(f.e, Tuple{f.d, f.c}, uint64_t{1});
+          return batch;
+        },
+        1, uint64_t{1});
+    EXPECT_EQ(r.strategy, UpdateStrategy::kExactDeletion);
+    EXPECT_EQ(r.rounds, 1);
+  }
+  // Deleting c→d over-deletes T(c,d), T(b,d), T(a,d): DRed's affected
+  // cascade takes its seed and one round, and the re-derive seed is the
+  // third round. A budget of 1 stops in the affected cascade, before DRed
+  // has touched the EDB; a budget of 3 stops in the re-derive cascade.
+  for (int budget : {1, 3}) {
+    SCOPED_TRACE("DRed, budget " + std::to_string(budget));
+    const UpdateResult r = ChainUpdateOverBudget<TropS>(
+        [](const Fixture& f) {
+          EdbDelta<TropS> batch;
+          batch.Delete(f.e, {f.c, f.d});
+          batch.Add(f.e, Tuple{f.b, f.d}, 1.0);
+          return batch;
+        },
+        budget, 1.0);
+    EXPECT_EQ(r.strategy, UpdateStrategy::kDred);
+    EXPECT_EQ(r.rounds, budget);
+  }
+}
+
+/// Deletes c→d from Chain under kProjected and pins the Update's
+/// strategy, rounds and work; its rounds must skip no rule.
+template <Pops P>
+void DeleteFromProjectedChain(typename P::Value one, UpdateStrategy strategy,
+                              int rounds, uint64_t work) {
+  constexpr const char* kProjected = R"(
+    edb E/2.
+    idb T/2.
+    idb U/1.
+    T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
+    U(X) :- T(X,Y).
+  )";
+  Fixture f(kProjected);
+  EdbInstance<P> edb = Chain<P>(f, one);
+  Engine<P> eng(f.prog, edb);
+  IdbInstance<P> idb(f.prog);
+  idb.CopyContentsFrom(eng.SemiNaive(100).idb);
+
+  EdbDelta<P> batch;
+  batch.Delete(f.e, {f.c, f.d});
+  const uint64_t skipped_before = eng.rules_skipped();
+  const UpdateResult r = eng.Update(batch, &edb, &idb, 100);
+  EXPECT_EQ(r.strategy, strategy);
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.rounds, rounds);
+  EXPECT_EQ(r.work, work);
+  EXPECT_EQ(eng.rules_skipped(), skipped_before);
+  EXPECT_TRUE(idb.Equals(Golden<P>(f.prog, edb).idb));
+}
+
+TEST(EngineUpdate, DeleteCascadesStopWhenDeltaTriggersNoRule) {
+  // T is recursive and U(X) :- T(X,Y) reads it. Deleting c→d removes
+  // T(c,d), T(b,d), T(a,d) and, through them, mass of U, so both delete
+  // cascades end on a δ that lives in U alone and triggers no rule. The
+  // cascade stops there, without a round that would skip both rules.
+  DeleteFromProjectedChain<NatS>(uint64_t{1}, UpdateStrategy::kExactDeletion,
+                                 2, 10);
+  DeleteFromProjectedChain<TropS>(1.0, UpdateStrategy::kDred, 3, 17);
 }
 
 TEST(EngineUpdate, HubDeleteCostsLessThanRecompute) {
