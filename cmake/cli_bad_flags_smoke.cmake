@@ -4,8 +4,8 @@
 # --index flags must take the usage-error path — exit 1 with a message on
 # stderr — never an uncaught exception, an abort or a run that ignores the
 # flag. So must an EDB value outside the chosen carrier, whether it comes
-# from the TSV or from an --update= batch (the bad inputs are written to
-# OUT_DIR).
+# from the TSV or from an --update= batch, and a program with a negated
+# product atom (the bad inputs are written to OUT_DIR).
 #
 # Invoked by CTest as:
 #   cmake -DCLI=<datalogo_cli> -DPROGRAM=<.dl> -DEDGES=<.tsv>
@@ -77,6 +77,28 @@ if(NOT rc STREQUAL "1" OR NOT err MATCHES "line 1: cannot parse value")
   message(FATAL_ERROR "--update= with a negative trop weight: expected "
                       "exit 1 with a line-numbered error, got '${rc}': ${err}")
 endif()
+
+# Negated product atoms: a negated POPS EDB atom is invalid everywhere,
+# and the CLI runs only the relational engine, which has no negated IDB
+# atoms either. Both must fail validation, never reach an engine CHECK.
+set(negated_programs
+    "edb E/2.\nedb F/2.\nidb T/2.\nT(X,Y) :- E(X,Y) * !F(X,Y).\n"
+    "edb E/2.\nidb T/2.\nidb U/2.\nU(X,Y) :- E(X,Y).\nT(X,Y) :- E(X,Y) * !U(X,Y).\n")
+set(i 0)
+foreach(text IN LISTS negated_programs)
+  set(dl "${OUT_DIR}/cli_negated_${i}.dl")
+  file(WRITE ${dl} "${text}")
+  execute_process(
+    COMMAND ${CLI} ${dl} --semiring=trop --edb E=${EDGES}
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL "1" OR err STREQUAL "" OR err MATCHES "CHECK failed")
+    message(FATAL_ERROR "negated atom in '${text}': expected exit 1 with a "
+                        "validation message, got '${rc}': ${err}")
+  endif()
+  math(EXPR i "${i} + 1")
+endforeach()
 
 # Control: an in-range --max-steps still runs.
 execute_process(

@@ -133,7 +133,7 @@ int RunAs(const CliOptions& opt, const std::string& text,
     std::fprintf(stderr, "%s\n", prog.status().ToString().c_str());
     return 1;
   }
-  Status valid = ValidateProgram(prog.value());
+  Status valid = ValidateForEngine(prog.value());
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 1;

@@ -100,13 +100,9 @@ class Engine {
 
   /// Indexes built into the cache so far (EDB indexes live for the whole
   /// run; IDB indexes are refreshed or rebuilt when their relation mutates).
-  uint64_t index_builds() const {
-    return pops_cache_.builds() + bool_cache_.builds();
-  }
+  uint64_t index_builds() const { return cache_.builds(); }
   /// Index lookups served from cache without rebuilding.
-  uint64_t index_hits() const {
-    return pops_cache_.hits() + bool_cache_.hits();
-  }
+  uint64_t index_hits() const { return cache_.hits(); }
   /// Cache traffic attributable to IDB relations (deltas, T(t), T(t-1));
   /// EDB indexes are built once per run, so these counters isolate how
   /// well the per-iteration delta indexes amortize.
@@ -132,8 +128,7 @@ class Engine {
   /// full rebuilds (relation.h IndexCache) — nonzero on every delta-driven
   /// run; each appended row replaces a whole-relation re-scan.
   uint64_t idx_incremental_appends() const {
-    return pops_cache_.incremental_appends() +
-           bool_cache_.incremental_appends();
+    return cache_.incremental_appends();
   }
   /// Rows scanned building/refreshing EDB indexes. EDB relations never
   /// mutate during a run, so after the first build per (relation, key)
@@ -163,7 +158,7 @@ class Engine {
     IdbInstance<P> next(*prog_);
     uint64_t work = 0;
     for (int t = 0; t < max_steps; ++t) {
-      SweepCaches();
+      SweepCache();
       ApplyIco(j, &next, &work);
       if (next.Equals(j)) {
         return {std::move(j), t, true, work};
@@ -185,7 +180,7 @@ class Engine {
     IdbInstance<P> f(*prog_);  // persistent: Clear + refill per iteration
     uint64_t work = 0;
     for (int t = 0; t < max_steps; ++t) {
-      SweepCaches();
+      SweepCache();
       f.ClearAll();
       ApplyIco(j, &f, &work);
       bool any_delta = false;
@@ -513,17 +508,16 @@ class Engine {
   };
 
   /// Per-generator inputs of one disjunct evaluation, resolved by
-  /// PrepareGens (the only step that touches the index caches and build
-  /// counters) and read-only while ExecuteShard joins.
+  /// PrepareGens (the only step that touches the index cache and build
+  /// counters) and read-only while ExecuteShard joins. POPS and Boolean
+  /// levels differ only in `vals`: keys, indexes and row ids are
+  /// value-free.
   struct PreparedGens {
-    std::vector<const RelationIndex<P>*> pops_idx;
-    std::vector<const RelationIndex<BoolS>*> bool_idx;
-    std::vector<const Relation<P>*> pops_rel;    ///< row-id decode target
-    std::vector<const Relation<BoolS>*> bool_rel;
-    /// Per-level representation of the serving index, so ExecuteShard
-    /// can classify each Lookup into hash_probes/direct_probes without
-    /// re-virtual-dispatching on the index.
-    std::vector<IndexRepr> repr;
+    std::vector<const RelationIndex*> idx;  ///< null at point levels
+    std::vector<const RowStore*> rows;      ///< row-id decode target
+    /// The POPS relation behind `rows`, for ValueAt; null at Boolean
+    /// levels, which carry no value.
+    std::vector<const Relation<P>*> vals;
     /// The driver: level 0's matched entry list (its key depends only on
     /// prebindings, so it is known before execution). Null iff the
     /// disjunct has no generators.
@@ -754,10 +748,7 @@ class Engine {
 
   /// Bounds cache memory between joining steps — the only time no
   /// RelationIndex references are live.
-  void SweepCaches() const {
-    pops_cache_.MaybeEvict();
-    bool_cache_.MaybeEvict();
-  }
+  void SweepCache() const { cache_.MaybeEvict(); }
 
   /// F(J) evaluated into `out` (fresh instance), counting join work.
   void ApplyIco(const IdbInstance<P>& j, IdbInstance<P>* out,
@@ -963,7 +954,7 @@ class Engine {
         return CascadeOutcome::kConverged;
       }
       if (*rounds >= max_steps) return CascadeOutcome::kBudget;
-      SweepCaches();
+      SweepCache();
       next.ClearPreds(s.heads);
       EvalRound(s, cur, *delta, prev, &next, kMerge ? t : nullptr, work);
       ++*rounds;
@@ -1040,7 +1031,7 @@ class Engine {
                             Fold fold = {}) const {
     const StagedDelta st = StageDelta(changes, /*mutate=*/true, edb);
     if (!st.any) return CascadeOutcome::kConverged;  // nothing changed
-    SweepCaches();
+    SweepCache();
     IdbInstance<P> delta(*prog_);
     EvalEdbCrossTerms(st.delta, st.snap, *idb, &delta,
                       std::is_same_v<Fold, MergeFold> ? idb : nullptr,
@@ -1111,7 +1102,7 @@ class Engine {
     IdbInstance<P> affected(*prog_);   // accumulated affected mass
     IdbInstance<P> aff_delta(*prog_);  // the mass a round propagates
     IdbInstance<P> kept(*prog_);       // the fold step's filtered δ
-    SweepCaches();
+    SweepCache();
     EvalEdbCrossTerms(dels.delta, dels.snap, *idb, &aff_delta,
                       /*base=*/nullptr, &res->work);
     ++res->rounds;
@@ -1165,7 +1156,7 @@ class Engine {
     const StagedDelta adds = StageDelta(batch.pops_adds, /*mutate=*/true, edb);
     *applied = true;
     // ---- Phase 3: re-derive, emitting δ relative to the pruned T. ----
-    SweepCaches();
+    SweepCache();
     IdbInstance<P> delta(*prog_);
     if (adds.any) {
       EvalEdbCrossTerms(adds.delta, adds.snap, *idb, &delta, /*base=*/idb,
@@ -1417,7 +1408,9 @@ class Engine {
     std::size_t n;
     uint32_t row = 0;
     std::size_t size() const { return n; }
-    ConstId operator[](std::size_t p) const {
+    /// Forced inline: the row-id probe reads the key through it per row
+    /// (see Relation::LiveValue).
+    [[gnu::always_inline]] ConstId operator[](std::size_t p) const {
       return cols[p] != nullptr ? cols[p][row] : head[p];
     }
   };
@@ -1501,16 +1494,17 @@ class Engine {
 
   /// Emits one innermost-level batch `rows` of `rel` (level `gen`,
   /// entered with acc_in) into `out`, relative to `base`: the head set-up
-  /// runs once (BeginDrain), then per row only ⊗, the ⊥ test on c, the
-  /// innermost bindings and residual checks when the disjunct has
+  /// runs once (BeginDrain), then per row only ⊗ with the row's value in
+  /// `vals` (a Boolean level has none and keeps acc_in), the ⊥ test on c,
+  /// the innermost bindings and residual checks when the disjunct has
   /// residual conditions, and EmitRow. Without residual conditions the
   /// innermost bind ops never run: the head key reads the columns.
-  template <typename Rel>
+  template <bool kBoolLevel>
   void DrainRows(const CompiledDisjunct& cd, const Generator& gen,
-                 const Rel& rel, const uint32_t* rows, std::size_t n,
+                 const RowStore& rel, const Relation<P>* vals,
+                 const uint32_t* rows, std::size_t n,
                  const typename P::Value& acc_in, Scratch& sc,
                  Relation<P>* out, const Relation<P>* base) const {
-    constexpr bool kBoolLevel = std::is_same_v<Rel, Relation<BoolS>>;
     // A Boolean level keeps acc_in: ⊥ for one row is ⊥ for the batch.
     if constexpr (kBoolLevel) {
       if (P::Eq(acc_in, P::Zero())) return;
@@ -1533,7 +1527,7 @@ class Engine {
       if constexpr (kBoolLevel) {
         emit(acc_in);
       } else {
-        const typename P::Value c = P::Times(acc_in, rel.ValueAt(key.row));
+        const typename P::Value c = P::Times(acc_in, vals->ValueAt(key.row));
         if (!P::Eq(c, P::Zero())) emit(c);
       }
     }
@@ -1561,57 +1555,39 @@ class Engine {
   void PrepareGens(const CompiledDisjunct& cd, Resolver&& resolver,
                    PreparedGens* prep) const {
     const std::size_t levels = cd.generators.size();
-    prep->pops_idx.assign(levels, nullptr);
-    prep->bool_idx.assign(levels, nullptr);
-    prep->pops_rel.assign(levels, nullptr);
-    prep->bool_rel.assign(levels, nullptr);
-    prep->repr.assign(levels, IndexRepr::kHashMap);
+    prep->idx.assign(levels, nullptr);
+    prep->rows.assign(levels, nullptr);
+    prep->vals.assign(levels, nullptr);
     prep->level0 = nullptr;
     for (std::size_t g = 0; g < levels; ++g) {
       const Generator& gen = cd.generators[g];
-      if (gen.point) {  // probes the row-id table: no index to resolve
-        if (gen.is_bool) {
-          prep->bool_rel[g] = &edb_->boolean(gen.pred);
-        } else {
-          prep->pops_rel[g] = &resolver(gen.atom_index);
-        }
-        continue;
-      }
+      // ALL POPS atoms resolve through the resolver: the standard
+      // resolvers return the live EDB relation for non-IDB atoms, while
+      // Engine::Update's seed resolvers substitute snapshot/delta
+      // relations for changed EDB predicates. Boolean condition atoms
+      // always read the EDB.
       if (gen.is_bool) {
-        const Relation<BoolS>& rel = edb_->boolean(gen.pred);
-        // Boolean condition atoms always read the EDB: pin the entry
-        // (never evicted, never re-scanned) and attribute its scan.
-        const uint64_t scans = bool_cache_.scan_rows();
-        prep->bool_idx[g] =
-            &bool_cache_.Get(rel, gen.key_positions, /*pin=*/true);
-        edb_index_scan_rows_ += bool_cache_.scan_rows() - scans;
-        prep->bool_rel[g] = &rel;
-        prep->repr[g] = prep->bool_idx[g]->repr();
+        prep->rows[g] = &edb_->boolean(gen.pred);
       } else {
-        // ALL POPS atoms resolve through the resolver: the standard
-        // resolvers return the live EDB relation for non-IDB atoms, while
-        // Engine::Update's seed resolvers substitute snapshot/delta
-        // relations for changed EDB predicates. Pinning and the EDB-scan
-        // counter apply only to the live EDB relation itself — substitute
-        // relations are transient, so their cache entries must stay
-        // evictable and must not disturb the EDB-scan invariant.
-        const Relation<P>& rel = resolver(gen.atom_index);
-        const bool base_edb = !gen.is_idb && &rel == &edb_->pops(gen.pred);
-        const uint64_t before = pops_cache_.builds();
-        const uint64_t scans = pops_cache_.scan_rows();
-        prep->pops_idx[g] =
-            &pops_cache_.Get(rel, gen.key_positions, /*pin=*/base_edb);
-        if (!base_edb) {
-          if (pops_cache_.builds() != before) {
-            ++idb_index_builds_;
-          } else {
-            ++idb_index_hits_;
-          }
-        } else {
-          edb_index_scan_rows_ += pops_cache_.scan_rows() - scans;
-        }
-        prep->pops_rel[g] = &rel;
-        prep->repr[g] = prep->pops_idx[g]->repr();
+        prep->rows[g] = prep->vals[g] = &resolver(gen.atom_index);
+      }
+      if (gen.point) continue;  // probes the row-id table: no index
+      // Pinning and the EDB-scan counter apply only to the live EDB
+      // relations themselves (Boolean ones included) — substitute
+      // relations are transient, so their cache entries must stay
+      // evictable and must not disturb the EDB-scan invariant.
+      const bool edb = gen.is_bool || (!gen.is_idb &&
+                                       prep->vals[g] == &edb_->pops(gen.pred));
+      const uint64_t before = cache_.builds();
+      const uint64_t scans = cache_.scan_rows();
+      prep->idx[g] =
+          &cache_.Get(*prep->rows[g], gen.key_positions, /*pin=*/edb);
+      if (edb) {
+        edb_index_scan_rows_ += cache_.scan_rows() - scans;
+      } else if (cache_.builds() != before) {
+        ++idb_index_builds_;
+      } else {
+        ++idb_index_hits_;
       }
     }
     if (levels == 0) return;
@@ -1633,16 +1609,15 @@ class Engine {
       DLO_CHECK(c != kUnbound);
       key[i] = c;
     }
-    CountProbe(prep->repr[0]);
-    prep->level0 = g0.is_bool ? &prep->bool_idx[0]->Lookup(key)
-                              : &prep->pops_idx[0]->Lookup(key);
+    CountProbe(*prep->idx[0]);
+    prep->level0 = &prep->idx[0]->Lookup(key);
   }
 
   /// Classifies one index Lookup into the probe counters.
-  void CountProbe(IndexRepr repr) const {
-    if (repr == IndexRepr::kHashMap) {
+  void CountProbe(const RelationIndex& idx) const {
+    if (idx.repr() == IndexRepr::kHashMap) {
       ++hash_probes_;
-    } else if (repr == IndexRepr::kDirectArray) {
+    } else if (idx.repr() == IndexRepr::kDirectArray) {
       ++direct_probes_;
     }  // kAllRows: no key is consulted at all.
   }
@@ -1697,17 +1672,12 @@ class Engine {
       if (gen.point) {
         RowIdList& hit = sc.point_rows[lvl];
         hit.clear();
-        const uint32_t row = gen.is_bool ? prep.bool_rel[lvl]->LiveRow(key)
-                                         : prep.pops_rel[lvl]->LiveRow(key);
+        const uint32_t row = prep.rows[lvl]->LiveRow(key);
         if (row != kNoRow) hit.push_back(row);
         sc.entries[lvl] = &hit;
       } else {
-        CountProbe(prep.repr[lvl]);
-        if (gen.is_bool) {
-          sc.entries[lvl] = &prep.bool_idx[lvl]->Lookup(key);
-        } else {
-          sc.entries[lvl] = &prep.pops_idx[lvl]->Lookup(key);
-        }
+        CountProbe(*prep.idx[lvl]);
+        sc.entries[lvl] = &prep.idx[lvl]->Lookup(key);
       }
       sc.next[lvl] = 0;
       sc.batch_pos[lvl] = 0;
@@ -1737,15 +1707,8 @@ class Engine {
         }
         uint32_t mask = (1u << chunk) - 1;  // chunk <= kJoinBatch < 32
         for (const typename Generator::CheckPair& cp : gen.check_pairs) {
-          const ConstId* ca;
-          const ConstId* cb;
-          if (gen.is_bool) {
-            ca = prep.bool_rel[g]->column_data(cp.pos);
-            cb = prep.bool_rel[g]->column_data(cp.first_pos);
-          } else {
-            ca = prep.pops_rel[g]->column_data(cp.pos);
-            cb = prep.pops_rel[g]->column_data(cp.first_pos);
-          }
+          const ConstId* ca = prep.rows[g]->column_data(cp.pos);
+          const ConstId* cb = prep.rows[g]->column_data(cp.first_pos);
           uint32_t m = 0;
           for (uint32_t i = 0; i < chunk; ++i) {
             m |= static_cast<uint32_t>(ca[rows[i]] == cb[rows[i]]) << i;
@@ -1775,11 +1738,11 @@ class Engine {
       if (cd.always_false) return;
       const Generator& gen = cd.generators[g];
       if (gen.is_bool) {
-        DrainRows(cd, gen, *prep.bool_rel[g], rows, n, sc.acc[g], sc, out,
-                  base);
+        DrainRows<true>(cd, gen, *prep.rows[g], nullptr, rows, n, sc.acc[g],
+                        sc, out, base);
       } else {
-        DrainRows(cd, gen, *prep.pops_rel[g], rows, n, sc.acc[g], sc, out,
-                  base);
+        DrainRows<false>(cd, gen, *prep.rows[g], prep.vals[g], rows, n,
+                         sc.acc[g], sc, out, base);
       }
     };
 
@@ -1817,19 +1780,14 @@ class Engine {
       }
       const uint32_t row = sc.batch[g][sc.batch_pos[g]];
       ++sc.batch_pos[g];
-      if (gen.is_bool) {
-        const Relation<BoolS>& rel = *prep.bool_rel[g];
-        for (const BindOp& op : gen.bind_ops) {
-          sc.binding[op.var] = rel.Cell(row, op.pos);
-        }
-        sc.acc[g + 1] = sc.acc[g];
-      } else {
-        const Relation<P>& rel = *prep.pops_rel[g];
-        for (const BindOp& op : gen.bind_ops) {
-          sc.binding[op.var] = rel.Cell(row, op.pos);
-        }
-        sc.acc[g + 1] = P::Times(sc.acc[g], rel.ValueAt(row));
+      const RowStore& rel = *prep.rows[g];
+      for (const BindOp& op : gen.bind_ops) {
+        sc.binding[op.var] = rel.Cell(row, op.pos);
       }
+      // A Boolean level keeps the accumulator: its atom carries no value.
+      sc.acc[g + 1] = gen.is_bool
+                          ? sc.acc[g]
+                          : P::Times(sc.acc[g], prep.vals[g]->ValueAt(row));
       ++g;
       enter_level(g);
     }
@@ -1857,8 +1815,8 @@ class Engine {
   mutable std::vector<PlannedProgram> planned_;
   int num_plan_slots_ = 0;
   mutable std::vector<PreparedGens> prepared_;  ///< parallel to scratch_
-  mutable IndexCache<P> pops_cache_;
-  mutable IndexCache<BoolS> bool_cache_;
+  /// One cache for every atom, POPS and Boolean: indexes are value-free.
+  mutable IndexCache cache_;
   mutable uint64_t idb_index_builds_ = 0;  ///< cache builds for IDB inputs
   mutable uint64_t idb_index_hits_ = 0;    ///< cache hits for IDB inputs
   mutable uint64_t hash_probes_ = 0;    ///< hash-map index lookups

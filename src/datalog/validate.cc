@@ -39,6 +39,11 @@ Status ValidateProgram(const Program& prog) {
               "' used as a product atom; move it into a condition " +
               Where(prog, rule));
         }
+        if (a.negated && prog.predicate(a.pred).kind == PredKind::kEdb) {
+          return InvalidArgument("negated EDB atom '" +
+                                 prog.predicate(a.pred).name + "' " +
+                                 Where(prog, rule));
+        }
       }
       for (const Condition& c : sp.conditions) {
         if (c.kind == Condition::Kind::kCompare) continue;
@@ -94,6 +99,24 @@ Status ValidateProgram(const Program& prog) {
           return InvalidArgument("variable '" + rule.var_names[v] +
                                  "' is not range-restricted " +
                                  Where(prog, rule));
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+Status ValidateForEngine(const Program& prog) {
+  Status s = ValidateProgram(prog);
+  if (!s.ok()) return s;
+  for (const Rule& rule : prog.rules()) {
+    for (const SumProduct& sp : rule.disjuncts) {
+      for (const Atom& a : sp.atoms) {
+        if (a.negated) {
+          return Unsupported("negated atom '" +
+                             prog.predicate(a.pred).name +
+                             "' needs the grounded engine " +
+                             Where(prog, rule));
         }
       }
     }

@@ -15,12 +15,20 @@ namespace datalogo {
 /// Enforced rules:
 ///  * every rule head is an IDB atom;
 ///  * condition atoms refer to Boolean EDB predicates;
-///  * product atoms refer to POPS EDB or IDB predicates;
+///  * product atoms refer to POPS EDB or IDB predicates, and only IDB
+///    product atoms may be negated (the grounder applies Not to ground
+///    IDB atoms only);
 ///  * per disjunct, every variable occurring in the disjunct or the head
 ///    is *bound*: it appears in a product atom, in a positive Boolean
 ///    condition atom, or is chained by `=` conditions to a constant or a
 ///    bound variable.
 Status ValidateProgram(const Program& prog);
+
+/// ValidateProgram, plus what the relational engine (engine.h) cannot
+/// evaluate: a negated product atom. Negated IDB atoms (win-move's
+/// `!W(Y)`) need the grounded engine (grounder.h), so a caller that runs
+/// only Engine, such as datalogo_cli, validates with this.
+Status ValidateForEngine(const Program& prog);
 
 }  // namespace datalogo
 

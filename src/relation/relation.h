@@ -5,6 +5,9 @@
 //
 // Storage layout (struct-of-arrays): one contiguous ConstId column per
 // argument position plus a parallel value column, addressed by row id.
+// Everything but the value column — key columns, live flags, the row-id
+// table, uid and versions — is the non-template base RowStore, which is
+// all that indexes read.
 // Point lookups (Get/Set/Merge) go through a row-id table mapping each key
 // to its row, probed with a lightweight key view — no Tuple is
 // materialized on the probe path. The table takes one of two forms:
@@ -97,74 +100,13 @@ class RowView {
   uint32_t row_;
 };
 
-/// A P-relation of fixed arity; absent tuples implicitly map to ⊥.
-template <Pops P>
-class Relation {
+/// The value-free half of a relation: the key columns, the live flags and
+/// support size, the row-id table, the object's identity and its three
+/// versions. Indexes (RelationIndex, IndexCache) read nothing else, so they
+/// serve a Relation of any value space through this base. Relation<P> adds
+/// the value column and every mutation.
+class RowStore {
  public:
-  using Value = typename P::Value;
-
-  explicit Relation(int arity = 0) : arity_(arity), cols_(arity) {}
-
-  // Every object carries a unique id plus a mutation counter so index
-  // caches can tell "same content as when I indexed it" apart from "same
-  // address by coincidence". Copies and moves are new objects: they get a
-  // fresh uid instead of inheriting cached-index validity.
-  Relation(const Relation& other)
-      : arity_(other.arity_),
-        cols_(other.cols_),
-        values_(other.values_),
-        live_flags_(other.live_flags_),
-        live_(other.live_),
-        slots_(other.slots_),
-        mask_(other.mask_),
-        direct_(other.direct_),
-        shift_(other.shift_) {}
-  Relation(Relation&& other) noexcept
-      : arity_(other.arity_),
-        cols_(std::move(other.cols_)),
-        values_(std::move(other.values_)),
-        live_flags_(std::move(other.live_flags_)),
-        live_(other.live_),
-        slots_(std::move(other.slots_)),
-        mask_(other.mask_),
-        direct_(other.direct_),
-        shift_(other.shift_) {
-    other.ResetToEmpty();
-    other.BumpHard();
-  }
-  Relation& operator=(const Relation& other) {
-    if (this != &other) {
-      arity_ = other.arity_;
-      cols_ = other.cols_;
-      values_ = other.values_;
-      live_flags_ = other.live_flags_;
-      live_ = other.live_;
-      slots_ = other.slots_;
-      mask_ = other.mask_;
-      direct_ = other.direct_;
-      shift_ = other.shift_;
-      BumpHard();  // wholesale replacement: row ids mean something new
-    }
-    return *this;
-  }
-  Relation& operator=(Relation&& other) noexcept {
-    if (this != &other) {
-      arity_ = other.arity_;
-      cols_ = std::move(other.cols_);
-      values_ = std::move(other.values_);
-      live_flags_ = std::move(other.live_flags_);
-      live_ = other.live_;
-      slots_ = std::move(other.slots_);
-      mask_ = other.mask_;
-      direct_ = other.direct_;
-      shift_ = other.shift_;
-      other.ResetToEmpty();
-      other.BumpHard();
-      BumpHard();
-    }
-    return *this;
-  }
-
   int arity() const { return arity_; }
   std::size_t support_size() const { return live_; }
   bool empty() const { return live_ == 0; }
@@ -172,10 +114,11 @@ class Relation {
   // ------------------------------------------------------ row accessors
   /// Total rows in the store, tombstoned ones included. Valid row ids are
   /// [0, num_rows()); only rows with RowLive() belong to the support.
-  uint32_t num_rows() const { return static_cast<uint32_t>(values_.size()); }
+  uint32_t num_rows() const {
+    return static_cast<uint32_t>(live_flags_.size());
+  }
   bool RowLive(uint32_t row) const { return live_flags_[row] != 0; }
   ConstId Cell(uint32_t row, int pos) const { return cols_[pos][row]; }
-  const Value& ValueAt(uint32_t row) const { return values_[row].v; }
   /// A key view of `row` — valid until this relation's columns mutate.
   RowView View(uint32_t row) const { return RowView(&cols_, row); }
   /// One whole key column — the sequential-scan surface for index builds.
@@ -184,7 +127,7 @@ class Relation {
   /// join kernel's repeated-variable checks read per entry batch. Valid
   /// until the columns mutate.
   const ConstId* column_data(int pos) const { return cols_[pos].data(); }
-  std::size_t tombstones() const { return values_.size() - live_; }
+  std::size_t tombstones() const { return live_flags_.size() - live_; }
   /// True when the row-id table is in its direct-addressed form (see the
   /// storage-layout comment at the top of this file).
   bool direct_slots() const { return direct_; }
@@ -220,6 +163,283 @@ class Relation {
     return rows;
   }
 
+  bool Contains(const Tuple& t) const {
+    if (static_cast<int>(t.size()) != arity_) return false;
+    return LiveRow(t) != kNoRow;
+  }
+
+  /// The row holding `t` when it is in the support, else kNoRow — one
+  /// probe of the row-id table (`t` must have this relation's arity).
+  uint32_t LiveRow(const Tuple& t) const {
+    const uint32_t r = FindRow(t);
+    return r != kNoRow && live_flags_[r] != 0 ? r : kNoRow;
+  }
+
+  /// Identity of this object (stable for its lifetime, never reused).
+  uint64_t uid() const { return uid_; }
+  /// Bumped on every mutation; (uid, version) identifies one content state.
+  uint64_t version() const { return version_; }
+  /// Version of the last *hard* discontinuity — any mutation after which
+  /// previously handed-out row ids are renumbered, reordered, or revived
+  /// (tombstone, revival, Compact, copy/move assignment). Everything in
+  /// between is appends of fresh live rows and value overwrites of live
+  /// rows, so an index built at version v with hard_version() <= v can be
+  /// refreshed by appending rows added since v instead of rebuilding.
+  uint64_t hard_version() const { return hard_version_; }
+  /// Version of the last Clear() or SwapRows(). A Clear between an
+  /// index's version and now means "reset the entry lists, then re-append
+  /// from row 0" — still no re-hash of retained structure, and no
+  /// allocation churn.
+  uint64_t clear_version() const { return clear_version_; }
+
+  /// Registers every constant in the support with `out` — one sequential
+  /// scan per column.
+  void CollectConstants(std::vector<ConstId>& out) const {
+    const uint32_t n = num_rows();
+    for (int p = 0; p < arity_; ++p) {
+      const std::vector<ConstId>& col = cols_[p];
+      for (uint32_t r = 0; r < n; ++r) {
+        if (live_flags_[r]) out.push_back(col[r]);
+      }
+    }
+  }
+
+ protected:
+  explicit RowStore(int arity) : arity_(arity), cols_(arity) {}
+
+  // Every object carries a unique id plus a mutation counter so index
+  // caches can tell "same content as when I indexed it" apart from "same
+  // address by coincidence". Copies and moves are new objects: they get a
+  // fresh uid instead of inheriting cached-index validity. Relation<P>'s
+  // implicit copies and moves add its value column to these (a moved-from
+  // std::vector is left empty, matching ResetToEmpty).
+  RowStore(const RowStore& other) : arity_(other.arity_) { *this = other; }
+  RowStore(RowStore&& other) noexcept : arity_(other.arity_) {
+    *this = std::move(other);
+  }
+  RowStore& operator=(const RowStore& other) {
+    if (this != &other) {
+      arity_ = other.arity_;
+      cols_ = other.cols_;
+      live_flags_ = other.live_flags_;
+      live_ = other.live_;
+      slots_ = other.slots_;
+      mask_ = other.mask_;
+      direct_ = other.direct_;
+      shift_ = other.shift_;
+      BumpHard();  // wholesale replacement: row ids mean something new
+    }
+    return *this;
+  }
+  RowStore& operator=(RowStore&& other) noexcept {
+    if (this != &other) {
+      arity_ = other.arity_;
+      cols_ = std::move(other.cols_);
+      live_flags_ = std::move(other.live_flags_);
+      live_ = other.live_;
+      slots_ = std::move(other.slots_);
+      mask_ = other.mask_;
+      direct_ = other.direct_;
+      shift_ = other.shift_;
+      other.ResetToEmpty();
+      other.BumpHard();
+      BumpHard();
+    }
+    return *this;
+  }
+  ~RowStore() = default;
+
+  /// Hash of a key (Tuple or RowView) — the same value sequence hashes
+  /// identically regardless of which form it arrives in. The splitmix64
+  /// finalizer matters: the table is masked to a power of two and probed
+  /// linearly, so weak low-bit dispersion (dense interned ids are highly
+  /// structured) would cluster catastrophically.
+  template <typename Key>
+  static std::size_t KeyHash(const Key& key) {
+    std::size_t h = 0xcbf29ce484222325ULL;
+    const std::size_t n = key.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      HashCombine(h, static_cast<std::size_t>(key[i]));
+    }
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return h;
+  }
+
+  template <typename Key>
+  bool RowMatchesKey(uint32_t row, const Key& key) const {
+    for (int p = 0; p < arity_; ++p) {
+      if (cols_[p][row] != key[static_cast<std::size_t>(p)]) return false;
+    }
+    return true;
+  }
+
+  /// Hashed form's linear probe: the slot holding the key's row, or the
+  /// empty slot where it would be inserted. Requires a non-empty table.
+  /// Forced inline, as FindRow: see LiveValue.
+  template <typename Key>
+  [[gnu::always_inline]] std::size_t HashProbe(const Key& key) const {
+    std::size_t s = KeyHash(key) & mask_;
+    for (;;) {
+      uint32_t r = slots_[s];
+      if (r == kNoRow || RowMatchesKey(r, key)) return s;
+      s = (s + 1) & mask_;
+    }
+  }
+
+  /// "Outside the direct table's id range" (DirectSlot's miss value).
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Direct form's slot of `key`, or kNoSlot when an id is wider than its
+  /// column's bit width. Forced inline, as FindRow: see LiveValue.
+  template <typename Key>
+  [[gnu::always_inline]] std::size_t DirectSlot(const Key& key) const {
+    uint64_t s = key[0];
+    if (arity_ == 2) {
+      const uint64_t k1 = key[1];
+      if (k1 >> shift_) return kNoSlot;
+      s = (s << shift_) | k1;
+    }
+    return s < slots_.size() ? static_cast<std::size_t>(s) : kNoSlot;
+  }
+
+  /// Row id (live or tombstoned) of `key`, or kNoRow. At most one row per
+  /// distinct key ever exists — erasure tombstones the row in place.
+  template <typename Key>
+  [[gnu::always_inline]] uint32_t FindRow(const Key& key) const {
+    if (slots_.empty()) return kNoRow;
+    if (direct_) {
+      const std::size_t s = DirectSlot(key);
+      return s == kNoSlot ? kNoRow : slots_[s];
+    }
+    return slots_[HashProbe(key)];
+  }
+
+  /// The slot of `key` in a table ready for a one-row append, so the slot
+  /// stays valid through the insertion. Lays the table out anew first
+  /// when it is empty, when a hashed table would pass its load factor, or
+  /// when `key` falls outside the direct range.
+  template <typename Key>
+  std::size_t PrepareSlot(const Key& key) {
+    if (direct_) {
+      const std::size_t s = DirectSlot(key);
+      if (s != kNoSlot) return s;
+    } else if (!slots_.empty() &&
+               (live_flags_.size() + 1) * 4 < slots_.size() * 3) {
+      return HashProbe(key);
+    }
+    std::array<ConstId, 2> hi = DirectMaxima();
+    for (int p = 0; p < arity_ && p < 2; ++p) {
+      hi[p] = std::max(hi[p], key[static_cast<std::size_t>(p)]);
+    }
+    Relayout(live_flags_.size() + 1, hi);
+    return direct_ ? DirectSlot(key) : HashProbe(key);
+  }
+
+  static std::size_t SlotCountFor(std::size_t rows) {
+    std::size_t n = 16;
+    while (rows * 4 >= n * 3) n <<= 1;  // keep load factor under 3/4
+    return n;
+  }
+
+  /// Largest ids stored in columns 0 and 1, tombstoned rows included —
+  /// what the direct form must cover. Zeros unless the arity is 1 or 2.
+  std::array<ConstId, 2> DirectMaxima() const {
+    std::array<ConstId, 2> hi = {0, 0};
+    if (arity_ == 1 || arity_ == 2) {
+      for (int p = 0; p < arity_; ++p) {
+        for (ConstId c : cols_[p]) hi[p] = std::max(hi[p], c);
+      }
+    }
+    return hi;
+  }
+
+  /// Lays the row-id table out with room for `rows` rows whose largest
+  /// ids in columns 0 and 1 are `hi`, choosing the form (see the
+  /// storage-layout comment), and slots every stored row, tombstoned ones
+  /// included, so revivals still find them.
+  void Relayout(std::size_t rows, const std::array<ConstId, 2>& hi) {
+    constexpr int kDirectSpanBits = std::countr_zero(kDirectSpanCap);
+    constexpr std::size_t kDirectFloorSlots = 4096;
+    const std::size_t hashed = SlotCountFor(rows);
+    const uint32_t n = num_rows();
+    if (arity_ == 1 || arity_ == 2) {
+      const int b0 = std::bit_width(hi[0]);
+      const int b1 = arity_ == 2 ? std::bit_width(hi[1]) : 0;
+      if (b0 + b1 <= kDirectSpanBits &&
+          (std::size_t{1} << (b0 + b1)) <=
+              std::max(kDirectFloorSlots, 4 * hashed)) {
+        direct_ = true;
+        shift_ = b1;
+        slots_.assign(std::size_t{1} << (b0 + b1), kNoRow);
+        for (uint32_t r = 0; r < n; ++r) slots_[DirectSlot(View(r))] = r;
+        return;
+      }
+    }
+    direct_ = false;
+    slots_.assign(hashed, kNoRow);
+    mask_ = hashed - 1;
+    for (uint32_t r = 0; r < n; ++r) {
+      std::size_t s = KeyHash(View(r)) & mask_;
+      while (slots_[s] != kNoRow) s = (s + 1) & mask_;
+      slots_[s] = r;
+    }
+  }
+
+  /// Bumps the version and marks it a Clear (see clear_version()): cached
+  /// indexes reset and re-append from row 0.
+  void RecordClear() {
+    ++version_;
+    clear_version_ = version_;
+  }
+
+  /// Bumps the version and marks it a hard discontinuity (see
+  /// hard_version()): cached indexes must rebuild, not refresh.
+  void BumpHard() {
+    ++version_;
+    hard_version_ = version_;
+  }
+
+  int arity_;
+  std::vector<std::vector<ConstId>> cols_;  ///< one column per position
+  std::vector<uint8_t> live_flags_;         ///< 0 = tombstoned row
+  std::size_t live_ = 0;                    ///< support size
+  RowIdList slots_;       ///< row-id table, either form (kNoRow = empty)
+  std::size_t mask_ = 0;  ///< hashed form: slots_.size() - 1
+  bool direct_ = false;   ///< slots_ is direct-addressed
+  int shift_ = 0;         ///< direct form, arity 2: b1 (column 1's width)
+  uint64_t uid_ = NextRelationUid();
+  uint64_t version_ = 0;
+  uint64_t hard_version_ = 0;   ///< version of the last hard discontinuity
+  uint64_t clear_version_ = 0;  ///< version of the last Clear()
+
+ private:
+  /// Leaves a moved-from object empty but structurally valid (arity and
+  /// uid retained, columns re-sized to arity).
+  void ResetToEmpty() {
+    cols_.assign(static_cast<std::size_t>(arity_), {});
+    live_flags_.clear();
+    live_ = 0;
+    slots_.clear();
+    mask_ = 0;
+    direct_ = false;
+    shift_ = 0;
+  }
+};
+
+/// A P-relation of fixed arity; absent tuples implicitly map to ⊥.
+template <Pops P>
+class Relation : public RowStore {
+ public:
+  using Value = typename P::Value;
+
+  explicit Relation(int arity = 0) : RowStore(arity) {}
+
+  const Value& ValueAt(uint32_t row) const { return values_[row].v; }
+
   // ----------------------------------------------------- point operations
   /// The value of a ground atom (⊥ when outside the support).
   Value Get(const Tuple& t) const { return GetKey(t); }
@@ -231,22 +451,15 @@ class Relation {
   /// any view of raw ids with operator[] and size() (a RowView, a
   /// std::span, the join kernel's drained-row head key) and must have
   /// this relation's arity. One probe of the row-id table, either form.
+  /// Forced inline with FindRow and both forms' slot lookups: it is the
+  /// join kernel's per-row head probe, and GCC otherwise leaves it out of
+  /// line in Engine::DrainRows, which costs parity_paths' fuzzy fixpoint
+  /// about a tenth of its time. Forcing KeyHash and RowMatchesKey too
+  /// measured slower: it crowds other inlining out of the drain.
   template <typename Key>
-  const Value* LiveValue(const Key& key) const {
+  [[gnu::always_inline]] const Value* LiveValue(const Key& key) const {
     const uint32_t r = FindRow(key);
     return r != kNoRow && live_flags_[r] != 0 ? &values_[r].v : nullptr;
-  }
-
-  bool Contains(const Tuple& t) const {
-    if (static_cast<int>(t.size()) != arity_) return false;
-    return LiveRow(t) != kNoRow;
-  }
-
-  /// The row holding `t` when it is in the support, else kNoRow — one
-  /// probe of the row-id table (`t` must have this relation's arity).
-  uint32_t LiveRow(const Tuple& t) const {
-    const uint32_t r = FindRow(t);
-    return r != kNoRow && live_flags_[r] != 0 ? r : kNoRow;
   }
 
   /// Sets the value, maintaining the support invariant (⊥ tombstones).
@@ -306,7 +519,7 @@ class Relation {
   /// the old ids must rebuild); with no tombstones this is a no-op that
   /// leaves the version — and therefore cached indexes — untouched.
   void Compact() {
-    if (live_ == values_.size()) return;
+    if (live_ == num_rows()) return;
     for (int p = 0; p < arity_; ++p) {
       std::vector<ConstId>& col = cols_[p];
       uint32_t w = 0;
@@ -328,23 +541,6 @@ class Relation {
     Relayout(w, DirectMaxima());
   }
 
-  /// Identity of this object (stable for its lifetime, never reused).
-  uint64_t uid() const { return uid_; }
-  /// Bumped on every mutation; (uid, version) identifies one content state.
-  uint64_t version() const { return version_; }
-  /// Version of the last *hard* discontinuity — any mutation after which
-  /// previously handed-out row ids are renumbered, reordered, or revived
-  /// (tombstone, revival, Compact, copy/move assignment). Everything in
-  /// between is appends of fresh live rows and value overwrites of live
-  /// rows, so an index built at version v with hard_version() <= v can be
-  /// refreshed by appending rows added since v instead of rebuilding.
-  uint64_t hard_version() const { return hard_version_; }
-  /// Version of the last Clear() or SwapRows(). A Clear between an
-  /// index's version and now means "reset the entry lists, then re-append
-  /// from row 0" — still no re-hash of retained structure, and no
-  /// allocation churn.
-  uint64_t clear_version() const { return clear_version_; }
-
   bool Equals(const Relation& other) const {
     if (arity_ != other.arity_ || live_ != other.live_) return false;
     const uint32_t n = num_rows();
@@ -357,18 +553,6 @@ class Relation {
       }
     }
     return true;
-  }
-
-  /// Registers every constant in the support with `out` — one sequential
-  /// scan per column.
-  void CollectConstants(std::vector<ConstId>& out) const {
-    const uint32_t n = num_rows();
-    for (int p = 0; p < arity_; ++p) {
-      const std::vector<ConstId>& col = cols_[p];
-      for (uint32_t r = 0; r < n; ++r) {
-        if (live_flags_[r]) out.push_back(col[r]);
-      }
-    }
   }
 
   /// Deterministic rendering (sorted by tuple) for goldens and debugging.
@@ -386,145 +570,6 @@ class Relation {
   }
 
  private:
-  /// Hash of a key (Tuple or RowView) — the same value sequence hashes
-  /// identically regardless of which form it arrives in. The splitmix64
-  /// finalizer matters: the table is masked to a power of two and probed
-  /// linearly, so weak low-bit dispersion (dense interned ids are highly
-  /// structured) would cluster catastrophically.
-  template <typename Key>
-  static std::size_t KeyHash(const Key& key) {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    const std::size_t n = key.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      HashCombine(h, static_cast<std::size_t>(key[i]));
-    }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
-  }
-
-  template <typename Key>
-  bool RowMatchesKey(uint32_t row, const Key& key) const {
-    for (int p = 0; p < arity_; ++p) {
-      if (cols_[p][row] != key[static_cast<std::size_t>(p)]) return false;
-    }
-    return true;
-  }
-
-  /// Hashed form's linear probe: the slot holding the key's row, or the
-  /// empty slot where it would be inserted. Requires a non-empty table.
-  template <typename Key>
-  std::size_t HashProbe(const Key& key) const {
-    std::size_t s = KeyHash(key) & mask_;
-    for (;;) {
-      uint32_t r = slots_[s];
-      if (r == kNoRow || RowMatchesKey(r, key)) return s;
-      s = (s + 1) & mask_;
-    }
-  }
-
-  /// "Outside the direct table's id range" (DirectSlot's miss value).
-  static constexpr std::size_t kNoSlot = ~std::size_t{0};
-
-  /// Direct form's slot of `key`, or kNoSlot when an id is wider than its
-  /// column's bit width.
-  template <typename Key>
-  std::size_t DirectSlot(const Key& key) const {
-    uint64_t s = key[0];
-    if (arity_ == 2) {
-      const uint64_t k1 = key[1];
-      if (k1 >> shift_) return kNoSlot;
-      s = (s << shift_) | k1;
-    }
-    return s < slots_.size() ? static_cast<std::size_t>(s) : kNoSlot;
-  }
-
-  /// Row id (live or tombstoned) of `key`, or kNoRow. At most one row per
-  /// distinct key ever exists — erasure tombstones the row in place.
-  template <typename Key>
-  uint32_t FindRow(const Key& key) const {
-    if (slots_.empty()) return kNoRow;
-    if (direct_) {
-      const std::size_t s = DirectSlot(key);
-      return s == kNoSlot ? kNoRow : slots_[s];
-    }
-    return slots_[HashProbe(key)];
-  }
-
-  /// The slot of `key` in a table ready for a one-row append, so the slot
-  /// stays valid through the insertion. Lays the table out anew first
-  /// when it is empty, when a hashed table would pass its load factor, or
-  /// when `key` falls outside the direct range.
-  template <typename Key>
-  std::size_t PrepareSlot(const Key& key) {
-    if (direct_) {
-      const std::size_t s = DirectSlot(key);
-      if (s != kNoSlot) return s;
-    } else if (!slots_.empty() &&
-               (values_.size() + 1) * 4 < slots_.size() * 3) {
-      return HashProbe(key);
-    }
-    std::array<ConstId, 2> hi = DirectMaxima();
-    for (int p = 0; p < arity_ && p < 2; ++p) {
-      hi[p] = std::max(hi[p], key[static_cast<std::size_t>(p)]);
-    }
-    Relayout(values_.size() + 1, hi);
-    return direct_ ? DirectSlot(key) : HashProbe(key);
-  }
-
-  static std::size_t SlotCountFor(std::size_t rows) {
-    std::size_t n = 16;
-    while (rows * 4 >= n * 3) n <<= 1;  // keep load factor under 3/4
-    return n;
-  }
-
-  /// Largest ids stored in columns 0 and 1, tombstoned rows included —
-  /// what the direct form must cover. Zeros unless the arity is 1 or 2.
-  std::array<ConstId, 2> DirectMaxima() const {
-    std::array<ConstId, 2> hi = {0, 0};
-    if (arity_ == 1 || arity_ == 2) {
-      for (int p = 0; p < arity_; ++p) {
-        for (ConstId c : cols_[p]) hi[p] = std::max(hi[p], c);
-      }
-    }
-    return hi;
-  }
-
-  /// Lays the row-id table out with room for `rows` rows whose largest
-  /// ids in columns 0 and 1 are `hi`, choosing the form (see the
-  /// storage-layout comment), and slots every stored row, tombstoned ones
-  /// included, so revivals still find them.
-  void Relayout(std::size_t rows, const std::array<ConstId, 2>& hi) {
-    constexpr int kDirectSpanBits = std::countr_zero(kDirectSpanCap);
-    constexpr std::size_t kDirectFloorSlots = 4096;
-    const std::size_t hashed = SlotCountFor(rows);
-    const uint32_t n = num_rows();
-    if (arity_ == 1 || arity_ == 2) {
-      const int b0 = std::bit_width(hi[0]);
-      const int b1 = arity_ == 2 ? std::bit_width(hi[1]) : 0;
-      if (b0 + b1 <= kDirectSpanBits &&
-          (std::size_t{1} << (b0 + b1)) <=
-              std::max(kDirectFloorSlots, 4 * hashed)) {
-        direct_ = true;
-        shift_ = b1;
-        slots_.assign(std::size_t{1} << (b0 + b1), kNoRow);
-        for (uint32_t r = 0; r < n; ++r) slots_[DirectSlot(View(r))] = r;
-        return;
-      }
-    }
-    direct_ = false;
-    slots_.assign(hashed, kNoRow);
-    mask_ = hashed - 1;
-    for (uint32_t r = 0; r < n; ++r) {
-      std::size_t s = KeyHash(View(r)) & mask_;
-      while (slots_[s] != kNoRow) s = (s + 1) & mask_;
-      slots_[s] = r;
-    }
-  }
-
   /// Appends a fresh live row for `key` into the empty slot `slot`.
   /// Reading key[p] before growing column p keeps self-referential views
   /// (key aliasing this relation's own columns) safe.
@@ -622,33 +667,6 @@ class Relation {
     }
   }
 
-  /// Bumps the version and marks it a Clear (see clear_version()): cached
-  /// indexes reset and re-append from row 0.
-  void RecordClear() {
-    ++version_;
-    clear_version_ = version_;
-  }
-
-  /// Bumps the version and marks it a hard discontinuity (see
-  /// hard_version()): cached indexes must rebuild, not refresh.
-  void BumpHard() {
-    ++version_;
-    hard_version_ = version_;
-  }
-
-  /// Leaves a moved-from object empty but structurally valid (arity and
-  /// uid retained, columns re-sized to arity).
-  void ResetToEmpty() {
-    cols_.assign(static_cast<std::size_t>(arity_), {});
-    values_.clear();
-    live_flags_.clear();
-    live_ = 0;
-    slots_.clear();
-    mask_ = 0;
-    direct_ = false;
-    shift_ = 0;
-  }
-
   /// One value-column element. The wrapper defeats the std::vector<bool>
   /// bit-packing specialization: ValueAt must hand out stable
   /// `const Value&` references into the column (the join kernel keeps
@@ -657,19 +675,7 @@ class Relation {
     Value v;
   };
 
-  int arity_;
-  std::vector<std::vector<ConstId>> cols_;  ///< one column per position
-  std::vector<ValueCell> values_;           ///< parallel value column
-  std::vector<uint8_t> live_flags_;         ///< 0 = tombstoned row
-  std::size_t live_ = 0;                    ///< support size
-  RowIdList slots_;       ///< row-id table, either form (kNoRow = empty)
-  std::size_t mask_ = 0;  ///< hashed form: slots_.size() - 1
-  bool direct_ = false;   ///< slots_ is direct-addressed
-  int shift_ = 0;         ///< direct form, arity 2: b1 (column 1's width)
-  uint64_t uid_ = NextRelationUid();
-  uint64_t version_ = 0;
-  uint64_t hard_version_ = 0;   ///< version of the last hard discontinuity
-  uint64_t clear_version_ = 0;  ///< version of the last Clear()
+  std::vector<ValueCell> values_;  ///< value column, parallel to the keys
 };
 
 /// How one RelationIndex actually serves lookups. Tier choice is a pure
@@ -686,19 +692,21 @@ enum class IndexRepr : uint8_t {
 /// across joining steps through IndexCache below. Entries are row ids
 /// into the relation's columnar store, in ascending row order whatever
 /// the tier — Lookup results are bit-identical across representations.
+/// An index reads only the RowStore half of a relation (key columns, live
+/// flags, row counts), never a value, so one class serves POPS and
+/// Boolean relations alike.
 ///
 /// Tiers: multi-column keys always hash. Single-column keys use the
 /// direct tier when the live ids are dense (span <= 4*live + 256 and
 /// span <= kDirectSpanCap) — Lookup is then one subtraction and a bounds
 /// check, with no hashing and no key-Tuple walk. Empty keys (full scans)
 /// keep the single live-row list directly.
-template <Pops P>
 class RelationIndex {
  public:
   using EntryList = RowIdList;
 
   /// Builds an index of `rel` on the given positions.
-  explicit RelationIndex(const Relation<P>& rel, std::vector<int> positions)
+  explicit RelationIndex(const RowStore& rel, std::vector<int> positions)
       : rel_(&rel), positions_(std::move(positions)) {
     ChooseRepr();
     if (repr_ == IndexRepr::kDirectArray) {
@@ -729,7 +737,7 @@ class RelationIndex {
 
   /// The relation the row ids point into. Only valid while the index is —
   /// i.e. while the relation's version is unchanged (IndexCache's guard).
-  const Relation<P>& relation() const { return *rel_; }
+  const RowStore& relation() const { return *rel_; }
 
   const std::vector<int>& positions() const { return positions_; }
 
@@ -844,7 +852,7 @@ class RelationIndex {
     return true;
   }
 
-  const Relation<P>* rel_;
+  const RowStore* rel_;
   std::vector<int> positions_;
   IndexRepr repr_ = IndexRepr::kHashMap;
   // General tier.
@@ -867,8 +875,9 @@ class RelationIndex {
 /// into the relation's columnar storage; the version guard ensures they
 /// are only ever decoded while they are valid (mutation, Compact and Clear
 /// all bump the version), and entries for mutated or destroyed relations
-/// become unreachable (uids are never reused).
-template <Pops P>
+/// become unreachable (uids are never reused). Uids come from one
+/// process-wide counter, so one cache keeps relations of different value
+/// spaces (the engine's POPS and Boolean atoms) apart by uid alone.
 class IndexCache {
  public:
   /// Returns an index of `rel` on `positions`, building it if no current
@@ -889,9 +898,9 @@ class IndexCache {
   /// count into builds() (keeping the build/hit counters bit-identical
   /// to the rebuild-everything behaviour); the appended rows count into
   /// incremental_appends() so journals show the rebuild work saved.
-  const RelationIndex<P>& Get(const Relation<P>& rel,
-                              const std::vector<int>& positions,
-                              bool pin = false) {
+  const RelationIndex& Get(const RowStore& rel,
+                           const std::vector<int>& positions,
+                           bool pin = false) {
     // Two-level lookup (uid, then a linear scan of the few position sets a
     // predicate is ever joined on) keeps cache hits allocation-free; the
     // positions vector is copied only when an index is first built.
@@ -908,8 +917,7 @@ class IndexCache {
       if (!RefreshEntry(rel, &e)) {
         // Build before updating the entry: a throwing constructor must
         // not leave the stale index tagged with the fresh version.
-        auto rebuilt =
-            std::make_unique<RelationIndex<P>>(rel, positions);
+        auto rebuilt = std::make_unique<RelationIndex>(rel, positions);
         scan_rows_ += rebuilt->rows_scanned();
         e.index = std::move(rebuilt);
       }
@@ -922,7 +930,7 @@ class IndexCache {
     // heap RelationIndexes that outstanding Get() references point to.
     entries.push_back(
         Entry{positions, rel.version(),
-              std::make_unique<RelationIndex<P>>(rel, positions),
+              std::make_unique<RelationIndex>(rel, positions),
               sweep_, pin});
     scan_rows_ += entries.back().index->rows_scanned();
     return *entries.back().index;
@@ -963,14 +971,14 @@ class IndexCache {
   struct Entry {
     std::vector<int> positions;
     uint64_t version;
-    std::unique_ptr<RelationIndex<P>> index;
+    std::unique_ptr<RelationIndex> index;
     uint64_t last_used = 0;  ///< sweep epoch of the most recent lookup
     bool pinned = false;     ///< eviction-exempt (EDB entries)
   };
 
   /// Tries the incremental-refresh paths; returns true iff the cached
   /// index was brought current without a rebuild.
-  bool RefreshEntry(const Relation<P>& rel, Entry* e) {
+  bool RefreshEntry(const RowStore& rel, Entry* e) {
     if (rel.hard_version() > e->version) return false;
     const uint64_t scans_before = e->index->rows_scanned();
     const uint32_t rows_before = e->index->indexed_rows();

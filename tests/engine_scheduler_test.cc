@@ -1,9 +1,8 @@
 // Tests for Engine::SemiNaive's reliance scheduling (reliance-graph SCC
 // condensation with per-group local fixpoints and triggered rule sets),
-// checked against Naive — the global Algorithm-1 loop:
-//   * single-group programs (every golden recursion) run one group whose
-//     local rounds are the whole semi-naive loop: group_iterations ==
-//     steps, nothing skipped, `work` pinned to the seed goldens;
+// checked against Naive — the global Algorithm-1 loop (single-group
+// programs, whose local rounds are the whole semi-naive loop, are pinned
+// in engine_index_test):
 //   * multi-group programs reach the Naive fixpoint across {B, Trop,
 //     PosBool}, with steps, `work` and the group counters pinned;
 //   * Naive never moves the group counters;
@@ -19,24 +18,6 @@
 
 namespace datalogo {
 namespace {
-
-constexpr const char* kLinearTc = R"(
-  edb E/2.
-  idb T/2.
-  T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).
-)";
-
-constexpr const char* kQuadraticTc = R"(
-  edb E/2.
-  idb T/2.
-  T(X,Y) :- E(X,Y) ; T(X,Z) * T(Z,Y).
-)";
-
-constexpr const char* kSssp = R"(
-  edb E/2.
-  idb L/1.
-  L(X) :- [X = v0] ; L(Z) * E(Z, X).
-)";
 
 // Base group + mutually recursive Odd/Even group + downstream recursive
 // closure group — the scheduler's multi-group exercise program (also the
@@ -114,32 +95,6 @@ void ExpectSemiNaiveMatchesNaiveOnGraph(const char* text, const Graph& g,
   EdbInstance<P> edb(prog);
   LoadEdges<P>(g, ids, lift, &edb.pops(prog.FindPredicate("E")));
   ExpectSemiNaiveMatchesNaive<P>(prog, edb, golden);
-}
-
-// Single-group programs: one group, group_iterations == steps, no skips;
-// the work goldens are the seed's (engine_equivalence_test).
-TEST(EngineScheduler, SingleGroupBooleanLinearTcChain80) {
-  ExpectSemiNaiveMatchesNaiveOnGraph<BoolS>(
-      kLinearTc, ChainGraph(80), [](const Edge&) { return true; },
-      {.steps = 80, .work = 6320, .group_iterations = 80, .rules_skipped = 0});
-}
-
-TEST(EngineScheduler, SingleGroupBooleanQuadraticTcChain80) {
-  ExpectSemiNaiveMatchesNaiveOnGraph<BoolS>(
-      kQuadraticTc, ChainGraph(80), [](const Edge&) { return true; },
-      {.steps = 9, .work = 95925, .group_iterations = 9, .rules_skipped = 0});
-}
-
-TEST(EngineScheduler, SingleGroupTropicalSsspChain80) {
-  ExpectSemiNaiveMatchesNaiveOnGraph<TropS>(
-      kSssp, ChainGraph(80), [](const Edge& e) { return e.weight; },
-      {.steps = 81, .work = 159, .group_iterations = 81, .rules_skipped = 0});
-}
-
-TEST(EngineScheduler, SingleGroupTropicalApspGrid8x8) {
-  ExpectSemiNaiveMatchesNaiveOnGraph<TropS>(
-      kLinearTc, GridGraph(8, 8), [](const Edge& e) { return e.weight; },
-      {.steps = 15, .work = 3248, .group_iterations = 15, .rules_skipped = 0});
 }
 
 // Multi-group programs: one seed round per group plus the local rounds,

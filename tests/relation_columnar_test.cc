@@ -128,7 +128,7 @@ TEST(ColumnarRelation, IndexSkipsTombstonesAndDecodesRowIds) {
   r.Set({2, 10}, 3.0);
   r.Set({1, 20}, TropS::Inf());  // tombstoned: must vanish from indexes
 
-  RelationIndex<TropS> by_first(r, {0});
+  RelationIndex by_first(r, {0});
   ASSERT_EQ(by_first.Lookup({1}).size(), 1u);
   uint32_t row = by_first.Lookup({1})[0];
   EXPECT_TRUE(r.RowLive(row));
@@ -136,7 +136,7 @@ TEST(ColumnarRelation, IndexSkipsTombstonesAndDecodesRowIds) {
   EXPECT_EQ(r.Cell(row, 1), 10u);
   EXPECT_EQ(r.ValueAt(row), 1.0);
 
-  RelationIndex<TropS> scan(r, {});
+  RelationIndex scan(r, {});
   EXPECT_EQ(scan.Lookup({}).size(), 2u);  // full-scan group skips the dead row
   EXPECT_EQ(&by_first.relation(), &r);
 }

@@ -6,7 +6,8 @@
 // IndexCache refresh ladder: cache hits scan nothing, soft mutations
 // refresh incrementally (counted into incremental_appends with
 // builds/hits unchanged relative to the rebuild-everything behaviour),
-// hard mutations rebuild and re-pick the tier.
+// hard mutations rebuild and re-pick the tier, and one cache keeps the
+// relations of different value spaces apart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "src/relation/relation.h"
+#include "src/semiring/boolean.h"
 #include "src/semiring/tropical.h"
 
 namespace datalogo {
@@ -52,7 +54,7 @@ RowIdList ScanLookup(const Relation<TropS>& rel,
 void ExpectIndexMatchesScan(const Relation<TropS>& rel,
                             const std::vector<int>& positions,
                             const std::vector<Tuple>& probes) {
-  RelationIndex<TropS> idx(rel, positions);
+  RelationIndex idx(rel, positions);
   for (const Tuple& key : probes) {
     EXPECT_EQ(ScanLookup(rel, positions, key), idx.Lookup(key))
         << "repr=" << static_cast<int>(idx.repr())
@@ -67,7 +69,7 @@ TEST(RelationIndex, DenseIdsSelectDirectAndMatchScan) {
     r.Set({i % 64, static_cast<uint32_t>(rng() % 64)},
           static_cast<double>(rng() % 100));
   }
-  RelationIndex<TropS> idx(r, {0});
+  RelationIndex idx(r, {0});
   EXPECT_EQ(idx.repr(), IndexRepr::kDirectArray);
   EXPECT_FALSE(idx.is_hash());
   ExpectIndexMatchesScan(r, {0}, SingleColumnProbes(63));
@@ -84,7 +86,7 @@ TEST(RelationIndex, SparseIdsSelectHashAndMatchScan) {
     probes.push_back({k + 1});
     r.Set({k, static_cast<uint32_t>(rng() % 8)}, static_cast<double>(i));
   }
-  RelationIndex<TropS> idx(r, {0});
+  RelationIndex idx(r, {0});
   EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
   EXPECT_TRUE(idx.is_hash());
   ExpectIndexMatchesScan(r, {0}, probes);
@@ -97,12 +99,12 @@ TEST(RelationIndex, SpanBeyondCapFallsBackToHashEvenWhenDense) {
   // but pushes the span past the cap: only the cap can make it hash.
   Relation<TropS> r(1);
   for (uint32_t i = 0; i < 300000; ++i) r.Set({3 * i}, 1.0);
-  EXPECT_EQ(RelationIndex<TropS>(r, {0}).repr(), IndexRepr::kDirectArray);
+  EXPECT_EQ(RelationIndex(r, {0}).repr(), IndexRepr::kDirectArray);
   const uint32_t far = (1u << 20) + 4;
   r.Set({far}, 2.0);
   ASSERT_LE(uint64_t{far} + 1, 4 * uint64_t{r.support_size()} + 256);
   ASSERT_GT(uint64_t{far} + 1, kDirectSpanCap);
-  RelationIndex<TropS> idx(r, {0});
+  RelationIndex idx(r, {0});
   EXPECT_EQ(idx.repr(), IndexRepr::kHashMap);
   for (uint32_t k : {0u, 3u, 17u, 899997u, 899998u, far - 1, far, far + 1}) {
     EXPECT_EQ(ScanLookup(r, {0}, {k}), idx.Lookup({k})) << k;
@@ -117,7 +119,7 @@ TEST(RelationIndex, AutoThresholdStraddle) {
     Relation<TropS> r(2);
     for (uint32_t i = 0; i < 50; ++i) r.Set({i, i}, 1.0);
     r.Set({outlier, 7}, 2.0);
-    RelationIndex<TropS> idx(r, {0});
+    RelationIndex idx(r, {0});
     EXPECT_EQ(idx.repr(), outlier == 459u ? IndexRepr::kDirectArray
                                           : IndexRepr::kHashMap)
         << "outlier=" << outlier;
@@ -136,7 +138,7 @@ TEST(RelationIndex, TombstonedRowsExcludedFromEveryTier) {
       r.Set({i % 8 * stride, i}, TropS::Inf());  // ⊥ tombstones the row
     }
     ASSERT_GT(r.tombstones(), 0u);
-    EXPECT_EQ(RelationIndex<TropS>(r, {0}).is_hash(), stride != 1);
+    EXPECT_EQ(RelationIndex(r, {0}).is_hash(), stride != 1);
     std::vector<Tuple> probes = SingleColumnProbes(8);
     for (uint32_t k = 0; k < 9; ++k) probes.push_back({k * stride});
     ExpectIndexMatchesScan(r, {0}, probes);
@@ -188,14 +190,14 @@ TEST(RelationIndex, RandomizedMutationEquivalence) {
 
 TEST(RelationIndex, EmptyRelationEveryTier) {
   Relation<TropS> r(2);
-  RelationIndex<TropS> direct(r, {0});
+  RelationIndex direct(r, {0});
   EXPECT_EQ(direct.repr(), IndexRepr::kDirectArray);
   EXPECT_EQ(direct.Lookup({0}).size(), 0u);
   EXPECT_EQ(direct.Lookup({12345}).size(), 0u);
-  RelationIndex<TropS> hash(r, {0, 1});
+  RelationIndex hash(r, {0, 1});
   EXPECT_EQ(hash.repr(), IndexRepr::kHashMap);
   EXPECT_EQ(hash.Lookup({0, 0}).size(), 0u);
-  RelationIndex<TropS> all(r, {});
+  RelationIndex all(r, {});
   EXPECT_EQ(all.repr(), IndexRepr::kAllRows);
   EXPECT_EQ(all.Lookup({}).size(), 0u);
 }
@@ -205,7 +207,7 @@ TEST(RelationIndex, EmptyRelationEveryTier) {
 TEST(IndexCache, HitPathScansNothing) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 20; ++i) r.Set({i, i}, 1.0);
-  IndexCache<TropS> cache;
+  IndexCache cache;
   cache.Get(r, {0});
   const uint64_t scans_after_build = cache.scan_rows();
   EXPECT_GT(scans_after_build, 0u);
@@ -219,11 +221,11 @@ TEST(IndexCache, AppendOnlyMutationRefreshesIncrementally) {
   // Keys 1000 apart: the column is sparse, so the hash tier serves it.
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i * 1000, i}, 1.0);
-  IndexCache<TropS> cache;
-  const RelationIndex<TropS>* idx = &cache.Get(r, {0});
+  IndexCache cache;
+  const RelationIndex* idx = &cache.Get(r, {0});
   ASSERT_EQ(idx->repr(), IndexRepr::kHashMap);
   for (uint32_t i = 10; i < 15; ++i) r.Set({i * 1000, i}, 1.0);  // soft
-  const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
+  const RelationIndex* idx2 = &cache.Get(r, {0});
   EXPECT_EQ(idx, idx2);  // refreshed in place, not replaced
   EXPECT_EQ(cache.builds(), 2u);  // refresh still counts as a build
   EXPECT_EQ(cache.incremental_appends(), 5u);
@@ -239,15 +241,15 @@ TEST(IndexCache, DirectTierAppendsInRangeWithoutRebuild) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
   r.Set({19, 0}, 5.0);  // stretch the span to 20 up front
-  IndexCache<TropS> cache;
-  const RelationIndex<TropS>* idx = &cache.Get(r, {0});
+  IndexCache cache;
+  const RelationIndex* idx = &cache.Get(r, {0});
   ASSERT_EQ(idx->repr(), IndexRepr::kDirectArray);
   for (uint32_t i = 10; i < 15; ++i) r.Set({i, i}, 1.0);  // in range
-  const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
+  const RelationIndex* idx2 = &cache.Get(r, {0});
   EXPECT_EQ(idx, idx2);
   EXPECT_EQ(idx2->repr(), IndexRepr::kDirectArray);
   EXPECT_EQ(cache.incremental_appends(), 5u);
-  RelationIndex<TropS> fresh(r, {0});
+  RelationIndex fresh(r, {0});
   for (uint32_t v = 0; v < 22; ++v) {
     EXPECT_EQ(fresh.Lookup({v}), idx2->Lookup({v})) << v;
   }
@@ -256,14 +258,14 @@ TEST(IndexCache, DirectTierAppendsInRangeWithoutRebuild) {
 TEST(IndexCache, ClearRefillRefreshesByReappend) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
-  IndexCache<TropS> cache;
-  const RelationIndex<TropS>* idx = &cache.Get(r, {0});
+  IndexCache cache;
+  const RelationIndex* idx = &cache.Get(r, {0});
   r.Clear();
   for (uint32_t i = 0; i < 7; ++i) r.Set({i + 2, i}, 3.0);
-  const RelationIndex<TropS>* idx2 = &cache.Get(r, {0});
+  const RelationIndex* idx2 = &cache.Get(r, {0});
   EXPECT_EQ(idx, idx2);
   EXPECT_EQ(cache.incremental_appends(), 7u);
-  RelationIndex<TropS> fresh(r, {0});
+  RelationIndex fresh(r, {0});
   for (uint32_t v = 0; v < 12; ++v) {
     EXPECT_EQ(fresh.Lookup({v}), idx2->Lookup({v})) << v;
   }
@@ -273,10 +275,10 @@ TEST(IndexCache, ClearRefillRefreshesByReappend) {
 TEST(IndexCache, HardMutationRebuilds) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
-  IndexCache<TropS> cache;
+  IndexCache cache;
   cache.Get(r, {0});
   r.Set({4, 4}, TropS::Inf());  // tombstone: membership shrank, hard
-  const RelationIndex<TropS>& idx = cache.Get(r, {0});
+  const RelationIndex& idx = cache.Get(r, {0});
   EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.incremental_appends(), 0u);  // no refresh was possible
   EXPECT_EQ(idx.Lookup({4}).size(), 0u);
@@ -286,14 +288,14 @@ TEST(IndexCache, HardMutationRebuilds) {
 TEST(IndexCache, RangeEscapingAppendRebuildsAndRepicksTier) {
   Relation<TropS> r(2);
   for (uint32_t i = 0; i < 10; ++i) r.Set({i, i}, 1.0);
-  IndexCache<TropS> cache;
-  const RelationIndex<TropS>& before = cache.Get(r, {0});
+  IndexCache cache;
+  const RelationIndex& before = cache.Get(r, {0});
   EXPECT_EQ(before.repr(), IndexRepr::kDirectArray);
   // A soft append whose key escapes the direct tier's bucket range: the
   // in-place refresh must refuse (no partial mutation) and the rebuild
   // re-picks the tier — now hash, the column having gone sparse.
   r.Set({5000, 1}, 2.0);
-  const RelationIndex<TropS>& after = cache.Get(r, {0});
+  const RelationIndex& after = cache.Get(r, {0});
   EXPECT_EQ(after.repr(), IndexRepr::kHashMap);
   EXPECT_EQ(after.Lookup({5000}).size(), 1u);
   EXPECT_EQ(after.Lookup({3}).size(), 1u);
@@ -307,7 +309,7 @@ TEST(IndexCache, BuildAndHitCountersIdenticalAcrossTiers) {
   // one (keys `stride` apart, hash tier).
   auto run = [](uint32_t stride, IndexRepr want) {
     Relation<TropS> r(2);
-    IndexCache<TropS> cache;
+    IndexCache cache;
     for (uint32_t i = 0; i < 10; ++i) r.Set({i * stride, i}, 1.0);
     EXPECT_EQ(cache.Get(r, {0}).repr(), want) << stride;
     cache.Get(r, {0});
@@ -327,7 +329,7 @@ TEST(IndexCache, PinnedEntriesSurviveEviction) {
   Relation<TropS> pinned_rel(1), transient_rel(1);
   pinned_rel.Set({1}, 1.0);
   transient_rel.Set({2}, 2.0);
-  IndexCache<TropS> cache;
+  IndexCache cache;
   cache.Get(pinned_rel, {0}, /*pin=*/true);
   cache.Get(transient_rel, {0});
   cache.MaybeEvict();
@@ -336,6 +338,42 @@ TEST(IndexCache, PinnedEntriesSurviveEviction) {
   cache.Get(transient_rel, {0});
   EXPECT_EQ(cache.builds(), 3u);  // only the transient entry rebuilt
   EXPECT_EQ(cache.hits(), 1u);    // the pinned entry was still there
+}
+
+TEST(IndexCache, OneCacheServesEveryValueSpace) {
+  // The engine's single cache indexes POPS and Boolean atoms alike: a
+  // Relation<TropS> and a Relation<BoolS> with the same keys, indexed on
+  // the same positions, get separate entries (distinct uids), each with
+  // its own build, its own hits and its own rows.
+  Relation<TropS> trop(2);
+  Relation<BoolS> bools(2);
+  for (uint32_t i = 0; i < 10; ++i) {
+    trop.Set({i, i + 1}, 1.0);
+    if (i % 2 == 0) bools.Set({i, i + 1}, true);
+  }
+  IndexCache cache;
+  const RelationIndex& ti = cache.Get(trop, {0});
+  const RelationIndex& bi = cache.Get(bools, {0});
+  EXPECT_NE(&ti, &bi);
+  EXPECT_EQ(&ti.relation(), &trop);
+  EXPECT_EQ(&bi.relation(), &bools);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(&cache.Get(trop, {0}), &ti);
+  EXPECT_EQ(&cache.Get(bools, {0}), &bi);
+  EXPECT_EQ(&cache.Get(bools, {0}), &bi);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.hits(), 3u);
+  for (uint32_t v = 0; v < 10; ++v) {
+    EXPECT_EQ(ti.Lookup({v}), ScanLookup(trop, {0}, {v})) << v;
+    EXPECT_EQ(bi.Lookup({v}).size(), v % 2 == 0 ? 1u : 0u) << v;
+  }
+  // Mutating one relation rebuilds its entry only.
+  bools.Set({1, 2}, true);
+  cache.Get(trop, {0});
+  EXPECT_EQ(cache.Get(bools, {0}).Lookup({1}).size(), 1u);
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(cache.hits(), 4u);
 }
 
 }  // namespace

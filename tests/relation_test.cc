@@ -51,13 +51,13 @@ TEST(Relation, IndexLookupByPositions) {
   r.Set({1, 10}, 1.0);
   r.Set({1, 20}, 2.0);
   r.Set({2, 10}, 3.0);
-  RelationIndex<TropS> by_first(r, {0});
+  RelationIndex by_first(r, {0});
   EXPECT_EQ(by_first.Lookup({1}).size(), 2u);
   EXPECT_EQ(by_first.Lookup({2}).size(), 1u);
   EXPECT_EQ(by_first.Lookup({9}).size(), 0u);
-  RelationIndex<TropS> by_both(r, {0, 1});
+  RelationIndex by_both(r, {0, 1});
   EXPECT_EQ(by_both.Lookup({1, 20}).size(), 1u);
-  RelationIndex<TropS> scan(r, {});
+  RelationIndex scan(r, {});
   EXPECT_EQ(scan.Lookup({}).size(), 3u);
 }
 

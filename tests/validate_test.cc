@@ -24,6 +24,26 @@ TEST(Validate, AcceptsPaperPrograms) {
   EXPECT_TRUE(ValidateText("bedb E/2. W(X) :- { !W(Y) | E(X, Y) }.").ok());
 }
 
+TEST(Validate, NegatedProductAtoms) {
+  // Not applies to ground IDB atoms only: a negated POPS EDB atom is
+  // rejected outright.
+  Domain dom;
+  auto edb = ParseProgram("edb E/2. edb F/2. T(X,Y) :- E(X,Y) * !F(X,Y).",
+                          &dom);
+  ASSERT_TRUE(edb.ok());
+  EXPECT_EQ(ValidateProgram(edb.value()).code(), Code::kInvalidArgument);
+  EXPECT_EQ(ValidateForEngine(edb.value()).code(), Code::kInvalidArgument);
+  // Win-move's negated IDB atom is valid for the grounded engine, but the
+  // relational engine cannot evaluate it.
+  auto win_move = ParseProgram("bedb E/2. W(X) :- { !W(Y) | E(X, Y) }.", &dom);
+  ASSERT_TRUE(win_move.ok());
+  EXPECT_TRUE(ValidateProgram(win_move.value()).ok());
+  EXPECT_EQ(ValidateForEngine(win_move.value()).code(), Code::kUnsupported);
+  auto tc = ParseProgram("T(X,Y) :- E(X,Y) ; T(X,Z) * E(Z,Y).", &dom);
+  ASSERT_TRUE(tc.ok());
+  EXPECT_TRUE(ValidateForEngine(tc.value()).ok());
+}
+
 TEST(Validate, RejectsEdbHead) {
   EXPECT_FALSE(ValidateText("edb E/2. E(X,Y) :- E(Y,X).").ok());
 }
