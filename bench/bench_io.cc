@@ -1,5 +1,7 @@
 // The TSV I/O layer on its own: LoadTsv of 64k integer-keyed weighted
-// edges (split, integer interning, Merge) and DumpTsv of a 64k-row Trop
+// edges (split, integer interning, staging and the ⊕-fold), the same
+// edges with every line repeated at another weight (the fold's duplicate
+// path), and DumpTsv of a 64k-row Trop
 // relation over symbol keys (sorted scan, symbol checks, double
 // formatting), once with fractional values and once with whole-number
 // ones — the shape shortest-path tables print. The table and the
@@ -22,13 +24,16 @@ constexpr int kEdges = 64000;
 constexpr int kDumpSide = 256;  // kDumpSide² = 65536 dump rows
 
 /// "src\tdst\tweight\n" rows over integer vertex ids, weights 1..20.
-std::string EdgeTsv() {
+/// With `dups`, each line is followed by the same edge at another weight.
+std::string EdgeTsv(bool dups = false) {
   std::mt19937 rng(5);
   std::string text;
   for (int i = 0; i < kEdges; ++i) {
-    text += std::to_string(rng() % kVertices) + '\t' +
-            std::to_string(rng() % kVertices) + '\t' +
-            std::to_string(1 + rng() % 20) + '\n';
+    const std::string edge = std::to_string(rng() % kVertices) + '\t' +
+                             std::to_string(rng() % kVertices) + '\t';
+    const uint32_t w = 1 + rng() % 20;
+    text += edge + std::to_string(w) + '\n';
+    if (dups) text += edge + std::to_string(1 + w % 20) + '\n';
   }
   return text;
 }
@@ -52,8 +57,9 @@ struct LayerTime {
   std::size_t rows = 0;
 };
 
-LayerTime TimeLoad(const std::string& tsv, int reps) {
-  LayerTime out{.rows = kEdges};
+/// Per text line, so `load_dups` (two lines per edge) counts both.
+LayerTime TimeLoad(const std::string& tsv, std::size_t lines, int reps) {
+  LayerTime out{.rows = lines};
   for (int rep = 0; rep < reps; ++rep) {
     Domain dom;
     Relation<TropS> rel(2);
@@ -80,10 +86,12 @@ void WriteJson() {
   const bool smoke = BenchSmokeMode();
   const int reps = smoke ? 1 : 5;
   const std::string tsv = EdgeTsv();
+  const std::string dup_tsv = EdgeTsv(/*dups=*/true);
   Domain dom;
   const Relation<TropS> rel = DumpRelation(&dom, /*whole=*/false);
   const Relation<TropS> whole_rel = DumpRelation(&dom, /*whole=*/true);
-  const LayerTime load = TimeLoad(tsv, reps);
+  const LayerTime load = TimeLoad(tsv, kEdges, reps);
+  const LayerTime load_dups = TimeLoad(dup_tsv, 2 * kEdges, reps);
   const LayerTime dump = TimeDump(rel, dom, reps);
   const LayerTime dump_whole = TimeDump(whole_rel, dom, reps);
 
@@ -94,11 +102,14 @@ void WriteJson() {
   json.MetaBool("smoke", smoke);
   json.MetaInt("reps", static_cast<uint64_t>(reps));
   json.Meta("workload",
-            "LoadTsv: 64k integer-keyed trop edges over 8000 vertices; "
+            "LoadTsv: 64k integer-keyed trop edges over 8000 vertices "
+            "(load), and the same with each line repeated at another "
+            "weight (load_dups, ns per line); "
             "DumpTsv: 256x256 symbol-keyed trop pairs valued k/8 (dump) "
             "or whole k (dump_whole)");
   AddHostMeta(&json);
   for (const auto& [layer, t] : {std::pair{"load", load},
+                                 {"load_dups", load_dups},
                                  {"dump", dump},
                                  {"dump_whole", dump_whole}}) {
     const double ns_per_row = t.best_ms * 1e6 / static_cast<double>(t.rows);

@@ -67,7 +67,9 @@ std::string TermToString(const Program& prog, const Rule& rule,
     if (t.var >= 0 && t.var < static_cast<int>(rule.var_names.size())) {
       return rule.var_names[t.var];
     }
-    return "V" + std::to_string(t.var);
+    std::string name = "V";  // `+=`: GCC 12's -Wrestrict misfires on `+`
+    name += std::to_string(t.var);
+    return name;
   }
   return prog.domain()->ToString(t.constant);
 }
@@ -108,8 +110,11 @@ std::string ConditionToString(const Program& prog, const Rule& rule,
   switch (c.kind) {
     case Condition::Kind::kBoolAtom:
       return AtomToString(prog, rule, c.atom);
-    case Condition::Kind::kNegBoolAtom:
-      return "!" + AtomToString(prog, rule, c.atom);
+    case Condition::Kind::kNegBoolAtom: {
+      std::string text = "!";  // `+=`: as in TermToString
+      text += AtomToString(prog, rule, c.atom);
+      return text;
+    }
     case Condition::Kind::kCompare:
       return TermToString(prog, rule, c.lhs) + " " + CmpToString(c.op) + " " +
              TermToString(prog, rule, c.rhs);

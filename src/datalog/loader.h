@@ -86,7 +86,7 @@ template <Pops P, typename ParseFn>
 Status LoadUpdateBatch(const std::string& text, const Program& prog,
                        Domain* dom, ParseFn&& parse_value,
                        EdbDelta<P>* batch) {
-  std::string scratch;  // reused: FindPredicate and parse_value take strings
+  std::string scratch;  // reused: FindPredicate takes a string
   return io_internal::ForEachTokenLine(
       text, [&](int lineno, std::span<const std::string_view> toks) {
         auto fail = [&](const char* msg) {
@@ -119,9 +119,8 @@ Status LoadUpdateBatch(const std::string& text, const Program& prog,
             batch->DeleteBool(pred, std::move(t));
           }
         } else if (is_add) {
-          scratch.assign(toks.back());
           typename P::Value v;
-          if (!parse_value(scratch, &v)) return fail("cannot parse value");
+          if (!parse_value(toks.back(), &v)) return fail("cannot parse value");
           batch->Add(pred, std::move(t), std::move(v));
         } else {
           batch->Delete(pred, std::move(t));

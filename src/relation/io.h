@@ -16,13 +16,18 @@
 // load like LF files.
 //
 // POPS relations carry the value in the last column; Boolean relations
-// are key-only. Loading walks the text once and cuts tokens as views into
-// it; dumping appends straight into one string. Neither uses iostreams.
+// are key-only. Loading reserves the relation's columns for the text's
+// line count, walks the text once cutting tokens as views into it, stages
+// one row per line in the columns, and then ⊕-folds the staged rows with
+// one row-id table layout (Relation::FoldStaged): the result is that of
+// one Merge per line. Dumping appends straight into one string. Neither
+// uses iostreams.
 #ifndef DATALOGO_RELATION_IO_H_
 #define DATALOGO_RELATION_IO_H_
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -57,12 +62,14 @@ inline bool LooksLikeInt(std::string_view s) {
 /// Interns one key token: integer-looking tokens as integers, everything
 /// else as symbols. Returns false — instead of throwing through the
 /// loaders — when the token spells an integer that does not fit int64_t.
+/// One std::from_chars both tests and converts: it takes exactly
+/// `-?[0-9]+` whole (in range or not) and stops early on anything else.
 inline bool TryInternToken(std::string_view tok, Domain* dom, ConstId* out) {
-  if (LooksLikeInt(tok)) {
-    int64_t v = 0;
-    const char* end = tok.data() + tok.size();
-    auto [p, ec] = std::from_chars(tok.data(), end, v);
-    if (ec != std::errc() || p != end) return false;
+  int64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  auto [p, ec] = std::from_chars(tok.data(), end, v);
+  if (p == end && ec != std::errc::invalid_argument) {
+    if (ec != std::errc()) return false;  // an integer outside int64_t
     *out = dom->InternInt(v);
     return true;
   }
@@ -147,21 +154,35 @@ inline bool IsDumpableSymbol(std::string_view text) {
   return std::none_of(text.begin(), text.end(), IsSpace);
 }
 
+/// Stages one row per token line of `text` into `rel` through
+/// `stage(lineno, toks) -> Status` (which calls StageRow), then folds them
+/// with one table layout — also when a line fails, so the relation keeps
+/// exactly the rows of the lines before it.
+template <Pops P, typename StageFn>
+Status StageAndFold(std::string_view text, Relation<P>* rel,
+                    StageFn&& stage) {
+  rel->ReserveRows(1 + std::count(text.begin(), text.end(), '\n'));
+  const uint32_t first = rel->num_rows();
+  Status s = ForEachTokenLine(text, stage);
+  rel->FoldStaged(first);
+  return s;
+}
+
 }  // namespace io_internal
 
 /// Loads a POPS relation from TSV text: k key columns then one value
-/// column, parsed by `parse_value(const std::string&, &value) -> bool`.
+/// column, parsed by `parse_value(std::string_view, &value) -> bool`.
 /// Lines that are empty or start with '#' are skipped. Repeated tuples
-/// accumulate via ⊕.
+/// accumulate via ⊕, in file order, exactly as one Merge per line would;
+/// the rows are staged and then folded with one row-table layout.
 template <Pops P, typename ParseFn>
 Status LoadTsv(const std::string& text, Domain* dom, Relation<P>* rel,
                ParseFn&& parse_value) {
   const int arity = rel->arity();
-  Tuple t;  // reused across lines; Merge copies it into the relation
+  Tuple t;  // reused across lines; StageRow copies it into the columns
   t.reserve(arity);
-  std::string value_text;  // reused across lines
-  return io_internal::ForEachTokenLine(
-      text, [&](int lineno, std::span<const std::string_view> toks) {
+  return io_internal::StageAndFold(
+      text, rel, [&](int lineno, std::span<const std::string_view> toks) {
         if (static_cast<int>(toks.size()) != arity + 1) {
           return InvalidArgument(io_internal::LinePrefix(lineno) +
                                  "expected " + std::to_string(arity) +
@@ -171,13 +192,13 @@ Status LoadTsv(const std::string& text, Domain* dom, Relation<P>* rel,
         Status s =
             io_internal::InternKeys(toks.first(arity), lineno, dom, &t);
         if (!s.ok()) return s;
-        value_text.assign(toks.back());
         typename P::Value v;
-        if (!parse_value(value_text, &v)) {
+        if (!parse_value(toks.back(), &v)) {
           return InvalidArgument(io_internal::LinePrefix(lineno) +
-                                 "cannot parse value '" + value_text + "'");
+                                 "cannot parse value '" +
+                                 std::string(toks.back()) + "'");
         }
-        rel->Merge(t, v);
+        rel->StageRow(t, std::move(v));
         return Status::Ok();
       });
 }
@@ -186,10 +207,10 @@ Status LoadTsv(const std::string& text, Domain* dom, Relation<P>* rel,
 inline Status LoadTsvBool(const std::string& text, Domain* dom,
                           Relation<BoolS>* rel) {
   const int arity = rel->arity();
-  Tuple t;  // reused across lines; Set copies it into the relation
+  Tuple t;  // reused across lines; StageRow copies it into the columns
   t.reserve(arity);
-  return io_internal::ForEachTokenLine(
-      text, [&](int lineno, std::span<const std::string_view> toks) {
+  return io_internal::StageAndFold(
+      text, rel, [&](int lineno, std::span<const std::string_view> toks) {
         if (static_cast<int>(toks.size()) != arity) {
           return InvalidArgument(io_internal::LinePrefix(lineno) +
                                  "expected " + std::to_string(arity) +
@@ -197,7 +218,7 @@ inline Status LoadTsvBool(const std::string& text, Domain* dom,
         }
         Status s = io_internal::InternKeys(toks, lineno, dom, &t);
         if (!s.ok()) return s;
-        rel->Set(t, true);
+        rel->StageRow(t, true);
         return Status::Ok();
       });
 }
@@ -208,12 +229,25 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Parses a whole std::stod token into [lo, hi]. NaN fails the range
 /// compare, so it is rejected even when the range is the whole line.
-inline bool ParseDoubleIn(const std::string& s, double lo, double hi,
+/// std::from_chars parses the common spellings; whatever it does not take
+/// whole and cleanly goes to std::stod, which then decides alone: a '+'
+/// sign, hex, leading blanks, an error, and any magnitude at or below
+/// DBL_MIN — glibc flags those with ERANGE even when they round up to
+/// DBL_MIN, so stod rejects them while from_chars does not. The accepted
+/// set and every parsed bit pattern are std::stod's.
+inline bool ParseDoubleIn(std::string_view s, double lo, double hi,
                           double* out) {
+  const char* const end = s.data() + s.size();
+  auto [p, ec] = std::from_chars(s.data(), end, *out);
+  if (ec == std::errc() && p == end &&
+      (*out == 0 || std::fabs(*out) > std::numeric_limits<double>::min())) {
+    return *out >= lo && *out <= hi;
+  }
   try {
+    const std::string str(s);
     std::size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return pos == s.size() && *out >= lo && *out <= hi;
+    *out = std::stod(str, &pos);
+    return pos == str.size() && *out >= lo && *out <= hi;
   } catch (...) {
     return false;
   }
@@ -224,21 +258,21 @@ inline bool ParseDoubleIn(const std::string& s, double lo, double hi,
 /// Standard value parsers for the common carriers. ParseDoubleValue takes
 /// a whole std::stod token and rejects NaN: no carrier orders it, so ⊕
 /// would silently drop the fact (min(∞, NaN) = ∞ = ⊥ on Trop+).
-inline bool ParseDoubleValue(const std::string& s, double* out) {
+inline bool ParseDoubleValue(std::string_view s, double* out) {
   return io_internal::ParseDoubleIn(s, -io_internal::kInf, io_internal::kInf,
                                    out);
 }
 /// Trop+ carrier: v >= 0, inf (= ⊥) allowed. A negative weight has no
 /// place in Trop+ and makes any cycle through it diverge.
-inline bool ParseTropValue(const std::string& s, double* out) {
+inline bool ParseTropValue(std::string_view s, double* out) {
   return io_internal::ParseDoubleIn(s, 0.0, io_internal::kInf, out);
 }
 /// Fuzzy and Viterbi carriers: 0 <= v <= 1. Outside it a fuzzy value
 /// would be clamped and a Viterbi product would grow without bound.
-inline bool ParseUnitValue(const std::string& s, double* out) {
+inline bool ParseUnitValue(std::string_view s, double* out) {
   return io_internal::ParseDoubleIn(s, 0.0, 1.0, out);
 }
-inline bool ParseUintValue(const std::string& s, uint64_t* out) {
+inline bool ParseUintValue(std::string_view s, uint64_t* out) {
   if (!io_internal::LooksLikeInt(s) || s[0] == '-') return false;
   uint64_t v = 0;
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
@@ -246,7 +280,7 @@ inline bool ParseUintValue(const std::string& s, uint64_t* out) {
   *out = v;
   return true;
 }
-inline bool ParseBoolValue(const std::string& s, bool* out) {
+inline bool ParseBoolValue(std::string_view s, bool* out) {
   if (s == "1" || s == "true") {
     *out = true;
     return true;

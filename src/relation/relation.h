@@ -19,7 +19,8 @@
 //    factor. Arity 0 and arity >= 3 are always hashed.
 // The form is a pure function of the content, re-chosen only where the
 // table is laid out anew: the first insert, hashed load-factor growth, a
-// key outside the direct range, and Compact. The table goes direct when
+// key outside the direct range, Compact, and FoldStaged (once per TSV
+// load). The table goes direct when
 // 2^(b0+b1) <= kDirectSpanCap and the slot array is no bigger than
 // max(4096, 4 × the hashed table for the same rows); otherwise it hashes.
 // Only the key → row map differs between the forms: row ids, row order,
@@ -335,7 +336,7 @@ class RowStore {
     for (int p = 0; p < arity_ && p < 2; ++p) {
       hi[p] = std::max(hi[p], key[static_cast<std::size_t>(p)]);
     }
-    Relayout(live_flags_.size() + 1, hi);
+    Relayout(live_flags_.size() + 1, hi, num_rows());
     return direct_ ? DirectSlot(key) : HashProbe(key);
   }
 
@@ -359,13 +360,13 @@ class RowStore {
 
   /// Lays the row-id table out with room for `rows` rows whose largest
   /// ids in columns 0 and 1 are `hi`, choosing the form (see the
-  /// storage-layout comment), and slots every stored row, tombstoned ones
+  /// storage-layout comment), and slots rows [0, n), tombstoned ones
   /// included, so revivals still find them.
-  void Relayout(std::size_t rows, const std::array<ConstId, 2>& hi) {
+  void Relayout(std::size_t rows, const std::array<ConstId, 2>& hi,
+                uint32_t n) {
     constexpr int kDirectSpanBits = std::countr_zero(kDirectSpanCap);
     constexpr std::size_t kDirectFloorSlots = 4096;
     const std::size_t hashed = SlotCountFor(rows);
-    const uint32_t n = num_rows();
     if (arity_ == 1 || arity_ == 2) {
       const int b0 = std::bit_width(hi[0]);
       const int b1 = arity_ == 2 ? std::bit_width(hi[1]) : 0;
@@ -503,6 +504,62 @@ class Relation : public RowStore {
     other->RecordClear();
   }
 
+  // ------------------------------------------------------------ bulk merge
+  // Merge of many rows with one table layout, as the TSV loaders use it:
+  // ReserveRows, StageRow every (key, value) in input order, then one
+  // FoldStaged. Staged rows are in the columns but not in the row-id
+  // table, so nothing but StageRow and FoldStaged may run in between.
+
+  /// Reserves column capacity for `extra` more rows.
+  void ReserveRows(std::size_t extra) {
+    for (auto& col : cols_) col.reserve(col.size() + extra);
+    values_.reserve(values_.size() + extra);
+    live_flags_.reserve(live_flags_.size() + extra);
+  }
+
+  /// Appends (key, v) as a staged row: columns only, no slot, not live.
+  template <typename Key>
+  void StageRow(const Key& key, Value v) {
+    DLO_CHECK(static_cast<int>(key.size()) == arity_);
+    for (int p = 0; p < arity_; ++p) {
+      cols_[p].push_back(key[static_cast<std::size_t>(p)]);
+    }
+    values_.push_back(ValueCell{std::move(v)});
+    live_flags_.push_back(0);
+  }
+
+  /// ⊕-merges the staged rows [first, num_rows()) in row order. Row ids,
+  /// values, liveness and tombstones come out as if Merge(key, value) had
+  /// run once per staged row: a key's first non-⊥ occurrence keeps its
+  /// row, moved down over the rows folded away, and later duplicates ⊕
+  /// into it. The table is laid out once, for every staged row and their
+  /// largest ids, and the version bumps once: hard if a row was
+  /// tombstoned or revived, else soft.
+  void FoldStaged(uint32_t first) {
+    const uint32_t n = num_rows();
+    if (first == n) return;
+    Relayout(n, DirectMaxima(), first);
+    uint32_t w = first;  // the next row id a new key takes
+    Effect changed = Effect::kNone;
+    for (uint32_t r = first; r < n; ++r) {
+      // Row r >= w is not written yet; every slotted row is below w.
+      const RowView key = View(r);
+      const std::size_t slot = direct_ ? DirectSlot(key) : HashProbe(key);
+      const Effect e =
+          MergeRow(slots_[slot], values_[r].v, [&](Value nv) {
+            for (int p = 0; p < arity_; ++p) cols_[p][w] = cols_[p][r];
+            values_[w].v = std::move(nv);
+            live_flags_[w] = 1;
+            slots_[slot] = w++;
+          });
+      changed = std::max(changed, e);
+    }
+    for (auto& col : cols_) col.resize(w);
+    values_.resize(w);
+    live_flags_.resize(w);
+    Bump(changed);
+  }
+
   /// Empties the relation but keeps column/slot capacity, so a Clear +
   /// refill cycle (persistent delta relations) does not reallocate.
   void Clear() {
@@ -538,7 +595,7 @@ class Relation : public RowStore {
     live_flags_.assign(w, 1);
     live_ = w;
     BumpHard();  // surviving rows were renumbered
-    Relayout(w, DirectMaxima());
+    Relayout(w, DirectMaxima(), w);
   }
 
   bool Equals(const Relation& other) const {
@@ -640,31 +697,53 @@ class Relation : public RowStore {
   void MergeKey(const Key& key, const Value& v) {
     DLO_CHECK(static_cast<int>(key.size()) == arity_);
     const std::size_t slot = PrepareSlot(key);
-    uint32_t r = slots_[slot];
+    Bump(MergeRow(slots_[slot], v, [&](Value nv) {
+      AppendRow(slot, key, std::move(nv));
+    }));
+  }
+
+  /// How a mutation changed the content, in the terms of hard_version():
+  /// not at all, softly (appends and value overwrites), or hard. Ordered,
+  /// so the effect of several mutations is their max.
+  enum class Effect : uint8_t { kNone, kSoft, kHard };
+
+  void Bump(Effect e) {
+    if (e == Effect::kHard) {
+      BumpHard();
+    } else if (e == Effect::kSoft) {
+      ++version_;
+    }
+  }
+
+  /// The ⊕-upsert rules MergeKey and FoldStaged share, for a key whose
+  /// row — live or tombstoned — is `r`, or kNoRow when it has none. A
+  /// live row takes r ⊕ v and is tombstoned when that is ⊥; a tombstoned
+  /// row revives with ⊥ ⊕ v unless that is ⊥; a key with no row gets
+  /// ⊥ ⊕ v, unless ⊥, through `append(value)`, which must add the row.
+  /// Keeps the support size; versions are the caller's, per the result.
+  template <typename Append>
+  [[gnu::always_inline]] Effect MergeRow(uint32_t r, const Value& v,
+                                         Append&& append) {
     if (r != kNoRow && live_flags_[r]) {
       Value nv = P::Plus(values_[r].v, v);
       if (P::Eq(nv, P::Bottom())) {
         live_flags_[r] = 0;
         --live_;
-        BumpHard();  // ⊕ annihilated the row: membership shrank
-      } else {
-        values_[r].v = std::move(nv);
-        ++version_;
+        return Effect::kHard;  // ⊕ annihilated the row: membership shrank
       }
-      return;
+      values_[r].v = std::move(nv);
+      return Effect::kSoft;
     }
     Value nv = P::Plus(P::Bottom(), v);
-    if (P::Eq(nv, P::Bottom())) return;  // ⊥ ⊕ v = ⊥: nothing to store
+    if (P::Eq(nv, P::Bottom())) return Effect::kNone;  // ⊥ ⊕ v = ⊥
+    ++live_;
     if (r != kNoRow) {
       values_[r].v = std::move(nv);  // revival: hard (see SetKey)
       live_flags_[r] = 1;
-      ++live_;
-      BumpHard();
-    } else {
-      AppendRow(slot, key, std::move(nv));
-      ++live_;
-      ++version_;
+      return Effect::kHard;
     }
+    append(std::move(nv));
+    return Effect::kSoft;
   }
 
   /// One value-column element. The wrapper defeats the std::vector<bool>

@@ -1,10 +1,15 @@
 // TSV relation I/O.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <limits>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/datalogo.h"
@@ -92,24 +97,70 @@ TEST(Io, NanValueIsLoadError) {
 
 TEST(Io, CarrierParsersAcceptExactlyTheCarrier) {
   // Trop+ is [0, ∞]; Fuzzy and Viterbi are [0, 1]. A value outside its
-  // carrier is a parse failure, not a clamp or a silent drop.
+  // carrier is a parse failure, not a clamp or a silent drop. The token
+  // set is std::stod's, pinned here: a '+' sign, hex, infinity spellings
+  // and bare-point decimals load; NaN, overflow and magnitudes at or below
+  // DBL_MIN that glibc flags ERANGE (subnormals, and 2.2250738585072012e-308,
+  // which rounds up to DBL_MIN) do not.
   const struct {
     const char* text;
+    bool dbl;   // ParseDoubleValue accepts
     bool trop;  // ParseTropValue accepts
     bool unit;  // ParseUnitValue accepts
   } cases[] = {
-      {"0", true, true},      {"-0", true, true},     {"0.25", true, true},
-      {"1", true, true},      {"1.0000001", true, false},
-      {"2.5", true, false},   {"20", true, false},    {"inf", true, false},
-      {"-1", false, false},   {"-0.5", false, false}, {"-3", false, false},
-      {"-inf", false, false}, {"nan", false, false},  {"1e400", false, false},
-      {"0.5x", false, false}, {"", false, false},
+      {"0", true, true, true},
+      {"-0", true, true, true},
+      {"0.25", true, true, true},
+      {"1", true, true, true},
+      {"1.0000001", true, true, false},
+      {"2.5", true, true, false},
+      {"20", true, true, false},
+      {"inf", true, true, false},
+      {"-1", true, false, false},
+      {"-0.5", true, false, false},
+      {"-3", true, false, false},
+      {"-inf", true, false, false},
+      {"nan", false, false, false},
+      {"1e400", false, false, false},
+      {"0.5x", false, false, false},
+      {"", false, false, false},
+      {"+5", true, true, false},
+      {"0x10", true, true, false},
+      {"1e-320", false, false, false},
+      {"2.2250738585072011e-308", false, false, false},
+      {"2.2250738585072012e-308", false, false, false},
+      {"2.2250738585072014e-308", true, true, true},
+      {"1e-400", false, false, false},
+      {"Infinity", true, true, false},
+      {"INF", true, true, false},
+      {"nan(123)", false, false, false},
+      {".5", true, true, true},
+      {"1.", true, true, true},
   };
   for (const auto& c : cases) {
     double v = -42.0;
+    EXPECT_EQ(ParseDoubleValue(c.text, &v), c.dbl) << c.text;
     EXPECT_EQ(ParseTropValue(c.text, &v), c.trop) << c.text;
     EXPECT_EQ(ParseUnitValue(c.text, &v), c.unit) << c.text;
-    EXPECT_TRUE(ParseDoubleValue(c.text, &v) || !c.trop) << c.text;
+  }
+  const struct {
+    const char* text;
+    double want;
+  } values[] = {
+      {"+5", 5.0},
+      {"0x10", 16.0},
+      {"Infinity", io_internal::kInf},
+      {"INF", io_internal::kInf},
+      {".5", 0.5},
+      {"1.", 1.0},
+      {"-0", -0.0},
+      {"2.2250738585072014e-308", std::numeric_limits<double>::min()},
+  };
+  for (const auto& c : values) {
+    double v = -42.0;
+    ASSERT_TRUE(ParseDoubleValue(c.text, &v)) << c.text;
+    EXPECT_EQ(std::bit_cast<uint64_t>(v), std::bit_cast<uint64_t>(c.want))
+        << c.text;
   }
 }
 
@@ -214,6 +265,48 @@ TEST(Io, OutOfRangeIntKeyIsLoadErrorNotException) {
                   &rel, ParseDoubleValue)
                   .ok());
   EXPECT_EQ(rel.support_size(), 2u);
+}
+
+TEST(Io, KeyTokensInternAsTheIntegerGrammarSays) {
+  // TryInternToken classifies with one from_chars; the grammar is
+  // `-?[0-9]+` → integer (a load error outside int64_t), anything else →
+  // symbol. Checked against that grammar spelled out by LooksLikeInt, on
+  // edge tokens and on random soup over the bytes that matter.
+  auto expect = [](std::string_view tok) {
+    Domain dom, ref_dom;
+    ConstId id = 0, ref_id = 0;
+    const bool ok = io_internal::TryInternToken(tok, &dom, &id);
+    bool ref_ok = true;
+    if (io_internal::LooksLikeInt(tok)) {
+      int64_t v = 0;
+      auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+      ref_ok = ec == std::errc() && p == tok.data() + tok.size();
+      if (ref_ok) ref_id = ref_dom.InternInt(v);
+    } else {
+      ref_id = ref_dom.InternSymbol(tok);
+    }
+    ASSERT_EQ(ok, ref_ok) << "'" << tok << "'";
+    if (!ok) return;
+    EXPECT_EQ(id, ref_id) << "'" << tok << "'";
+    EXPECT_EQ(dom.IsInt(id), ref_dom.IsInt(ref_id)) << "'" << tok << "'";
+    EXPECT_EQ(dom.ToString(id), ref_dom.ToString(ref_id))
+        << "'" << tok << "'";
+  };
+  for (const char* tok :
+       {"", "-", "--3", "+5", "5", "-5", "007", "-0", "1.5", "0x10", "12abc",
+        "a1", " 5", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "99999999999999999999x",
+        "-9999999999999999999-"}) {
+    expect(tok);
+  }
+  std::mt19937 rng(53);
+  const char bytes[] = "0123456789-+x. ";
+  for (int it = 0; it < CiIterations(20000, 4000); ++it) {
+    std::string tok(rng() % 22, ' ');
+    for (char& c : tok) c = bytes[rng() % (sizeof(bytes) - 1)];
+    expect(tok);
+  }
 }
 
 TEST(Io, OutOfRangeUintValueIsParseError) {
@@ -423,6 +516,246 @@ TEST(Io, LoaderNeverThrowsOnArbitraryInput) {
     EXPECT_EQ(bs.message(), bref.message()) << text;
     ExpectSameDomain(bdom, ref_bdom);
     ExpectSameRelation(brel, ref_brel);
+  }
+}
+
+// LoadTsv stages every line's row and folds them with one table layout.
+// The fold must leave exactly what one Merge per line left: the same row
+// ids, keys, liveness, tombstones and value bits.
+
+/// The per-line loader the fold replaced: one Merge per token line.
+template <Pops P, typename ParseFn>
+Status MergePerLine(const std::string& text, Domain* dom, Relation<P>* rel,
+                    ParseFn&& parse_value) {
+  const int arity = rel->arity();
+  return io_internal::ForEachTokenLine(
+      text, [&](int lineno, std::span<const std::string_view> toks) {
+        if (static_cast<int>(toks.size()) != arity + 1) {
+          return InvalidArgument("column count");
+        }
+        Tuple t;
+        Status s =
+            io_internal::InternKeys(toks.first(arity), lineno, dom, &t);
+        if (!s.ok()) return s;
+        typename P::Value v;
+        if (!parse_value(toks.back(), &v)) return InvalidArgument("value");
+        rel->Merge(t, v);
+        return Status::Ok();
+      });
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+bool SameBits(uint64_t a, uint64_t b) { return a == b; }
+bool SameBits(bool a, bool b) { return a == b; }
+bool SameBits(const std::optional<double>& a, const std::optional<double>& b) {
+  return a.has_value() == b.has_value() && (!a || SameBits(*a, *b));
+}
+
+/// Row by row, tombstoned rows included; then every row's key is probed
+/// through the row-id table, which must find live rows and only them.
+template <Pops P>
+void ExpectSameRows(const Relation<P>& got, const Relation<P>& want,
+                    const std::string& text) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << text;
+  EXPECT_EQ(got.tombstones(), want.tombstones()) << text;
+  EXPECT_EQ(got.support_size(), want.support_size()) << text;
+  for (uint32_t r = 0; r < want.num_rows(); ++r) {
+    for (int p = 0; p < want.arity(); ++p) {
+      EXPECT_EQ(got.Cell(r, p), want.Cell(r, p)) << "row " << r << "\n"
+                                                 << text;
+    }
+    EXPECT_EQ(got.RowLive(r), want.RowLive(r)) << "row " << r << "\n"
+                                               << text;
+    EXPECT_TRUE(SameBits(got.ValueAt(r), want.ValueAt(r)))
+        << "row " << r << ": " << P::ToString(got.ValueAt(r)) << " vs "
+        << P::ToString(want.ValueAt(r)) << "\n"
+        << text;
+    EXPECT_EQ(got.LiveValue(got.View(r)),
+              got.RowLive(r) ? &got.ValueAt(r) : nullptr)
+        << "row " << r << "\n"
+        << text;
+  }
+}
+
+/// `lines` lines of `arity` keys from a pool of seven constants, so keys
+/// repeat heavily, each with a value from `values`; comments and blank
+/// lines mixed in. With `bad_line` > 0, that line number holds an
+/// unparsable value instead and the text goes on after it.
+std::string DupHeavyTsv(std::mt19937& rng, int lines, int arity,
+                        const std::vector<const char*>& values,
+                        int bad_line) {
+  const char* keys[] = {"a", "b", "c", "7", "-3", "0", "x9"};
+  std::string text;
+  for (int l = 1; l <= lines; ++l) {
+    if (l != bad_line && rng() % 9 == 0) {
+      text += rng() % 2 ? "# comment\n" : "\n";
+      continue;
+    }
+    for (int p = 0; p < arity; ++p) {
+      text += keys[rng() % std::size(keys)];
+      text += '\t';
+    }
+    text += l == bad_line ? "zz" : values[rng() % values.size()];
+    text += '\n';
+  }
+  return text;
+}
+
+/// Loads two random texts in a row through LoadTsv and through
+/// MergePerLine into relations that `prefill` may have set rows in, over
+/// domains that may already hold 3000 symbols (pushing ids past the
+/// direct row-id table's range on arity 2), comparing after each load and
+/// after one more Merge of `probe` into every row's key.
+template <Pops P, typename ParseFn, typename PrefillFn>
+void ExpectFoldMatchesPerLineMerge(uint32_t seed,
+                                   const std::vector<const char*>& values,
+                                   ParseFn parse, PrefillFn prefill,
+                                   const typename P::Value& probe) {
+  std::mt19937 rng(seed);
+  const int iters = CiIterations(60, 15);
+  for (int it = 0; it < iters; ++it) {
+    const int arity = 1 + it % 3;
+    Domain dom, ref_dom;
+    if (rng() % 2) {
+      for (int i = 0; i < 3000; ++i) {
+        dom.InternSymbol("f" + std::to_string(i));
+        ref_dom.InternSymbol("f" + std::to_string(i));
+      }
+    }
+    Relation<P> rel(arity), ref(arity);
+    const uint32_t prefill_seed = rng();
+    prefill(prefill_seed, &dom, &rel);
+    prefill(prefill_seed, &ref_dom, &ref);
+    for (int load = 0; load < 2; ++load) {
+      const int lines = 1 + static_cast<int>(rng() % 300);
+      const int bad = rng() % 4 == 0 ? 1 + static_cast<int>(rng() % lines)
+                                     : 0;
+      const std::string text = DupHeavyTsv(rng, lines, arity, values, bad);
+      const uint64_t version = rel.version();
+      const uint64_t hard = rel.hard_version();
+      const uint64_t ref_version = ref.version();
+      const uint64_t ref_hard = ref.hard_version();
+      Status s = LoadTsv<P>(text, &dom, &rel, parse);
+      Status want = MergePerLine<P>(text, &ref_dom, &ref, parse);
+      ASSERT_EQ(s.ok(), want.ok()) << s.ToString() << "\n" << text;
+      // The fold bumps once, and hard exactly when the merges did.
+      EXPECT_EQ(rel.version() != version, ref.version() != ref_version)
+          << text;
+      EXPECT_EQ(rel.hard_version() != hard, ref.hard_version() != ref_hard)
+          << text;
+      if (bad > 0) {
+        EXPECT_EQ(s.message(), io_internal::LinePrefix(bad) +
+                                   "cannot parse value 'zz'");
+      }
+      ExpectSameRows(rel, ref, text);
+    }
+    for (uint32_t r = 0; r < ref.num_rows(); ++r) {
+      rel.Merge(rel.View(r), probe);
+      ref.Merge(ref.View(r), probe);
+    }
+    ExpectSameRows(rel, ref, "after one more Merge per row");
+  }
+}
+
+/// Sets a few random keys over the DupHeavyTsv pool to `v`.
+template <Pops P>
+auto SetSome(typename P::Value v) {
+  return [v](uint32_t seed, Domain* dom, Relation<P>* rel) {
+    std::mt19937 rng(seed);
+    const char* keys[] = {"a", "b", "7", "x9"};
+    for (int i = static_cast<int>(rng() % 6); i > 0; --i) {
+      Tuple t;
+      for (int p = 0; p < rel->arity(); ++p) {
+        ConstId id = 0;
+        ASSERT_TRUE(io_internal::TryInternToken(keys[rng() % 4], dom, &id));
+        t.push_back(id);
+      }
+      rel->Set(t, v);
+    }
+  };
+}
+
+TEST(Io, FoldedLoadMatchesPerLineMergeOnRealPlus) {
+  // ⊥ = 0: 5 then -5 sums to ⊥ and tombstones the row; a later 3 revives
+  // it in place. Sums are order-sensitive in the last bit, so the fold
+  // must ⊕ in file order to stay bit-identical.
+  Domain dom;
+  Relation<RealPlusS> rel(1);
+  ASSERT_TRUE(
+      LoadTsv<RealPlusS>("k 5\nj 1\nk -5\n", &dom, &rel, ParseDoubleValue)
+          .ok());
+  EXPECT_EQ(rel.num_rows(), 2u);
+  EXPECT_EQ(rel.tombstones(), 1u);
+  EXPECT_FALSE(rel.RowLive(0));
+  ASSERT_TRUE(
+      LoadTsv<RealPlusS>("k 3\n", &dom, &rel, ParseDoubleValue).ok());
+  EXPECT_EQ(rel.num_rows(), 2u);
+  EXPECT_TRUE(rel.RowLive(0));
+  EXPECT_EQ(rel.ValueAt(0), 3.0);
+  ExpectFoldMatchesPerLineMerge<RealPlusS>(
+      31, {"5", "-5", "3", "0", "-0", "0.1", "-0.3", "1e16"},
+      ParseDoubleValue, SetSome<RealPlusS>(2.0), 0.7);
+}
+
+TEST(Io, FoldedLoadMatchesPerLineMergeOnLiftedReals) {
+  // ⊥ absorbs: ⊥ ⊕ v = ⊥, so a load stores no new key, and a "bot" line
+  // tombstones a row that was set before the load.
+  using L = Lifted<RealS>;
+  auto parse = [](std::string_view s, L::Value* out) {
+    if (s == "bot") {
+      *out = std::nullopt;
+      return true;
+    }
+    double d = 0;
+    if (!ParseDoubleValue(s, &d)) return false;
+    *out = d;
+    return true;
+  };
+  ExpectFoldMatchesPerLineMerge<L>(37, {"1", "2.5", "bot", "-1"}, parse,
+                                   SetSome<L>(L::Value(4.0)),
+                                   L::Value(1.0));
+}
+
+TEST(Io, FoldedLoadMatchesPerLineMergeOnNat) {
+  // 0 = ⊥: a key's leading zero lines store nothing; its row appears at
+  // its first non-zero line.
+  ExpectFoldMatchesPerLineMerge<NatS>(41, {"0", "0", "1", "2"},
+                                      ParseUintValue, SetSome<NatS>(3),
+                                      uint64_t{1});
+}
+
+TEST(Io, FoldedLoadMatchesPerLineMergeOnTrop) {
+  // inf = ⊥ lines before a key's first finite value store nothing; after
+  // it they leave the minimum alone.
+  ExpectFoldMatchesPerLineMerge<TropS>(43, {"inf", "inf", "3", "1", "2.5"},
+                                       ParseTropValue, SetSome<TropS>(2.0),
+                                       0.5);
+}
+
+TEST(Io, FoldedBoolLoadMatchesPerLineSet) {
+  std::mt19937 rng(47);
+  const int iters = CiIterations(60, 15);
+  for (int it = 0; it < iters; ++it) {
+    const int arity = 1 + it % 3;
+    // DupHeavyTsv's value column becomes one more key column here.
+    const std::string text = DupHeavyTsv(
+        rng, 1 + static_cast<int>(rng() % 300), arity - 1, {"a", "7"}, 0);
+    Domain dom, ref_dom;
+    Relation<BoolS> rel(arity), ref(arity);
+    ASSERT_TRUE(LoadTsvBool(text, &dom, &rel).ok());
+    ASSERT_TRUE(io_internal::ForEachTokenLine(
+                    text,
+                    [&](int lineno, std::span<const std::string_view> toks) {
+                      Tuple t;
+                      Status s =
+                          io_internal::InternKeys(toks, lineno, &ref_dom, &t);
+                      if (s.ok()) ref.Set(t, true);
+                      return s;
+                    })
+                    .ok());
+    ExpectSameRows(rel, ref, text);
   }
 }
 
